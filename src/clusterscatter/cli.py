@@ -19,7 +19,8 @@ identical bytes.
 
 Resource ceilings come from the environment: ``CLUSTERSCATTER_MAX_TERMS``
 bounds series/polynomial term counts and ``CLUSTERSCATTER_SUBSPACE_LIMIT``
-bounds finite-field subspace enumeration.
+bounds finite-field subspace enumeration, which only the counting
+polynomial of ``grass --json`` performs.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from .cluster import Seed, apply_word, initial_seed, rank2_exchange, seed_to_jso
 from .errors import (
     GenericPositionError,
     InputError,
+    InterpolationError,
     ResourceLimitError,
     TranslateUndefinedError,
+    UnsupportedInputError,
 )
 from .hall import broken_line_strata, gl_poincare, hn_phases, qbinom
 from .lattice import (
@@ -642,6 +645,12 @@ def _cmd_grass(job: JobSpec) -> str:
     chi = grassmannian_euler_char(q, d, e)
     if job.output_format == "json":
         counting = grassmannian_counting_polynomial(q, d, e)
+        if sum(counting) != chi:
+            raise InterpolationError(
+                f"polynomial-count violated: the counting polynomial gives "
+                f"{sum(counting)} at q=1 but the fixed-point count gives {chi} "
+                f"for d={d}, e={e}"
+            )
         return canonical_json(
             {
                 "command": "grass",
@@ -675,6 +684,11 @@ def _cmd_strata(job: JobSpec) -> str:
             raise InputError(f"strata needs --{key}")
     d = tuple(int(x) for x in job.inputs["D"])
     e = tuple(int(x) for x in job.inputs["e"])
+    if classify_indecomposable(q, d).component == "R":
+        raise UnsupportedInputError(
+            f"strata need a preprojective or preinjective dimension vector; "
+            f"{d} is regular"
+        )
     pt = tuple(parse_rational(x) for x in job.inputs["endpoint"])
     order = job.order if job.order is not None else max(sum(e), 2)
     m0, target, lines = _strata_lines(q, d, e, pt, order)

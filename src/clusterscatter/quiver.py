@@ -5,9 +5,12 @@ translate on dimension vectors via the Coxeter matrix, classification of
 indecomposables into preprojective / regular / preinjective components,
 mesh graphs of translate orbits with irreducible-map arrows, explicit
 two-vertex (Kronecker-type) indecomposable representations, exact
-subrepresentation counting over prime fields, Euler characteristics of
-subrepresentation Grassmannians via polynomial-count interpolation, and
-the cluster-character Laurent polynomial built from those counts.
+subrepresentation counting over prime fields and the counting polynomial
+interpolated from it, Euler characteristics of subrepresentation
+Grassmannians as counts of torus-fixed points on the string module's
+coefficient quiver (Cerulli Irelli, arXiv:0910.2592), and the
+cluster-character Laurent polynomial built from those Euler
+characteristics.
 
 Conventions
 -----------
@@ -62,8 +65,10 @@ _PRIMES = (
     67, 71, 73, 79, 83, 89, 97,
 )
 
-#: Per-vertex cap on the number of subspaces enumerated while counting
-#: subrepresentations; override with CLUSTERSCATTER_SUBSPACE_LIMIT.
+#: Cap on the number of subspaces enumerated while counting
+#: subrepresentations over one prime field (the F_p route only: Euler
+#: characteristics never enumerate subspaces); override with
+#: CLUSTERSCATTER_SUBSPACE_LIMIT.
 DEFAULT_SUBSPACE_LIMIT = 6_000_000
 
 
@@ -712,27 +717,6 @@ def gaussian_binomial_int(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns."""
     mat = [[x % p for x in row] for row in rows]
@@ -849,10 +833,6 @@ def _two_vertex_rank_histogram(rep: ExplicitRep, e1: int) -> dict[int, int]:
     p = rep.field
     d1, d2 = rep.dims
     total_cells = gaussian_binomial_int(d1, e1, p)
-    if total_cells > _subspace_limit():
-        raise ResourceLimitError(
-            f"{total_cells} subspaces exceed the configured enumeration limit"
-        )
     if e1 == 0:
         return {0: 1}
     if d2 == 0 or not rep.maps:
@@ -896,6 +876,24 @@ def _cached_rank_histogram(rep: ExplicitRep, e1: int) -> tuple[tuple[int, int], 
     return tuple(sorted(_two_vertex_rank_histogram(rep, e1).items()))
 
 
+def _check_subspace_limit(q: Quiver, dims: Vec, e: Vec, p: int) -> None:
+    """Raise ``ResourceLimitError`` when counting subrepresentations of
+    dimension ``e`` over ``F_p`` would enumerate too many subspaces.
+
+    Subspaces are enumerated at every vertex with an outgoing arrow (sinks
+    are counted by a Gaussian binomial), so the work is the product of
+    those vertices' Gaussian binomials, which grows with ``p``.
+    """
+    total = 1
+    for v in range(1, q.n_vertices + 1):
+        if q.out_arrows(v):
+            total *= gaussian_binomial_int(dims[v - 1], e[v - 1], p)
+    if total > _subspace_limit():
+        raise ResourceLimitError(
+            f"{total} subspaces over F_{p} exceed the configured enumeration limit"
+        )
+
+
 def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     """Exact number of subrepresentations with dimension vector ``e``.
 
@@ -914,6 +912,7 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
         raise InputError("dimension vector length must match the quiver")
     if any(x < 0 or x > dx for x, dx in zip(e, rep.dims)):
         return 0
+    _check_subspace_limit(q, rep.dims, e, p)
     if q.n_vertices == 2 and all(a == (1, 2) for a in q.arrows):
         hist = dict(_cached_rank_histogram(rep, e[0]))
         return sum(
@@ -927,14 +926,6 @@ def _subrep_count_general(rep: ExplicitRep, e: Vec, p: int) -> int:
     q = rep.quiver
     n = q.n_vertices
     is_sink = [not q.out_arrows(v) for v in range(1, n + 1)]
-    budget = 1
-    for v in range(1, n + 1):
-        if not is_sink[v - 1]:
-            budget *= gaussian_binomial_int(rep.dims[v - 1], e[v - 1], p)
-        if budget > _subspace_limit():
-            raise ResourceLimitError(
-                "subspace enumeration exceeds the configured limit"
-            )
     arrow_mats = dict(zip(range(len(q.arrows)), rep.maps))
     bases: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -997,7 +988,8 @@ def grassmannian_counting_polynomial(
     Counts points over enough primes to pin down a palindromic polynomial
     whose degree is the expected Grassmannian dimension, then checks the
     fit at one further prime.  Inconsistent counts raise
-    ``InterpolationError`` ("polynomial-count violated").
+    ``InterpolationError`` ("polynomial-count violated").  The subspace
+    limit is checked at the largest prime before any prime is counted.
     """
     d = tuple(int(x) for x in d)
     e = tuple(int(x) for x in e)
@@ -1007,6 +999,8 @@ def grassmannian_counting_polynomial(
     deg = max(0, euler_form(q, e, vec_sub(d, e)))
     unknowns = deg // 2 + 1
     primes = _PRIMES[: unknowns + 1]
+    # The largest prime enumerates the most subspaces: check it first.
+    _check_subspace_limit(q, d, e, primes[-1])
     counts = [subrep_count(rep_mod_p(model, p), e) for p in primes]
     basis_exponents = [
         (i,) if 2 * i == deg else (i, deg - i) for i in range(unknowns)
@@ -1040,10 +1034,97 @@ def grassmannian_counting_polynomial(
     return tuple(int(c) for c in coeffs)
 
 
+def _fixed_point_euler_char(q: Quiver, d: Vec, e: Vec) -> int:
+    """Euler characteristic of ``Gr_e`` of the string module ``d``.
+
+    The coefficient quiver of ``indecomposable_rep(q, d)`` has one node per
+    basis vector and an edge ``x -> y`` for every entry 1 of an arrow
+    matrix (column ``x`` at the source, row ``y`` at the target).  When it
+    is a path, the torus-fixed subrepresentations are the successor-closed
+    node sets (``x`` in ``S`` and ``x -> y`` imply ``y`` in ``S``), so the
+    Euler characteristic is the number of such sets with dimension vector
+    ``e`` (Cerulli Irelli, arXiv:0910.2592).  The square Kronecker model
+    ``(I, J_k(1))`` has the same subrepresentations as ``(I, J_k(1) - I)``,
+    whose coefficient quiver is a path.  Anything that is not a path with
+    0/1 entries raises ``UnsupportedInputError``.
+
+    The count walks the path once, keeping the number of partial sets for
+    each (previous node in ``S``, dimension vector so far) and dropping
+    states that exceed ``e`` or can no longer reach it.
+    """
+    maps = list(indecomposable_rep(q, d).maps)
+    if _kronecker_width(q) == 2 and d[0] == d[1]:
+        first, second = maps
+        maps[1] = tuple(
+            tuple(y - x for x, y in zip(row1, row2))
+            for row1, row2 in zip(first, second)
+        )
+    # node -> [(neighbour, True when the edge points at the neighbour)]
+    links: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {
+        (v, i): [] for v in range(q.n_vertices) for i in range(d[v])
+    }
+    n_edges = 0
+    for (s, t), mat in zip(q.arrows, maps):
+        for i, row in enumerate(mat):
+            for j, entry in enumerate(row):
+                if entry not in (0, 1):
+                    raise UnsupportedInputError(
+                        f"the model of {d} has a matrix entry {entry}, not 0 or 1"
+                    )
+                if entry:
+                    links[(s - 1, j)].append(((t - 1, i), True))
+                    links[(t - 1, i)].append(((s - 1, j), False))
+                    n_edges += 1
+    not_a_string = UnsupportedInputError(
+        f"the coefficient quiver of the model of {d} is not a path"
+    )
+    ends = [x for x, nbrs in links.items() if len(nbrs) <= 1]
+    if n_edges != len(links) - 1 or not ends:
+        raise not_a_string
+    # (vertex, orientation) along the path: +1 when the edge from the
+    # previous node points here, -1 when it points back, 0 at the start.
+    walk = [(ends[0][0], 0)]
+    prev, node = None, ends[0]
+    while True:
+        ahead = [link for link in links[node] if link[0] != prev]
+        if len(ahead) > 1:
+            raise not_a_string
+        if not ahead:
+            break
+        prev, (node, points_here) = node, ahead[0]
+        walk.append((node[0], 1 if points_here else -1))
+    if len(walk) != len(links):
+        raise not_a_string
+    states = {(False, (0,) * len(d)): 1}
+    left = list(d)  # nodes of each vertex not yet walked past
+    for v, orientation in walk:
+        left[v] -= 1
+        nxt: dict[tuple[bool, Vec], int] = {}
+        for (prev_in, dims), count in states.items():
+            for take in (False, True):
+                if orientation == 1 and prev_in and not take:
+                    continue
+                if orientation == -1 and take and not prev_in:
+                    continue
+                if take:
+                    if dims[v] == e[v]:
+                        continue
+                    key = (True, dims[:v] + (dims[v] + 1,) + dims[v + 1 :])
+                else:
+                    if dims[v] + left[v] < e[v]:
+                        continue
+                    key = (False, dims)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return sum(states.values())
+
+
 def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """Euler characteristic of the subrepresentation Grassmannian.
 
-    Evaluates the interpolated counting polynomial at 1.
+    Counts the torus-fixed points of ``Gr_e`` of the string module
+    ``indecomposable_rep(q, d)`` (see :func:`_fixed_point_euler_char`); no
+    finite-field counting is involved.
     """
     d = tuple(int(x) for x in d)
     e = tuple(int(x) for x in e)
@@ -1051,7 +1132,7 @@ def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> in
         raise InputError("need 0 <= e <= d componentwise")
     if all(x == 0 for x in e) or e == d:
         return 1
-    return sum(grassmannian_counting_polynomial(q, d, e))
+    return _fixed_point_euler_char(q, d, e)
 
 
 def caldero_chapoton(

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterscatter import cli as cli_mod
 from clusterscatter import lattice
 from clusterscatter.brokenlines import enumerate_broken_lines
 from clusterscatter.cli import (
@@ -22,7 +23,13 @@ from clusterscatter.cli import (
     parse_rational,
     run,
 )
-from clusterscatter.cluster import initial_seed, path_quiver_exchange, rank2_exchange
+from clusterscatter.cluster import (
+    cluster_variable,
+    g_vector,
+    initial_seed,
+    path_quiver_exchange,
+    rank2_exchange,
+)
 from clusterscatter.errors import InputError
 from clusterscatter.quiver import kronecker_quiver, path_quiver
 from clusterscatter.scattering import complete_rank2, initial_diagram
@@ -127,6 +134,37 @@ class TestGrassCommand:
         with pytest.raises(SystemExit) as info:
             main(["grass", "--quiver", "kronecker2", "--D", "5,6"])
         assert info.value.code == 2
+
+    def test_json_routes_must_agree(self, cli, monkeypatch):
+        # A counting polynomial that disagrees with the fixed-point count
+        # is an error naming both values, not an output.
+        monkeypatch.setattr(
+            cli_mod, "grassmannian_counting_polynomial",
+            lambda q, d, e: (1, 2, 4, 4, 4, 2, 2),
+        )
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "5,6",
+                             "--e", "2,4", "--json")
+        assert (code, out) == (2, "")
+        assert "polynomial-count violated" in err
+        assert "19" in err and "18" in err
+
+
+class TestCcCommand:
+    def test_seven_six_equals_cluster_variable(self, cli):
+        # Counting this D over F_p would pass the default subspace ceiling;
+        # the variable with g-vector (5, -6) comes from seven mutations of
+        # the b=2 seed.
+        code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "7,6",
+                             "--json")
+        assert (code, err) == (0, "")
+        want = cluster_variable(
+            initial_seed(rank2_exchange(2)), (1, 2, 1, 2, 1, 2, 1), 1
+        )
+        assert g_vector(want, 2) == (5, -6)
+        assert json.loads(out)["value"] == {
+            ",".join(str(x) for x in expo): coeff
+            for expo, coeff in want.sorted_terms()
+        }
 
 
 THREE_TERM_TEXT = """\
@@ -265,6 +303,13 @@ class TestStrataCommand:
         assert two_step["hn"]["decreasing"] is True
         assert two_step["hn"]["values"] == [["8", "7"], ["2", "1"]]
 
+    def test_regular_dimension_vector_rejected(self, cli):
+        code, out, err = cli("strata", "--quiver", "kronecker2", "--D", "3,3",
+                             "--e", "1,2", "--endpoint", "2,1")
+        assert (code, out) == (2, "")
+        assert "regular" in err
+        assert err.count("\n") == 1
+
     def test_higher_rank_rejected(self, cli):
         code, _, err = cli("strata", "--quiver", "a3", "--D", "1,1,1",
                            "--e", "1,0,0", "--endpoint", "1,1")
@@ -390,14 +435,18 @@ class TestRunJob:
 
 class TestResourceCeilings:
     def test_subspace_limit_exit_three(self, cli, monkeypatch):
-        # Use a dimension vector no other test touches: the per-process
-        # histogram cache would otherwise satisfy the query without
-        # enumerating any subspaces.
+        # Only the counting polynomial of --json enumerates subspaces.
         monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2")
         code, _, err = cli("grass", "--quiver", "kronecker2", "--D", "7,8",
-                           "--e", "3,4")
+                           "--e", "3,4", "--json")
         assert code == 3
         assert "resource limit" in err
+
+    def test_text_grass_ignores_subspace_limit(self, cli, monkeypatch):
+        monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2")
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "7,8",
+                             "--e", "3,4")
+        assert (code, out, err) == (0, "5\n", "")
 
     def test_series_term_limit_exit_three(self, cli, monkeypatch,
                                           restore_max_terms):

@@ -10,14 +10,17 @@ counts by the independent brute-force enumerator in this file.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterscatter import quiver as quiver_mod
 from clusterscatter.cluster import cluster_variable, initial_seed, rank2_exchange
 from clusterscatter.errors import (
     InputError,
+    ResourceLimitError,
     TranslateUndefinedError,
     UnsupportedInputError,
 )
@@ -423,6 +426,90 @@ def test_grassmannian_euler_char_large_oracle():
     coeffs = grassmannian_counting_polynomial(K2, (5, 6), (2, 4))
     assert coeffs == (1, 2, 4, 4, 4, 2, 1)
     assert grassmannian_euler_char(K2, (5, 6), (2, 4)) == 18
+
+
+KRONECKER_DIMS = [
+    (d1, d2)
+    for d1 in range(10)
+    for d2 in range(10)
+    if abs(d1 - d2) <= 1 and 0 < d1 + d2 <= 9
+]
+
+
+@pytest.mark.parametrize("d", KRONECKER_DIMS)
+def test_fixed_point_chi_matches_counting_polynomial_kronecker(d):
+    # Fixed points of the torus against points over F_p, regular (k, k)
+    # included: every subdimension vector of every indecomposable up to
+    # total dimension 9.
+    for e in product(range(d[0] + 1), range(d[1] + 1)):
+        assert grassmannian_euler_char(K2, d, e) == sum(
+            grassmannian_counting_polynomial(K2, d, e)
+        ), e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_point_chi_matches_counting_polynomial_intervals(n):
+    quiver = path_quiver(n)
+    for lo in range(n):
+        for hi in range(lo, n):
+            d = tuple(int(lo <= i <= hi) for i in range(n))
+            for e in product(*(range(x + 1) for x in d)):
+                assert grassmannian_euler_char(quiver, d, e) == sum(
+                    grassmannian_counting_polynomial(quiver, d, e)
+                ), (d, e)
+
+
+def zigzag_chi(n: int, e1: int, e2: int) -> int:
+    """Successor-closed sets of the (n, n+1) Kronecker string in closed
+    form: e1 sources in k runs force e1 + k of the n + 1 sinks, and any of
+    the other sinks may be added."""
+    if e1 == 0:
+        return comb(n + 1, e2)
+    return sum(
+        comb(e1 - 1, k - 1) * comb(n - e1 + 1, k) * comb(n + 1 - e1 - k, e2 - e1 - k)
+        for k in range(1, e1 + 1)
+        if e2 >= e1 + k
+    )
+
+
+@pytest.mark.parametrize("n", [5, 13, 20])
+def test_fixed_point_chi_matches_zigzag_closed_form(n):
+    # Reaches dimension vectors far beyond the F_p subspace ceiling.
+    for e in product(range(n + 1), range(n + 2)):
+        assert grassmannian_euler_char(K2, (n, n + 1), e) == zigzag_chi(n, *e), e
+
+
+@pytest.mark.parametrize(
+    "maps, reason",
+    [
+        ((((1,), (0,)), ((0,), (2,))), "0 or 1"),
+        ((((1,), (1,)), ((1,), (0,))), "not a path"),
+        ((((1,), (0,)), ((1,), (0,))), "not a path"),
+    ],
+)
+def test_fixed_point_chi_rejects_non_string_models(monkeypatch, maps, reason):
+    model = ExplicitRep(K2, 0, (1, 2), maps)
+    monkeypatch.setattr(quiver_mod, "indecomposable_rep", lambda q, d: model)
+    with pytest.raises(UnsupportedInputError, match=reason):
+        grassmannian_euler_char(K2, (1, 2), (0, 1))
+
+
+def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
+    # D = (6, 5), e = (3, 4) is counted over F_2 .. F_11; a ceiling that
+    # F_2 (1395 subspaces) passes but F_11 does not must stop the count
+    # before any prime is counted.
+    calls = []
+    original = quiver_mod.subrep_count
+
+    def counting(rep, e):
+        calls.append(rep.field)
+        return original(rep, e)
+
+    monkeypatch.setattr(quiver_mod, "subrep_count", counting)
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2000")
+    with pytest.raises(ResourceLimitError, match="F_11"):
+        grassmannian_counting_polynomial(K2, (6, 5), (3, 4))
+    assert calls == []
 
 
 def test_caldero_chapoton_regular_one_one():
