@@ -19,7 +19,9 @@ refinement:
 * the stratification of a whole broken line, whose product polynomial
   evaluated at ``q = 1`` recovers the line's monomial coefficient;
 * the Grassmannian-sum evaluation of a theta function (the integrated
-  wall-crossing identity), which agrees with the cluster character; and
+  wall-crossing identity): once its endpoint and cluster-complex checks
+  pass, it is the cluster character, whose Euler characteristics come
+  from one walk along the string module; and
 * exact stability phases attached to the subquotients of a filtration,
   with the strictly-decreasing phase test that every produced filtration
   satisfies.
@@ -39,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
@@ -50,17 +51,16 @@ from .lattice import (
     LaurentPoly,
     Vec,
     p_star,
-    tilde_p_star,
     vec_dot,
     vec_scale,
     vec_sub,
 )
 from .quiver import (
     Quiver,
+    caldero_chapoton,
     classify_indecomposable,
     euler_form,
     g_map,
-    grassmannian_euler_char,
     hom_ext_dims,
     quiver_to_skew,
     tits_positive_definite,
@@ -701,8 +701,11 @@ def hall_theta_chi(
     The value is the Grassmannian sum: over every subdimension vector
     ``e`` of ``d``, the Euler characteristic of the subrepresentation
     Grassmannian times the doubled-lattice monomial shifted by the
-    negated weight covector.  It equals the cluster character of ``d``
-    and, measured at any endpoint in the positive chamber, the
+    negated weight covector.  That is the cluster character of ``d``, so
+    after checking the endpoint and the cluster complex this delegates
+    to :func:`~clusterscatter.quiver.caldero_chapoton`, which reads
+    every Euler characteristic off one walk along the string module.
+    Measured at any endpoint in the positive chamber, it also equals the
     broken-line theta function.  The endpoint is validated but the sum
     does not depend on it.
     """
@@ -718,18 +721,7 @@ def hall_theta_chi(
     if all(x == 0 for x in d):
         return LaurentPoly.one(2 * n)
     _require_cluster_complex(q, d, depth)
-    eps = quiver_to_skew(q)
-    shift = tuple(-x for x in g_map(q, d)) + (0,) * n
-    terms: dict[Vec, int] = {}
-    for e in product(*(range(x + 1) for x in d)):
-        chi = grassmannian_euler_char(q, d, e)
-        if chi == 0:
-            continue
-        expo = tuple(
-            s + t for s, t in zip(shift, tilde_p_star(eps, e + (0,) * n))
-        )
-        terms[expo] = terms.get(expo, 0) + chi
-    return LaurentPoly({k: v for k, v in terms.items() if v})
+    return caldero_chapoton(q, d)
 
 
 # ---------------------------------------------------------------------------

@@ -574,13 +574,3 @@ class GradedSeries:
     def __repr__(self) -> str:
         names = default_names(2 * self.n, self.n)
         return f"GradedSeries(order={self.order}, {poly_str(self.poly, names)})"
-
-
-def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Product of two truncated series (same rank and order)."""
-    return f * g
-
-
-def series_inverse(f: GradedSeries) -> GradedSeries:
-    """Inverse of a truncated series with constant term 1."""
-    return f.inverse()

@@ -74,7 +74,14 @@ DEFAULT_SUBSPACE_LIMIT = 6_000_000
 
 def _subspace_limit() -> int:
     raw = os.environ.get("CLUSTERSCATTER_SUBSPACE_LIMIT")
-    return int(raw) if raw else DEFAULT_SUBSPACE_LIMIT
+    if not raw:
+        return DEFAULT_SUBSPACE_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(
+            f"CLUSTERSCATTER_SUBSPACE_LIMIT={raw!r} is not an integer"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1034,10 +1041,11 @@ def grassmannian_counting_polynomial(
     return tuple(int(c) for c in coeffs)
 
 
-def _fixed_point_euler_char(q: Quiver, d: Vec, e: Vec) -> int:
-    """Euler characteristic of ``Gr_e`` of the string module ``d``.
+def _fixed_point_euler_chars(q: Quiver, d: Vec) -> dict[Vec, int]:
+    """Euler characteristics of every ``Gr_e`` of the string module ``d``.
 
-    The coefficient quiver of ``indecomposable_rep(q, d)`` has one node per
+    Returns ``{e: chi(Gr_e)}`` for every ``e`` with ``chi > 0``.  The
+    coefficient quiver of ``indecomposable_rep(q, d)`` has one node per
     basis vector and an edge ``x -> y`` for every entry 1 of an arrow
     matrix (column ``x`` at the source, row ``y`` at the target).  When it
     is a path, the torus-fixed subrepresentations are the successor-closed
@@ -1048,10 +1056,12 @@ def _fixed_point_euler_char(q: Quiver, d: Vec, e: Vec) -> int:
     whose coefficient quiver is a path.  Anything that is not a path with
     0/1 entries raises ``UnsupportedInputError``.
 
-    The count walks the path once, keeping the number of partial sets for
-    each (previous node in ``S``, dimension vector so far) and dropping
-    states that exceed ``e`` or can no longer reach it.
+    One walk along the path yields the whole table: it keeps the number
+    of partial sets for each (previous node in ``S``, dimension vector so
+    far), and the final dimension vectors are the ``e``.
     """
+    if sum(d) == 1:  # a simple module is one node on any quiver
+        return {(0,) * len(d): 1, d: 1}
     maps = list(indecomposable_rep(q, d).maps)
     if _kronecker_width(q) == 2 and d[0] == d[1]:
         first, second = maps
@@ -1096,9 +1106,7 @@ def _fixed_point_euler_char(q: Quiver, d: Vec, e: Vec) -> int:
     if len(walk) != len(links):
         raise not_a_string
     states = {(False, (0,) * len(d)): 1}
-    left = list(d)  # nodes of each vertex not yet walked past
     for v, orientation in walk:
-        left[v] -= 1
         nxt: dict[tuple[bool, Vec], int] = {}
         for (prev_in, dims), count in states.items():
             for take in (False, True):
@@ -1107,24 +1115,24 @@ def _fixed_point_euler_char(q: Quiver, d: Vec, e: Vec) -> int:
                 if orientation == -1 and take and not prev_in:
                     continue
                 if take:
-                    if dims[v] == e[v]:
-                        continue
                     key = (True, dims[:v] + (dims[v] + 1,) + dims[v + 1 :])
                 else:
-                    if dims[v] + left[v] < e[v]:
-                        continue
                     key = (False, dims)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    return sum(states.values())
+    table: dict[Vec, int] = {}
+    for (_, dims), count in states.items():
+        table[dims] = table.get(dims, 0) + count
+    return table
 
 
 def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """Euler characteristic of the subrepresentation Grassmannian.
 
-    Counts the torus-fixed points of ``Gr_e`` of the string module
-    ``indecomposable_rep(q, d)`` (see :func:`_fixed_point_euler_char`); no
-    finite-field counting is involved.
+    Reads ``e`` off the table that one walk along the string module
+    ``indecomposable_rep(q, d)`` yields for every subdimension vector
+    (see :func:`_fixed_point_euler_chars`); no finite-field counting is
+    involved.
     """
     d = tuple(int(x) for x in d)
     e = tuple(int(x) for x in e)
@@ -1132,7 +1140,7 @@ def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> in
         raise InputError("need 0 <= e <= d componentwise")
     if all(x == 0 for x in e) or e == d:
         return 1
-    return _fixed_point_euler_char(q, d, e)
+    return _fixed_point_euler_chars(q, d).get(e, 0)
 
 
 def caldero_chapoton(
@@ -1140,11 +1148,13 @@ def caldero_chapoton(
 ) -> LaurentPoly:
     """Cluster-character Laurent polynomial of the indecomposable ``d``.
 
-    Sums Euler characteristics of subrepresentation Grassmannians over
-    all subdimension vectors, weighted by skew-form monomials, and shifts
-    by the weight covector.  With ``with_principal`` the exponents live
-    in the doubled lattice (coefficient variables appended); otherwise in
-    the base lattice alone.
+    The one chi-sum of the package: over the table of Euler
+    characteristics of subrepresentation Grassmannians that one walk
+    along the string yields (see :func:`_fixed_point_euler_chars`), the
+    skew-form monomial of each subdimension vector, shifted by the
+    weight covector.  With ``with_principal`` the exponents live in the
+    doubled lattice (coefficient variables appended); otherwise in the
+    base lattice alone.
     """
     d = tuple(int(x) for x in d)
     n = q.n_vertices
@@ -1152,26 +1162,20 @@ def caldero_chapoton(
     if all(x == 0 for x in d):
         width = 2 * n if with_principal else n
         return LaurentPoly.one(width)
-    node = classify_indecomposable(q, d)
-    rigid = node.component in ("P", "I")
+    classify_indecomposable(q, d)  # rejects d that are not indecomposable
     gvec = g_map(q, d)
     if with_principal:
         shift = tuple(-x for x in gvec) + (0,) * n
     else:
         shift = tuple(-x for x in gvec)
     terms: dict[Vec, int] = {}
-    for e in product(*(range(x + 1) for x in d)):
-        if rigid and euler_form(q, e, vec_sub(d, e)) < 0:
-            continue
-        chi = grassmannian_euler_char(q, d, e)
-        if chi == 0:
-            continue
+    for e, chi in _fixed_point_euler_chars(q, d).items():
         if with_principal:
             expo = vec_add(shift, tilde_p_star(eps, e + (0,) * n))
         else:
             expo = vec_add(shift, p_star(eps, e))
         terms[expo] = terms.get(expo, 0) + chi
-    return LaurentPoly({k: v for k, v in terms.items() if v})
+    return LaurentPoly(terms)
 
 
 def _startup_self_test() -> None:

@@ -63,13 +63,6 @@ DEFAULT_ORDER = 8
 Point = tuple[Fraction, Fraction]
 
 
-def as_point(raw: Sequence) -> Point:
-    """Coerce a pair of rationals (ints, strings, Fractions) to a point."""
-    if len(raw) != 2:
-        raise InputError("points live in the plane: need two coordinates")
-    return (Fraction(raw[0]), Fraction(raw[1]))
-
-
 def _direction_of_point(pt: Point) -> Vec:
     """Primitive integer direction of a nonzero rational point."""
     if pt[0] == 0 and pt[1] == 0:

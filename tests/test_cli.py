@@ -462,6 +462,14 @@ class TestResourceCeilings:
         assert code == 2
         assert "CLUSTERSCATTER_MAX_TERMS" in err
 
+    def test_bad_subspace_limit_exit_two(self, cli, monkeypatch):
+        monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "abc")
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "2,3",
+                             "--e", "1,1", "--json")
+        assert (code, out) == (2, "")
+        assert "CLUSTERSCATTER_SUBSPACE_LIMIT" in err and "'abc'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def b2_diagram():

@@ -24,7 +24,7 @@ from clusterscatter.errors import (
     TranslateUndefinedError,
     UnsupportedInputError,
 )
-from clusterscatter.lattice import LaurentPoly
+from clusterscatter.lattice import LaurentPoly, tilde_p_star, vec_add
 from clusterscatter.quiver import (
     ARNode,
     ExplicitRep,
@@ -479,6 +479,18 @@ def test_fixed_point_chi_matches_zigzag_closed_form(n):
         assert grassmannian_euler_char(K2, (n, n + 1), e) == zigzag_chi(n, *e), e
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_cluster_character_matches_zigzag_closed_form(n):
+    # Every coefficient comes from the one fixed-point table of (n, n + 1).
+    d = (n, n + 1)
+    cc = caldero_chapoton(K2, d)
+    shift = tuple(-x for x in g_map(K2, d)) + (0, 0)
+    eps = quiver_to_skew(K2)
+    for e in product(range(n + 1), range(n + 2)):
+        expo = vec_add(shift, tilde_p_star(eps, e + (0, 0)))
+        assert cc.coefficient(expo) == zigzag_chi(n, *e), e
+
+
 @pytest.mark.parametrize(
     "maps, reason",
     [
@@ -533,6 +545,16 @@ def test_caldero_chapoton_matches_cluster_variable():
     got = caldero_chapoton(A2, (1, 1))
     want = cluster_variable(initial_seed(rank2_exchange(1)), (1, 2), 2)
     assert got == want
+
+
+@pytest.mark.parametrize("b", [3, 4])
+def test_caldero_chapoton_of_wild_simples(b):
+    # No explicit model exists for b >= 3, but a simple is one node on
+    # any quiver; its cluster character is the variable of one mutation.
+    seed = initial_seed(rank2_exchange(b))
+    for k, d in ((1, (1, 0)), (2, (0, 1))):
+        got = caldero_chapoton(kronecker_quiver(b), d)
+        assert got == cluster_variable(seed, (k,), k)
 
 
 def test_caldero_chapoton_without_principal():
