@@ -269,22 +269,13 @@ class _Engine:
         self.n = diagram.rank
         self.eps = diagram.seed.exchange_block()
         self.traces = [_wall_trace(w, view) for w in diagram.walls]
-        self._powers: dict[tuple[Wall, int], object] = {}
 
     def exponent(self, m0: Vec, c: Vec) -> Vec:
         return vec_add(m0, tilde_p_star(self.eps, c + (0,) * self.n))
 
-    def step(self, wall: Wall) -> Vec:
-        return tilde_p_star(self.eps, wall.normal + (0,) * self.n)
-
     def bend_factor(self, wall: Wall, power: int, j: int) -> int:
         """Coefficient of the ``j``-th step term in ``wall.func ** power``."""
-        key = (wall, power)
-        series = self._powers.get(key)
-        if series is None:
-            series = wall.func ** power
-            self._powers[key] = series
-        return series.coefficient(vec_scale(j, self.step(wall)))
+        return (wall.func ** power).coefficient(j)
 
     def search(self, m0: Vec, endpoint: Point, c_final: Vec) -> list[BrokenLine]:
         out: list[BrokenLine] = []
@@ -493,7 +484,7 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
                 f"bend point {seg.start} of segment {i} is off the wall with "
                 f"normal {seg.bend_wall.normal}"
             )
-        shift = vec_scale(seg.bend_power, engine.step(seg.bend_wall))
+        shift = vec_scale(seg.bend_power, seg.bend_wall.func.step)
         if tuple(seg.exponent) != vec_add(prev.exponent, shift):
             return _fail(
                 f"segment {i} exponent is not the previous exponent plus "

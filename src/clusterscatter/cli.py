@@ -12,7 +12,9 @@ One executable, eight subcommands, all exact arithmetic:
 * ``check``   -- run the built-in reproduction suite
 
 Inputs accept exact rationals written ``p/q``; no floating-point parsing
-anywhere.  Jobs may also be supplied as JSON documents (``run --job``).
+anywhere.  A negative vector or point may follow its flag as a separate
+word (``--m -1,1,0,0``) or be attached with ``=``.  Jobs may also be
+supplied as JSON documents (``run --job``), whose inputs are type-checked.
 Exit status: 0 success, 2 bad input (including schema violations), 3 a
 resource ceiling was hit.  Output is deterministic: identical inputs give
 identical bytes.
@@ -181,9 +183,41 @@ def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
 # Jobs
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT = ("an integer", _is_int)
+_STR = ("a string", lambda v: isinstance(v, str))
+_INTS = (
+    "a list of integers",
+    lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),
+)
+# rational strings are parsed by the command, which rejects bad ones
+_RATIONALS = (
+    'a list of rationals (integers or "p/q" strings)',
+    lambda v: isinstance(v, (list, tuple)) and all(
+        _is_int(x) or isinstance(x, (str, Fraction)) for x in v
+    ),
+)
+
+#: The type of every known job input, as (description, predicate).
+_INPUT_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    **dict.fromkeys(("b", "bound"), _INT),
+    **dict.fromkeys(("quiver", "component", "only"), _STR),
+    **dict.fromkeys(
+        ("D", "e", "m", "word", "tau", "tau_inv", "classify"), _INTS
+    ),
+    "endpoint": _RATIONALS,
+}
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """A validated unit of work: command, parsed inputs, format, order."""
+    """A validated unit of work: command, parsed inputs, format, order.
+
+    Every known input must have the type ``_INPUT_TYPES`` lists for it.
+    """
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -213,6 +247,13 @@ class JobSpec:
             raise InputError(f"command {self.command!r} requires an order")
         if not isinstance(self.inputs, dict):
             raise InputError("job inputs must be an object")
+        for key, value in self.inputs.items():
+            if key in _INPUT_TYPES:
+                what, ok = _INPUT_TYPES[key]
+                if not ok(value):
+                    raise InputError(
+                        f"job input {key!r} must be {what}, got {value!r}"
+                    )
 
 
 def job_from_json(data: dict) -> JobSpec:
@@ -269,7 +310,7 @@ def _px(value) -> str:
 
 def _label_text(wall: Wall) -> str:
     """A short deterministic label: leading terms of the wall function."""
-    names = default_names(2 * wall.func.n)
+    names = default_names(len(wall.func.step))
     terms = wall.func.poly.sorted_terms()
     shown = LaurentPoly(dict(terms[:3]))
     text = poly_str(shown, names)
@@ -1167,9 +1208,31 @@ def _apply_resource_env() -> None:
             ) from None
 
 
+#: Flags whose value is a vector or a point and may start with a minus sign.
+_VECTOR_FLAGS = (
+    "--m", "--endpoint", "--word", "--D", "--e", "--tau", "--tau-inv",
+    "--classify",
+)
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--m -1,1,0,0`` as ``--m=-1,1,0,0``: argparse would read a
+    value that starts with ``-`` and a digit as an unknown flag."""
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1] in _VECTOR_FLAGS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         _apply_resource_env()
         job = _job_from_args(args)

@@ -27,7 +27,7 @@ JSON importer for data in that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .errors import InputError
 from .lattice import (
@@ -241,28 +241,6 @@ def check_tropical_duality(seed: Seed) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def seed_from_json(data: Mapping[str, Any]) -> Seed:
-    """Build an initial seed from ``{"rank": n, "epsilon": [[..]],
-    "frozen": "principal"}``; an optional ``"transpose": true`` imports a
-    matrix in the transposed convention."""
-    if not isinstance(data, Mapping):
-        raise InputError("seed JSON must be an object")
-    for key in ("rank", "epsilon", "frozen"):
-        if key not in data:
-            raise InputError(f"seed JSON missing key {key!r}")
-    if data["frozen"] != "principal":
-        raise InputError("only principal frozen pattern is supported")
-    eps = data["epsilon"]
-    if not isinstance(eps, Sequence) or isinstance(eps, (str, bytes)):
-        raise InputError("epsilon must be a matrix")
-    mat = check_skew(eps)
-    if len(mat) != data["rank"]:
-        raise InputError("epsilon size does not match rank")
-    if data.get("transpose"):
-        mat = mat_transpose(mat)
-    return initial_seed(mat)
 
 
 def seed_to_json(seed: Seed) -> dict[str, Any]:

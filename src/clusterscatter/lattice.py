@@ -1,4 +1,5 @@
-"""Exact lattice, Laurent-polynomial, and truncated-series arithmetic.
+"""Exact lattice and Laurent-polynomial arithmetic, and power series in
+one monomial.
 
 Conventions used throughout the package:
 
@@ -13,9 +14,11 @@ Conventions used throughout the package:
   for the extended lattice, length ``2n`` with the ``A``-exponents first
   and the ``X``-exponents second, i.e.
   ``z^e = A1^e[0] .. An^e[n-1] * X1^e[n] .. Xn^e[2n-1]``.
-* The series degree of an exponent is the sum of its ``X``-part.  All
-  wall functions and crossing corrections only ever add ``X``-degree,
-  so truncation by this degree is well defined.
+* The series degree of an exponent is the sum of its ``X``-part.  Every
+  wall function is a power series in one monomial ``t = z^step`` of
+  positive series degree and is stored as its integer coefficients in
+  ``t``; crossing corrections only ever add series degree, so
+  truncation by this degree is well defined.
 * Canonical text form: terms are sorted by ascending lexicographic order
   on the exponent tuple, and every monomial is printed as
   ``coeff * A1^a1 * ... * Xn^bn`` with unit coefficients and zero
@@ -442,135 +445,107 @@ def poly_str(poly: LaurentPoly, names: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# truncated graded series
+# truncated series in one monomial
 
 
 class GradedSeries:
-    """A Laurent series truncated at a fixed series degree.
+    """A power series in one monomial ``t = z^step``, truncated at a
+    series degree.
 
-    ``n`` is the base rank (exponent width ``2n``); the degree of a term
-    is the sum of its ``X``-part, which is nonnegative for every term
-    stored here.  ``order`` is the truncation degree: terms of degree
-    greater than ``order`` are dropped by every operation.
+    ``step`` is an exponent of width ``2n`` with ``X``-degree at least 1;
+    for a wall function it is the doubled monomial ``p~*(normal, 0)`` of
+    the wall's primitive normal.  ``order`` is the truncation degree, and
+    ``coeffs[k]`` is the coefficient of ``t^k`` for every ``k`` with
+    ``k * deg(step) <= order``.  Powers are cached on the series, so every
+    caller that raises one wall function to one power shares the work.
     """
 
-    __slots__ = ("n", "order", "poly")
+    __slots__ = ("step", "order", "coeffs", "_powers")
 
-    def __init__(self, n: int, order: int, terms: Mapping[Vec, int] | None = None):
+    def __init__(self, step: Sequence[int], order: int, coeffs: Sequence[int]):
         if order < 0:
             raise InputError("truncation order must be nonnegative")
-        self.n = n
+        self.step = tuple(int(x) for x in step)
+        n = len(self.step) // 2
+        if len(self.step) % 2 or x_degree(self.step, n) < 1:
+            raise InputError(
+                f"series step {self.step} must have X-degree at least 1"
+            )
         self.order = order
-        self.poly = LaurentPoly(terms)
-        for e in self.poly.terms:
-            d = x_degree(e, n)
-            if d < 0:
-                raise InputError("series term with negative degree")
-        self.poly = self._truncated(self.poly)
+        size = order // x_degree(self.step, n) + 1
+        head = tuple(int(c) for c in coeffs[:size])
+        self.coeffs = head + (0,) * (size - len(head))
+        self._powers: dict[int, GradedSeries] = {}
 
-    def _truncated(self, p: LaurentPoly) -> LaurentPoly:
+    @property
+    def poly(self) -> LaurentPoly:
+        """The series as a Laurent polynomial in the full exponents."""
         return LaurentPoly(
-            {e: c for e, c in p.terms.items() if x_degree(e, self.n) <= self.order}
+            {vec_scale(k, self.step): c for k, c in enumerate(self.coeffs) if c}
         )
-
-    @classmethod
-    def one(cls, n: int, order: int) -> "GradedSeries":
-        return cls(n, order, {(0,) * (2 * n): 1})
-
-    @classmethod
-    def from_poly(cls, n: int, order: int, poly: LaurentPoly) -> "GradedSeries":
-        return cls(n, order, poly.terms)
 
     def constant_term(self) -> int:
-        return self.poly.coefficient((0,) * (2 * self.n))
+        return self.coeffs[0]
 
-    def coefficient(self, exponent: Sequence[int]) -> int:
-        return self.poly.coefficient(exponent)
-
-    def degree_slice(self, d: int) -> LaurentPoly:
-        """The homogeneous part of series degree ``d``."""
-        return LaurentPoly(
-            {e: c for e, c in self.poly.terms.items() if x_degree(e, self.n) == d}
-        )
+    def coefficient(self, k: int) -> int:
+        """The coefficient of ``t^k`` (0 beyond the truncation)."""
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.order == other.order
-            and self.poly == other.poly
+        return (self.step, self.order, self.coeffs) == (
+            other.step,
+            other.order,
+            other.coeffs,
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.order, self.poly))
-
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        return GradedSeries(self.n, self.order, (self.poly + other.poly).terms)
-
-    def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        return GradedSeries(self.n, self.order, (self.poly - other.poly).terms)
-
-    def _check(self, other: "GradedSeries") -> None:
-        if self.n != other.n or self.order != other.order:
-            raise InputError("series rank/order mismatch")
+        return hash((self.step, self.order, self.coeffs))
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        out: dict[Vec, int] = {}
-        for e1, c1 in self.poly.terms.items():
-            d1 = x_degree(e1, self.n)
-            for e2, c2 in other.poly.terms.items():
-                if d1 + x_degree(e2, self.n) > self.order:
-                    continue
-                e = vec_add(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return GradedSeries(self.n, self.order, out)
+        if self.step != other.step or self.order != other.order:
+            raise InputError("series step/order mismatch")
+        a, b = self.coeffs, other.coeffs
+        return GradedSeries(
+            self.step,
+            self.order,
+            [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))],
+        )
 
     def inverse(self) -> "GradedSeries":
-        """Multiplicative inverse; requires constant term 1 and no other
-        degree-zero terms."""
-        zero = (0,) * (2 * self.n)
-        deg0 = self.degree_slice(0)
-        if deg0.terms != {zero: 1}:
-            raise InputError("series inverse requires constant term 1")
-        h = GradedSeries(
-            self.n, self.order, {e: -c for e, c in self.poly.terms.items() if e != zero}
-        )
-        # sum_{j>=0} h^j; h has degree >= 1 so the sum truncates.
-        result = GradedSeries.one(self.n, self.order)
-        power = GradedSeries.one(self.n, self.order)
-        for _ in range(self.order):
-            power = power * h
-            if power.poly.is_zero():
-                break
-            result = result + power
-        return result
+        """Multiplicative inverse; requires constant term 1."""
+        return self ** -1
 
-    def __pow__(self, k: int) -> "GradedSeries":
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        result = GradedSeries.one(self.n, self.order)
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    def __pow__(self, p: int) -> "GradedSeries":
+        """``self ** p`` for any integer ``p``; requires constant term 1.
+
+        For ``g = f^p`` with ``f_0 = 1``, comparing coefficients in
+        ``f g' = p f' g`` gives
+        ``k g_k = sum_{i=1..k} ((p+1) i - k) f_i g_{k-i}``, exact over the
+        integers.
+        """
+        power = self._powers.get(p)
+        if power is None:
+            f = self.coeffs
+            if f[0] != 1:
+                raise InputError("series powers require constant term 1")
+            g = [1]
+            for k in range(1, len(f)):
+                total = sum(
+                    ((p + 1) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)
+                )
+                g.append(total // k)
+            power = self._powers[p] = GradedSeries(self.step, self.order, g)
+        return power
 
     def truncate(self, order: int) -> "GradedSeries":
         if order > self.order:
             raise InputError("cannot extend a truncated series")
-        return GradedSeries(self.n, order, self.poly.terms)
-
-    def sorted_terms(self) -> list[tuple[Vec, int]]:
-        return self.poly.sorted_terms()
+        if order == self.order:
+            return self
+        return GradedSeries(self.step, order, self.coeffs)
 
     def __repr__(self) -> str:
-        names = default_names(2 * self.n, self.n)
+        names = default_names(len(self.step))
         return f"GradedSeries(order={self.order}, {poly_str(self.poly, names)})"

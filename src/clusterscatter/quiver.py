@@ -134,22 +134,6 @@ def path_quiver(n: int) -> Quiver:
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
 
 
-def quiver_from_json(obj: dict) -> Quiver:
-    """Build a quiver from ``{"vertices": n, "arrows": [[s, t], ...]}``."""
-    if not isinstance(obj, dict) or "vertices" not in obj or "arrows" not in obj:
-        raise InputError('quiver JSON needs keys "vertices" and "arrows"')
-    try:
-        n = int(obj["vertices"])
-        arrows = tuple((int(s), int(t)) for s, t in obj["arrows"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed quiver JSON: {exc}") from exc
-    return Quiver(n, arrows)
-
-
-def quiver_to_json(q: Quiver) -> dict:
-    return {"vertices": q.n_vertices, "arrows": [list(a) for a in q.arrows]}
-
-
 def quiver_to_skew(q: Quiver) -> Matrix:
     """Skew matrix ``eps[i][j] = #arrows(i->j) - #arrows(j->i)``."""
     n = q.n_vertices
@@ -608,30 +592,6 @@ def rep_mod_p(rep: ExplicitRep, p: int) -> ExplicitRep:
         tuple(tuple(x % p for x in row) for row in mat) for mat in rep.maps
     )
     return ExplicitRep(rep.quiver, p, rep.dims, maps)
-
-
-def rep_from_json(q: Quiver, obj: dict) -> ExplicitRep:
-    """Build a representation from ``{"p": ..., "dims": ..., "maps": {...}}``."""
-    try:
-        p = int(obj["p"])
-        dims = tuple(int(x) for x in obj["dims"])
-        maps = []
-        for i in range(len(q.arrows)):
-            mat = obj["maps"].get(str(i), [])
-            maps.append(tuple(tuple(int(x) for x in row) for row in mat))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed representation JSON: {exc}") from exc
-    return ExplicitRep(q, p, dims, tuple(maps))
-
-
-def rep_to_json(rep: ExplicitRep) -> dict:
-    return {
-        "p": rep.field,
-        "dims": list(rep.dims),
-        "maps": {
-            str(i): [list(row) for row in mat] for i, mat in enumerate(rep.maps)
-        },
-    }
 
 
 def _zero_matrix(rows: int, cols: int) -> Matrix:

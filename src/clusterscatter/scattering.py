@@ -11,9 +11,10 @@ Geometry conventions
   direction, and all angle comparisons use exact integer cross products.
 * A wall stores a primitive normal with nonnegative entries, a support
   ("line" through the origin, "ray" from the origin, or a "cone" spanned
-  by chamber generators in higher rank), a crossing function — a graded
-  series in the doubled-lattice monomial of the normal with constant
-  term 1 — and an incoming flag.
+  by chamber generators in higher rank), a crossing function — a power
+  series with constant term 1 in the single doubled-lattice monomial
+  ``t = z^(p~*(normal, 0))``, stored as its coefficients in ``t`` — and
+  an incoming flag.
 * Crossing signs: a crossing is positive when the pairing with the wall
   normal increases along the travel direction.  The crossing function is
   applied as ``z^e -> z^e * f^{s * <e_m, normal>}`` where ``s`` is -1 for
@@ -27,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
+from math import comb
 from typing import Iterable, Sequence
 
+from . import lattice
 from .cluster import Seed, apply_word, mutate_seed
 from .errors import (
     GenericPositionError,
     InputError,
     NonTransversalCrossingError,
+    ResourceLimitError,
     UnsupportedInputError,
 )
 from .lattice import (
@@ -45,6 +49,7 @@ from .lattice import (
     primitive,
     tilde_p_star,
     vec_add,
+    vec_gcd,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -92,8 +97,8 @@ class Wall:
     "line" (full line through the origin, rank 2), "ray" (from the
     origin, rank 2), or "cone" (facet spanned by ``span`` in rank >= 3);
     for the 2D kinds ``span`` holds the single primitive direction.
-    ``func`` has constant term 1 and lives in powers of the doubled
-    monomial of the normal.
+    ``func`` is a power series with constant term 1 in the one monomial
+    ``t = z^(p~*(normal, 0))``, so its step ends with the normal.
     """
 
     normal: Vec
@@ -111,6 +116,10 @@ class Wall:
             raise InputError(f"unknown wall kind {self.kind!r}")
         if self.func.constant_term() != 1:
             raise InputError("wall function must have constant term 1")
+        if self.func.step[len(self.normal):] != self.normal:
+            raise InputError(
+                "wall function must be a series in the monomial of the normal"
+            )
 
     def direction(self) -> Vec:
         if self.kind == "cone":
@@ -139,10 +148,7 @@ def initial_diagram(seed: Seed, order: int = DEFAULT_ORDER) -> ScatteringDiagram
     walls = []
     for i in range(n):
         unit = tuple(int(j == i) for j in range(n))
-        expo = tilde_p_star(eps, unit + (0,) * n)
-        func = GradedSeries.from_poly(
-            n, order, LaurentPoly.one(2 * n) + LaurentPoly.monomial(expo)
-        )
+        func = GradedSeries(tilde_p_star(eps, unit + (0,) * n), order, (1, 1))
         if n == 2:
             span: tuple[Vec, ...] = ((0, 1) if i == 0 else (1, 0),)
             kind = "line"
@@ -167,27 +173,33 @@ def wall_cross(
     ``sign`` is the crossing sign (+1 when the normal pairing increases
     along the travel direction).  Each monomial ``z^e`` becomes
     ``z^e * func^{-sign * <e_m, normal>}`` truncated at the series
-    order.
+    order: the ``k``-th coefficient of that power lands on
+    ``e + k * step`` while both ``k * deg(step)`` and the degree of the
+    result stay within the order.
     """
     if sign not in (1, -1):
         raise NonTransversalCrossingError(
             "crossing sign must be +1 or -1 (tangential crossings are invalid)"
         )
+    func = wall.func
+    if order > func.order:
+        raise InputError("cannot extend a truncated series")
     n = len(wall.normal)
-    out = LaurentPoly.zero()
+    deg = x_degree(func.step, n)
+    out: dict[Vec, int] = {}
     for expo, coeff in poly.terms.items():
-        pairing = dual_pair(expo[:n], wall.normal)
-        power = -sign * pairing
-        if power == 0:
-            out = out + LaurentPoly({expo: coeff})
+        room = order - x_degree(expo, n)
+        if room < 0:
             continue
-        factor = wall.func.truncate(order) ** power
-        out = out + (factor.poly * LaurentPoly({expo: coeff}))
-    # re-truncate: multiplying by series may exceed the order
-    truncated = {
-        e: c for e, c in out.terms.items() if x_degree(e, n) <= order and c
-    }
-    return LaurentPoly(truncated)
+        power = -sign * dual_pair(expo[:n], wall.normal)
+        coeffs = (func ** power).coeffs if power else (1,)
+        for k, c in enumerate(coeffs[: min(room, order) // deg + 1]):
+            if c:
+                e = tuple(x + k * s for x, s in zip(expo, func.step))
+                out[e] = out.get(e, 0) + coeff * c
+        if len(out) > lattice.MAX_TERMS:
+            raise ResourceLimitError("wall crossing exceeds term ceiling")
+    return LaurentPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +324,7 @@ def path_crossings(
         for u in ordered:
             if _ccw_strictly_between(start_dir, u, end_dir):
                 for wall in by_dir[u]:
-                    out.append((wall, _ccw_sign(u, wall)))
+                    out.append((wall, _ccw_sign(u, wall.normal)))
         return out
 
     def sweep_cw() -> list[tuple[Wall, int]]:
@@ -326,7 +338,7 @@ def path_crossings(
         out = []
         for u in reversed(crossed):
             for wall in by_dir[u]:
-                out.append((wall, -_ccw_sign(u, wall)))
+                out.append((wall, -_ccw_sign(u, wall.normal)))
         return out
 
     loop_events: list[tuple[Wall, int]] = []
@@ -338,7 +350,7 @@ def path_crossings(
                 )
         for u in ordered:
             for wall in by_dir[u]:
-                loop_events.append((wall, _ccw_sign(u, wall)))
+                loop_events.append((wall, _ccw_sign(u, wall.normal)))
 
     if path.turn == "ccw":
         tail = sweep_ccw()
@@ -350,9 +362,9 @@ def path_crossings(
     return loop_events + tail
 
 
-def _ccw_sign(u: Vec, wall: Wall) -> int:
+def _ccw_sign(u: Vec, normal: Vec) -> int:
     tangent = _rot90(u)
-    s = dual_pair(tangent, wall.normal)
+    s = dual_pair(tangent, normal)
     if s == 0:
         raise NonTransversalCrossingError(
             f"support direction {u} is tangent to its own normal pairing"
@@ -408,7 +420,7 @@ def _loop_action(diagram: ScatteringDiagram, base_dir: Vec) -> PathAction:
     crossings = []
     for u in ordered:
         for wall in by_dir[u]:
-            crossings.append((wall, _ccw_sign(u, wall)))
+            crossings.append((wall, _ccw_sign(u, wall.normal)))
     return PathAction(crossings, diagram.order)
 
 
@@ -422,8 +434,10 @@ def complete_rank2(
     base-lattice monomials; each degree-``d`` defect term must be a
     doubled monomial ``z^(p~*(c, 0))`` with ``c`` of degree ``d``, and is
     cancelled by inserting ``(1 + z^(p~*(c,0)))^t`` on the ray in
-    direction ``-p*(c)``.  The exponents ``t`` must come out as positive
-    integers; anything else is an inconsistency and raises.
+    direction ``-p*(c)``.  In the monomial ``u = z^(p~*(c', 0))`` of the
+    ray's primitive normal ``c' = c / g`` that factor is ``(1 + u^g)^t``,
+    whose coefficients are binomials.  The exponents ``t`` must come out
+    as positive integers; anything else is an inconsistency and raises.
     """
     seed = diagram.seed
     n = seed.rank
@@ -481,7 +495,8 @@ def complete_rank2(
             if a_c == 0:
                 continue
             ray_dir = primitive(vec_scale(-1, p_star(eps, c)))
-            s = _ccw_sign(ray_dir, _bare_ray(c, ray_dir, n, order))
+            normal = primitive(c)
+            s = _ccw_sign(ray_dir, normal)
             # the inserted ray contributes -s*t per unit pairing to the
             # loop defect, so t = a_c * s cancels the measured a_c
             t = a_c * s
@@ -490,35 +505,22 @@ def complete_rank2(
                     f"completion produced a nonpositive exponent {t} for "
                     f"normal {c}; positivity violated"
                 )
-            expo = tilde_p_star(eps, c + (0,) * n)
-            factor = GradedSeries.from_poly(
-                n,
+            g = vec_gcd(c)
+            step = tilde_p_star(eps, normal + (0,) * n)
+            size = order // x_degree(step, n) + 1
+            factor = GradedSeries(
+                step,
                 order,
-                LaurentPoly.one(2 * n) + LaurentPoly.monomial(expo),
-            ) ** t
-            walls = _merge_ray(walls, c, ray_dir, factor, n, order)
+                [comb(t, k // g) if k % g == 0 else 0 for k in range(size)],
+            )
+            walls = _merge_ray(walls, normal, ray_dir, factor)
     final = ScatteringDiagram(seed, order, tuple(walls))
     _assert_consistent(final, base_dir, unit_vectors)
     return final
 
 
-def _bare_ray(c: Vec, ray_dir: Vec, n: int, order: int) -> Wall:
-    return Wall(
-        primitive(c),
-        "ray",
-        (ray_dir,),
-        GradedSeries.one(n, order),
-        incoming=False,
-    )
-
-
 def _merge_ray(
-    walls: list[Wall],
-    c: Vec,
-    ray_dir: Vec,
-    factor: GradedSeries,
-    n: int,
-    order: int,
+    walls: list[Wall], normal: Vec, ray_dir: Vec, factor: GradedSeries
 ) -> list[Wall]:
     out = []
     merged = False
@@ -529,9 +531,7 @@ def _merge_ray(
         else:
             out.append(wall)
     if not merged:
-        out.append(
-            Wall(primitive(c), "ray", (ray_dir,), factor, incoming=False)
-        )
+        out.append(Wall(normal, "ray", (ray_dir,), factor, incoming=False))
     return out
 
 
@@ -627,9 +627,8 @@ def cluster_complex_diagram(
             key = (normal, tuple(sorted(span)))
             if key in walls:
                 continue
-            expo = tilde_p_star(eps, normal + (0,) * n)
-            func = GradedSeries.from_poly(
-                n, order, LaurentPoly.one(2 * n) + LaurentPoly.monomial(expo)
+            func = GradedSeries(
+                tilde_p_star(eps, normal + (0,) * n), order, (1, 1)
             )
             if n == 2:
                 walls[key] = Wall(

@@ -76,7 +76,7 @@ def test_criterion_1_b1_completion_single_outgoing_ray():
     diagram = completed(1, 8)
     outgoing = [w for w in diagram.walls if not w.incoming]
     assert len(outgoing) == 1
-    expected = GradedSeries(2, 8, {(0, 0, 0, 0): 1, (-1, 1, 1, 1): 1})
+    expected = GradedSeries((-1, 1, 1, 1), 8, (1, 1))
     assert outgoing[0].normal == (1, 1)
     assert outgoing[0].func == expected
     elapsed_under(t0, 1.0, "criterion 1: b=1 completion, one outgoing ray")
@@ -89,9 +89,7 @@ def test_criterion_2_b2_order8_central_ray_and_named_rays():
     central = walls[(1, 1)]
     # (1 - z)^-2 truncated: coefficients 1..5 on powers of the doubled
     # central monomial, whose series degree is 2 per power.
-    expected_central = GradedSeries(
-        2, 8, {(-2 * j, 2 * j, j, j): j + 1 for j in range(5)}
-    )
+    expected_central = GradedSeries((-2, 2, 1, 1), 8, [j + 1 for j in range(5)])
     assert central.func == expected_central
     two_term = {
         (1, 2): (-4, 2, 1, 2),
@@ -99,9 +97,7 @@ def test_criterion_2_b2_order8_central_ray_and_named_rays():
         (2, 3): (-6, 4, 2, 3),
     }
     for normal, expo in two_term.items():
-        assert walls[normal].func == GradedSeries(
-            2, 8, {(0, 0, 0, 0): 1, expo: 1}
-        )
+        assert walls[normal].func == GradedSeries(expo, 8, (1, 1))
     elapsed_under(t0, 10.0, "criterion 2: b=2 order-8 wall functions")
 
 

@@ -230,6 +230,23 @@ scattering diagram b=1, order 6: 3 walls
 """
 
 
+class TestNegativeVectorFlags:
+    @pytest.mark.parametrize(
+        "flag, value, rest",
+        [
+            ("--m", "-1,1,0,0", ("--endpoint", "3/2,1")),
+            ("--endpoint", "-3/2,1", ("--m", "1,-1,0,0")),
+        ],
+        ids=["m", "endpoint"],
+    )
+    def test_separate_and_attached_forms_agree(self, cli, flag, value, rest):
+        common = ("theta", "--b", "2", "--order", "6", *rest)
+        separate = cli(*common, flag, value)
+        attached = cli(*common, f"{flag}={value}")
+        assert separate == attached
+        assert separate[0] == 0 and separate[1]
+
+
 class TestScatterCommand:
     def test_b1_golden_text(self, cli):
         code, out, err = cli("scatter", "--b", "1", "--order", "6")
@@ -432,6 +449,29 @@ class TestRunJob:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            (
+                {"command": "cc",
+                 "inputs": {"quiver": "kronecker2", "D": "5,6"}},
+                "job input 'D' must be a list of integers",
+            ),
+            (
+                {"command": "scatter", "inputs": {"b": "x"}, "order": 4},
+                "job input 'b' must be an integer",
+            ),
+        ],
+        ids=["string-D", "string-b"],
+    )
+    def test_mistyped_input_exits_two(self, cli, tmp_path, job, message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(job), encoding="utf-8")
+        code, out, err = cli("run", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestResourceCeilings:
     def test_subspace_limit_exit_three(self, cli, monkeypatch):
@@ -448,10 +488,13 @@ class TestResourceCeilings:
                              "--e", "3,4")
         assert (code, out, err) == (0, "5\n", "")
 
+    @pytest.mark.parametrize(
+        "b, limit", [("2", "3"), ("3", "10")], ids=["b2-limit3", "b3-limit10"]
+    )
     def test_series_term_limit_exit_three(self, cli, monkeypatch,
-                                          restore_max_terms):
-        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "3")
-        code, _, err = cli("scatter", "--b", "2", "--order", "8")
+                                          restore_max_terms, b, limit):
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", limit)
+        code, _, err = cli("scatter", "--b", b, "--order", "8")
         assert code == 3
         assert "resource limit" in err
 

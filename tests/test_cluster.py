@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterscatter.cluster import (
-    Seed,
     apply_word,
     check_tropical_duality,
     cluster_variable,
@@ -21,7 +20,6 @@ from clusterscatter.cluster import (
     mutate_seed,
     path_quiver_exchange,
     rank2_exchange,
-    seed_from_json,
     seed_to_json,
 )
 from clusterscatter.errors import InputError
@@ -119,12 +117,6 @@ def test_seed_json_roundtrip_and_schema():
     data = seed_to_json(apply_word(s, (1, 2)))
     assert data["rank"] == 3
     assert data["word"] == [1, 2]
-    fresh = seed_from_json({"rank": 3, "epsilon": data["epsilon"], "frozen": "principal"})
-    assert isinstance(fresh, Seed)
-    with pytest.raises(InputError):
-        seed_from_json({"rank": 3, "epsilon": data["epsilon"]})
-    with pytest.raises(InputError):
-        seed_from_json({"rank": 2, "epsilon": [[0, 1], [1, 0]], "frozen": "principal"})
 
 
 @pytest.mark.parametrize(

@@ -184,7 +184,7 @@ def test_x_degree_counts_x_part_only():
 def test_series_inverse_of_inverse_square():
     # ((1 - x)^-2)^-1 truncated at order 4 equals 1 - 2x + x^2,
     # where x is the first adjoined variable of a rank-1 pair.
-    one_minus = GradedSeries(1, 4, {(0, 0): 1, (0, 1): -1})
+    one_minus = GradedSeries((0, 1), 4, (1, -1))
     f = one_minus ** -2
     assert f.poly == LaurentPoly(
         {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4, (0, 4): 5}
@@ -194,13 +194,13 @@ def test_series_inverse_of_inverse_square():
 
 
 def test_series_mul_truncates():
-    f = GradedSeries(1, 3, {(0, 0): 1, (0, 1): 1})
+    f = GradedSeries((0, 1), 3, (1, 1))
     g = f * f * f * f  # (1+x)^4 truncated at order 3
     assert g.poly == LaurentPoly({(0, 0): 1, (0, 1): 4, (0, 2): 6, (0, 3): 4})
 
 
 def test_series_inverse_requires_unit_constant():
-    f = GradedSeries(1, 3, {(0, 0): 2, (0, 1): 1})
+    f = GradedSeries((0, 1), 3, (2, 1))
     with pytest.raises(InputError):
         f.inverse()
 
@@ -208,12 +208,9 @@ def test_series_inverse_requires_unit_constant():
 @st.composite
 def unit_series(draw):
     order = draw(st.integers(1, 5))
-    terms = {(0, 0): 1}
-    for d in range(1, order + 1):
-        c = draw(st.integers(-4, 4))
-        if c:
-            terms[(d, d)] = c  # mixed A/X exponent keeps degree = d
-    return GradedSeries(1, order, {(m, x): c for (m, x), c in terms.items()})
+    coeffs = [1] + [draw(st.integers(-4, 4)) for _ in range(order)]
+    # the mixed A/X step (1, 1) has degree 1, so t^d has degree d
+    return GradedSeries((1, 1), order, coeffs)
 
 
 @given(unit_series())
@@ -229,6 +226,34 @@ def test_series_mul_inverse_cancels(f, g):
         return
     prod = f * g
     assert prod * g.inverse() == f
+
+
+@given(unit_series(), st.integers(-4, 5))
+@settings(max_examples=60)
+def test_series_power_matches_repeated_products(f, p):
+    expected = GradedSeries(f.step, f.order, (1,))
+    base = f if p >= 0 else f.inverse()
+    for _ in range(abs(p)):
+        expected = expected * base
+    assert f ** p == expected
+
+
+def test_series_powers_are_cached_and_poly_is_full_width():
+    f = GradedSeries((-2, 2, 1, 1), 5, (1, 1))
+    assert f ** 3 is f ** 3
+    assert f.coeffs == (1, 1, 0)  # t has degree 2, so t^2 is the last term
+    assert (f ** 3).poly == LaurentPoly(
+        {(0, 0, 0, 0): 1, (-2, 2, 1, 1): 3, (-4, 4, 2, 2): 3}
+    )
+    assert (f ** 3).coefficient(1) == 3 and (f ** 3).coefficient(3) == 0
+
+
+@pytest.mark.parametrize(
+    "step", [(1, 0), (0, 0, 0, 0), (3, 1, 1, -1), (1, 1, 1)]
+)
+def test_series_step_needs_positive_degree(step):
+    with pytest.raises(InputError):
+        GradedSeries(step, 4, (1, 1))
 
 
 def test_matrix_helpers():

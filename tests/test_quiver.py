@@ -28,6 +28,7 @@ from clusterscatter.lattice import LaurentPoly, tilde_p_star, vec_add
 from clusterscatter.quiver import (
     ARNode,
     ExplicitRep,
+    Quiver,
     ar_component,
     caldero_chapoton,
     classify_indecomposable,
@@ -43,12 +44,8 @@ from clusterscatter.quiver import (
     kronecker_indecomposable,
     kronecker_quiver,
     path_quiver,
-    quiver_from_json,
-    quiver_to_json,
     quiver_to_skew,
-    rep_from_json,
     rep_mod_p,
-    rep_to_json,
     skew_to_quiver,
     subrep_count,
     _subrep_count_general,
@@ -121,7 +118,7 @@ def naive_subrep_count(rep: ExplicitRep, e: tuple[int, ...]) -> int:
 def test_euler_form_examples():
     assert euler_form(K2, (1, 2), (5, 6)) == 5
     assert euler_form(K2, (1, 0), (0, 1)) == -2
-    one_vertex = quiver_from_json({"vertices": 1, "arrows": []})
+    one_vertex = Quiver(1, ())
     assert euler_form(one_vertex, (7,), (7,)) == 49
 
 
@@ -341,13 +338,6 @@ def test_kronecker_indecomposable_matrices():
     assert rep.maps[1] == ((1, 1), (0, 1))
     with pytest.raises(InputError):
         kronecker_indecomposable((1, 3))
-
-
-def test_rep_json_roundtrip():
-    rep = rep_mod_p(kronecker_indecomposable((2, 3)), 5)
-    again = rep_from_json(K2, rep_to_json(rep))
-    assert again == rep
-    assert quiver_from_json(quiver_to_json(A3)) == A3
 
 
 def test_quiver_skew_roundtrip():

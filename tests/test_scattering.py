@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -52,11 +53,9 @@ from clusterscatter.scattering import (
 )
 
 
-def series_of(n, order, *exponents):
-    poly = LaurentPoly.one(2 * n)
-    for expo in exponents:
-        poly = poly * (LaurentPoly.one(2 * n) + LaurentPoly.monomial(expo))
-    return GradedSeries.from_poly(n, order, poly)
+def series_of(order, step):
+    """The two-term wall function ``1 + z^step``."""
+    return GradedSeries(step, order, (1, 1))
 
 
 def wall_by_normal(diagram, normal):
@@ -76,8 +75,8 @@ class TestInitialDiagram:
         w1 = wall_by_normal(diagram, (1, 0))
         w2 = wall_by_normal(diagram, (0, 1))
         # functions 1 + A2*X1 and 1 + A1^-1*X2
-        assert w1.func == series_of(2, 6, (0, 1, 1, 0))
-        assert w2.func == series_of(2, 6, (-1, 0, 0, 1))
+        assert w1.func == series_of(6, (0, 1, 1, 0))
+        assert w2.func == series_of(6, (-1, 0, 0, 1))
         assert w1.kind == "line" and w1.span == ((0, 1),)
         assert w2.kind == "line" and w2.span == ((1, 0),)
         assert w1.incoming and w2.incoming
@@ -85,15 +84,15 @@ class TestInitialDiagram:
     def test_two_arrow_initial_walls(self):
         seed = initial_seed(rank2_exchange(2))
         diagram = initial_diagram(seed, order=6)
-        assert wall_by_normal(diagram, (1, 0)).func == series_of(2, 6, (0, 2, 1, 0))
-        assert wall_by_normal(diagram, (0, 1)).func == series_of(2, 6, (-2, 0, 0, 1))
+        assert wall_by_normal(diagram, (1, 0)).func == series_of(6, (0, 2, 1, 0))
+        assert wall_by_normal(diagram, (0, 1)).func == series_of(6, (-2, 0, 0, 1))
 
     def test_wall_validation(self):
         with pytest.raises(InputError):
-            Wall((2, 2), "ray", ((1, -1),), GradedSeries.one(2, 4), False)
+            Wall((2, 2), "ray", ((1, -1),), series_of(4, (-2, 2, 1, 1)), False)
         with pytest.raises(InputError):
-            Wall((1, -1), "ray", ((1, -1),), GradedSeries.one(2, 4), False)
-        bad = GradedSeries(2, 4, {(0, 0, 0, 0): 2})
+            Wall((1, -1), "ray", ((1, -1),), series_of(4, (-2, 2, 1, 1)), False)
+        bad = GradedSeries((-2, 2, 1, 1), 4, (2,))
         with pytest.raises(InputError):
             Wall((1, 1), "ray", ((1, -1),), bad, False)
 
@@ -151,6 +150,11 @@ class TestWallCross:
 # ---------------------------------------------------------------------------
 # Completion in rank 2
 
+    def test_wall_function_lives_in_the_normal_monomial(self):
+        Wall((1, 2), "ray", ((2, -1),), series_of(4, (-4, 2, 1, 2)), False)
+        with pytest.raises(InputError):
+            Wall((1, 2), "ray", ((2, -1),), series_of(4, (-2, 2, 1, 1)), False)
+
 
 class TestCompletion:
     def test_one_arrow_completion_single_new_ray(self):
@@ -162,29 +166,19 @@ class TestCompletion:
         assert ray.normal == (1, 1)
         assert ray.span == ((1, -1),)
         # function 1 + A1^-1*A2*X1*X2 exactly
-        assert ray.func == series_of(2, 8, (-1, 1, 1, 1))
+        assert ray.func == series_of(8, (-1, 1, 1, 1))
 
     def test_two_arrow_completion_order8(self):
         seed = initial_seed(rank2_exchange(2))
         diagram = complete_rank2(initial_diagram(seed, order=8), 8)
         central = wall_by_normal(diagram, (1, 1))
         # central function is (1 - z)^(-2) truncated, z = A1^-2*A2^2*X1*X2
-        geometric = GradedSeries.from_poly(
-            2,
-            8,
-            LaurentPoly.one(4) - LaurentPoly.monomial((-2, 2, 1, 1)),
-        ).inverse() ** 2
+        geometric = GradedSeries((-2, 2, 1, 1), 8, (1, -1)).inverse() ** 2
         assert central.func == geometric
         # the three finite rays named by exact functions
-        assert wall_by_normal(diagram, (1, 2)).func == series_of(
-            2, 8, (-4, 2, 1, 2)
-        )
-        assert wall_by_normal(diagram, (2, 1)).func == series_of(
-            2, 8, (-2, 4, 2, 1)
-        )
-        assert wall_by_normal(diagram, (2, 3)).func == series_of(
-            2, 8, (-6, 4, 2, 3)
-        )
+        assert wall_by_normal(diagram, (1, 2)).func == series_of(8, (-4, 2, 1, 2))
+        assert wall_by_normal(diagram, (2, 1)).func == series_of(8, (-2, 4, 2, 1))
+        assert wall_by_normal(diagram, (2, 3)).func == series_of(8, (-6, 4, 2, 3))
 
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_loop_consistency_after_completion(self, b):
@@ -197,6 +191,28 @@ class TestCompletion:
             assert action.apply(LaurentPoly.monomial(unit)) == LaurentPoly.monomial(
                 unit
             )
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_central_ray_matches_closed_form(self, m):
+        # Gross-Pandharipande-Siebert / Reineke: the central ray of the
+        # (m, m) diagram is (sum_k C(a k, k) / ((a - 1) k + 1) t^k)^m with
+        # a = (m - 1)^2 and t the doubled monomial of the normal (1, 1)
+        order = 16
+        diagram = complete_rank2(
+            initial_diagram(initial_seed(rank2_exchange(m)), order), order
+        )
+        central = wall_by_normal(diagram, (1, 1)).func
+        a = (m - 1) ** 2
+        size = order // 2 + 1
+        base = [comb(a * k, k) // ((a - 1) * k + 1) for k in range(size)]
+        expected = [1] + [0] * (size - 1)
+        for _ in range(m):
+            expected = [
+                sum(expected[i] * base[k - i] for i in range(k + 1))
+                for k in range(size)
+            ]
+        assert central.step == (-m, m, 1, 1)
+        assert list(central.coeffs) == expected
 
     def test_completion_rejects_higher_rank(self):
         seed = initial_seed(path_quiver_exchange(3))
@@ -428,8 +444,9 @@ def positive_crossing_pairs(seed, quiver, depth):
 
 
 def _as_wall(normal, span, n, order=4):
-    expo = tuple([0] * (2 * n))
-    func = GradedSeries.one(n, order)
+    # ar_order_check reads only normals; the function is the constant 1
+    # in the X-monomial of the normal
+    func = GradedSeries((0,) * n + primitive(normal), order, (1,))
     kind = "ray" if n == 2 else "cone"
     span_vecs = tuple(primitive(v) for v in span) if n == 2 else span
     return Wall(primitive(normal), kind, span_vecs, func, incoming=False)
