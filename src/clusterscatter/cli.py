@@ -1,20 +1,17 @@
 """Command-line front end.
 
-One executable, eight subcommands, all exact arithmetic:
-
-* ``mutate``  -- mutate a seed along a word, print variables and tropical data
-* ``scatter`` -- complete a rank-2 scattering diagram and render it
-* ``theta``   -- sum broken lines into a theta function
-* ``cc``      -- cluster character of a quiver dimension vector
-* ``grass``   -- Euler characteristic of a quiver Grassmannian
-* ``strata``  -- per-broken-line wall-crossing strata with stability phases
-* ``ar``      -- Auslander-Reiten translate / classification / component graph
-* ``check``   -- run the built-in reproduction suite
+One executable, eight subcommands (``mutate``, ``scatter``, ``theta``,
+``cc``, ``grass``, ``strata``, ``ar``, ``check``), all exact arithmetic.
+``_COMMANDS`` is the one table of what each takes: the flags, the parser,
+the validation of jobs and the dispatch all derive from it.
 
 Inputs accept exact rationals written ``p/q``; no floating-point parsing
 anywhere.  A negative vector or point may follow its flag as a separate
 word (``--m -1,1,0,0``) or be attached with ``=``.  Jobs may also be
-supplied as JSON documents (``run --job``), whose inputs are type-checked.
+supplied as JSON documents (``run --job``).  A job gives exactly one of
+``b`` and ``quiver`` (and ``ar`` exactly one action), every input its
+command requires and no other, each of the kind the table lists, and an
+``order`` only to a command that takes one.
 Exit status: 0 success, 2 bad input (including schema violations), 3 a
 resource ceiling was hit.  Output is deterministic: identical inputs give
 identical bytes.
@@ -30,10 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 from xml.sax.saxutils import escape
 
 from . import lattice
@@ -42,8 +41,19 @@ from .brokenlines import (
     enumerate_broken_lines,
     restrict_to_A,
     theta_function,
+    theta_via_path,
 )
-from .cluster import Seed, apply_word, initial_seed, rank2_exchange, seed_to_json
+from .cluster import (
+    Seed,
+    apply_word,
+    check_tropical_duality,
+    cluster_variable,
+    g_vector,
+    initial_seed,
+    mutate_seed,
+    rank2_exchange,
+    seed_to_json,
+)
 from .errors import (
     GenericPositionError,
     InputError,
@@ -73,30 +83,23 @@ from .quiver import (
     grassmannian_euler_char,
     kronecker_quiver,
     path_quiver,
+    projective_dims,
     quiver_to_skew,
 )
 from .scattering import (
+    CrossingPath,
     ScatteringDiagram,
     Wall,
+    ar_order_check,
+    cluster_complex_chambers,
+    cluster_complex_diagram,
     complete_rank2,
     diagram_to_json,
     initial_diagram,
+    path_ordered_product,
 )
 
-COMMANDS = ("mutate", "scatter", "theta", "cc", "grass", "strata", "ar", "check")
 FORMATS = ("text", "json", "svg", "dot", "tikz")
-
-#: Which output formats each command can honour.
-_FORMAT_SUPPORT = {
-    "mutate": ("text", "json"),
-    "scatter": ("text", "json", "svg", "tikz"),
-    "theta": ("text", "json", "svg", "tikz"),
-    "cc": ("text", "json"),
-    "grass": ("text", "json"),
-    "strata": ("text", "json"),
-    "ar": ("text", "json", "dot"),
-    "check": ("text", "json"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -153,30 +156,18 @@ def named_quiver(label: str) -> Quiver:
     )
 
 
-def _seed_for(inputs: dict) -> tuple[Seed, str]:
-    """Initial seed from ``b`` or ``quiver`` inputs, with a display label."""
-    if inputs.get("b") is not None:
-        b = int(inputs["b"])
-        if b < 1:
-            raise InputError("b must be a positive integer")
-        return initial_seed(rank2_exchange(b)), f"b={b}"
-    if inputs.get("quiver"):
-        label = str(inputs["quiver"])
-        q = named_quiver(label)
-        return initial_seed(quiver_to_skew(q)), f"quiver {label}"
-    raise InputError("need either --b or --quiver")
-
-
 def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
-    if inputs.get("quiver"):
-        label = str(inputs["quiver"])
-        return named_quiver(label), label
-    if inputs.get("b") is not None:
-        b = int(inputs["b"])
-        if b < 1:
-            raise InputError("b must be a positive integer")
-        return kronecker_quiver(b), f"kronecker{b}"
-    raise InputError("need either --quiver or --b")
+    """The quiver a job names by exactly one of ``b`` or ``quiver``."""
+    if "b" in inputs:
+        return kronecker_quiver(inputs["b"]), f"kronecker{inputs['b']}"
+    return named_quiver(inputs["quiver"]), inputs["quiver"]
+
+
+def _seed_for(inputs: dict) -> tuple[Seed, str]:
+    """The initial seed of the job's quiver, with a display label."""
+    q, label = _quiver_for(inputs)
+    label = f"b={inputs['b']}" if "b" in inputs else f"quiver {label}"
+    return initial_seed(quiver_to_skew(q)), label
 
 
 # ---------------------------------------------------------------------------
@@ -187,36 +178,61 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_INT = ("an integer", _is_int)
-_STR = ("a string", lambda v: isinstance(v, str))
-_INTS = (
-    "a list of integers",
-    lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),
-)
-# rational strings are parsed by the command, which rejects bad ones
-_RATIONALS = (
-    'a list of rationals (integers or "p/q" strings)',
-    lambda v: isinstance(v, (list, tuple)) and all(
-        _is_int(x) or isinstance(x, (str, Fraction)) for x in v
-    ),
-)
+def _is_rational(value) -> bool:
+    """An integer or a Fraction, or a string that ``parse_rational`` reads
+    (a malformed one raises, naming itself)."""
+    if isinstance(value, str):
+        parse_rational(value)
+        return True
+    return _is_int(value) or isinstance(value, Fraction)
 
-#: The type of every known job input, as (description, predicate).
-_INPUT_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    **dict.fromkeys(("b", "bound"), _INT),
-    **dict.fromkeys(("quiver", "component", "only"), _STR),
-    **dict.fromkeys(
-        ("D", "e", "m", "word", "tau", "tau_inv", "classify"), _INTS
+
+def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(ok, v))
+
+
+#: Input kinds: (description of the job form, test of the job form,
+#: parser of the flag's text or None when argparse's ``type`` converts it).
+_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable | None]] = {
+    "int": ("an integer", _is_int, None),
+    "str": ("a string", lambda v: isinstance(v, str), None),
+    "ints": (
+        "a list of integers (at least one)",
+        _list_of(_is_int),
+        lambda text, flag: list(parse_int_vec(text, flag)),
     ),
-    "endpoint": _RATIONALS,
+    "point": (
+        'a list of rationals (integers or "p/q" strings, at least one)',
+        _list_of(_is_rational),
+        lambda text, flag: [str(x) for x in parse_point(text, flag)],
+    ),
 }
+
+
+class Input(NamedTuple):
+    """One input of a command: its job key, which is also its flag
+    (``--key``, with ``-`` for ``_``), and what it may hold.  ``required``
+    is True, False, or a group name: a job gives exactly one of a group.
+    """
+
+    key: str
+    kind: str
+    required: bool | str = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """A validated unit of work: command, parsed inputs, format, order.
 
-    Every known input must have the type ``_INPUT_TYPES`` lists for it.
+    The command's entry in ``_COMMANDS`` lists every input it takes, with
+    its kind, and the formats and order it accepts; anything else is an
+    ``InputError``.
     """
 
     command: str
@@ -225,35 +241,53 @@ class JobSpec:
     order: int | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        spec = _COMMANDS.get(self.command) if isinstance(self.command, str) else None
+        if spec is None:
             raise InputError(
                 f"unknown command {self.command!r}; expected one of {COMMANDS}"
             )
-        if self.output_format not in FORMATS:
-            raise InputError(
-                f"unknown output format {self.output_format!r}; "
-                f"expected one of {FORMATS}"
-            )
-        if self.output_format not in _FORMAT_SUPPORT[self.command]:
+        if self.output_format not in spec.formats:
             raise InputError(
                 f"output format {self.output_format!r} is not available for "
-                f"command {self.command!r}"
+                f"command {self.command!r}; expected one of {spec.formats}"
             )
-        if self.order is not None and (
-            not isinstance(self.order, int) or self.order < 1
-        ):
-            raise InputError("order must be a positive integer")
-        if self.command in ("scatter", "theta") and self.order is None:
+        if self.order is not None:
+            if spec.order is None:
+                raise InputError(f"command {self.command!r} takes no order")
+            if not _is_int(self.order) or self.order < 1:
+                raise InputError("order must be a positive integer")
+        elif spec.order == "required":
             raise InputError(f"command {self.command!r} requires an order")
         if not isinstance(self.inputs, dict):
             raise InputError("job inputs must be an object")
-        for key, value in self.inputs.items():
-            if key in _INPUT_TYPES:
-                what, ok = _INPUT_TYPES[key]
-                if not ok(value):
-                    raise InputError(
-                        f"job input {key!r} must be {what}, got {value!r}"
-                    )
+        unknown = sorted(set(self.inputs) - {inp.key for inp in spec.inputs})
+        if unknown:
+            raise InputError(f"command {self.command!r} takes no input {unknown[0]!r}")
+        groups: dict[str, list[str]] = {}
+        for inp in spec.inputs:
+            if isinstance(inp.required, str):
+                groups.setdefault(inp.required, []).append(inp.key)
+            if inp.key not in self.inputs:
+                if inp.required is True:
+                    raise InputError(f"{self.command} needs {_flag(inp.key)}")
+                continue
+            value = self.inputs[inp.key]
+            what, ok = _KINDS[inp.kind][:2]
+            if not ok(value):
+                raise InputError(
+                    f"job input {inp.key!r} must be {what}, got {value!r}"
+                )
+            if inp.choices and value not in inp.choices:
+                raise InputError(
+                    f"job input {inp.key!r} must be one of {inp.choices}, "
+                    f"got {value!r}"
+                )
+        for keys in groups.values():
+            if sum(key in self.inputs for key in keys) != 1:
+                raise InputError(
+                    f"{self.command} needs exactly one of "
+                    + ", ".join(_flag(key) for key in keys)
+                )
 
 
 def job_from_json(data: dict) -> JobSpec:
@@ -265,15 +299,7 @@ def job_from_json(data: dict) -> JobSpec:
         raise InputError(f"unknown job keys: {sorted(unknown)}")
     if "command" not in data:
         raise InputError("job document is missing 'command'")
-    order = data.get("order")
-    if order is not None and not isinstance(order, int):
-        raise InputError("order must be an integer")
-    return JobSpec(
-        command=data["command"],
-        inputs=data.get("inputs", {}),
-        output_format=data.get("output_format", "text"),
-        order=order,
-    )
+    return JobSpec(**data)
 
 
 def canonical_json(obj) -> str:
@@ -288,12 +314,8 @@ def _poly_json(poly: LaurentPoly) -> dict:
     }
 
 
-def _fmt_vec(v: Sequence[int]) -> str:
+def _fmt_vec(v: Sequence[int | Fraction]) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
-
-
-def _fmt_point(pt: Sequence[Fraction]) -> str:
-    return "(" + ",".join(str(Fraction(x)) for x in pt) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +445,8 @@ def emit_svg(
 
 def _tex_math(text: str) -> str:
     """Rewrite the plain-text polynomial syntax into TeX math."""
-    tex = text.replace("*", " ")
-    for i in range(9, 0, -1):
-        tex = tex.replace(f"A{i}", f"A_{{{i}}}").replace(f"X{i}", f"X_{{{i}}}")
-    out = []
-    k = 0
-    while k < len(tex):
-        if tex[k] == "^":
-            k += 1
-            exp = ""
-            if k < len(tex) and tex[k] == "-":
-                exp += "-"
-                k += 1
-            while k < len(tex) and tex[k].isdigit():
-                exp += tex[k]
-                k += 1
-            out.append(f"^{{{exp}}}")
-        else:
-            out.append(tex[k])
-            k += 1
-    return "".join(out)
+    tex = re.sub(r"([AX])(\d)", r"\1_{\2}", text.replace("*", " "))
+    return re.sub(r"\^(-?\d*)", r"^{\1}", tex)
 
 
 def emit_tikz(
@@ -494,51 +498,42 @@ def emit_tikz(
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns the full output string)
+# Command implementations: each returns its output text, or for the json
+# format the fields of its document, which ``run`` writes out.
+
+
+_PICTURES = {"svg": emit_svg, "tikz": emit_tikz}
 
 
 def _completed_diagram(seed: Seed, order: int) -> ScatteringDiagram:
     return complete_rank2(initial_diagram(seed, order), order)
 
 
-def _cmd_mutate(job: JobSpec) -> str:
+def _cmd_mutate(job: JobSpec) -> str | dict:
     seed, label = _seed_for(job.inputs)
-    word = tuple(job.inputs.get("word", ()))
-    if not word:
-        raise InputError("mutate needs a nonempty --word of 1-based vertices")
+    word = tuple(job.inputs["word"])
     mutated = apply_word(seed, word)
     if job.output_format == "json":
-        return canonical_json({"command": "mutate", "seed": seed_to_json(mutated)})
+        return {"seed": seed_to_json(mutated)}
     names = default_names(2 * mutated.rank)
     lines = [f"seed {label} after word {_fmt_vec(word)}:"]
     for i, var in enumerate(mutated.variables):
         lines.append(f"  A{i + 1}' = {poly_str(var, names)}")
-    gcols = [
-        _fmt_vec(tuple(row[j] for row in mutated.g_matrix()))
-        for j in range(mutated.rank)
-    ]
-    ccols = [
-        _fmt_vec(tuple(row[j] for row in mutated.c_matrix()))
-        for j in range(mutated.rank)
-    ]
-    lines.append("  g-vectors: " + ", ".join(gcols))
-    lines.append("  c-vectors: " + ", ".join(ccols))
+    for kind, mat in (("g", mutated.g_matrix()), ("c", mutated.c_matrix())):
+        cols = (_fmt_vec([row[j] for row in mat]) for j in range(mutated.rank))
+        lines.append(f"  {kind}-vectors: " + ", ".join(cols))
     coherent = "yes" if mutated.is_sign_coherent() else "no"
     lines.append(f"  c-vectors sign-coherent: {coherent}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_scatter(job: JobSpec) -> str:
+def _cmd_scatter(job: JobSpec) -> str | dict:
     seed, label = _seed_for(job.inputs)
     diagram = _completed_diagram(seed, job.order)
     if job.output_format == "json":
-        return canonical_json(
-            {"command": "scatter", "diagram": diagram_to_json(diagram)}
-        )
-    if job.output_format == "svg":
-        return emit_svg(diagram)
-    if job.output_format == "tikz":
-        return emit_tikz(diagram)
+        return {"diagram": diagram_to_json(diagram)}
+    if job.output_format in _PICTURES:
+        return _PICTURES[job.output_format](diagram)
     names = default_names(2 * diagram.rank)
     lines = [
         f"scattering diagram {label}, order {diagram.order}: "
@@ -554,18 +549,14 @@ def _cmd_scatter(job: JobSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nudge_candidates(pt: tuple[Fraction, ...]):
-    for denom in (9973, 99991):
-        delta = Fraction(1, denom)
-        yield (pt[0] + delta, pt[1]), (pt[0] - delta, pt[1])
-
-
 def _theta_with_fallback(m0, pt, diagram, order):
     """Theta at the endpoint; on a wall, agree the two one-sided limits."""
     try:
         return theta_function(m0, pt, diagram, order), None
     except GenericPositionError as exc:
-        for plus, minus in _nudge_candidates(pt):
+        for denom in (9973, 99991):
+            plus = (pt[0] + Fraction(1, denom), pt[1])
+            minus = (pt[0] - Fraction(1, denom), pt[1])
             try:
                 t_plus = theta_function(m0, plus, diagram, order)
                 t_minus = theta_function(m0, minus, diagram, order)
@@ -573,12 +564,12 @@ def _theta_with_fallback(m0, pt, diagram, order):
                 continue
             if t_plus.value != t_minus.value:
                 raise InputError(
-                    f"endpoint {_fmt_point(pt)} lies on a wall and the theta "
+                    f"endpoint {_fmt_vec(pt)} lies on a wall and the theta "
                     "function jumps across it; pick an endpoint off the "
-                    f"walls (e.g. {_fmt_point(plus)})"
+                    f"walls (e.g. {_fmt_vec(plus)})"
                 ) from None
             note = (
-                f"note: endpoint {_fmt_point(pt)} lies on a wall; "
+                f"note: endpoint {_fmt_vec(pt)} lies on a wall; "
                 "the one-sided limits agree and are shown"
             )
             return t_plus, note
@@ -607,17 +598,13 @@ def _line_json(line: BrokenLine) -> dict:
     }
 
 
-def _cmd_theta(job: JobSpec) -> str:
+def _cmd_theta(job: JobSpec) -> str | dict:
     seed, label = _seed_for(job.inputs)
-    if "m" not in job.inputs:
-        raise InputError("theta needs --m, the initial exponent")
-    m0 = tuple(int(x) for x in job.inputs["m"])
+    m0 = tuple(job.inputs["m"])
     if len(m0) != 2 * seed.rank:
         raise InputError(
             f"initial exponent must have length {2 * seed.rank}, got {len(m0)}"
         )
-    if "endpoint" not in job.inputs:
-        raise InputError("theta needs --endpoint")
     pt = tuple(parse_rational(x) for x in job.inputs["endpoint"])
     # Negative-degree initial exponents need walls beyond the truncation
     # order, because a broken line may climb that far before bending back.
@@ -626,7 +613,6 @@ def _cmd_theta(job: JobSpec) -> str:
     theta, note = _theta_with_fallback(m0, pt, diagram, job.order)
     if job.output_format == "json":
         doc = {
-            "command": "theta",
             "m0": list(m0),
             "endpoint": [str(x) for x in pt],
             "order": job.order,
@@ -635,14 +621,12 @@ def _cmd_theta(job: JobSpec) -> str:
         }
         if note:
             doc["note"] = note
-        return canonical_json(doc)
-    if job.output_format == "svg":
-        return emit_svg(diagram, theta.lines)
-    if job.output_format == "tikz":
-        return emit_tikz(diagram, theta.lines)
+        return doc
+    if job.output_format in _PICTURES:
+        return _PICTURES[job.output_format](diagram, theta.lines)
     names = default_names(2 * seed.rank)
     out = [
-        f"theta {label}, m0 = {_fmt_vec(m0)}, endpoint = {_fmt_point(pt)}, "
+        f"theta {label}, m0 = {_fmt_vec(m0)}, endpoint = {_fmt_vec(pt)}, "
         f"order {job.order}"
     ]
     if note:
@@ -654,21 +638,12 @@ def _cmd_theta(job: JobSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_cc(job: JobSpec) -> str:
+def _cmd_cc(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
-    if "D" not in job.inputs:
-        raise InputError("cc needs --D, the dimension vector")
-    d = tuple(int(x) for x in job.inputs["D"])
+    d = tuple(job.inputs["D"])
     value = caldero_chapoton(q, d)
     if job.output_format == "json":
-        return canonical_json(
-            {
-                "command": "cc",
-                "quiver": label,
-                "D": list(d),
-                "value": _poly_json(value),
-            }
-        )
+        return {"quiver": label, "D": list(d), "value": _poly_json(value)}
     names = default_names(2 * q.n_vertices)
     return (
         f"cluster character, quiver {label}, D = {_fmt_vec(d)}\n"
@@ -676,13 +651,9 @@ def _cmd_cc(job: JobSpec) -> str:
     )
 
 
-def _cmd_grass(job: JobSpec) -> str:
+def _cmd_grass(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
-    for key in ("D", "e"):
-        if key not in job.inputs:
-            raise InputError(f"grass needs --{key}")
-    d = tuple(int(x) for x in job.inputs["D"])
-    e = tuple(int(x) for x in job.inputs["e"])
+    d, e = tuple(job.inputs["D"]), tuple(job.inputs["e"])
     chi = grassmannian_euler_char(q, d, e)
     if job.output_format == "json":
         counting = grassmannian_counting_polynomial(q, d, e)
@@ -692,16 +663,13 @@ def _cmd_grass(job: JobSpec) -> str:
                 f"{sum(counting)} at q=1 but the fixed-point count gives {chi} "
                 f"for d={d}, e={e}"
             )
-        return canonical_json(
-            {
-                "command": "grass",
-                "quiver": label,
-                "D": list(d),
-                "e": list(e),
-                "euler_characteristic": chi,
-                "counting_polynomial": list(counting),
-            }
-        )
+        return {
+            "quiver": label,
+            "D": list(d),
+            "e": list(e),
+            "euler_characteristic": chi,
+            "counting_polynomial": list(counting),
+        }
     return f"{chi}\n"
 
 
@@ -716,15 +684,11 @@ def _strata_lines(q, d, e, pt, order):
     return m0, target, lines
 
 
-def _cmd_strata(job: JobSpec) -> str:
+def _cmd_strata(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
     if q.n_vertices != 2:
         raise InputError("strata are implemented for rank-2 quivers")
-    for key in ("D", "e", "endpoint"):
-        if key not in job.inputs:
-            raise InputError(f"strata needs --{key}")
-    d = tuple(int(x) for x in job.inputs["D"])
-    e = tuple(int(x) for x in job.inputs["e"])
+    d, e = tuple(job.inputs["D"]), tuple(job.inputs["e"])
     if classify_indecomposable(q, d).component == "R":
         raise UnsupportedInputError(
             f"strata need a preprojective or preinjective dimension vector; "
@@ -734,148 +698,110 @@ def _cmd_strata(job: JobSpec) -> str:
     order = job.order if job.order is not None else max(sum(e), 2)
     m0, target, lines = _strata_lines(q, d, e, pt, order)
     chi = grassmannian_euler_char(q, d, e)
-    records = []
+    out = [
+        f"wall-crossing strata, quiver {label}, D = {_fmt_vec(d)}, "
+        f"e = {_fmt_vec(e)}, endpoint = {_fmt_vec(pt)}, order {order}",
+        f"broken lines ending at exponent {_fmt_vec(target)}: {len(lines)}",
+    ]
+    doc_lines = []
     total = 0
-    for line in lines:
+    for idx, line in enumerate(lines, start=1):
         filt, qpoly = broken_line_strata(line, q, d)
         value = qpoly(1)
         total += value
-        phases = (
-            hn_phases(filt, pt, q, d, e) if filt.steps else None
-        )
-        records.append((line, filt, qpoly, value, phases))
-    if job.output_format == "json":
-        doc_lines = []
-        for line, filt, qpoly, value, phases in records:
-            entry = {
-                "bends": [
-                    {"normal": list(w.normal), "power": p}
-                    for w, p in line.bends()
-                ],
-                "filtration": [
-                    {"vector": list(c), "multiplicity": lam}
-                    for c, lam in filt.steps
-                ],
-                "poincare": {
-                    str(expo): coeff for expo, coeff in qpoly.sorted_terms()
-                },
-                "value_at_one": value,
-            }
-            if phases is not None:
-                entry["hn"] = {
-                    "values": [[str(z.re), str(z.im)] for z in phases.values],
-                    "decreasing": phases.decreasing,
-                }
-            doc_lines.append(entry)
-        return canonical_json(
-            {
-                "command": "strata",
-                "quiver": label,
-                "D": list(d),
-                "e": list(e),
-                "endpoint": [str(x) for x in pt],
-                "order": order,
-                "final_exponent": list(target),
-                "lines": doc_lines,
-                "total": total,
-                "euler_characteristic": chi,
-                "match": total == chi,
-            }
-        )
-    out = [
-        f"wall-crossing strata, quiver {label}, D = {_fmt_vec(d)}, "
-        f"e = {_fmt_vec(e)}, endpoint = {_fmt_point(pt)}, order {order}",
-        f"broken lines ending at exponent {_fmt_vec(target)}: {len(lines)}",
-    ]
-    for idx, (line, filt, qpoly, value, phases) in enumerate(records, start=1):
-        bends = ", ".join(
-            f"{_fmt_vec(w.normal)}^{p}" for w, p in line.bends()
-        )
+        entry = {
+            "bends": [
+                {"normal": list(w.normal), "power": p} for w, p in line.bends()
+            ],
+            "filtration": [
+                {"vector": list(c), "multiplicity": lam} for c, lam in filt.steps
+            ],
+            "poincare": {str(expo): coeff for expo, coeff in qpoly.sorted_terms()},
+            "value_at_one": value,
+        }
+        bends = ", ".join(f"{_fmt_vec(w.normal)}^{p}" for w, p in line.bends())
         out.append(f"line {idx}: bends {bends if bends else '(none)'}")
         steps = ", ".join(f"{_fmt_vec(c)} x{lam}" for c, lam in filt.steps)
         out.append(f"  filtration: {steps if steps else '(trivial)'}")
         out.append(f"  poincare polynomial: {qpoly}")
         out.append(f"  value at q=1: {value}")
-        if phases is not None:
+        if filt.steps:
+            phases = hn_phases(filt, pt, q, d, e)
+            entry["hn"] = {
+                "values": [[str(z.re), str(z.im)] for z in phases.values],
+                "decreasing": phases.decreasing,
+            }
             shown = ", ".join(str(z) for z in phases.values)
             flag = "yes" if phases.decreasing else "NO"
             out.append(f"  stability phases: {shown} | decreasing: {flag}")
+        doc_lines.append(entry)
+    if job.output_format == "json":
+        return {
+            "quiver": label,
+            "D": list(d),
+            "e": list(e),
+            "endpoint": [str(x) for x in pt],
+            "order": order,
+            "final_exponent": list(target),
+            "lines": doc_lines,
+            "total": total,
+            "euler_characteristic": chi,
+            "match": total == chi,
+        }
     out.append(f"total over strata: {total}")
     out.append(f"finite-field Euler characteristic: {chi}")
     out.append(f"agreement: {'yes' if total == chi else 'NO'}")
     return "\n".join(out) + "\n"
 
 
-def _cmd_ar(job: JobSpec) -> str:
+def _cmd_ar(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
-    actions = [
+    action = next(
         k for k in ("tau", "tau_inv", "classify", "component") if k in job.inputs
-    ]
-    if len(actions) != 1:
-        raise InputError(
-            "ar needs exactly one of --tau, --tau-inv, --classify, --component"
-        )
-    action = actions[0]
+    )
     if action in ("tau", "tau_inv"):
-        d = tuple(int(x) for x in job.inputs[action])
+        d = tuple(job.inputs[action])
         direction = "tau" if action == "tau" else "tau_inverse"
         image = coxeter_translate(q, d, direction)
         if job.output_format == "json":
-            return canonical_json(
-                {
-                    "command": "ar",
-                    "quiver": label,
-                    "action": direction,
-                    "input": list(d),
-                    "output": list(image),
-                }
-            )
+            return {
+                "quiver": label,
+                "action": direction,
+                "input": list(d),
+                "output": list(image),
+            }
         arrow = "tau" if action == "tau" else "tau^-1"
         return f"{arrow} {_fmt_vec(d)} = {_fmt_vec(image)}\n"
     if action == "classify":
-        d = tuple(int(x) for x in job.inputs["classify"])
+        d = tuple(job.inputs["classify"])
         node = classify_indecomposable(q, d)
         if job.output_format == "json":
-            return canonical_json(
-                {
-                    "command": "ar",
-                    "quiver": label,
-                    "action": "classify",
-                    "input": list(d),
-                    "component": node.component,
-                    "base": node.base,
-                    "steps": node.steps,
-                }
-            )
+            return {
+                "quiver": label,
+                "action": "classify",
+                "input": list(d),
+                "component": node.component,
+                "base": node.base,
+                "steps": node.steps,
+            }
         return (
             f"dim {_fmt_vec(d)}: component {node.component}, "
             f"orbit of vertex {node.base}, translate steps {node.steps}\n"
         )
-    side = str(job.inputs["component"])
-    bound = int(job.inputs.get("bound", 4))
+    side = job.inputs["component"]
+    bound = job.inputs.get("bound", 4)
     graph = ar_component(q, side, bound)
     if job.output_format == "dot":
         return graph.to_dot() + "\n"
     if job.output_format == "json":
-        return canonical_json(
-            {
-                "command": "ar",
-                "quiver": label,
-                "action": "component",
-                "side": side,
-                "bound": bound,
-                "nodes": [
-                    {
-                        "component": n.component,
-                        "base": n.base,
-                        "steps": n.steps,
-                        "dim": list(n.dim),
-                    }
-                    for n in graph.nodes
-                ],
-                "edges": [list(edge) for edge in graph.edges],
-            }
-        )
+        return {
+            "quiver": label,
+            "action": "component",
+            "side": side,
+            "bound": bound,
+            "nodes": [asdict(node) for node in graph.nodes],
+            "edges": [list(edge) for edge in graph.edges],
+        }
     out = [f"AR component {side} of quiver {label}, bound {bound}:"]
     for i, node in enumerate(graph.nodes):
         out.append(
@@ -891,147 +817,177 @@ def _cmd_ar(job: JobSpec) -> str:
 # The reproduction suite behind `check`
 
 
-def _check_loop_consistency() -> None:
-    from .scattering import CrossingPath, path_ordered_product
-
-    for b in (1, 2, 3):
-        seed = initial_seed(rank2_exchange(b))
-        diagram = _completed_diagram(seed, 6)
-        loop = CrossingPath(
-            (Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(1)), full_loops=1
-        )
-        action = path_ordered_product(loop, diagram)
-        for i in range(4):
-            unit = tuple(int(j == i) for j in range(4))
-            mono = LaurentPoly.monomial(unit)
-            if action.apply(mono) != mono:
-                raise InputError(f"loop action moved z^{unit} for b={b}")
+def _b_diagram(b: int, order: int) -> ScatteringDiagram:
+    return _completed_diagram(initial_seed(rank2_exchange(b)), order)
 
 
-def _check_three_term_theta() -> None:
-    seed = initial_seed(rank2_exchange(2))
-    diagram = _completed_diagram(seed, 8)
-    theta = theta_function(
-        (1, -1, 0, 0), (Fraction(3, 2), Fraction(1)), diagram, 8
-    )
-    expected = LaurentPoly(
-        {(1, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 1, 1, 1): 1}
-    )
-    if theta.value != expected or len(theta.lines) != 3:
-        raise InputError("three-term theta reproduction failed")
+def _three_term(depth: int = 8):
+    """Theta of (1,-1) at (3/2, 1) for b=2, to degree 8."""
+    return theta_function((1, -1, 0, 0), (Fraction(3, 2), 1), _b_diagram(2, depth), 8)
 
 
-def _check_five_term_theta() -> None:
-    seed = initial_seed(rank2_exchange(2))
-    diagram = _completed_diagram(seed, 10)
-    pt = (1, Fraction(-3, 2))
-    doubled = theta_function((2, -2, -1, -1), pt, diagram, 8)
-    if sorted(c for _, c in doubled.value.sorted_terms()) != [1, 1, 1, 2, 2]:
-        raise InputError("five-term theta coefficients are off")
-    single = theta_function(
-        (1, -1, 0, 0), (Fraction(3, 2), Fraction(1)), diagram, 8
-    )
-    lhs = restrict_to_A(doubled)
-    square = restrict_to_A(single)
-    if lhs != square * square - LaurentPoly({(0, 0): 2}):
-        raise InputError("A-restriction identity theta^2 - 2 failed")
+def _five_term():
+    """Theta of (2,-2) at (1, -3/2) for b=2, to degree 8."""
+    return theta_function((2, -2, -1, -1), (1, Fraction(-3, 2)), _b_diagram(2, 10), 8)
 
 
-def _check_strata_sum() -> None:
+def _square_identity() -> bool:
+    """On the A-variables, theta of (2,-2) is theta of (1,-1) squared, minus 2."""
+    single = restrict_to_A(_three_term(depth=10))
+    return restrict_to_A(_five_term()) == single * single - LaurentPoly({(0, 0): 2})
+
+
+def _loop_moved(b: int) -> list:
+    """Unit monomials that a full loop round the b diagram moves."""
+    start = (Fraction(-1), Fraction(1))
+    loop = CrossingPath(start, start, full_loops=1)
+    action = path_ordered_product(loop, _b_diagram(b, 8))
+    units = [LaurentPoly.monomial(tuple(int(j == i) for j in range(4)))
+             for i in range(4)]
+    return [unit for unit in units if action.apply(unit) != unit]
+
+
+def _strata_values() -> list[int]:
     q = kronecker_quiver(2)
-    pt = (Fraction(2), Fraction(1))
-    _, _, lines = _strata_lines(q, (5, 6), (2, 4), pt, 6)
-    values = sorted(broken_line_strata(line, q, (5, 6))[1](1) for line in lines)
-    if values != [8, 10]:
-        raise InputError(f"strata values {values} != [8, 10]")
-    if grassmannian_euler_char(q, (5, 6), (2, 4)) != 18:
-        raise InputError("Grassmannian Euler characteristic is not 18")
+    lines = _strata_lines(q, (5, 6), (2, 4), (Fraction(2), Fraction(1)), 6)[2]
+    return sorted(broken_line_strata(line, q, (5, 6))[1](1) for line in lines)
 
 
-def _check_tau() -> None:
+def _tau_undefined() -> list:
+    """The projectives of the two-arrow quiver on which tau raises."""
     q = kronecker_quiver(2)
-    if coxeter_translate(q, (2, 3)) != (0, 1):
-        raise InputError("tau(2,3) != (0,1)")
-    try:
-        coxeter_translate(q, (0, 1))
-    except TranslateUndefinedError:
-        return
-    raise InputError("tau of a projective did not raise")
+    undefined = []
+    for proj in projective_dims(q):
+        try:
+            coxeter_translate(q, proj)
+        except TranslateUndefinedError:
+            undefined.append(proj)
+    return undefined
 
 
-def _check_gl_orders() -> None:
-    orders = {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}
-    for (d, p), expected in orders.items():
-        if gl_poincare(d)(p) != expected:
-            raise InputError(f"|GL_{d}(F_{p})| != {expected}")
-    if qbinom(5, 2)(1) != 10:
-        raise InputError("binomial specialisation failed")
+def _duality_failures(label: str) -> list:
+    """Words of four mutations, six seeds kept a round, whose seed is not
+    sign-coherent or breaks G^T = C^-1."""
+    frontier = [initial_seed(quiver_to_skew(named_quiver(label)))]
+    failures = []
+    for _ in range(4):
+        frontier = [mutate_seed(s, k) for s in frontier for k in range(1, s.rank + 1)]
+        failures += [
+            m.word for m in frontier
+            if not (m.is_sign_coherent() and check_tropical_duality(m))
+        ]
+        frontier = frontier[:6]
+    return failures
 
 
-def _check_tropical_duality() -> None:
-    from .cluster import check_tropical_duality, mutate_seed
-
-    for label in ("a2", "a3", "kronecker2"):
-        q = named_quiver(label)
-        seed = initial_seed(quiver_to_skew(q))
-        frontier = [seed]
-        for _ in range(4):
-            nxt = []
-            for s in frontier:
-                for k in range(1, s.rank + 1):
-                    m = mutate_seed(s, k)
-                    if not (m.is_sign_coherent() and check_tropical_duality(m)):
-                        raise InputError(
-                            f"tropical duality failed for {label} "
-                            f"after word {m.word}"
-                        )
-                    nxt.append(m)
-            frontier = nxt[:6]
+def _ar_order(first, second) -> bool:
+    """The paper's theorem on the walls of the b=2 mutation fan with these
+    normals, crossed positively in this order."""
+    fan = cluster_complex_diagram(initial_seed(rank2_exchange(2)), 5, order=4)
+    walls = {wall.normal: wall for wall in fan.walls}
+    return ar_order_check(walls[first], walls[second], kronecker_quiver(2))
 
 
-_CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
-    ("loop-consistency-b123", _check_loop_consistency),
-    ("three-term-theta", _check_three_term_theta),
-    ("five-term-theta-square-identity", _check_five_term_theta),
-    ("kronecker-56-strata-10-8", _check_strata_sum),
-    ("kronecker-translate", _check_tau),
-    ("gl-poincare-orders", _check_gl_orders),
-    ("tropical-duality-sign-coherence", _check_tropical_duality),
+def _transport_mismatches(b: int) -> tuple[int, list]:
+    """How many generators the depth-4 mutation fan of b has, and those
+    whose theta by chamber transport to (157/100, 83/100) differs from
+    the broken-line sum there."""
+    diagram = _b_diagram(b, 8)
+    chambers = cluster_complex_chambers(diagram.seed, 4)
+    gens = sorted({g for chamber in chambers for g in chamber.generators})
+    pt = (Fraction(157, 100), Fraction(83, 100))
+    wrong = [
+        g for g in gens
+        if theta_function((*g, 0, 0), pt, diagram, 8).value
+        != theta_via_path((*g, 0, 0), pt, diagram, depth=6)
+    ]
+    return len(gens), wrong
+
+
+def _seven_mutations() -> LaurentPoly:
+    return cluster_variable(initial_seed(rank2_exchange(2)), (1, 2, 1, 2, 1, 2, 1), 1)
+
+
+class Golden(NamedTuple):
+    """One case of a check: ``compute()`` must equal ``expected``."""
+
+    check: str
+    case: str
+    compute: Callable[[], object]
+    expected: object
+
+
+#: The reproduction suite: ``check`` runs it, and the acceptance tests
+#: run every row.  A check passes when all of its cases do.
+GOLDEN: tuple[Golden, ...] = (
+    *(Golden("loop-consistency-b123", f"b={b}", partial(_loop_moved, b), [])
+      for b in (1, 2, 3)),
+    Golden("three-term-theta", "value", lambda: _three_term().value,
+           LaurentPoly({(1, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 1, 1, 1): 1})),
+    Golden("three-term-theta", "broken lines", lambda: len(_three_term().lines), 3),
+    Golden("five-term-theta-square-identity", "value", lambda: _five_term().value,
+           LaurentPoly({(2, -2, -1, -1): 1, (-2, 2, 1, 1): 1, (-2, -2, -1, 1): 1,
+                        (0, -2, -1, 0): 2, (-2, 0, 0, 1): 2})),
+    Golden("five-term-theta-square-identity", "coefficients",
+           lambda: sorted(c for _, c in _five_term().value.sorted_terms()),
+           [1, 1, 1, 2, 2]),
+    Golden("five-term-theta-square-identity", "theta^2 - 2", _square_identity, True),
+    Golden("kronecker-56-strata-10-8", "strata at q=1", _strata_values, [8, 10]),
+    Golden("kronecker-56-strata-10-8", "chi",
+           lambda: grassmannian_euler_char(kronecker_quiver(2), (5, 6), (2, 4)), 18),
+    Golden("kronecker-translate", "tau(2,3)",
+           lambda: coxeter_translate(kronecker_quiver(2), (2, 3)), (0, 1)),
+    Golden("kronecker-translate", "undefined on projectives", _tau_undefined,
+           [(1, 2), (0, 1)]),
+    Golden("gl-poincare-orders", "|GL_d(F_p)| at (d, p)", lambda: {
+        (d, p): gl_poincare(d)(p) for d, p in ((1, 2), (1, 3), (2, 2), (2, 3))
+    }, {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}),
+    Golden("gl-poincare-orders", "binomial(5,2) at 1", lambda: qbinom(5, 2)(1), 10),
+    *(Golden("tropical-duality-sign-coherence", label,
+             partial(_duality_failures, label), [])
+      for label in ("a2", "a3", "kronecker2")),
+    Golden("ar-order-positive-crossing", "(1,2) then (0,1)",
+           partial(_ar_order, (1, 2), (0, 1)), True),
+    Golden("ar-order-positive-crossing", "(0,1) then (1,2)",
+           partial(_ar_order, (0, 1), (1, 2)), False),
+    Golden("theta-via-path", "b=1", partial(_transport_mismatches, 1), (5, [])),
+    Golden("theta-via-path", "b=2", partial(_transport_mismatches, 2), (10, [])),
+    Golden("cc-equals-cluster-variable", "D=(7,6) vs word 1,2,1,2,1,2,1",
+           lambda: caldero_chapoton(kronecker_quiver(2), (7, 6)) == _seven_mutations(),
+           True),
+    Golden("cc-equals-cluster-variable", "g-vector",
+           lambda: g_vector(_seven_mutations(), 2), (5, -6)),
 )
 
 
-def _cmd_check(job: JobSpec) -> str:
+def _golden_failure(row: Golden) -> str:
+    """Why a golden case fails, or "" when it holds."""
+    try:
+        got = row.compute()
+    except InputError as exc:
+        return f"{row.case}: {exc}"
+    if got != row.expected:
+        return f"{row.case}: got {got!r}, expected {row.expected!r}"
+    return ""
+
+
+def _cmd_check(job: JobSpec) -> str | dict:
+    names = list(dict.fromkeys(row.check for row in GOLDEN))
     only = job.inputs.get("only")
-    selected = [
-        (name, fn) for name, fn in _CHECKS if only is None or name == only
-    ]
-    if not selected:
-        known = ", ".join(name for name, _ in _CHECKS)
-        raise InputError(f"unknown check {only!r}; known checks: {known}")
-    results = []
-    failures = []
-    for name, fn in selected:
-        try:
-            fn()
-        except InputError as exc:
-            results.append((name, False, str(exc)))
-            failures.append(name)
-        else:
-            results.append((name, True, ""))
+    if only is not None and only not in names:
+        raise InputError(f"unknown check {only!r}; known checks: {', '.join(names)}")
+    results = {name: "" for name in names if only in (None, name)}
+    for row in GOLDEN:
+        if row.check in results and not results[row.check]:
+            results[row.check] = _golden_failure(row)
+    failures = [name for name, detail in results.items() if detail]
     if job.output_format == "json":
-        return canonical_json(
-            {
-                "command": "check",
-                "checks": [
-                    {"name": name, "ok": ok, **({"detail": d} if d else {})}
-                    for name, ok, d in results
-                ],
-                "pass": not failures,
-            }
-        )
-    out = []
-    for name, ok, detail in results:
-        out.append(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
+        checks = [
+            {"name": name, "ok": not detail, **({"detail": detail} if detail else {})}
+            for name, detail in results.items()
+        ]
+        return {"checks": checks, "pass": not failures}
+    out = [f"FAIL {name}: {d}" if d else f"ok   {name}" for name, d in results.items()]
     out.append(
         f"PASS ({len(results)} checks)" if not failures else
         f"FAIL ({len(failures)} of {len(results)} checks failed)"
@@ -1042,21 +998,83 @@ def _cmd_check(job: JobSpec) -> str:
     return text
 
 
-_HANDLERS = {
-    "mutate": _cmd_mutate,
-    "scatter": _cmd_scatter,
-    "theta": _cmd_theta,
-    "cc": _cmd_cc,
-    "grass": _cmd_grass,
-    "strata": _cmd_strata,
-    "ar": _cmd_ar,
-    "check": _cmd_check,
+class Command(NamedTuple):
+    """One subcommand: everything the parser, the job validation and the
+    dispatch know about it.  ``order`` is "required", "optional" or None
+    (the command takes no ``--order``)."""
+
+    help: str
+    handler: Callable[[JobSpec], str | dict]
+    inputs: tuple[Input, ...]
+    formats: tuple[str, ...] = ("text", "json")
+    order: str | None = None
+
+
+_SOURCE = (
+    Input("b", "int", "source", "rank-2 exchange parameter"),
+    Input("quiver", "str", "source", "named quiver: kronecker<b> or a<n>"),
+)
+_D = Input("D", "ints", True, "dimension vector")
+_E = Input("e", "ints", True, "subdimension vector")
+_ENDPOINT = Input("endpoint", "point", True, "rational point, e.g. 1,-3/2")
+_DRAWN = ("text", "json", *_PICTURES)
+
+#: The subcommands of ``clusterscatter`` (``run`` reads a job of one).
+_COMMANDS: dict[str, Command] = {
+    "mutate": Command(
+        "mutate a seed along a word; print variables, g- and c-vectors",
+        _cmd_mutate,
+        (*_SOURCE, Input("word", "ints", True, "comma-separated 1-based vertices")),
+    ),
+    "scatter": Command(
+        "complete a rank-2 scattering diagram and render it",
+        _cmd_scatter, _SOURCE, _DRAWN, "required",
+    ),
+    "theta": Command(
+        "sum broken lines into a theta function",
+        _cmd_theta,
+        (*_SOURCE, Input("m", "ints", True, "initial exponent, length 2n"), _ENDPOINT),
+        _DRAWN, "required",
+    ),
+    "cc": Command(
+        "cluster character of a quiver dimension vector", _cmd_cc, (*_SOURCE, _D)
+    ),
+    "grass": Command(
+        "Euler characteristic of a quiver Grassmannian",
+        _cmd_grass, (*_SOURCE, _D, _E),
+    ),
+    "strata": Command(
+        "wall-crossing strata of broken lines, with stability phases",
+        _cmd_strata, (*_SOURCE, _D, _E, _ENDPOINT), order="optional",
+    ),
+    "ar": Command(
+        "Auslander-Reiten translate, classification or component graph",
+        _cmd_ar,
+        (
+            *_SOURCE,
+            Input("tau", "ints", "action", "translate this dimension vector"),
+            Input("tau_inv", "ints", "action", "inverse-translate this vector"),
+            Input("classify", "ints", "action", "classify this indecomposable"),
+            Input("component", "str", "action", "emit a translate-orbit graph",
+                  ("P", "I")),
+            Input("bound", "int", help="translate steps of --component (4)"),
+        ),
+        ("text", "json", "dot"),
+    ),
+    "check": Command(
+        "run the built-in reproduction suite",
+        _cmd_check, (Input("only", "str", help="run a single named check"),),
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(job: JobSpec) -> str:
     """Execute a validated job and return its full output text."""
-    return _HANDLERS[job.command](job)
+    out = _COMMANDS[job.command].handler(job)
+    if isinstance(out, dict):
+        return canonical_json({"command": job.command, **out})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1070,12 +1088,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "AR data, and wall-crossing strata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for inp in spec.inputs:
+            p.add_argument(
+                _flag(inp.key), dest=inp.key, required=inp.required is True,
+                type=int if inp.kind == "int" else None, choices=inp.choices,
+                help=inp.help,
+            )
+        if spec.order:
+            p.add_argument("--order", type=int, required=spec.order == "required")
         p.add_argument(
             "--format", choices=FORMATS, default="text", dest="output_format"
         )
-        for fmt in ("json", "svg", "dot", "tikz"):
+        for fmt in FORMATS[1:]:
             p.add_argument(
                 f"--{fmt}",
                 action="store_const",
@@ -1083,66 +1109,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 dest="output_format",
                 help=f"shorthand for --format {fmt}",
             )
-
-    def add_source(p):
-        p.add_argument("--b", type=int, default=None,
-                       help="rank-2 exchange parameter")
-        p.add_argument("--quiver", default=None,
-                       help="named quiver: kronecker<b> or a<n>")
-
-    p = sub.add_parser("mutate", help="mutate a seed along a word")
-    add_source(p)
-    p.add_argument("--word", required=True,
-                   help="comma-separated 1-based vertex indices")
-    add_format(p)
-
-    p = sub.add_parser("scatter", help="complete a rank-2 diagram")
-    add_source(p)
-    p.add_argument("--order", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("theta", help="theta function via broken lines")
-    add_source(p)
-    p.add_argument("--m", required=True, help="initial exponent, length 2n")
-    p.add_argument("--endpoint", required=True, help="rational point, e.g. 1,-3/2")
-    p.add_argument("--order", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("cc", help="cluster character of a dimension vector")
-    add_source(p)
-    p.add_argument("--D", required=True, help="dimension vector")
-    add_format(p)
-
-    p = sub.add_parser("grass", help="quiver Grassmannian Euler characteristic")
-    add_source(p)
-    p.add_argument("--D", required=True)
-    p.add_argument("--e", required=True)
-    add_format(p)
-
-    p = sub.add_parser("strata", help="wall-crossing strata of broken lines")
-    add_source(p)
-    p.add_argument("--D", required=True)
-    p.add_argument("--e", required=True)
-    p.add_argument("--endpoint", required=True)
-    p.add_argument("--order", type=int, default=None)
-    add_format(p)
-
-    p = sub.add_parser("ar", help="Auslander-Reiten data")
-    add_source(p)
-    p.add_argument("--tau", default=None, help="translate this dimension vector")
-    p.add_argument("--tau-inv", default=None, dest="tau_inv",
-                   help="inverse-translate this dimension vector")
-    p.add_argument("--classify", default=None,
-                   help="classify this indecomposable dimension vector")
-    p.add_argument("--component", choices=("P", "I"), default=None,
-                   help="emit a translate-orbit component graph")
-    p.add_argument("--bound", type=int, default=4)
-    add_format(p)
-
-    p = sub.add_parser("check", help="run the reproduction suite")
-    p.add_argument("--only", default=None, help="run a single named check")
-    add_format(p)
-
     p = sub.add_parser("run", help="execute a JSON job document")
     p.add_argument("--job", required=True,
                    help="path to a JobSpec JSON file, or - for stdin")
@@ -1150,9 +1116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    cmd = args.command
-    inputs: dict = {}
-    if cmd == "run":
+    if args.command == "run":
         if args.job == "-":
             raw = sys.stdin.read()
         else:
@@ -1166,33 +1130,16 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         except json.JSONDecodeError as exc:
             raise InputError(f"job file is not valid JSON: {exc}") from None
         return job_from_json(data)
-    if hasattr(args, "b") and args.b is not None:
-        inputs["b"] = args.b
-    if getattr(args, "quiver", None):
-        inputs["quiver"] = args.quiver
-    if getattr(args, "word", None):
-        inputs["word"] = list(parse_int_vec(args.word, "word"))
-    if getattr(args, "m", None):
-        inputs["m"] = list(parse_int_vec(args.m, "initial exponent"))
-    for key in ("D", "e"):
-        if getattr(args, key, None):
-            inputs[key] = list(parse_int_vec(getattr(args, key), key))
-    if getattr(args, "endpoint", None):
-        inputs["endpoint"] = [
-            str(x) for x in parse_point(args.endpoint)
-        ]
-    for key in ("tau", "tau_inv", "classify"):
-        if getattr(args, key, None):
-            inputs[key] = list(parse_int_vec(getattr(args, key), key))
-    if getattr(args, "component", None):
-        inputs["component"] = args.component
-        inputs["bound"] = args.bound
-    if getattr(args, "only", None):
-        inputs["only"] = args.only
+    inputs: dict = {}
+    for inp in _COMMANDS[args.command].inputs:
+        value = getattr(args, inp.key)
+        if value is not None:
+            parse = _KINDS[inp.kind][2]
+            inputs[inp.key] = parse(value, _flag(inp.key)) if parse else value
     return JobSpec(
-        command=cmd,
+        command=args.command,
         inputs=inputs,
-        output_format=getattr(args, "output_format", "text"),
+        output_format=args.output_format,
         order=getattr(args, "order", None),
     )
 
@@ -1209,10 +1156,10 @@ def _apply_resource_env() -> None:
 
 
 #: Flags whose value is a vector or a point and may start with a minus sign.
-_VECTOR_FLAGS = (
-    "--m", "--endpoint", "--word", "--D", "--e", "--tau", "--tau-inv",
-    "--classify",
-)
+_VECTOR_FLAGS = {
+    _flag(inp.key) for spec in _COMMANDS.values() for inp in spec.inputs
+    if inp.kind in ("ints", "point")
+}
 
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
@@ -1233,16 +1180,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
+    max_terms = lattice.MAX_TERMS
     try:
         _apply_resource_env()
-        job = _job_from_args(args)
-        output = run(job)
+        output = run(_job_from_args(args))
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        lattice.MAX_TERMS = max_terms
     sys.stdout.write(output)
     return 0
 

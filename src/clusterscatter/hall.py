@@ -59,6 +59,7 @@ from .quiver import (
     Quiver,
     caldero_chapoton,
     classify_indecomposable,
+    dim_vector,
     euler_form,
     g_map,
     hom_ext_dims,
@@ -426,15 +427,6 @@ class Stratum:
         return cls(int(affine), (int(lam), int(ambient)), poly)
 
 
-def _dim_vector(q: Quiver, v: Sequence[int], what: str) -> Vec:
-    vec = tuple(int(x) for x in v)
-    if len(vec) != q.n_vertices:
-        raise InputError(f"{what} must have length {q.n_vertices}, got {len(vec)}")
-    if any(x < 0 for x in vec):
-        raise InputError(f"{what} must be nonnegative, got {vec}")
-    return vec
-
-
 def _rigid_normal(q: Quiver, c: Vec) -> None:
     """Reject walls whose normal is a regular dimension vector."""
     node = classify_indecomposable(q, c)
@@ -538,8 +530,8 @@ def first_bending(
     Gaussian binomial of that choice, with no affine factor.  A zero
     multiplicity contributes the trivial stratum and no step.
     """
-    d = _dim_vector(q, d, "ambient dimension vector")
-    c1 = _dim_vector(q, c1, "bend normal")
+    d = dim_vector(q, d, "ambient dimension vector")
+    c1 = dim_vector(q, c1, "bend normal")
     lam1 = int(lam1)
     if lam1 < 0:
         raise InputError("bend multiplicity must be nonnegative")
@@ -577,8 +569,8 @@ def next_bending(
     ``eta - gamma < lamj`` the Grassmannian is empty and the stratum
     polynomial is zero.
     """
-    d = _dim_vector(q, d, "ambient dimension vector")
-    cj = _dim_vector(q, cj, "bend normal")
+    d = dim_vector(q, d, "ambient dimension vector")
+    cj = dim_vector(q, cj, "bend normal")
     if not isinstance(filt, Filtration):
         raise InputError("next_bending needs the Filtration built by earlier bends")
     lamj = int(lamj)
@@ -624,7 +616,7 @@ def broken_line_strata(
     the per-bend strata evaluated at ``q = 1`` equals the line's monomial
     coefficient.  Bend-free lines give the empty chain and polynomial 1.
     """
-    d = _dim_vector(q, d, "ambient dimension vector")
+    d = dim_vector(q, d, "ambient dimension vector")
     n = q.n_vertices
     expected = tuple(-x for x in g_map(q, d)) + (0,) * n
     if tuple(bl.initial_exponent) != expected:
@@ -709,7 +701,7 @@ def hall_theta_chi(
     broken-line theta function.  The endpoint is validated but the sum
     does not depend on it.
     """
-    d = _dim_vector(q, d, "dimension vector")
+    d = dim_vector(q, d, "dimension vector")
     n = q.n_vertices
     pt = tuple(Fraction(x) for x in endpoint)
     if len(pt) != n:
@@ -780,8 +772,8 @@ def hn_phases(
         raise UnsupportedInputError(
             "stability phases are implemented for rank-2 quivers only"
         )
-    d = _dim_vector(q, d, "ambient dimension vector")
-    e = _dim_vector(q, e, "subrepresentation dimension vector")
+    d = dim_vector(q, d, "ambient dimension vector")
+    e = dim_vector(q, e, "subrepresentation dimension vector")
     if any(x > dx for x, dx in zip(e, d)):
         raise InputError(f"need e <= d componentwise, got e={e}, d={d}")
     if not isinstance(filt, Filtration):

@@ -473,6 +473,11 @@ class GradedSeries:
             )
         self.order = order
         size = order // x_degree(self.step, n) + 1
+        if size > MAX_TERMS:
+            raise ResourceLimitError(
+                f"a series of {size} terms exceeds the term ceiling "
+                f"{MAX_TERMS} (CLUSTERSCATTER_MAX_TERMS)"
+            )
         head = tuple(int(c) for c in coeffs[:size])
         self.coeffs = head + (0,) * (size - len(head))
         self._powers: dict[int, GradedSeries] = {}

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -142,6 +143,16 @@ def quiver_to_skew(q: Quiver) -> Matrix:
         eps[s - 1][t - 1] += 1
         eps[t - 1][s - 1] -= 1
     return check_skew(eps)
+
+
+def dim_vector(q: Quiver, v: Sequence[int], what: str = "dimension vector") -> Vec:
+    """``v`` as a tuple, checked to be a nonnegative vector on ``q``'s vertices."""
+    vec = tuple(int(x) for x in v)
+    if len(vec) != q.n_vertices:
+        raise InputError(f"{what} must have length {q.n_vertices}, got {len(vec)}")
+    if any(x < 0 for x in vec):
+        raise InputError(f"{what} must be nonnegative, got {vec}")
+    return vec
 
 
 def skew_to_quiver(eps: Sequence[Sequence[int]]) -> Quiver:
@@ -269,7 +280,9 @@ def coxeter_translate(q: Quiver, d: Sequence[int], direction: str = "tau") -> Ve
     not projective (forward) resp. not injective (backward); projective /
     injective inputs raise ``TranslateUndefinedError``.
     """
-    d = tuple(int(x) for x in d)
+    d = dim_vector(q, d)
+    if not any(d):
+        raise InputError("need a nonzero dimension vector")
     if direction == "tau":
         if d in projective_dims(q):
             raise TranslateUndefinedError(
@@ -376,9 +389,9 @@ def classify_indecomposable(q: Quiver, d: Sequence[int], bound: int = 64) -> ARN
     is regular when the quiver admits regular components, otherwise the
     search is inconclusive and an ``InputError`` is raised.
     """
-    d = tuple(int(x) for x in d)
-    if len(d) != q.n_vertices or any(x < 0 for x in d) or all(x == 0 for x in d):
-        raise InputError("need a nonzero nonnegative dimension vector")
+    d = dim_vector(q, d)
+    if not any(d):
+        raise InputError("need a nonzero dimension vector")
     _validate_known_indecomposable(q, d)
     projs = projective_dims(q)
     injs = injective_dims(q)
@@ -1001,7 +1014,8 @@ def grassmannian_counting_polynomial(
     return tuple(int(c) for c in coeffs)
 
 
-def _fixed_point_euler_chars(q: Quiver, d: Vec) -> dict[Vec, int]:
+@lru_cache(maxsize=128)
+def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
     """Euler characteristics of every ``Gr_e`` of the string module ``d``.
 
     Returns ``{e: chi(Gr_e)}`` for every ``e`` with ``chi > 0``.  The
@@ -1018,10 +1032,12 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> dict[Vec, int]:
 
     One walk along the path yields the whole table: it keeps the number
     of partial sets for each (previous node in ``S``, dimension vector so
-    far), and the final dimension vectors are the ``e``.
+    far), and the final dimension vectors are the ``e``.  The table is
+    cached per ``(q, d)`` and read-only, so the Euler characteristics of
+    one module cost one walk whichever ``e`` a caller asks for.
     """
     if sum(d) == 1:  # a simple module is one node on any quiver
-        return {(0,) * len(d): 1, d: 1}
+        return MappingProxyType({(0,) * len(d): 1, d: 1})
     maps = list(indecomposable_rep(q, d).maps)
     if _kronecker_width(q) == 2 and d[0] == d[1]:
         first, second = maps
@@ -1083,7 +1099,7 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> dict[Vec, int]:
     table: dict[Vec, int] = {}
     for (_, dims), count in states.items():
         table[dims] = table.get(dims, 0) + count
-    return table
+    return MappingProxyType(table)
 
 
 def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
@@ -1094,7 +1110,7 @@ def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> in
     (see :func:`_fixed_point_euler_chars`); no finite-field counting is
     involved.
     """
-    d = tuple(int(x) for x in d)
+    d = dim_vector(q, d)
     e = tuple(int(x) for x in e)
     if len(e) != len(d) or any(x < 0 or x > dx for x, dx in zip(e, d)):
         raise InputError("need 0 <= e <= d componentwise")
@@ -1116,7 +1132,7 @@ def caldero_chapoton(
     doubled lattice (coefficient variables appended); otherwise in the
     base lattice alone.
     """
-    d = tuple(int(x) for x in d)
+    d = dim_vector(q, d)
     n = q.n_vertices
     eps = quiver_to_skew(q)
     if all(x == 0 for x in d):

@@ -35,6 +35,38 @@ from clusterscatter.quiver import kronecker_quiver, path_quiver
 from clusterscatter.scattering import complete_rank2, initial_diagram
 
 
+#: A valid job for every command: its inputs and its order.
+VALID_INPUTS = {
+    "mutate": ({"b": 2, "word": [1, 2]}, None),
+    "scatter": ({"b": 2}, 4),
+    "theta": ({"b": 2, "m": [1, -1, 0, 0], "endpoint": ["3/2", 1]}, 4),
+    "cc": ({"quiver": "kronecker2", "D": [1, 2]}, None),
+    "grass": ({"quiver": "kronecker2", "D": [1, 2], "e": [0, 1]}, None),
+    "strata": (
+        {"quiver": "kronecker2", "D": [5, 6], "e": [2, 4], "endpoint": [2, 1]},
+        None,
+    ),
+    "ar": ({"quiver": "kronecker2", "component": "P", "bound": 3}, None),
+    "check": ({}, None),
+}
+#: A value of the wrong kind for each input kind of the command table.
+MISTYPED = {"int": "2", "str": 2, "ints": "1,2", "point": [1.5]}
+TABLE_INPUTS = [
+    (command, inp.key, inp.kind)
+    for command, spec in cli_mod._COMMANDS.items()
+    for inp in spec.inputs
+]
+
+
+def run_args(cli, tmp_path, args):
+    """Run an argument list, or a job document given as a dict."""
+    if isinstance(args, dict):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(args), encoding="utf-8")
+        args = ["run", "--job", str(path)]
+    return cli(*args)
+
+
 @pytest.fixture()
 def cli(capsys):
     def invoke(*args):
@@ -394,8 +426,8 @@ class TestCheckCommand:
     def test_full_suite_passes(self, cli):
         code, out, err = cli("check")
         assert (code, err) == (0, "")
-        assert out.rstrip().endswith("PASS (7 checks)")
-        assert out.count("ok  ") == 7
+        assert out.rstrip().endswith("PASS (10 checks)")
+        assert out.count("ok  ") == 10
         assert "FAIL" not in out
 
     def test_single_check(self, cli):
@@ -461,13 +493,83 @@ class TestRunJob:
                 {"command": "scatter", "inputs": {"b": "x"}, "order": 4},
                 "job input 'b' must be an integer",
             ),
+            (
+                {"command": "scatter", "inputs": {"b": 2}, "order": True},
+                "order must be a positive integer",
+            ),
         ],
-        ids=["string-D", "string-b"],
+        ids=["string-D", "string-b", "bool-order"],
     )
     def test_mistyped_input_exits_two(self, cli, tmp_path, job, message):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(job), encoding="utf-8")
         code, out, err = cli("run", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["mutate", "--b", "2", "--quiver", "a3", "--word", "1"],
+             "mutate needs exactly one of --b, --quiver"),
+            (["cc", "--b", "2", "--quiver", "a3", "--D", "1,1,0"],
+             "cc needs exactly one of --b, --quiver"),
+            (["cc", "--D", "1,2"], "cc needs exactly one of --b, --quiver"),
+            ({"command": "cc", "inputs": {"b": 2, "D": [1, 2]}, "order": 4},
+             "command 'cc' takes no order"),
+            ({"command": "cc", "inputs": {"b": 2, "D": [1, 2], "e": [0, 1]}},
+             "command 'cc' takes no input 'e'"),
+            ({"command": ["cc"]}, "unknown command ['cc']"),
+        ],
+        ids=["mutate-two-sources", "cc-two-sources", "cc-no-source",
+             "order-to-cc", "unlisted-input", "list-command"],
+    )
+    def test_job_outside_the_table_exits_two(self, cli, tmp_path, args,
+                                             message):
+        code, out, err = run_args(cli, tmp_path, args)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, key, kind", TABLE_INPUTS,
+        ids=[f"{command}-{key}" for command, key, _ in TABLE_INPUTS],
+    )
+    def test_every_table_input_rejects_a_mistyped_value(
+        self, cli, tmp_path, command, key, kind
+    ):
+        inputs, order = VALID_INPUTS[command]
+        JobSpec(command, inputs, order=order)  # the unchanged job is valid
+        job = {"command": command, "inputs": {**inputs, key: MISTYPED[kind]},
+               "order": order}
+        code, out, err = run_args(cli, tmp_path, job)
+        assert (code, out) == (2, "")
+        assert f"job input {key!r}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+class TestDimensionVectors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["ar", "--quiver", "kronecker2", "--tau", "1,2,3"],
+             "must have length 2"),
+            (["ar", "--quiver", "kronecker2", "--tau", "-2,3"],
+             "must be nonnegative"),
+            (["ar", "--quiver", "kronecker2", "--tau-inv", "0,0"], "nonzero"),
+            (["cc", "--quiver", "kronecker2", "--D", "1,2,3"],
+             "must have length 2"),
+            (["grass", "--quiver", "kronecker2", "--D", "1,2,3", "--e", "0,0,0"],
+             "must have length 2"),
+            ({"command": "cc", "inputs": {"quiver": "kronecker2", "D": []}},
+             "job input 'D'"),
+        ],
+        ids=["tau-length", "tau-negative", "tau-inv-zero", "cc-length",
+             "grass-length", "cc-empty-job"],
+    )
+    def test_rejected_with_one_line(self, cli, tmp_path, args, message):
+        code, out, err = run_args(cli, tmp_path, args)
         assert (code, out) == (2, "")
         assert message in err
         assert "Traceback" not in err and err.count("\n") == 1
@@ -504,6 +606,23 @@ class TestResourceCeilings:
         code, _, err = cli("scatter", "--b", "1", "--order", "4")
         assert code == 2
         assert "CLUSTERSCATTER_MAX_TERMS" in err
+
+    def test_term_ceiling_does_not_leak_into_the_next_call(self, cli,
+                                                           monkeypatch):
+        default = lattice.MAX_TERMS
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "10")
+        assert cli("scatter", "--b", "3", "--order", "8")[0] == 3
+        monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS")
+        assert lattice.MAX_TERMS == default
+        assert cli("scatter", "--b", "3", "--order", "8")[0] == 0
+
+    def test_series_length_charged_before_allocation(self, cli, monkeypatch):
+        # a wall series to order 1000 has 1001 terms; an unbounded run of a
+        # far larger order would allocate before any other ceiling fires
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "100")
+        code, out, err = cli("scatter", "--b", "2", "--order", "1000")
+        assert (code, out) == (3, "")
+        assert "1001 terms" in err and err.count("\n") == 1
 
     def test_bad_subspace_limit_exit_two(self, cli, monkeypatch):
         monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "abc")

@@ -492,8 +492,36 @@ def test_cluster_character_matches_zigzag_closed_form(n):
 def test_fixed_point_chi_rejects_non_string_models(monkeypatch, maps, reason):
     model = ExplicitRep(K2, 0, (1, 2), maps)
     monkeypatch.setattr(quiver_mod, "indecomposable_rep", lambda q, d: model)
+    # an earlier test may have cached the walk of the real (1, 2) model
+    quiver_mod._fixed_point_euler_chars.cache_clear()
     with pytest.raises(UnsupportedInputError, match=reason):
         grassmannian_euler_char(K2, (1, 2), (0, 1))
+
+
+def test_fixed_point_table_is_cached_and_read_only():
+    table = quiver_mod._fixed_point_euler_chars(K2, (5, 6))
+    assert quiver_mod._fixed_point_euler_chars(K2, (5, 6)) is table
+    assert table[(2, 4)] == 18
+    with pytest.raises(TypeError):
+        table[(2, 4)] = 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coxeter_translate(K2, (1, 2, 3)),
+        lambda: coxeter_translate(K2, (-2, 3)),
+        lambda: coxeter_translate(K2, (0, 0), "tau_inverse"),
+        lambda: caldero_chapoton(K2, ()),
+        lambda: caldero_chapoton(K2, (1, 2, 3)),
+        lambda: grassmannian_euler_char(K2, (1, 2, 3), (0, 0, 0)),
+    ],
+    ids=["tau-length", "tau-negative", "tau-inverse-zero", "cc-empty",
+         "cc-length", "grass-length"],
+)
+def test_dimension_vectors_checked_at_the_boundary(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
