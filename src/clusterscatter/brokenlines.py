@@ -48,6 +48,7 @@ from .lattice import (
     tilde_p_star,
     vec_add,
     vec_scale,
+    vec_str,
     x_degree,
 )
 from .scattering import (
@@ -156,8 +157,8 @@ def ensure_generic_view(diagram: ScatteringDiagram, pt: Point, view: str) -> Non
     for wall in diagram.walls:
         if _wall_trace(wall, view).contains(pt):
             raise GenericPositionError(
-                f"endpoint {pt} lies on the wall with normal {wall.normal}; "
-                "perturb it off the support"
+                f"endpoint {vec_str(pt)} lies on the wall with normal "
+                f"{vec_str(wall.normal)}; perturb it off the support"
             )
 
 

@@ -38,10 +38,13 @@ from xml.sax.saxutils import escape
 from . import lattice
 from .brokenlines import (
     BrokenLine,
+    ensure_generic_view,
     enumerate_broken_lines,
+    resolve_view,
     restrict_to_A,
     theta_function,
     theta_via_path,
+    validate_broken_line,
 )
 from .cluster import (
     Seed,
@@ -62,7 +65,14 @@ from .errors import (
     TranslateUndefinedError,
     UnsupportedInputError,
 )
-from .hall import broken_line_strata, gl_poincare, hn_phases, qbinom
+from .hall import (
+    broken_line_strata,
+    gl_poincare,
+    hall_theta_chi,
+    hn_phases,
+    q_str,
+    qbinom,
+)
 from .lattice import (
     LaurentPoly,
     default_names,
@@ -70,6 +80,7 @@ from .lattice import (
     poly_str,
     tilde_p_star,
     vec_add,
+    vec_str,
     x_degree,
 )
 from .quiver import (
@@ -78,6 +89,7 @@ from .quiver import (
     caldero_chapoton,
     classify_indecomposable,
     coxeter_translate,
+    dim_vector,
     g_map,
     grassmannian_counting_polynomial,
     grassmannian_euler_char,
@@ -154,6 +166,17 @@ def named_quiver(label: str) -> Quiver:
     raise InputError(
         f"unknown quiver name {label!r}; expected kronecker<b> or a<n>"
     )
+
+
+def _endpoint(inputs: dict) -> tuple[Fraction, ...]:
+    """The job's endpoint, a point of the plane broken lines are drawn in."""
+    pt = tuple(parse_rational(x) for x in inputs["endpoint"])
+    if len(pt) != 2:
+        raise InputError(
+            f"endpoint must have length 2 (broken lines are drawn in the "
+            f"plane), got {len(pt)}"
+        )
+    return pt
 
 
 def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
@@ -312,10 +335,6 @@ def _poly_json(poly: LaurentPoly) -> dict:
         ",".join(str(x) for x in expo): coeff
         for expo, coeff in poly.sorted_terms()
     }
-
-
-def _fmt_vec(v: Sequence[int | Fraction]) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +535,11 @@ def _cmd_mutate(job: JobSpec) -> str | dict:
     if job.output_format == "json":
         return {"seed": seed_to_json(mutated)}
     names = default_names(2 * mutated.rank)
-    lines = [f"seed {label} after word {_fmt_vec(word)}:"]
+    lines = [f"seed {label} after word {vec_str(word)}:"]
     for i, var in enumerate(mutated.variables):
         lines.append(f"  A{i + 1}' = {poly_str(var, names)}")
     for kind, mat in (("g", mutated.g_matrix()), ("c", mutated.c_matrix())):
-        cols = (_fmt_vec([row[j] for row in mat]) for j in range(mutated.rank))
+        cols = (vec_str([row[j] for row in mat]) for j in range(mutated.rank))
         lines.append(f"  {kind}-vectors: " + ", ".join(cols))
     coherent = "yes" if mutated.is_sign_coherent() else "no"
     lines.append(f"  c-vectors sign-coherent: {coherent}")
@@ -542,18 +561,28 @@ def _cmd_scatter(job: JobSpec) -> str | dict:
     for wall in diagram.walls:
         role = "incoming" if wall.incoming else "outgoing"
         lines.append(
-            f"  {wall.kind:<4} normal {_fmt_vec(wall.normal)} "
-            f"direction {_fmt_vec(wall.direction())} {role:<8} "
+            f"  {wall.kind:<4} normal {vec_str(wall.normal)} "
+            f"direction {vec_str(wall.direction())} {role:<8} "
             f"f = {poly_str(wall.func.poly, names)}"
         )
     return "\n".join(lines) + "\n"
 
 
 def _theta_with_fallback(m0, pt, diagram, order):
-    """Theta at the endpoint; on a wall, agree the two one-sided limits."""
+    """Theta at the endpoint; on a wall, or where a broken line to it
+    passes through the origin, agree the two one-sided limits."""
     try:
         return theta_function(m0, pt, diagram, order), None
     except GenericPositionError as exc:
+        try:
+            ensure_generic_view(diagram, pt, resolve_view(diagram, m0))
+        except GenericPositionError:
+            where = f"endpoint {vec_str(pt)} lies on a wall"
+        else:
+            where = (
+                f"a broken line to endpoint {vec_str(pt)} passes through "
+                "the origin"
+            )
         for denom in (9973, 99991):
             plus = (pt[0] + Fraction(1, denom), pt[1])
             minus = (pt[0] - Fraction(1, denom), pt[1])
@@ -564,14 +593,10 @@ def _theta_with_fallback(m0, pt, diagram, order):
                 continue
             if t_plus.value != t_minus.value:
                 raise InputError(
-                    f"endpoint {_fmt_vec(pt)} lies on a wall and the theta "
-                    "function jumps across it; pick an endpoint off the "
-                    f"walls (e.g. {_fmt_vec(plus)})"
+                    f"{where} and the theta function jumps across it; pick "
+                    f"an endpoint off the walls (e.g. {vec_str(plus)})"
                 ) from None
-            note = (
-                f"note: endpoint {_fmt_vec(pt)} lies on a wall; "
-                "the one-sided limits agree and are shown"
-            )
+            note = f"note: {where}; the one-sided limits agree and are shown"
             return t_plus, note
         raise exc
 
@@ -581,7 +606,7 @@ def _line_summary(line: BrokenLine, names) -> str:
         shape = "straight"
     else:
         shape = "bends " + ", ".join(
-            f"{_fmt_vec(wall.normal)}^{power}" for wall, power in line.bends()
+            f"{vec_str(wall.normal)}^{power}" for wall, power in line.bends()
         )
     final = monomial_str(line.final_exponent, line.coefficient, names)
     return f"{final}  ({shape})"
@@ -605,7 +630,7 @@ def _cmd_theta(job: JobSpec) -> str | dict:
         raise InputError(
             f"initial exponent must have length {2 * seed.rank}, got {len(m0)}"
         )
-    pt = tuple(parse_rational(x) for x in job.inputs["endpoint"])
+    pt = _endpoint(job.inputs)
     # Negative-degree initial exponents need walls beyond the truncation
     # order, because a broken line may climb that far before bending back.
     depth = job.order + max(0, -x_degree(m0, seed.rank))
@@ -626,7 +651,7 @@ def _cmd_theta(job: JobSpec) -> str | dict:
         return _PICTURES[job.output_format](diagram, theta.lines)
     names = default_names(2 * seed.rank)
     out = [
-        f"theta {label}, m0 = {_fmt_vec(m0)}, endpoint = {_fmt_vec(pt)}, "
+        f"theta {label}, m0 = {vec_str(m0)}, endpoint = {vec_str(pt)}, "
         f"order {job.order}"
     ]
     if note:
@@ -646,7 +671,7 @@ def _cmd_cc(job: JobSpec) -> str | dict:
         return {"quiver": label, "D": list(d), "value": _poly_json(value)}
     names = default_names(2 * q.n_vertices)
     return (
-        f"cluster character, quiver {label}, D = {_fmt_vec(d)}\n"
+        f"cluster character, quiver {label}, D = {vec_str(d)}\n"
         f"value = {poly_str(value, names)}\n"
     )
 
@@ -688,26 +713,27 @@ def _cmd_strata(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
     if q.n_vertices != 2:
         raise InputError("strata are implemented for rank-2 quivers")
-    d, e = tuple(job.inputs["D"]), tuple(job.inputs["e"])
+    d = tuple(job.inputs["D"])
+    e = dim_vector(q, job.inputs["e"], "subdimension vector")
     if classify_indecomposable(q, d).component == "R":
         raise UnsupportedInputError(
             f"strata need a preprojective or preinjective dimension vector; "
             f"{d} is regular"
         )
-    pt = tuple(parse_rational(x) for x in job.inputs["endpoint"])
+    pt = _endpoint(job.inputs)
     order = job.order if job.order is not None else max(sum(e), 2)
     m0, target, lines = _strata_lines(q, d, e, pt, order)
     chi = grassmannian_euler_char(q, d, e)
     out = [
-        f"wall-crossing strata, quiver {label}, D = {_fmt_vec(d)}, "
-        f"e = {_fmt_vec(e)}, endpoint = {_fmt_vec(pt)}, order {order}",
-        f"broken lines ending at exponent {_fmt_vec(target)}: {len(lines)}",
+        f"wall-crossing strata, quiver {label}, D = {vec_str(d)}, "
+        f"e = {vec_str(e)}, endpoint = {vec_str(pt)}, order {order}",
+        f"broken lines ending at exponent {vec_str(target)}: {len(lines)}",
     ]
     doc_lines = []
     total = 0
     for idx, line in enumerate(lines, start=1):
         filt, qpoly = broken_line_strata(line, q, d)
-        value = qpoly(1)
+        value = qpoly.evaluate_int((1,))
         total += value
         entry = {
             "bends": [
@@ -716,14 +742,14 @@ def _cmd_strata(job: JobSpec) -> str | dict:
             "filtration": [
                 {"vector": list(c), "multiplicity": lam} for c, lam in filt.steps
             ],
-            "poincare": {str(expo): coeff for expo, coeff in qpoly.sorted_terms()},
+            "poincare": {str(k): coeff for (k,), coeff in qpoly.terms.items()},
             "value_at_one": value,
         }
-        bends = ", ".join(f"{_fmt_vec(w.normal)}^{p}" for w, p in line.bends())
+        bends = ", ".join(f"{vec_str(w.normal)}^{p}" for w, p in line.bends())
         out.append(f"line {idx}: bends {bends if bends else '(none)'}")
-        steps = ", ".join(f"{_fmt_vec(c)} x{lam}" for c, lam in filt.steps)
+        steps = ", ".join(f"{vec_str(c)} x{lam}" for c, lam in filt.steps)
         out.append(f"  filtration: {steps if steps else '(trivial)'}")
-        out.append(f"  poincare polynomial: {qpoly}")
+        out.append(f"  poincare polynomial: {q_str(qpoly)}")
         out.append(f"  value at q=1: {value}")
         if filt.steps:
             phases = hn_phases(filt, pt, q, d, e)
@@ -771,7 +797,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
                 "output": list(image),
             }
         arrow = "tau" if action == "tau" else "tau^-1"
-        return f"{arrow} {_fmt_vec(d)} = {_fmt_vec(image)}\n"
+        return f"{arrow} {vec_str(d)} = {vec_str(image)}\n"
     if action == "classify":
         d = tuple(job.inputs["classify"])
         node = classify_indecomposable(q, d)
@@ -785,7 +811,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
                 "steps": node.steps,
             }
         return (
-            f"dim {_fmt_vec(d)}: component {node.component}, "
+            f"dim {vec_str(d)}: component {node.component}, "
             f"orbit of vertex {node.base}, translate steps {node.steps}\n"
         )
     side = job.inputs["component"]
@@ -806,7 +832,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
     for i, node in enumerate(graph.nodes):
         out.append(
             f"  [{i}] {node.component}({node.base}) t={node.steps} "
-            f"dim={_fmt_vec(node.dim)}"
+            f"dim={vec_str(node.dim)}"
         )
     for s, t in graph.edges:
         out.append(f"  [{s}] -> [{t}]")
@@ -850,7 +876,9 @@ def _loop_moved(b: int) -> list:
 def _strata_values() -> list[int]:
     q = kronecker_quiver(2)
     lines = _strata_lines(q, (5, 6), (2, 4), (Fraction(2), Fraction(1)), 6)[2]
-    return sorted(broken_line_strata(line, q, (5, 6))[1](1) for line in lines)
+    return sorted(
+        broken_line_strata(line, q, (5, 6))[1].evaluate_int((1,)) for line in lines
+    )
 
 
 def _tau_undefined() -> list:
@@ -904,6 +932,29 @@ def _transport_mismatches(b: int) -> tuple[int, list]:
     return len(gens), wrong
 
 
+def _invalid_lines() -> tuple[int, list]:
+    """How many lines the three- and five-term theta functions have, and
+    why any of them breaks the bending rules of Gross-Hacking-Keel-
+    Kontsevich (arXiv:1411.1394), re-checked line by line."""
+    lines, reasons = 0, []
+    for theta, depth in ((_three_term(), 8), (_five_term(), 10)):
+        diagram = _b_diagram(2, depth)
+        lines += len(theta.lines)
+        reasons += [
+            check.reason for line in theta.lines
+            if not (check := validate_broken_line(line, diagram))
+        ]
+    return lines, reasons
+
+
+def _hall_theta_is_broken_line_theta() -> bool:
+    """The Hall-algebra theta function of (5,6) at (2,1) equals the sum of
+    the broken lines of its initial exponent (7,-6) there."""
+    hall = hall_theta_chi(kronecker_quiver(2), (5, 6), (2, 1))
+    lines = theta_function((7, -6, 0, 0), (2, 1), _b_diagram(2, 11), 11)
+    return hall == lines.value
+
+
 def _seven_mutations() -> LaurentPoly:
     return cluster_variable(initial_seed(rank2_exchange(2)), (1, 2, 1, 2, 1, 2, 1), 1)
 
@@ -940,9 +991,11 @@ GOLDEN: tuple[Golden, ...] = (
     Golden("kronecker-translate", "undefined on projectives", _tau_undefined,
            [(1, 2), (0, 1)]),
     Golden("gl-poincare-orders", "|GL_d(F_p)| at (d, p)", lambda: {
-        (d, p): gl_poincare(d)(p) for d, p in ((1, 2), (1, 3), (2, 2), (2, 3))
+        (d, p): gl_poincare(d).evaluate_int((p,))
+        for d, p in ((1, 2), (1, 3), (2, 2), (2, 3))
     }, {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}),
-    Golden("gl-poincare-orders", "binomial(5,2) at 1", lambda: qbinom(5, 2)(1), 10),
+    Golden("gl-poincare-orders", "binomial(5,2) at 1",
+           lambda: qbinom(5, 2).evaluate_int((1,)), 10),
     *(Golden("tropical-duality-sign-coherence", label,
              partial(_duality_failures, label), [])
       for label in ("a2", "a3", "kronecker2")),
@@ -957,6 +1010,10 @@ GOLDEN: tuple[Golden, ...] = (
            True),
     Golden("cc-equals-cluster-variable", "g-vector",
            lambda: g_vector(_seven_mutations(), 2), (5, -6)),
+    Golden("broken-lines-validate", "three- and five-term theta",
+           _invalid_lines, (8, [])),
+    Golden("hall-theta-equals-broken-lines", "D=(5,6) at (2,1), order 11",
+           _hall_theta_is_broken_line_theta, True),
 )
 
 

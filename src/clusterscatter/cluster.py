@@ -20,8 +20,8 @@ g-matrix (one g-vector per variable) are then inverse-transpose to the
 c-matrix, which :func:`check_tropical_duality` verifies.
 
 Some communities write the exchange matrix transposed ("b-matrix"
-convention); use :func:`from_b_matrix` or the ``"transpose"`` flag of the
-JSON importer for data in that convention.
+convention); transpose such data before passing it to
+:func:`initial_seed`.
 """
 
 from __future__ import annotations
@@ -131,24 +131,9 @@ def initial_seed(eps: Sequence[Sequence[int]]) -> Seed:
     return Seed(rank=n, eps_ext=principal_extension(mat), variables=variables)
 
 
-def from_b_matrix(b_matrix: Sequence[Sequence[int]]) -> Seed:
-    """Initial seed from an exchange matrix in the transposed convention."""
-    return initial_seed(mat_transpose(check_skew(b_matrix)))
-
-
 def rank2_exchange(b: int) -> Matrix:
     """The rank-2 skew matrix ``[[0, b], [-b, 0]]``."""
     return ((0, b), (-b, 0))
-
-
-def path_quiver_exchange(n: int) -> Matrix:
-    """Skew matrix of the linear quiver ``1 -> 2 -> ... -> n``."""
-    return tuple(
-        tuple(
-            1 if j == i + 1 else -1 if j == i - 1 else 0 for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -222,12 +207,6 @@ def g_vector(variable: LaurentPoly, n: int) -> Vec:
     if len(hits) != 1 or hits[0][1] != 1:
         raise InputError("malformed variable: no unique unit term with trivial X-part")
     return hits[0][0][:n]
-
-
-def f_polynomial(variable: LaurentPoly, n: int) -> LaurentPoly:
-    """The variable with every ``A``-exponent set to 1, as a polynomial in
-    ``X1..Xn`` (width ``n``)."""
-    return variable.project_exponents(list(range(n, 2 * n)))
 
 
 def check_tropical_duality(seed: Seed) -> bool:

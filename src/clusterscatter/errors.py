@@ -35,4 +35,6 @@ class InterpolationError(InputError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource ceiling (cells, terms, depth) was exceeded."""
+    """A configured resource ceiling (terms or subspaces) was exceeded; the
+    message names the ceiling, its limit, the value reached and the
+    environment variable that raises it."""

@@ -6,13 +6,9 @@ representation whose negated weight covector is the line's initial
 exponent.  This module implements the polynomial layer of that
 refinement:
 
-* exact integer (Laurent) polynomials in a single variable ``q``,
-  Gaussian binomials, and the point count of a general linear group over
-  a ``q``-element field;
-* the ``q``-exponent picked up when a lattice monomial commutes past a
-  class of representations of fixed dimension vector, and the exact
-  rational function obtained by integrating an inverted block product of
-  general-linear classes;
+* Gaussian binomials and the point count of a general linear group over
+  a ``q``-element field, as one-variable integer Laurent polynomials in
+  ``q`` (exponent tuples ``(k,)``);
 * per-bend strata — an affine power of ``q`` times a Gaussian binomial —
   together with the filtration steps they append, for the first bend and
   for every later bend over a wall with rigid indecomposable normal;
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .brokenlines import BrokenLine
 from .cluster import initial_seed
@@ -51,6 +47,7 @@ from .lattice import (
     LaurentPoly,
     Vec,
     p_star,
+    terms_str,
     vec_dot,
     vec_scale,
     vec_sub,
@@ -69,16 +66,14 @@ from .quiver import (
 from .scattering import cluster_complex_chambers, find_chamber
 
 __all__ = [
-    "QPoly",
-    "QRational",
     "Filtration",
     "Stratum",
     "StabilityValue",
     "HNPhases",
     "qbinom",
     "gl_poincare",
-    "block_inverse_chi",
-    "commute_monomial",
+    "q_power",
+    "q_str",
     "first_bending",
     "next_bending",
     "broken_line_strata",
@@ -88,161 +83,21 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in q
+# Polynomials in q: one-variable Laurent polynomials with exponents ``(k,)``
 
 
-class QPoly:
-    """Exact Laurent polynomial in one variable ``q`` with integer
-    coefficients.
+def q_power(k: int) -> LaurentPoly:
+    """The monomial ``q^k``."""
+    return LaurentPoly.monomial((k,))
 
-    Immutable.  Supports ring arithmetic, integer scalars on either
-    side, and evaluation at any integer or :class:`~fractions.Fraction`
-    point — in particular at ``q = 1``, which is where strata meet Euler
-    characteristics.
-    """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None) -> None:
-        clean: dict[int, int] = {}
-        for e, c in (terms or {}).items():
-            c = int(c)
-            if c:
-                clean[int(e)] = c
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("QPoly is immutable")
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, e: int = 1) -> "QPoly":
-        return cls({int(e): 1})
-
-    # -- inspection
-
-    def sorted_terms(self) -> tuple[tuple[int, int], ...]:
-        """Pairs ``(exponent, coefficient)`` with exponents descending."""
-        return tuple(sorted(self._terms.items(), reverse=True))
-
-    def degree(self) -> int | None:
-        """Largest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # -- ring structure
-
-    @staticmethod
-    def _coerce(other) -> "QPoly | None":
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, int):
-            return QPoly({0: other})
-        return None
-
-    def __add__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return QPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return QPoly(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if not isinstance(k, int) or k < 0:
-            raise InputError("QPoly powers must be nonnegative integers")
-        result = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    # -- evaluation
-
-    def __call__(self, x):
-        """Value at ``x``; exact (integer or Fraction)."""
-        if any(e < 0 for e in self._terms):
-            x = Fraction(x)
-        return sum((c * x**e for e, c in self._terms.items()), start=0)
-
-    # -- comparisons and rendering
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(("QPoly", tuple(sorted(self._terms.items()))))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.sorted_terms():
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QPoly({dict(sorted(self._terms.items(), reverse=True))!r})"
+def q_str(poly: LaurentPoly) -> str:
+    """A polynomial in ``q`` with exponents descending: ``q^2 + 2*q - 1``."""
+    return terms_str(sorted(poly.terms.items(), reverse=True), ("q",))
 
 
 @lru_cache(maxsize=None)
-def qbinom(a: int, b: int) -> QPoly:
+def qbinom(a: int, b: int) -> LaurentPoly:
     """Gaussian binomial coefficient as a genuine polynomial in ``q``.
 
     Counts ``b``-dimensional subspaces of an ``a``-dimensional space over
@@ -252,13 +107,13 @@ def qbinom(a: int, b: int) -> QPoly:
     a = int(a)
     b = int(b)
     if b < 0 or b > a:
-        return QPoly.zero()
+        return LaurentPoly.zero()
     if b == 0 or b == a:
-        return QPoly.one()
-    return qbinom(a - 1, b - 1) + QPoly.q_power(b) * qbinom(a - 1, b)
+        return q_power(0)
+    return qbinom(a - 1, b - 1) + q_power(b) * qbinom(a - 1, b)
 
 
-def gl_poincare(d: int) -> QPoly:
+def gl_poincare(d: int) -> LaurentPoly:
     """Point count of the rank-``d`` general linear group as a polynomial:
     ``q^(d(d-1)/2) * prod_{k=1}^{d} (q^k - 1)``.
 
@@ -267,90 +122,10 @@ def gl_poincare(d: int) -> QPoly:
     d = int(d)
     if d < 0:
         raise InputError("general linear rank must be nonnegative")
-    result = QPoly.q_power(d * (d - 1) // 2)
+    result = q_power(d * (d - 1) // 2)
     for k in range(1, d + 1):
-        result = result * (QPoly.q_power(k) - 1)
+        result = result * (q_power(k) - q_power(0))
     return result
-
-
-@dataclass(frozen=True)
-class QRational:
-    """Exact ratio of two ``q``-polynomials (denominator nonzero).
-
-    Equality is cross-multiplication, so equivalent fractions compare
-    equal without normalization.  Evaluation returns a Fraction.
-    """
-
-    num: QPoly
-    den: QPoly
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.num, QPoly) or not isinstance(self.den, QPoly):
-            raise InputError("QRational needs QPoly numerator and denominator")
-        if not self.den:
-            raise InputError("QRational denominator must be nonzero")
-
-    def __call__(self, x) -> Fraction:
-        den = self.den(x)
-        if den == 0:
-            raise InputError(f"denominator vanishes at q = {x}")
-        return Fraction(self.num(x)) / Fraction(den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QRational):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        return hash(("QRational", self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den == QPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def block_inverse_chi(parts: Sequence[int]) -> QRational:
-    """Integrated inverse of a block product of general-linear classes.
-
-    For block sizes ``r_1, ..., r_k`` the value is the reciprocal of the
-    product of their ``gl_poincare`` polynomials times
-    ``q^(sum_{u<v} r_u r_v)``, kept as an exact rational function of
-    ``q``.  Empty input gives 1.
-    """
-    sizes = tuple(int(r) for r in parts)
-    if any(r < 1 for r in sizes):
-        raise InputError("block sizes must be positive integers")
-    den = QPoly.one()
-    for r in sizes:
-        den = den * gl_poincare(r)
-    cross = sum(
-        sizes[u] * sizes[v]
-        for u in range(len(sizes))
-        for v in range(u + 1, len(sizes))
-    )
-    den = den * QPoly.q_power(cross)
-    return QRational(QPoly.one(), den)
-
-
-def commute_monomial(m: Sequence[int], d: Sequence[int]) -> int:
-    """``q``-exponent picked up when the lattice monomial with exponent
-    ``m`` moves past a class of representations of dimension vector
-    ``d``: the negated pairing ``-(m . d)``.
-
-    ``m`` may be given in the doubled lattice (length ``2 * len(d)``);
-    only its first-block coordinates pair with ``d``.
-    """
-    d = tuple(int(x) for x in d)
-    m = tuple(int(x) for x in m)
-    n = len(d)
-    if len(m) == 2 * n:
-        m = m[:n]
-    elif len(m) != n:
-        raise InputError(
-            f"monomial exponent length {len(m)} matches neither {n} nor {2 * n}"
-        )
-    return -vec_dot(m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +194,11 @@ class Stratum:
 
     affine_exponent: int
     grass_params: tuple[int, int]
-    qpoly: QPoly
+    qpoly: LaurentPoly
 
     @classmethod
     def from_params(cls, affine: int, lam: int, ambient: int) -> "Stratum":
-        poly = QPoly.q_power(affine) * qbinom(ambient, lam)
+        poly = q_power(affine) * qbinom(ambient, lam)
         return cls(int(affine), (int(lam), int(ambient)), poly)
 
 
@@ -606,7 +381,7 @@ def next_bending(
 
 def broken_line_strata(
     bl: BrokenLine, q: Quiver, d: Sequence[int]
-) -> tuple[Filtration, QPoly]:
+) -> tuple[Filtration, LaurentPoly]:
     """Filtration and product ``q``-polynomial refining one broken line.
 
     The line's initial exponent must be the negated weight covector of
@@ -625,7 +400,7 @@ def broken_line_strata(
             f"not at the negated weight covector {expected} of {d}"
         )
     filt = Filtration(())
-    total = QPoly.one()
+    total = q_power(0)
     for index, (wall, power) in enumerate(bl.bends()):
         normal = tuple(wall.normal)
         if len(normal) != n:

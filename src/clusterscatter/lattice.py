@@ -34,10 +34,18 @@ from .errors import InputError, ResourceLimitError
 Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
 
-#: Hard ceiling on term counts in polynomial products, to keep runaway
-#: computations from exhausting memory.  Override via the environment in
-#: :mod:`clusterscatter.cli`; library callers may pass explicit limits.
+#: Hard ceiling on term counts in polynomial products, wall crossings and
+#: series, to keep runaway computations from exhausting memory.  The
+#: command line sets it from CLUSTERSCATTER_MAX_TERMS.
 MAX_TERMS = 2_000_000
+
+
+def term_ceiling_error(what: str, terms: int) -> ResourceLimitError:
+    """The error for ``what`` reaching ``terms`` terms, past ``MAX_TERMS``."""
+    return ResourceLimitError(
+        f"{what} of {terms} terms exceeds the term ceiling {MAX_TERMS} "
+        "(CLUSTERSCATTER_MAX_TERMS)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +76,11 @@ def vec_dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise InputError(f"vector length mismatch: {len(a)} vs {len(b)}")
     return sum(x * y for x, y in zip(a, b))
+
+
+def vec_str(v: Sequence) -> str:
+    """A vector or point as messages and the command line print it: ``(0,1)``."""
+    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 def vec_is_zero(a: Sequence[int]) -> bool:
@@ -136,14 +149,6 @@ def principal_extension(eps: Sequence[Sequence[int]]) -> Matrix:
         tuple(-1 if j == i else 0 for j in range(n)) + (0,) * n for i in range(n)
     )
     return top + bot
-
-
-def skew_pair(form: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
-    """The pairing ``a^T * form * b`` (bilinear, antisymmetric)."""
-    n = len(form)
-    if len(a) != n or len(b) != n:
-        raise InputError("vector length does not match form rank")
-    return sum(a[i] * form[i][j] * b[j] for i in range(n) for j in range(n))
 
 
 def p_star(eps: Sequence[Sequence[int]], nvec: Sequence[int]) -> Vec:
@@ -248,9 +253,6 @@ class LaurentPoly:
     def coefficient(self, exponent: Sequence[int]) -> int:
         return self.terms.get(tuple(exponent), 0)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_width(self, other: "LaurentPoly") -> None:
@@ -287,7 +289,7 @@ class LaurentPoly:
                 e = vec_add(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
             if len(out) > MAX_TERMS:
-                raise ResourceLimitError("polynomial product exceeds term ceiling")
+                raise term_ceiling_error("a polynomial product", len(out))
         return LaurentPoly(out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -345,7 +347,7 @@ class LaurentPoly:
             q_coeff = cr // cd
             quotient[q_exp] = q_coeff
             if len(quotient) > MAX_TERMS:
-                raise ResourceLimitError("quotient exceeds term ceiling")
+                raise term_ceiling_error("a quotient", len(quotient))
             for e, c in divisor.terms.items():
                 e2 = vec_add(q_exp, e)
                 nv = remainder.get(e2, 0) - q_coeff * c
@@ -355,16 +357,7 @@ class LaurentPoly:
                     remainder.pop(e2, None)
         return LaurentPoly(quotient)
 
-    # -- substitutions -----------------------------------------------------
-
-    def project_exponents(self, keep: Sequence[int]) -> "LaurentPoly":
-        """Set the variables outside ``keep`` to 1, i.e. keep only the
-        listed exponent coordinates (in the given order)."""
-        out: dict[Vec, int] = {}
-        for e, c in self.terms.items():
-            e2 = tuple(e[i] for i in keep)
-            out[e2] = out.get(e2, 0) + c
-        return LaurentPoly(out)
+    # -- evaluation --------------------------------------------------------
 
     def evaluate_int(self, values: Sequence[int]) -> int:
         """Evaluate at integer variable values (all exponents must be
@@ -433,10 +426,16 @@ def monomial_str(exponent: Sequence[int], coeff: int, names: Sequence[str]) -> s
 def poly_str(poly: LaurentPoly, names: Sequence[str]) -> str:
     """Canonical text form: terms ascending lexicographically, joined
     with explicit signs."""
-    if poly.is_zero():
+    return terms_str(poly.sorted_terms(), names)
+
+
+def terms_str(terms: Sequence[tuple[Vec, int]], names: Sequence[str]) -> str:
+    """``(exponent, coefficient)`` pairs in the given order, joined with
+    explicit signs; no terms give ``0``."""
+    if not terms:
         return "0"
     parts: list[str] = []
-    for e, c in poly.sorted_terms():
+    for e, c in terms:
         if not parts:
             parts.append(monomial_str(e, c, names))
         else:
@@ -474,10 +473,7 @@ class GradedSeries:
         self.order = order
         size = order // x_degree(self.step, n) + 1
         if size > MAX_TERMS:
-            raise ResourceLimitError(
-                f"a series of {size} terms exceeds the term ceiling "
-                f"{MAX_TERMS} (CLUSTERSCATTER_MAX_TERMS)"
-            )
+            raise term_ceiling_error("a series", size)
         head = tuple(int(c) for c in coeffs[:size])
         self.coeffs = head + (0,) * (size - len(head))
         self._powers: dict[int, GradedSeries] = {}
@@ -517,10 +513,6 @@ class GradedSeries:
             self.order,
             [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))],
         )
-
-    def inverse(self) -> "GradedSeries":
-        """Multiplicative inverse; requires constant term 1."""
-        return self ** -1
 
     def __pow__(self, p: int) -> "GradedSeries":
         """``self ** p`` for any integer ``p``; requires constant term 1.

@@ -110,15 +110,8 @@ class Quiver:
                     f"arrow ({s}, {t}) must satisfy 1 <= source < target <= {self.n_vertices}"
                 )
 
-    def arrow_count(self, s: int, t: int) -> int:
-        """Number of arrows from ``s`` to ``t`` (1-based)."""
-        return sum(1 for a, b in self.arrows if a == s and b == t)
-
     def out_arrows(self, v: int) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arrows if a[0] == v)
-
-    def in_arrows(self, v: int) -> tuple[tuple[int, int], ...]:
-        return tuple(a for a in self.arrows if a[1] == v)
 
 
 def kronecker_quiver(b: int) -> Quiver:
@@ -153,21 +146,6 @@ def dim_vector(q: Quiver, v: Sequence[int], what: str = "dimension vector") -> V
     if any(x < 0 for x in vec):
         raise InputError(f"{what} must be nonnegative, got {vec}")
     return vec
-
-
-def skew_to_quiver(eps: Sequence[Sequence[int]]) -> Quiver:
-    """Inverse of :func:`quiver_to_skew` for lower-to-higher orientations."""
-    check_skew(eps)
-    n = len(eps)
-    arrows: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if eps[i][j] < 0:
-                raise InputError(
-                    "skew matrix would need an arrow from a higher to a lower vertex"
-                )
-            arrows.extend((i + 1, j + 1) for _ in range(eps[i][j]))
-    return Quiver(n, tuple(arrows))
 
 
 def _is_path_quiver(q: Quiver) -> bool:
@@ -868,9 +846,11 @@ def _check_subspace_limit(q: Quiver, dims: Vec, e: Vec, p: int) -> None:
     for v in range(1, q.n_vertices + 1):
         if q.out_arrows(v):
             total *= gaussian_binomial_int(dims[v - 1], e[v - 1], p)
-    if total > _subspace_limit():
+    limit = _subspace_limit()
+    if total > limit:
         raise ResourceLimitError(
-            f"{total} subspaces over F_{p} exceed the configured enumeration limit"
+            f"{total} subspaces over F_{p} exceed the configured enumeration "
+            f"limit {limit} (CLUSTERSCATTER_SUBSPACE_LIMIT)"
         )
 
 

@@ -37,7 +37,6 @@ from .errors import (
     GenericPositionError,
     InputError,
     NonTransversalCrossingError,
-    ResourceLimitError,
     UnsupportedInputError,
 )
 from .lattice import (
@@ -52,6 +51,7 @@ from .lattice import (
     vec_gcd,
     vec_is_zero,
     vec_scale,
+    vec_str,
     vec_sub,
     x_degree,
 )
@@ -198,7 +198,7 @@ def wall_cross(
                 e = tuple(x + k * s for x, s in zip(expo, func.step))
                 out[e] = out.get(e, 0) + coeff * c
         if len(out) > lattice.MAX_TERMS:
-            raise ResourceLimitError("wall crossing exceeds term ceiling")
+            raise lattice.term_ceiling_error("a wall crossing", len(out))
     return LaurentPoly(out)
 
 
@@ -295,7 +295,8 @@ def ensure_generic(diagram: ScatteringDiagram, pt: Point) -> None:
     for wall in diagram.walls:
         if _point_on_support(pt, wall):
             raise GenericPositionError(
-                f"point {pt} lies on the wall with normal {wall.normal}"
+                f"point {vec_str(pt)} lies on the wall with normal "
+                f"{vec_str(wall.normal)}"
             )
 
 
@@ -341,17 +342,11 @@ def path_crossings(
                 out.append((wall, -_ccw_sign(u, wall.normal)))
         return out
 
-    loop_events: list[tuple[Wall, int]] = []
-    for _ in range(path.full_loops):
-        for u in ordered:
-            if _sector(start_dir, u) == 0:
-                raise GenericPositionError(
-                    "loop start direction lies on a wall support"
-                )
-        for u in ordered:
-            for wall in by_dir[u]:
-                loop_events.append((wall, _ccw_sign(u, wall.normal)))
-
+    loop_events = (
+        _loop_action(diagram, start_dir).crossings * path.full_loops
+        if path.full_loops
+        else []
+    )
     if path.turn == "ccw":
         tail = sweep_ccw()
     elif path.turn == "cw":
@@ -368,18 +363,6 @@ def _ccw_sign(u: Vec, normal: Vec) -> int:
     if s == 0:
         raise NonTransversalCrossingError(
             f"support direction {u} is tangent to its own normal pairing"
-        )
-    return 1 if s > 0 else -1
-
-
-def crossing_sign(direction: Sequence[int], wall: Wall) -> int:
-    """Sign of a straight crossing with the given 2D travel direction:
-    +1 when the normal pairing increases, -1 when it decreases."""
-    s = dual_pair(tuple(direction), wall.normal)
-    if s == 0:
-        raise NonTransversalCrossingError(
-            f"travel direction {tuple(direction)} is tangent to the wall "
-            f"with normal {wall.normal}"
         )
     return 1 if s > 0 else -1
 

@@ -120,7 +120,9 @@ def test_criterion_5_grassmannian_18_and_strata_10_8():
     lines = enumerate_broken_lines(
         (7, -6, 0, 0), (2, 1), diagram, 6, final_filter=(-1, -2, 2, 4)
     )
-    values = sorted(broken_line_strata(bl, K2, (5, 6))[1](1) for bl in lines)
+    values = sorted(
+        broken_line_strata(bl, K2, (5, 6))[1].evaluate_int((1,)) for bl in lines
+    )
     assert values == [8, 10]
     assert sum(values) == 18
     elapsed_under(
@@ -201,7 +203,7 @@ def test_criterion_8e_gl_poincare_matches_brute_force():
     t0 = time.perf_counter()
     for d in range(4):
         for p in (2, 3, 5):
-            assert gl_poincare(d)(p) == brute_gl_order(d, p)
+            assert gl_poincare(d).evaluate_int((p,)) == brute_gl_order(d, p)
     elapsed_under(t0, 30.0, "criterion 8e: gl_poincare matches |GL_d(F_p)|")
 
 

@@ -27,11 +27,15 @@ from clusterscatter.cluster import (
     cluster_variable,
     g_vector,
     initial_seed,
-    path_quiver_exchange,
     rank2_exchange,
 )
 from clusterscatter.errors import InputError
-from clusterscatter.quiver import kronecker_quiver, path_quiver
+from clusterscatter.quiver import (
+    caldero_chapoton,
+    kronecker_quiver,
+    path_quiver,
+    quiver_to_skew,
+)
 from clusterscatter.scattering import complete_rank2, initial_diagram
 
 
@@ -222,6 +226,19 @@ class TestThetaCommand:
         assert code == 2
         assert out == ""
         assert "wall" in err and "jumps" in err
+
+    def test_line_through_the_origin_note(self, cli):
+        # (2,1) is on no wall; a broken line to it passes through the origin
+        code, out, err = cli("theta", "--b", "2", "--m", "8,-7,0,0",
+                             "--endpoint", "2,1", "--order", "13", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        cc = caldero_chapoton(kronecker_quiver(2), (6, 7))
+        assert doc["value"] == {
+            ",".join(map(str, e)): c for e, c in cc.sorted_terms()
+        }
+        assert "lies on a wall" not in doc["note"]
+        assert "passes through the origin" in doc["note"]
 
     def test_five_term_slice_view(self, cli):
         code, out, _ = cli("theta", "--b", "2", "--m", "2,-2,-1,-1",
@@ -426,8 +443,8 @@ class TestCheckCommand:
     def test_full_suite_passes(self, cli):
         code, out, err = cli("check")
         assert (code, err) == (0, "")
-        assert out.rstrip().endswith("PASS (10 checks)")
-        assert out.count("ok  ") == 10
+        assert out.rstrip().endswith("PASS (12 checks)")
+        assert out.count("ok  ") == 12
         assert "FAIL" not in out
 
     def test_single_check(self, cli):
@@ -575,6 +592,29 @@ class TestDimensionVectors:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+class TestBadInputNamed:
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
+              "--endpoint", "2"], "endpoint"),
+            (["strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4,1",
+              "--endpoint", "2,1"], "subdimension vector"),
+            (["theta", "--b", "2", "--m", "1,-1,0,0", "--endpoint", "1,2,3",
+              "--order", "4"], "endpoint"),
+            (["strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
+              "--endpoint", "0,1"], "endpoint (0,1)"),
+        ],
+        ids=["strata-endpoint-length", "strata-e-length", "theta-endpoint-length",
+             "strata-endpoint-on-wall"],
+    )
+    def test_message_names_the_input(self, cli, args, name):
+        code, out, err = cli(*args)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert name in err
+
+
 class TestResourceCeilings:
     def test_subspace_limit_exit_three(self, cli, monkeypatch):
         # Only the counting polynomial of --json enumerates subspaces.
@@ -583,6 +623,7 @@ class TestResourceCeilings:
                            "--e", "3,4", "--json")
         assert code == 3
         assert "resource limit" in err
+        assert "limit 2 (CLUSTERSCATTER_SUBSPACE_LIMIT)" in err
 
     def test_text_grass_ignores_subspace_limit(self, cli, monkeypatch):
         monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2")
@@ -599,6 +640,14 @@ class TestResourceCeilings:
         code, _, err = cli("scatter", "--b", b, "--order", "8")
         assert code == 3
         assert "resource limit" in err
+        assert f"term ceiling {limit} (CLUSTERSCATTER_MAX_TERMS)" in err
+
+    def test_product_term_limit_names_its_budget(self, cli, monkeypatch,
+                                                 restore_max_terms):
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "3")
+        code, out, err = cli("mutate", "--b", "3", "--word", "1,2,1")
+        assert (code, out) == (3, "")
+        assert "term ceiling 3 (CLUSTERSCATTER_MAX_TERMS)" in err
 
     def test_bad_ceiling_value_exit_two(self, cli, monkeypatch,
                                         restore_max_terms):
@@ -671,7 +720,7 @@ class TestEmitSvg:
         assert emit_svg(b2_diagram) == emit_svg(b2_diagram)
 
     def test_higher_rank_rejected(self):
-        seed = initial_seed(path_quiver_exchange(3))
+        seed = initial_seed(quiver_to_skew(path_quiver(3)))
         diagram = initial_diagram(seed, 2)
         with pytest.raises(InputError, match="two-dimensional"):
             emit_svg(diagram)

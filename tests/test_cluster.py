@@ -12,18 +12,16 @@ from clusterscatter.cluster import (
     apply_word,
     check_tropical_duality,
     cluster_variable,
-    f_polynomial,
-    from_b_matrix,
     g_vector,
     initial_seed,
     mutate_matrix,
     mutate_seed,
-    path_quiver_exchange,
     rank2_exchange,
     seed_to_json,
 )
 from clusterscatter.errors import InputError
-from clusterscatter.lattice import LaurentPoly, mat_transpose
+from clusterscatter.lattice import LaurentPoly
+from clusterscatter.quiver import path_quiver, quiver_to_skew
 
 
 def test_mutate_matrix_three_by_three():
@@ -72,7 +70,8 @@ def test_word_one_two_b1():
         {(0, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 0, 1, 1): 1}
     )
     assert g_vector(v, 2) == (0, -1)
-    assert f_polynomial(v, 2) == LaurentPoly({(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    # the F-polynomial: every A set to 1
+    assert {e[2:]: c for e, c in v.terms.items()} == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
 def test_word_one_two_b2_variable_and_duality():
@@ -107,13 +106,8 @@ def test_g_vector_rejects_malformed():
         g_vector(LaurentPoly({(0, 0, 1, 0): 1}), 2)
 
 
-def test_transposed_importer_flips_convention():
-    eps = ((0, 2), (-2, 0))
-    assert from_b_matrix(eps).eps_ext == initial_seed(mat_transpose(eps)).eps_ext
-
-
 def test_seed_json_roundtrip_and_schema():
-    s = initial_seed(path_quiver_exchange(3))
+    s = initial_seed(quiver_to_skew(path_quiver(3)))
     data = seed_to_json(apply_word(s, (1, 2)))
     assert data["rank"] == 3
     assert data["word"] == [1, 2]
@@ -121,7 +115,7 @@ def test_seed_json_roundtrip_and_schema():
 
 @pytest.mark.parametrize(
     "eps",
-    [rank2_exchange(1), rank2_exchange(2), path_quiver_exchange(3)],
+    [rank2_exchange(1), rank2_exchange(2), quiver_to_skew(path_quiver(3))],
 )
 def test_duality_and_sign_coherence_short_words(eps):
     n = len(eps)

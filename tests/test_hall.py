@@ -13,18 +13,16 @@ from clusterscatter.errors import InputError, UnsupportedInputError
 from clusterscatter.hall import (
     Filtration,
     HNPhases,
-    QPoly,
-    QRational,
     StabilityValue,
     Stratum,
-    block_inverse_chi,
     broken_line_strata,
-    commute_monomial,
     first_bending,
     gl_poincare,
     hall_theta_chi,
     hn_phases,
     next_bending,
+    q_power,
+    q_str,
     qbinom,
 )
 from clusterscatter.lattice import LaurentPoly
@@ -33,7 +31,6 @@ from clusterscatter.quiver import (
     g_map,
     gaussian_binomial_int,
     grassmannian_euler_char,
-    hom_ext_dims,
     kronecker_quiver,
     path_quiver,
 )
@@ -47,75 +44,47 @@ D12 = complete_rank2(initial_diagram(SEED2, 12), 12)
 EP = (2, 1)
 QGEN = (Fraction(157, 100), Fraction(83, 100))
 
-Q = QPoly.q_power
+Q = q_power
+ONE = Q(0)
+ZERO = LaurentPoly.zero()
 
 
-def poly(*coeff_exp: tuple[int, int]) -> QPoly:
-    return QPoly({e: c for c, e in coeff_exp})
+def poly(*coeff_exp: tuple[int, int]) -> LaurentPoly:
+    return LaurentPoly({(e,): c for c, e in coeff_exp})
 
 
-class TestQPoly:
-    def test_ring_arithmetic(self):
-        q = Q(1)
-        assert (q + 1) * (q - 1) == Q(2) - 1
-        assert (q + 1) ** 2 == poly((1, 2), (2, 1), (1, 0))
-        assert q * 0 == QPoly.zero()
-        assert 3 * q - q == 2 * q
-        assert -(q - 1) == 1 - q
+def at(p: LaurentPoly, x: int) -> int:
+    """The value of a polynomial in ``q`` at ``q = x``."""
+    return p.evaluate_int((x,))
 
-    def test_zero_and_one(self):
-        assert QPoly.zero() == 0
-        assert QPoly.one() == 1
-        assert not QPoly.zero()
-        assert QPoly.one() + QPoly.zero() == QPoly.one()
 
-    def test_evaluation(self):
-        p = poly((2, 3), (-1, 1), (5, 0))
-        assert p(1) == 6
-        assert p(2) == 16 - 2 + 5
-        assert p(Fraction(1, 2)) == Fraction(2, 8) - Fraction(1, 2) + 5
-
-    def test_laurent_evaluation(self):
-        p = QPoly({-1: 1, 1: 1})
-        assert p(2) == Fraction(5, 2)
-        assert p(1) == 2
-
+class TestQStr:
     def test_string_forms(self):
-        assert str(qbinom(2, 1)) == "q + 1"
-        assert str(Q(2) - 1) == "q^2 - 1"
-        assert str(QPoly.zero()) == "0"
-        assert str(2 * Q(1)) == "2*q"
-
-    def test_immutability_and_hash(self):
-        p = Q(1) + 1
-        with pytest.raises(AttributeError):
-            p._terms = {}
-        assert hash(p) == hash(QPoly({1: 1, 0: 1}))
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(InputError):
-            Q(1) ** -1
+        assert q_str(qbinom(2, 1)) == "q + 1"
+        assert q_str(Q(2) - ONE) == "q^2 - 1"
+        assert q_str(ZERO) == "0"
+        assert q_str(Q(1).scale(2)) == "2*q"
 
 
 class TestQBinom:
     def test_small_closed_form(self):
-        assert qbinom(2, 1) == Q(1) + 1
+        assert qbinom(2, 1) == Q(1) + ONE
         assert qbinom(3, 1) == poly((1, 2), (1, 1), (1, 0))
         assert qbinom(4, 2) == poly((1, 4), (1, 3), (2, 2), (1, 1), (1, 0))
 
     def test_values_at_one(self):
-        assert qbinom(5, 2)(1) == 10
-        assert qbinom(4, 1)(1) == 4
+        assert at(qbinom(5, 2), 1) == 10
+        assert at(qbinom(4, 1), 1) == 4
 
     def test_matches_binomial_up_to_twelve(self):
         for a in range(13):
             for b in range(a + 1):
-                assert qbinom(a, b)(1) == comb(a, b)
+                assert at(qbinom(a, b), 1) == comb(a, b)
 
     def test_out_of_range_is_zero(self):
-        assert qbinom(2, 5) == 0
-        assert qbinom(2, -1) == 0
-        assert qbinom(-1, 0) == 0
+        assert qbinom(2, 5) == ZERO
+        assert qbinom(2, -1) == ZERO
+        assert qbinom(-1, 0) == ZERO
 
     def test_symmetry(self):
         for a in range(9):
@@ -127,7 +96,7 @@ class TestQBinom:
         for a in range(9):
             for b in range(a + 1):
                 for p in (2, 3, 5):
-                    assert qbinom(a, b)(p) == gaussian_binomial_int(a, b, p)
+                    assert at(qbinom(a, b), p) == gaussian_binomial_int(a, b, p)
 
 
 def brute_gl_order(d: int, p: int) -> int:
@@ -156,74 +125,22 @@ def brute_gl_order(d: int, p: int) -> int:
 
 class TestGLPoincare:
     def test_closed_forms(self):
-        assert gl_poincare(0) == 1
-        assert gl_poincare(1) == Q(1) - 1
-        assert gl_poincare(2) == Q(1) * (Q(1) - 1) * (Q(2) - 1)
+        assert gl_poincare(0) == ONE
+        assert gl_poincare(1) == Q(1) - ONE
+        assert gl_poincare(2) == Q(1) * (Q(1) - ONE) * (Q(2) - ONE)
 
     def test_degree_is_d_squared(self):
         for d in range(5):
-            assert gl_poincare(d).degree() == d * d
+            assert max(e for (e,) in gl_poincare(d).terms) == d * d
 
     def test_matches_brute_force_group_orders(self):
         for d in range(4):
             for p in (2, 3, 5):
-                assert gl_poincare(d)(p) == brute_gl_order(d, p)
+                assert at(gl_poincare(d), p) == brute_gl_order(d, p)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(InputError):
             gl_poincare(-1)
-
-
-class TestBlockInverseChi:
-    def test_single_block(self):
-        assert block_inverse_chi((1,)) == QRational(QPoly.one(), Q(1) - 1)
-        assert block_inverse_chi((1,))(3) == Fraction(1, 2)
-
-    def test_two_blocks(self):
-        expected = QRational(QPoly.one(), (Q(1) - 1) ** 2 * Q(1))
-        assert block_inverse_chi((1, 1)) == expected
-        assert block_inverse_chi((1, 1))(2) == Fraction(1, 2)
-
-    def test_empty(self):
-        assert block_inverse_chi(()) == QRational(QPoly.one(), QPoly.one())
-        assert block_inverse_chi(())(7) == 1
-
-    def test_larger_block_value(self):
-        # gl_poincare(2) at q=2 is 2*1*3 = 6.
-        assert block_inverse_chi((2,))(2) == Fraction(1, 6)
-
-    def test_cross_multiplied_equality(self):
-        a = QRational(Q(1) - 1, (Q(1) - 1) * (Q(1) - 1))
-        b = QRational(QPoly.one(), Q(1) - 1)
-        assert a == b
-
-    def test_bad_parts_rejected(self):
-        with pytest.raises(InputError):
-            block_inverse_chi((0,))
-        with pytest.raises(InputError):
-            block_inverse_chi((2, -1))
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(InputError):
-            QRational(QPoly.one(), QPoly.zero())
-
-
-class TestCommuteMonomial:
-    def test_worked_value(self):
-        assert commute_monomial((7, -6), (1, 2)) == 5
-        assert commute_monomial((7, -6, 0, 0), (1, 2)) == 5
-
-    def test_links_to_morphism_dimension(self):
-        m = tuple(-x for x in g_map(K2, (5, 6)))
-        assert commute_monomial(m, (1, 2)) == hom_ext_dims(K2, (1, 2), (5, 6)).hom
-
-    def test_zero_cases(self):
-        assert commute_monomial((0, 0), (1, 2)) == 0
-        assert commute_monomial((7, -6), (0, 0)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            commute_monomial((1, 2, 3), (1, 2))
 
 
 class TestFiltration:
@@ -256,23 +173,23 @@ class TestFirstBending:
         assert stratum.affine_exponent == 0
         assert stratum.grass_params == (2, 5)
         assert stratum.qpoly == qbinom(5, 2)
-        assert stratum.qpoly(1) == 10
+        assert at(stratum.qpoly, 1) == 10
         assert filt.steps == (((1, 2), 2),)
 
     def test_single_bend_on_two_three(self):
         stratum, filt = first_bending(K2, (5, 6), (2, 3), 1)
         assert stratum.qpoly == qbinom(4, 1)
-        assert stratum.qpoly(1) == 4
+        assert at(stratum.qpoly, 1) == 4
         assert filt.steps == (((2, 3), 1),)
 
     def test_stratum_value_is_binomial(self):
         stratum, _ = first_bending(K2, (5, 6), (1, 2), 3)
         lam, ambient = stratum.grass_params
-        assert stratum.qpoly(1) == comb(ambient, lam)
+        assert at(stratum.qpoly, 1) == comb(ambient, lam)
 
     def test_zero_multiplicity_trivial(self):
         stratum, filt = first_bending(K2, (5, 6), (1, 2), 0)
-        assert stratum.qpoly == 1
+        assert stratum.qpoly == ONE
         assert stratum.grass_params == (0, 5)
         assert filt.steps == ()
 
@@ -291,15 +208,15 @@ class TestNextBending:
         stratum, longer = next_bending(K2, (5, 6), filt, (0, 1), 1)
         assert stratum.affine_exponent == 1
         assert stratum.grass_params == (1, 2)
-        assert stratum.qpoly == Q(1) * (Q(1) + 1)
-        assert stratum.qpoly(1) == 2
+        assert stratum.qpoly == Q(1) * (Q(1) + ONE)
+        assert at(stratum.qpoly, 1) == 2
         assert longer.steps == (((2, 3), 1), ((0, 1), 1))
         assert longer.dimension() == (2, 4)
 
     def test_combined_product_value(self):
         s1, filt = first_bending(K2, (5, 6), (2, 3), 1)
         s2, _ = next_bending(K2, (5, 6), filt, (0, 1), 1)
-        assert (s1.qpoly * s2.qpoly)(1) == 8
+        assert at(s1.qpoly * s2.qpoly, 1) == 8
 
     def test_extension_free_step_is_plain_binomial(self):
         _, filt = first_bending(K2, (5, 6), (0, 1), 6)
@@ -312,13 +229,13 @@ class TestNextBending:
         _, filt = first_bending(K2, (5, 6), (2, 3), 1)
         stratum, _ = next_bending(K2, (5, 6), filt, (0, 1), 3)
         assert stratum.grass_params == (3, 2)
-        assert stratum.qpoly == 0
-        assert stratum.qpoly(1) == 0
+        assert stratum.qpoly == ZERO
+        assert at(stratum.qpoly, 1) == 0
 
     def test_zero_multiplicity_keeps_chain(self):
         _, filt = first_bending(K2, (5, 6), (2, 3), 1)
         stratum, same = next_bending(K2, (5, 6), filt, (0, 1), 0)
-        assert stratum.qpoly == 1
+        assert stratum.qpoly == ONE
         assert same is filt
 
     def test_inadmissible_order_rejected(self):
@@ -348,15 +265,15 @@ class TestBrokenLineStrata:
     def test_two_lines_refine_to_ten_plus_eight(self, filtered_lines):
         assert len(filtered_lines) == 2
         results = [broken_line_strata(bl, K2, (5, 6)) for bl in filtered_lines]
-        values = sorted(p(1) for _, p in results)
+        values = sorted(at(p, 1) for _, p in results)
         assert values == [8, 10]
-        total = sum(p(1) for _, p in results)
+        total = sum(at(p, 1) for _, p in results)
         assert total == grassmannian_euler_char(K2, (5, 6), (2, 4)) == 18
 
     def test_filtration_shapes(self, filtered_lines):
         by_value = {
-            poly(1): filt
-            for filt, poly in (
+            at(p, 1): filt
+            for filt, p in (
                 broken_line_strata(bl, K2, (5, 6)) for bl in filtered_lines
             )
         }
@@ -367,7 +284,7 @@ class TestBrokenLineStrata:
 
     def test_exact_polynomials(self, filtered_lines):
         polys = {
-            p(1): p
+            at(p, 1): p
             for _, p in (
                 broken_line_strata(bl, K2, (5, 6)) for bl in filtered_lines
             )
@@ -391,7 +308,7 @@ class TestBrokenLineStrata:
         assert len(lines) == 1
         filt, p = broken_line_strata(lines[0], K2, (5, 6))
         assert filt.steps == ()
-        assert p == 1
+        assert p == ONE
 
     def test_central_wall_bend_rejected(self):
         theta = theta_function((7, -6, 0, 0), EP, D12, 11)
@@ -429,8 +346,8 @@ class TestStrataAcrossThetas:
             except UnsupportedInputError:
                 skipped_exponents.add(e)
                 continue
-            assert p(1) == bl.coefficient
-            sums[e] = sums.get(e, 0) + p(1)
+            assert at(p, 1) == bl.coefficient
+            sums[e] = sums.get(e, 0) + at(p, 1)
             if filt.steps:
                 assert filt.dimension() == e
                 assert hn_phases(filt, QGEN, K2, d, e).decreasing
@@ -448,12 +365,6 @@ class TestHallThetaChi:
     @pytest.mark.parametrize("d", [(1, 2), (2, 3), (2, 1), (1, 1)], ids=str)
     def test_equals_cluster_character(self, d):
         assert hall_theta_chi(K2, d, QGEN) == caldero_chapoton(K2, d)
-
-    def test_large_case_equals_both_routes(self):
-        value = hall_theta_chi(K2, (5, 6), EP)
-        assert value == caldero_chapoton(K2, (5, 6))
-        theta = theta_function((7, -6, 0, 0), EP, D12, 11)
-        assert value == theta.value
 
     def test_coefficient_at_two_four_is_eighteen(self):
         value = hall_theta_chi(K2, (5, 6), EP)
@@ -569,4 +480,4 @@ class TestStratumInvariant:
             for ambient in range(6):
                 s = Stratum.from_params(2, lam, ambient)
                 expected = comb(ambient, lam) if 0 <= lam <= ambient else 0
-                assert s.qpoly(1) == expected
+                assert at(s.qpoly, 1) == expected

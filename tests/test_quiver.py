@@ -46,7 +46,6 @@ from clusterscatter.quiver import (
     path_quiver,
     quiver_to_skew,
     rep_mod_p,
-    skew_to_quiver,
     subrep_count,
     _subrep_count_general,
 )
@@ -343,10 +342,6 @@ def test_kronecker_indecomposable_matrices():
 def test_quiver_skew_roundtrip():
     assert quiver_to_skew(K2) == ((0, 2), (-2, 0))
     assert quiver_to_skew(A3) == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
-    assert skew_to_quiver(quiver_to_skew(K2)) == K2
-    assert skew_to_quiver(quiver_to_skew(A3)) == A3
-    with pytest.raises(InputError):
-        skew_to_quiver(((0, -1), (1, 0)))
 
 
 # ---------------------------------------------------------------------------

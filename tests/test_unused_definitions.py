@@ -1,0 +1,47 @@
+"""Every definition in the package is used by the package itself.
+
+A top-level function or class, or a method not named ``__*__``, that
+nothing under ``src/clusterscatter`` references is code that only tests
+call, or that nothing calls: wire it into the program or delete it.
+References inside the definition itself (recursion) do not count.  The
+console-script entry point ``cli.main`` is the one exemption.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import clusterscatter
+
+SOURCE = Path(clusterscatter.__file__).parent
+EXEMPT = {("cli", "main")}
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCE.glob("*.py")}
+    references = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{m.name}", m) for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            for label, member in members:
+                own = _referenced_names(member)[member.name]
+                if (module, label) not in EXEMPT and references[member.name] <= own:
+                    unused.append(f"{module}.{label}")
+    assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
