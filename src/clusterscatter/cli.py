@@ -18,8 +18,9 @@ identical bytes.
 
 Resource ceilings come from the environment: ``CLUSTERSCATTER_MAX_TERMS``
 bounds series/polynomial term counts and ``CLUSTERSCATTER_SUBSPACE_LIMIT``
-bounds finite-field subspace enumeration, which only the counting
-polynomial of ``grass --json`` performs.
+bounds what the counting polynomial of ``grass --json`` and ``strata``
+enumerates: its torus-fixed points, and for ``grass --json`` the
+subspaces counted over F_2 to check it at q = 2.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .lattice import (
     tilde_p_star,
     vec_add,
     vec_str,
+    vec_sub,
     x_degree,
 )
 from .quiver import (
@@ -93,10 +95,13 @@ from .quiver import (
     g_map,
     grassmannian_counting_polynomial,
     grassmannian_euler_char,
+    indecomposable_rep,
     kronecker_quiver,
     path_quiver,
     projective_dims,
     quiver_to_skew,
+    rep_mod_p,
+    subrep_count,
 )
 from .scattering import (
     CrossingPath,
@@ -584,8 +589,9 @@ def _theta_with_fallback(m0, pt, diagram, order):
                 "the origin"
             )
         for denom in (9973, 99991):
-            plus = (pt[0] + Fraction(1, denom), pt[1])
-            minus = (pt[0] - Fraction(1, denom), pt[1])
+            # off a horizontal wall vertically, off any other horizontally
+            step = (0, Fraction(1, denom)) if pt[1] == 0 else (Fraction(1, denom), 0)
+            plus, minus = vec_add(pt, step), vec_sub(pt, step)
             try:
                 t_plus = theta_function(m0, plus, diagram, order)
                 t_minus = theta_function(m0, minus, diagram, order)
@@ -681,13 +687,20 @@ def _cmd_grass(job: JobSpec) -> str | dict:
     d, e = tuple(job.inputs["D"]), tuple(job.inputs["e"])
     chi = grassmannian_euler_char(q, d, e)
     if job.output_format == "json":
+        # Counted first, so the subspace ceiling fires before any cell work;
+        # the cells of a square D are tested, not proven, so q = 2 checks them.
+        over_f2 = subrep_count(rep_mod_p(indecomposable_rep(q, d), 2), e)
         counting = grassmannian_counting_polynomial(q, d, e)
-        if sum(counting) != chi:
-            raise InterpolationError(
-                f"polynomial-count violated: the counting polynomial gives "
-                f"{sum(counting)} at q=1 but the fixed-point count gives {chi} "
-                f"for d={d}, e={e}"
-            )
+        for at, route, want in (
+            (1, "the fixed-point count gives", chi),
+            (2, "counting over F_2 gives", over_f2),
+        ):
+            got = sum(c * at**k for k, c in enumerate(counting))
+            if got != want:
+                raise InterpolationError(
+                    f"polynomial-count violated: the counting polynomial gives "
+                    f"{got} at q={at} but {route} {want} for d={d}, e={e}"
+                )
         return {
             "quiver": label,
             "D": list(d),
@@ -724,17 +737,20 @@ def _cmd_strata(job: JobSpec) -> str | dict:
     order = job.order if job.order is not None else max(sum(e), 2)
     m0, target, lines = _strata_lines(q, d, e, pt, order)
     chi = grassmannian_euler_char(q, d, e)
+    counting = LaurentPoly(
+        {(k,): c for k, c in enumerate(grassmannian_counting_polynomial(q, d, e))}
+    )
     out = [
         f"wall-crossing strata, quiver {label}, D = {vec_str(d)}, "
         f"e = {vec_str(e)}, endpoint = {vec_str(pt)}, order {order}",
         f"broken lines ending at exponent {vec_str(target)}: {len(lines)}",
     ]
     doc_lines = []
-    total = 0
+    strata_sum = LaurentPoly.zero()
     for idx, line in enumerate(lines, start=1):
         filt, qpoly = broken_line_strata(line, q, d)
         value = qpoly.evaluate_int((1,))
-        total += value
+        strata_sum = strata_sum + qpoly
         entry = {
             "bends": [
                 {"normal": list(w.normal), "power": p} for w, p in line.bends()
@@ -761,6 +777,7 @@ def _cmd_strata(job: JobSpec) -> str | dict:
             flag = "yes" if phases.decreasing else "NO"
             out.append(f"  stability phases: {shown} | decreasing: {flag}")
         doc_lines.append(entry)
+    total = strata_sum.evaluate_int((1,))
     if job.output_format == "json":
         return {
             "quiver": label,
@@ -772,11 +789,11 @@ def _cmd_strata(job: JobSpec) -> str | dict:
             "lines": doc_lines,
             "total": total,
             "euler_characteristic": chi,
-            "match": total == chi,
+            "match": strata_sum == counting,
         }
     out.append(f"total over strata: {total}")
     out.append(f"finite-field Euler characteristic: {chi}")
-    out.append(f"agreement: {'yes' if total == chi else 'NO'}")
+    out.append(f"agreement: {'yes' if strata_sum == counting else 'NO'}")
     return "\n".join(out) + "\n"
 
 

@@ -31,7 +31,10 @@ class UnsupportedInputError(InputError):
 
 
 class InterpolationError(InputError):
-    """Point counts over finite fields do not fit a single polynomial."""
+    """A counting polynomial disagrees with an independent count: its value
+    at q=1 with the Euler characteristic, or at q=2 with the number of
+    subrepresentations over F_2 (or, in the test oracle, point counts
+    over finite fields do not fit one polynomial)."""
 
 
 class ResourceLimitError(RuntimeError):

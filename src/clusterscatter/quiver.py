@@ -5,12 +5,12 @@ translate on dimension vectors via the Coxeter matrix, classification of
 indecomposables into preprojective / regular / preinjective components,
 mesh graphs of translate orbits with irreducible-map arrows, explicit
 two-vertex (Kronecker-type) indecomposable representations, exact
-subrepresentation counting over prime fields and the counting polynomial
-interpolated from it, Euler characteristics of subrepresentation
-Grassmannians as counts of torus-fixed points on the string module's
-coefficient quiver (Cerulli Irelli, arXiv:0910.2592), and the
-cluster-character Laurent polynomial built from those Euler
-characteristics.
+subrepresentation counting over prime fields, Euler characteristics of
+subrepresentation Grassmannians as counts of torus-fixed points on the
+string module's coefficient quiver (Cerulli Irelli, arXiv:0910.2592),
+counting polynomials as sums of ``q^(cell dimension)`` over the same
+fixed points, and the cluster-character Laurent polynomial built from
+those Euler characteristics.
 
 Conventions
 -----------
@@ -33,17 +33,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import (
     InputError,
-    InterpolationError,
     ResourceLimitError,
     TranslateUndefinedError,
     UnsupportedInputError,
@@ -55,34 +52,33 @@ from .lattice import (
     check_skew,
     mat_mul,
     mat_transpose,
-    p_star,
     tilde_p_star,
     vec_add,
     vec_sub,
 )
 
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97,
-)
-
-#: Cap on the number of subspaces enumerated while counting
-#: subrepresentations over one prime field (the F_p route only: Euler
-#: characteristics never enumerate subspaces); override with
-#: CLUSTERSCATTER_SUBSPACE_LIMIT.
-DEFAULT_SUBSPACE_LIMIT = 6_000_000
+#: Cap on what a counting polynomial enumerates: the subspaces counted
+#: over one prime field, and the torus-fixed points whose cells are
+#: summed (Euler characteristics enumerate neither); override with
+#: CLUSTERSCATTER_SUBSPACE_LIMIT.  Pure-Python counting over F_2 takes
+#: about 150 us per subspace.
+DEFAULT_SUBSPACE_LIMIT = 20_000
 
 
-def _subspace_limit() -> int:
+def _charge_enumeration(count: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` before enumerating ``count`` items."""
     raw = os.environ.get("CLUSTERSCATTER_SUBSPACE_LIMIT")
-    if not raw:
-        return DEFAULT_SUBSPACE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw) if raw else DEFAULT_SUBSPACE_LIMIT
     except ValueError:
         raise InputError(
             f"CLUSTERSCATTER_SUBSPACE_LIMIT={raw!r} is not an integer"
         ) from None
+    if count > limit:
+        raise ResourceLimitError(
+            f"{count} {what} exceed the configured enumeration limit {limit} "
+            "(CLUSTERSCATTER_SUBSPACE_LIMIT)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +585,12 @@ def _zero_matrix(rows: int, cols: int) -> Matrix:
     return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
 
 
-def kronecker_indecomposable(d: Sequence[int], param: int = 1) -> ExplicitRep:
+def kronecker_indecomposable(d: Sequence[int]) -> ExplicitRep:
     """Explicit indecomposable for the two-arrow quiver.
 
     Supported shapes: ``(n, n+1)`` (append a zero at the bottom resp.
     top), ``(k, k)`` (identity and a single Jordan block with eigenvalue
-    ``param``), and ``(n+1, n)`` (drop the last resp. first coordinate).
+    1), and ``(n+1, n)`` (drop the last resp. first coordinate).
     """
     d = tuple(int(x) for x in d)
     if len(d) != 2 or any(x < 0 for x in d) or d == (0, 0):
@@ -614,10 +610,7 @@ def kronecker_indecomposable(d: Sequence[int], param: int = 1) -> ExplicitRep:
         k = a
         ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         jordan = tuple(
-            tuple(
-                param if i == j else (1 if j == i + 1 else 0) for j in range(k)
-            )
-            for i in range(k)
+            tuple(int(j in (i, i + 1)) for j in range(k)) for i in range(k)
         )
         return ExplicitRep(q, 0, d, (ident, jordan))
     if a == b + 1:
@@ -754,106 +747,6 @@ def _image_rows(mat: Matrix, basis: Sequence[Sequence[int]], p: int) -> list[lis
     return out
 
 
-_NUMPY_CHUNK = 1 << 17
-
-
-def _batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of small integer matrices over ``F_p``."""
-    m = (mats % p).astype(np.int64)
-    count, rows, cols = m.shape
-    inv_table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    lead = np.zeros(count, dtype=np.int64)
-    row_idx = np.arange(rows)
-    for col in range(cols):
-        candidates = (m[:, :, col] != 0) & (row_idx[None, :] >= lead[:, None])
-        has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        idx = np.nonzero(has)[0]
-        piv = np.argmax(candidates[idx], axis=1)
-        l = lead[idx]
-        swap_a = m[idx, l, :].copy()
-        m[idx, l, :] = m[idx, piv, :]
-        m[idx, piv, :] = swap_a
-        m[idx, l, :] = (m[idx, l, :] * inv_table[m[idx, l, col]][:, None]) % p
-        below = row_idx[None, :] > l[:, None]
-        factors = m[idx, :, col] * below
-        m[idx] = (m[idx] - factors[:, :, None] * m[idx, l, None, :]) % p
-        lead[idx] += 1
-        if (lead >= rows).all():
-            break
-    return lead
-
-
-def _two_vertex_rank_histogram(rep: ExplicitRep, e1: int) -> dict[int, int]:
-    """For each source subspace of dimension ``e1``, the rank of the span
-    of its arrow images at the sink; returns rank -> multiplicity."""
-    p = rep.field
-    d1, d2 = rep.dims
-    total_cells = gaussian_binomial_int(d1, e1, p)
-    if e1 == 0:
-        return {0: 1}
-    if d2 == 0 or not rep.maps:
-        return {0: total_cells}
-    mats = [np.array(mat, dtype=np.int64) % p for mat in rep.maps]
-    hist: dict[int, int] = {}
-    for pivots in combinations(range(d1), e1):
-        free = [
-            (r, c)
-            for r in range(e1)
-            for c in range(pivots[r] + 1, d1)
-            if c not in pivots
-        ]
-        n_free = len(free)
-        cell_count = p ** n_free
-        weights = p ** np.arange(n_free, dtype=np.int64)
-        for start in range(0, cell_count, _NUMPY_CHUNK):
-            stop = min(start + _NUMPY_CHUNK, cell_count)
-            idx = np.arange(start, stop, dtype=np.int64)
-            if n_free:
-                digits = (idx[:, None] // weights[None, :]) % p
-            else:
-                digits = np.zeros((len(idx), 0), dtype=np.int64)
-            basis = np.zeros((len(idx), e1, d1), dtype=np.int64)
-            for r, col in enumerate(pivots):
-                basis[:, r, col] = 1
-            for slot, (r, c) in enumerate(free):
-                basis[:, r, c] = digits[:, slot]
-            images = np.concatenate(
-                [basis @ mat.T for mat in mats], axis=1
-            )
-            ranks = _batch_rank_mod_p(images, p)
-            values, counts = np.unique(ranks, return_counts=True)
-            for value, cnt in zip(values.tolist(), counts.tolist()):
-                hist[value] = hist.get(value, 0) + cnt
-    return hist
-
-
-@lru_cache(maxsize=None)
-def _cached_rank_histogram(rep: ExplicitRep, e1: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(_two_vertex_rank_histogram(rep, e1).items()))
-
-
-def _check_subspace_limit(q: Quiver, dims: Vec, e: Vec, p: int) -> None:
-    """Raise ``ResourceLimitError`` when counting subrepresentations of
-    dimension ``e`` over ``F_p`` would enumerate too many subspaces.
-
-    Subspaces are enumerated at every vertex with an outgoing arrow (sinks
-    are counted by a Gaussian binomial), so the work is the product of
-    those vertices' Gaussian binomials, which grows with ``p``.
-    """
-    total = 1
-    for v in range(1, q.n_vertices + 1):
-        if q.out_arrows(v):
-            total *= gaussian_binomial_int(dims[v - 1], e[v - 1], p)
-    limit = _subspace_limit()
-    if total > limit:
-        raise ResourceLimitError(
-            f"{total} subspaces over F_{p} exceed the configured enumeration "
-            f"limit {limit} (CLUSTERSCATTER_SUBSPACE_LIMIT)"
-        )
-
-
 def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     """Exact number of subrepresentations with dimension vector ``e``.
 
@@ -862,6 +755,9 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     target subspace.  Enumeration runs over reduced-echelon bases vertex
     by vertex; at sinks the count of admissible subspaces containing the
     accumulated image span is a Gaussian binomial, no enumeration needed.
+    The product of the Gaussian binomials at the other vertices, the
+    number of subspaces enumerated, is charged to the enumeration limit
+    before any is.
     """
     q = rep.quiver
     p = rep.field
@@ -872,20 +768,14 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
         raise InputError("dimension vector length must match the quiver")
     if any(x < 0 or x > dx for x, dx in zip(e, rep.dims)):
         return 0
-    _check_subspace_limit(q, rep.dims, e, p)
-    if q.n_vertices == 2 and all(a == (1, 2) for a in q.arrows):
-        hist = dict(_cached_rank_histogram(rep, e[0]))
-        return sum(
-            mult * gaussian_binomial_int(rep.dims[1] - rank, e[1] - rank, p)
-            for rank, mult in hist.items()
-        )
-    return _subrep_count_general(rep, e, p)
-
-
-def _subrep_count_general(rep: ExplicitRep, e: Vec, p: int) -> int:
-    q = rep.quiver
     n = q.n_vertices
     is_sink = [not q.out_arrows(v) for v in range(1, n + 1)]
+    enumerated = (
+        gaussian_binomial_int(rep.dims[v], e[v], p)
+        for v in range(n)
+        if not is_sink[v]
+    )
+    _charge_enumeration(prod(enumerated), f"subspaces over F_{p}")
     arrow_mats = dict(zip(range(len(q.arrows)), rep.maps))
     bases: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -921,103 +811,22 @@ def _subrep_count_general(rep: ExplicitRep, e: Vec, p: int) -> int:
 # Euler characteristics and the cluster character
 
 
-def _solve_fraction_system(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    n = len(rows)
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise InterpolationError("singular interpolation system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = Fraction(1, 1) / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]
+def _string(q: Quiver, d: Vec) -> list[tuple[int, int, int]]:
+    """The coefficient quiver of the model of ``d``, walked from one end.
 
-
-def grassmannian_counting_polynomial(
-    q: Quiver, d: Sequence[int], e: Sequence[int]
-) -> tuple[int, ...]:
-    """Coefficients (low degree first) of the subrepresentation count.
-
-    Counts points over enough primes to pin down a palindromic polynomial
-    whose degree is the expected Grassmannian dimension, then checks the
-    fit at one further prime.  Inconsistent counts raise
-    ``InterpolationError`` ("polynomial-count violated").  The subspace
-    limit is checked at the largest prime before any prime is counted.
-    """
-    d = tuple(int(x) for x in d)
-    e = tuple(int(x) for x in e)
-    if len(e) != len(d) or any(x < 0 or x > dx for x, dx in zip(e, d)):
-        raise InputError("need 0 <= e <= d componentwise")
-    model = indecomposable_rep(q, d)
-    deg = max(0, euler_form(q, e, vec_sub(d, e)))
-    unknowns = deg // 2 + 1
-    primes = _PRIMES[: unknowns + 1]
-    # The largest prime enumerates the most subspaces: check it first.
-    _check_subspace_limit(q, d, e, primes[-1])
-    counts = [subrep_count(rep_mod_p(model, p), e) for p in primes]
-    basis_exponents = [
-        (i,) if 2 * i == deg else (i, deg - i) for i in range(unknowns)
-    ]
-    rows = [
-        [
-            Fraction(sum(p ** exp for exp in exps))
-            for exps in basis_exponents
-        ]
-        for p in primes[:unknowns]
-    ]
-    rhs = [Fraction(c) for c in counts[:unknowns]]
-    solution = _solve_fraction_system(rows, rhs)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for value, exps in zip(solution, basis_exponents):
-        for exp in exps:
-            coeffs[exp] = value
-    for coeff in coeffs:
-        if coeff.denominator != 1 or coeff < 0:
-            raise InterpolationError(
-                f"polynomial-count violated: non-integral or negative "
-                f"coefficient {coeff} for d={d}, e={e}"
-            )
-    for p, count in zip(primes[unknowns:], counts[unknowns:]):
-        predicted = sum(int(c) * p ** i for i, c in enumerate(coeffs))
-        if predicted != count:
-            raise InterpolationError(
-                f"polynomial-count violated: fit predicts {predicted} points "
-                f"over F_{p} but counted {count} for d={d}, e={e}"
-            )
-    return tuple(int(c) for c in coeffs)
-
-
-@lru_cache(maxsize=128)
-def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
-    """Euler characteristics of every ``Gr_e`` of the string module ``d``.
-
-    Returns ``{e: chi(Gr_e)}`` for every ``e`` with ``chi > 0``.  The
-    coefficient quiver of ``indecomposable_rep(q, d)`` has one node per
-    basis vector and an edge ``x -> y`` for every entry 1 of an arrow
-    matrix (column ``x`` at the source, row ``y`` at the target).  When it
-    is a path, the torus-fixed subrepresentations are the successor-closed
-    node sets (``x`` in ``S`` and ``x -> y`` imply ``y`` in ``S``), so the
-    Euler characteristic is the number of such sets with dimension vector
-    ``e`` (Cerulli Irelli, arXiv:0910.2592).  The square Kronecker model
-    ``(I, J_k(1))`` has the same subrepresentations as ``(I, J_k(1) - I)``,
-    whose coefficient quiver is a path.  Anything that is not a path with
-    0/1 entries raises ``UnsupportedInputError``.
-
-    One walk along the path yields the whole table: it keeps the number
-    of partial sets for each (previous node in ``S``, dimension vector so
-    far), and the final dimension vectors are the ``e``.  The table is
-    cached per ``(q, d)`` and read-only, so the Euler characteristics of
-    one module cost one walk whichever ``e`` a caller asks for.
+    The coefficient quiver of ``indecomposable_rep(q, d)`` has one node
+    per basis vector and an edge ``x -> y`` for every entry 1 of an arrow
+    matrix (column ``x`` at the source, row ``y`` at the target).  The
+    square Kronecker model ``(I, J_k(1))`` has the same subrepresentations
+    as ``(I, J_k(1) - I)``, whose coefficient quiver is a path, so that
+    model is used.  Returns one ``(vertex, orientation, arrow)`` per node
+    in path order: the 0-based vertex, +1 when the edge from the previous
+    node points here and -1 when it points back (0 at the start), and the
+    index of that edge's arrow in ``q.arrows`` (0 at the start).  Anything
+    that is not a path with 0/1 entries raises ``UnsupportedInputError``.
     """
     if sum(d) == 1:  # a simple module is one node on any quiver
-        return MappingProxyType({(0,) * len(d): 1, d: 1})
+        return [(d.index(1), 0, 0)]
     maps = list(indecomposable_rep(q, d).maps)
     if _kronecker_width(q) == 2 and d[0] == d[1]:
         first, second = maps
@@ -1025,12 +834,12 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
             tuple(y - x for x, y in zip(row1, row2))
             for row1, row2 in zip(first, second)
         )
-    # node -> [(neighbour, True when the edge points at the neighbour)]
-    links: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {
+    # node -> [(neighbour, True when the edge points at the neighbour, arrow)]
+    links: dict[tuple[int, int], list[tuple[tuple[int, int], bool, int]]] = {
         (v, i): [] for v in range(q.n_vertices) for i in range(d[v])
     }
     n_edges = 0
-    for (s, t), mat in zip(q.arrows, maps):
+    for arrow, ((s, t), mat) in enumerate(zip(q.arrows, maps)):
         for i, row in enumerate(mat):
             for j, entry in enumerate(row):
                 if entry not in (0, 1):
@@ -1038,8 +847,8 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
                         f"the model of {d} has a matrix entry {entry}, not 0 or 1"
                     )
                 if entry:
-                    links[(s - 1, j)].append(((t - 1, i), True))
-                    links[(t - 1, i)].append(((s - 1, j), False))
+                    links[(s - 1, j)].append(((t - 1, i), True, arrow))
+                    links[(t - 1, i)].append(((s - 1, j), False, arrow))
                     n_edges += 1
     not_a_string = UnsupportedInputError(
         f"the coefficient quiver of the model of {d} is not a path"
@@ -1047,9 +856,7 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
     ends = [x for x, nbrs in links.items() if len(nbrs) <= 1]
     if n_edges != len(links) - 1 or not ends:
         raise not_a_string
-    # (vertex, orientation) along the path: +1 when the edge from the
-    # previous node points here, -1 when it points back, 0 at the start.
-    walk = [(ends[0][0], 0)]
+    walk = [(ends[0][0], 0, 0)]
     prev, node = None, ends[0]
     while True:
         ahead = [link for link in links[node] if link[0] != prev]
@@ -1057,18 +864,36 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
             raise not_a_string
         if not ahead:
             break
-        prev, (node, points_here) = node, ahead[0]
-        walk.append((node[0], 1 if points_here else -1))
+        prev, (node, points_here, arrow) = node, ahead[0]
+        walk.append((node[0], 1 if points_here else -1, arrow))
     if len(walk) != len(links):
         raise not_a_string
+    return walk
+
+
+@lru_cache(maxsize=128)
+def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
+    """Euler characteristics of every ``Gr_e`` of the string module ``d``.
+
+    Returns ``{e: chi(Gr_e)}`` for every ``e`` with ``chi > 0``.  On the
+    path that :func:`_string` walks, the torus-fixed subrepresentations
+    are the successor-closed node sets (``x`` in ``S`` and ``x -> y``
+    imply ``y`` in ``S``), so the Euler characteristic is the number of
+    such sets with dimension vector ``e`` (Cerulli Irelli,
+    arXiv:0910.2592).
+
+    One walk along the path yields the whole table: it keeps the number
+    of partial sets for each (previous node in ``S``, dimension vector so
+    far), and the final dimension vectors are the ``e``.  The table is
+    cached per ``(q, d)`` and read-only, so the Euler characteristics of
+    one module cost one walk whichever ``e`` a caller asks for.
+    """
     states = {(False, (0,) * len(d)): 1}
-    for v, orientation in walk:
+    for v, orientation, _ in _string(q, d):
         nxt: dict[tuple[bool, Vec], int] = {}
         for (prev_in, dims), count in states.items():
             for take in (False, True):
-                if orientation == 1 and prev_in and not take:
-                    continue
-                if orientation == -1 and take and not prev_in:
+                if not _keeps_closed(orientation, prev_in, take):
                     continue
                 if take:
                     key = (True, dims[:v] + (dims[v] + 1,) + dims[v + 1 :])
@@ -1080,6 +905,121 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
     for (_, dims), count in states.items():
         table[dims] = table.get(dims, 0) + count
     return MappingProxyType(table)
+
+
+def _keeps_closed(orientation: int, prev_in: bool, take: bool) -> bool:
+    """Whether taking the node (or not) keeps the set successor-closed
+    across the edge to the previous node on the walk."""
+    if orientation == 1:  # previous -> node
+        return take or not prev_in
+    if orientation == -1:  # node -> previous
+        return prev_in or not take
+    return True
+
+
+def _fixed_points(walk: list[tuple[int, int, int]], e: Vec) -> Iterator[int]:
+    """The successor-closed node sets of the walk with dimension vector
+    ``e``, as bit masks over the path positions.
+
+    A backward pass finds the states (node ``i - 1`` taken, nodes still
+    needed at each vertex) from which positions ``i..`` can complete a
+    set, so the forward enumeration never enters a dead branch.
+    """
+    n = len(walk)
+    zero = (0,) * len(e)
+    live = [set() for _ in range(n)] + [{(False, zero), (True, zero)}]
+    for i in range(n - 1, -1, -1):
+        v, orientation, _ = walk[i]
+        for taken, after in live[i + 1]:
+            if after[v] + taken <= e[v]:
+                need = after[:v] + (after[v] + taken,) + after[v + 1 :]
+                for prev_in in (False, True):
+                    if _keeps_closed(orientation, prev_in, taken):
+                        live[i].add((prev_in, need))
+    stack = [(0, 0, e)] if (False, e) in live[0] else []
+    while stack:
+        i, mask, need = stack.pop()
+        if i == n:
+            yield mask
+            continue
+        v, orientation, _ = walk[i]
+        prev_in = i > 0 and bool(mask >> (i - 1) & 1)
+        for take in (False, True):
+            rest = need[:v] + (need[v] - take,) + need[v + 1 :]
+            if _keeps_closed(orientation, prev_in, take) and (take, rest) in live[i + 1]:
+                stack.append((i + 1, mask | take << i, rest))
+
+
+def _rank_over_q(rows: list[dict[int, int]]) -> int:
+    """Exact rank over Q of sparse integer rows ``{column: coefficient}``,
+    by fraction-free elimination that divides out each row's gcd."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            col = min(row)
+            pivot = pivots.setdefault(col, row)
+            if pivot is row:
+                break
+            a, b = pivot[col], row[col]
+            row = {c: a * row.get(c, 0) - b * pivot.get(c, 0) for c in row | pivot}
+            g = gcd(*row.values()) or 1
+            row = {c: x // g for c, x in row.items() if x}
+    return len(pivots)
+
+
+def _cell_dimensions(
+    q: Quiver, walk: list[tuple[int, int, int]], masks: Iterator[int]
+) -> Iterator[int]:
+    """Dimension of the Bialynicki-Birula cell of each fixed point ``U``
+    (a node set given as a bit mask): the positive-weight part of the
+    tangent space ``Hom_Q(U, M/U)``.
+
+    A node's weight is the signed sum of the arrow indices along the path
+    to it, so the arrow with index ``a`` has degree ``a``.  A hom of
+    degree ``lam`` sends a node ``x`` of ``U`` to nodes ``y`` outside it
+    at the same vertex with ``w(y) - w(x) = lam``.  Its coefficients
+    ``phi(y, x)`` commute with every arrow ``a``: for ``x`` in ``U`` at
+    the source and ``z`` outside at the target, the sum of
+    ``phi(z, x')`` over ``x -a-> x'`` equals the sum of ``phi(y, x)``
+    over ``y -a-> z`` with ``y`` outside ``U``; both sides have degree
+    ``w(z) - w(x) - a``.  The dimension is the number of unknowns of
+    positive degree minus the exact rank of their equations.
+    """
+    n = len(walk)
+    weight = [0] * n
+    succ: dict[tuple[int, int], list[int]] = {}
+    pred: dict[tuple[int, int], list[int]] = {}
+    for node, (_, orientation, arrow) in enumerate(walk[1:], start=1):
+        weight[node] = weight[node - 1] + orientation * arrow
+        source, target = (node - 1, node) if orientation == 1 else (node, node - 1)
+        succ.setdefault((arrow, source), []).append(target)
+        pred.setdefault((arrow, target), []).append(source)
+    for mask in masks:
+        within = [[] for _ in range(q.n_vertices)]
+        outside = [[] for _ in range(q.n_vertices)]
+        for node, (v, _, _) in enumerate(walk):
+            (within if mask >> node & 1 else outside)[v].append(node)
+        unknowns = sum(
+            weight[y] > weight[x]
+            for v in range(q.n_vertices)
+            for x in within[v]
+            for y in outside[v]
+        )
+        rows = []
+        for arrow, (s, t) in enumerate(q.arrows):
+            for x in within[s - 1]:
+                for z in outside[t - 1]:
+                    if weight[z] - weight[x] - arrow <= 0:
+                        continue
+                    row: dict[int, int] = {}  # phi(y, x) is column y * n + x
+                    for x2 in succ.get((arrow, x), ()):
+                        row[z * n + x2] = row.get(z * n + x2, 0) + 1
+                    for y in pred.get((arrow, z), ()):
+                        if not mask >> y & 1:
+                            row[y * n + x] = row.get(y * n + x, 0) - 1
+                    rows.append(row)
+        yield unknowns - _rank_over_q(rows)
 
 
 def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
@@ -1099,37 +1039,58 @@ def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> in
     return _fixed_point_euler_chars(q, d).get(e, 0)
 
 
-def caldero_chapoton(
-    q: Quiver, d: Sequence[int], with_principal: bool = True
-) -> LaurentPoly:
+def grassmannian_counting_polynomial(
+    q: Quiver, d: Sequence[int], e: Sequence[int]
+) -> tuple[int, ...]:
+    """Coefficients (low degree first) of the counting polynomial of
+    ``Gr_e`` of the string module ``indecomposable_rep(q, d)``.
+
+    The sum of ``q^dim cell(U)`` over the torus-fixed points ``U`` (the
+    successor-closed node sets of :func:`_string` with dimension vector
+    ``e``), each cell being the positive-weight part of its tangent space
+    (:func:`_cell_dimensions`) under the torus that gives a node the signed
+    sum of the arrow indices along the path to it (Cerulli Irelli-
+    Esposito-Franzen-Reineke, cell decompositions of quiver
+    Grassmannians).  For a rigid ``d`` the Grassmannian is smooth and
+    Bialynicki-Birula gives the count.  For a square Kronecker ``d`` some
+    fixed points are singular and the theorem does not apply; there the
+    cells are verified by tests against counts over finite fields, not
+    proven.  The tuple has length at
+    least ``max(0, <e, d - e>) + 1``.  The number of fixed points, which
+    is the Euler characteristic, is checked against
+    ``CLUSTERSCATTER_SUBSPACE_LIMIT`` before any is enumerated.
+    """
+    d, e = dim_vector(q, d), tuple(int(x) for x in e)
+    _charge_enumeration(grassmannian_euler_char(q, d, e), "torus-fixed points")
+    walk = _string(q, d)
+    coeffs = [0] * (max(0, euler_form(q, e, vec_sub(d, e))) + 1)
+    for k in _cell_dimensions(q, walk, _fixed_points(walk, e)):
+        coeffs.extend([0] * (k + 1 - len(coeffs)))
+        coeffs[k] += 1
+    return tuple(coeffs)
+
+
+def caldero_chapoton(q: Quiver, d: Sequence[int]) -> LaurentPoly:
     """Cluster-character Laurent polynomial of the indecomposable ``d``.
 
     The one chi-sum of the package: over the table of Euler
     characteristics of subrepresentation Grassmannians that one walk
     along the string yields (see :func:`_fixed_point_euler_chars`), the
     skew-form monomial of each subdimension vector, shifted by the
-    weight covector.  With ``with_principal`` the exponents live in the
-    doubled lattice (coefficient variables appended); otherwise in the
-    base lattice alone.
+    weight covector.  The exponents live in the doubled lattice
+    (coefficient variables appended).
     """
     d = dim_vector(q, d)
     n = q.n_vertices
     eps = quiver_to_skew(q)
     if all(x == 0 for x in d):
-        width = 2 * n if with_principal else n
-        return LaurentPoly.one(width)
+        return LaurentPoly.one(2 * n)
     classify_indecomposable(q, d)  # rejects d that are not indecomposable
     gvec = g_map(q, d)
-    if with_principal:
-        shift = tuple(-x for x in gvec) + (0,) * n
-    else:
-        shift = tuple(-x for x in gvec)
+    shift = tuple(-x for x in gvec) + (0,) * n
     terms: dict[Vec, int] = {}
     for e, chi in _fixed_point_euler_chars(q, d).items():
-        if with_principal:
-            expo = vec_add(shift, tilde_p_star(eps, e + (0,) * n))
-        else:
-            expo = vec_add(shift, p_star(eps, e))
+        expo = vec_add(shift, tilde_p_star(eps, e + (0,) * n))
         terms[expo] = terms.get(expo, 0) + chi
     return LaurentPoly(terms)
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import fp_oracle
 from test_hall import brute_gl_order
 from test_scattering import _as_wall, positive_crossing_pairs
 
@@ -39,7 +40,6 @@ from clusterscatter.quiver import (
     path_quiver,
     quiver_to_skew,
     rep_mod_p,
-    subrep_count,
 )
 from clusterscatter.scattering import (
     CrossingPath,
@@ -114,7 +114,7 @@ def test_criterion_5_grassmannian_18_and_strata_10_8():
     assert sum(counting) == 18
     rep = kronecker_indecomposable((5, 6))
     for p in (2, 3, 5, 7, 11):
-        direct = subrep_count(rep_mod_p(rep, p), (2, 4))
+        direct = fp_oracle.subrep_count(rep_mod_p(rep, p), (2, 4))
         assert direct == sum(c * p**i for i, c in enumerate(counting))
     diagram = completed(2, 6)
     lines = enumerate_broken_lines(

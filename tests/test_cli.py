@@ -1,12 +1,17 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import clusterscatter
+import fp_oracle
 from clusterscatter import cli as cli_mod
 from clusterscatter import lattice
 from clusterscatter.brokenlines import enumerate_broken_lines
@@ -30,6 +35,7 @@ from clusterscatter.cluster import (
     rank2_exchange,
 )
 from clusterscatter.errors import InputError
+from clusterscatter.hall import qbinom
 from clusterscatter.quiver import (
     caldero_chapoton,
     kronecker_quiver,
@@ -184,6 +190,40 @@ class TestGrassCommand:
         assert "polynomial-count violated" in err
         assert "19" in err and "18" in err
 
+    def test_json_checks_the_polynomial_at_two(self, cli, monkeypatch):
+        # the right value 18 at q = 1, but 277 at q = 2 where F_2 has 245
+        monkeypatch.setattr(
+            cli_mod, "grassmannian_counting_polynomial",
+            lambda q, d, e: (1, 2, 4, 4, 4, 1, 2),
+        )
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "5,6",
+                             "--e", "2,4", "--json")
+        assert (code, out) == (2, "")
+        assert "polynomial-count violated" in err and "q=2" in err
+        assert "277" in err and "245" in err
+        assert err.count("\n") == 1
+
+    def test_json_past_the_old_fit(self, cli):
+        # Gr_(0,7) of (14, 15) is the Grassmannian of 7-planes in 15-space
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "14,15",
+                             "--e", "0,7", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["euler_characteristic"] == 6435
+        want = qbinom(15, 7)
+        assert doc["counting_polynomial"] == [
+            want.coefficient((k,)) for k in range(7 * 8 + 1)
+        ]
+
+    def test_json_fixed_point_ceiling_exit_three(self, cli, monkeypatch):
+        # one subspace over F_2 (e1 = 0) but 6435 fixed points
+        monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1000")
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "14,15",
+                             "--e", "0,7", "--json")
+        assert (code, out) == (3, "")
+        assert "6435 torus-fixed points" in err
+        assert "limit 1000 (CLUSTERSCATTER_SUBSPACE_LIMIT)" in err
+
 
 class TestCcCommand:
     def test_seven_six_equals_cluster_variable(self, cli):
@@ -226,6 +266,18 @@ class TestThetaCommand:
         assert code == 2
         assert out == ""
         assert "wall" in err and "jumps" in err
+
+    def test_horizontal_wall_perturbed_vertically(self, cli):
+        # (1,0) lies on the wall with normal (0,1): the limits are taken
+        # above and below it, not along it
+        code, out, err = cli("theta", "--b", "1", "--m", "1,-1,0,0",
+                             "--endpoint", "1,0", "--order", "6")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: endpoint (1,0) lies on a wall and the theta function "
+            "jumps across it; pick an endpoint off the walls (e.g. "
+            "(1,1/9973))\n"
+        )
 
     def test_line_through_the_origin_note(self, cli):
         # (2,1) is on no wall; a broken line to it passes through the origin
@@ -368,6 +420,22 @@ class TestStrataCommand:
         two_step = doc["lines"][1]
         assert two_step["hn"]["decreasing"] is True
         assert two_step["hn"]["values"] == [["8", "7"], ["2", "1"]]
+
+    def test_whole_polynomials_compared(self, cli, monkeypatch):
+        # sum 18 as before, but not the sum of the strata polynomials
+        monkeypatch.setattr(
+            cli_mod, "grassmannian_counting_polynomial",
+            lambda q, d, e: (1, 2, 4, 4, 4, 1, 2),
+        )
+        args = ("strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
+                "--endpoint", "2,1")
+        code, out, _ = cli(*args)
+        assert code == 0
+        assert out == STRATA_TEXT.replace("agreement: yes", "agreement: NO")
+        code, out, _ = cli(*args, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["match"] is False and doc["total"] == 18
 
     def test_regular_dimension_vector_rejected(self, cli):
         code, out, err = cli("strata", "--quiver", "kronecker2", "--D", "3,3",
@@ -746,6 +814,20 @@ class TestRunApi:
         assert run(job) == "18\n"
 
 
+def test_cli_import_leaves_numpy_out():
+    # numpy is a test dependency only; every command pays for its imports
+    src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clusterscatter.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.skipif(
     shutil.which("clusterscatter") is None,
     reason="console script not installed",
@@ -760,3 +842,28 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "18\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strata_sum_to_the_counting_polynomial_over_f_p(cli, n):
+    # The q-level two-route check: over every e where strata returns at
+    # (2,1), the strata q-polynomials add up to the polynomial fitted to
+    # counts over F_p.
+    returned = 0
+    for d in ((n, n + 1), (n + 1, n)):
+        for e in product(range(d[0] + 1), range(d[1] + 1)):
+            code, out, _ = cli("strata", "--quiver", "kronecker2",
+                               "--D", f"{d[0]},{d[1]}", "--e", f"{e[0]},{e[1]}",
+                               "--endpoint", "2,1", "--json")
+            if code:
+                continue
+            returned += 1
+            total = {}
+            for line in json.loads(out)["lines"]:
+                for k, c in line["poincare"].items():
+                    total[int(k)] = total.get(int(k), 0) + c
+            want = fp_oracle.grassmannian_counting_polynomial(kronecker_quiver(2), d, e)
+            assert {k: c for k, c in total.items() if c} == {
+                k: c for k, c in enumerate(want) if c
+            }, (d, e)
+    assert returned >= 2 * n * (n + 1)

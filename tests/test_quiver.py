@@ -47,8 +47,9 @@ from clusterscatter.quiver import (
     quiver_to_skew,
     rep_mod_p,
     subrep_count,
-    _subrep_count_general,
 )
+
+import fp_oracle
 
 K2 = kronecker_quiver(2)
 A2 = path_quiver(2)
@@ -327,8 +328,6 @@ def test_kronecker_indecomposable_matrices():
     rep = kronecker_indecomposable((1, 2))
     assert rep.maps[0] == ((1,), (0,))
     assert rep.maps[1] == ((0,), (1,))
-    rep = kronecker_indecomposable((1, 1), param=4)
-    assert rep.maps == (((1,),), ((4,),))
     rep = kronecker_indecomposable((2, 1))
     assert rep.maps[0] == ((1, 0),)
     assert rep.maps[1] == ((0, 1),)
@@ -382,8 +381,9 @@ def test_subrep_count_matches_naive_path(p, e):
 @pytest.mark.parametrize("p", [2, 5])
 @pytest.mark.parametrize("e", [(1, 1), (1, 2), (2, 2), (2, 3)])
 def test_two_vertex_fast_path_matches_general(p, e):
+    # the oracle's rank histogram against the package's vertex-by-vertex count
     rep = rep_mod_p(kronecker_indecomposable((2, 3)), p)
-    assert subrep_count(rep, e) == _subrep_count_general(rep, e, p)
+    assert fp_oracle.subrep_count(rep, e) == subrep_count(rep, e)
 
 
 def test_counting_polynomial_fits_across_primes():
@@ -423,13 +423,13 @@ KRONECKER_DIMS = [
 
 @pytest.mark.parametrize("d", KRONECKER_DIMS)
 def test_fixed_point_chi_matches_counting_polynomial_kronecker(d):
-    # Fixed points of the torus against points over F_p, regular (k, k)
-    # included: every subdimension vector of every indecomposable up to
-    # total dimension 9.
+    # Cells of the torus-fixed points against points over F_p, regular
+    # (k, k) included: every subdimension vector of every indecomposable
+    # up to total dimension 9.
     for e in product(range(d[0] + 1), range(d[1] + 1)):
-        assert grassmannian_euler_char(K2, d, e) == sum(
-            grassmannian_counting_polynomial(K2, d, e)
-        ), e
+        want = fp_oracle.grassmannian_counting_polynomial(K2, d, e)
+        assert grassmannian_counting_polynomial(K2, d, e) == want, e
+        assert grassmannian_euler_char(K2, d, e) == sum(want), e
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -439,9 +439,10 @@ def test_fixed_point_chi_matches_counting_polynomial_intervals(n):
         for hi in range(lo, n):
             d = tuple(int(lo <= i <= hi) for i in range(n))
             for e in product(*(range(x + 1) for x in d)):
-                assert grassmannian_euler_char(quiver, d, e) == sum(
-                    grassmannian_counting_polynomial(quiver, d, e)
-                ), (d, e)
+                want = fp_oracle.grassmannian_counting_polynomial(quiver, d, e)
+                got = grassmannian_counting_polynomial(quiver, d, e)
+                assert got == want, (d, e)
+                assert grassmannian_euler_char(quiver, d, e) == sum(want), (d, e)
 
 
 def zigzag_chi(n: int, e1: int, e2: int) -> int:
@@ -520,21 +521,48 @@ def test_dimension_vectors_checked_at_the_boundary(call):
 
 
 def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
-    # D = (6, 5), e = (3, 4) is counted over F_2 .. F_11; a ceiling that
-    # F_2 (1395 subspaces) passes but F_11 does not must stop the count
-    # before any prime is counted.
+    # D = (6, 5), e = (3, 4) enumerates the 1395 subspaces of dimension 3
+    # of F_2^6; a ceiling of 1000 must stop the count before any of them.
     calls = []
-    original = quiver_mod.subrep_count
+    original = quiver_mod._subspaces_containing
 
-    def counting(rep, e):
-        calls.append(rep.field)
-        return original(rep, e)
+    def enumerating(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(quiver_mod, "subrep_count", counting)
-    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2000")
-    with pytest.raises(ResourceLimitError, match="F_11"):
-        grassmannian_counting_polynomial(K2, (6, 5), (3, 4))
+    monkeypatch.setattr(quiver_mod, "_subspaces_containing", enumerating)
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1000")
+    rep = rep_mod_p(indecomposable_rep(K2, (6, 5)), 2)
+    with pytest.raises(ResourceLimitError, match="1395 subspaces over F_2"):
+        subrep_count(rep, (3, 4))
     assert calls == []
+
+
+def test_counting_polynomial_checks_limit_before_enumerating(monkeypatch):
+    # chi(Gr_(0,7)) of (14, 15) is 6435 fixed points, over a ceiling of 1000
+    calls = []
+    original = quiver_mod._fixed_points
+
+    def enumerating(walk, e):
+        calls.append(e)
+        return original(walk, e)
+
+    monkeypatch.setattr(quiver_mod, "_fixed_points", enumerating)
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1000")
+    with pytest.raises(ResourceLimitError, match="6435 torus-fixed points"):
+        grassmannian_counting_polynomial(K2, (14, 15), (0, 7))
+    assert calls == []
+
+
+def test_square_counting_polynomial_matches_small_fields():
+    # (5, 5) is regular, so Bialynicki-Birula does not cover its singular
+    # fixed points: the cells are checked against counts over F_2 and F_3.
+    model = indecomposable_rep(K2, (5, 5))
+    for e in product(range(6), repeat=2):
+        coeffs = grassmannian_counting_polynomial(K2, (5, 5), e)
+        for p in (2, 3):
+            count = subrep_count(rep_mod_p(model, p), e)
+            assert sum(c * p**k for k, c in enumerate(coeffs)) == count, (e, p)
 
 
 def test_caldero_chapoton_regular_one_one():
@@ -568,8 +596,3 @@ def test_caldero_chapoton_of_wild_simples(b):
     for k, d in ((1, (1, 0)), (2, (0, 1))):
         got = caldero_chapoton(kronecker_quiver(b), d)
         assert got == cluster_variable(seed, (k,), k)
-
-
-def test_caldero_chapoton_without_principal():
-    got = caldero_chapoton(K2, (1, 1), with_principal=False)
-    assert got == LaurentPoly({(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
