@@ -32,15 +32,30 @@ every transversal crossing.  Bending means keeping the ``j``-th power
 term: the exponent shifts by ``j`` times the wall's step vector
 ``(p*(d), d)`` and the coefficient multiplies by that term's series
 coefficient.
+
+The search runs in exact integer arithmetic: points are homogeneous
+integer coordinates ``(X, Y, D)`` with ``D > 0``, velocities are integer
+vectors, and each crossing is decided by integer cross and dot products.
+Bend points become ``Fraction`` pairs only when a finished line is
+assembled.  Validation (:func:`validate_broken_line`) and the endpoint
+check keep rational geometry, so they re-check the integer search by a
+second route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Sequence
 
-from .errors import GenericPositionError, InputError, UnsupportedInputError
+from .errors import (
+    DegenerateBrokenLineError,
+    GenericPositionError,
+    InputError,
+    UnsupportedInputError,
+)
 from .lattice import (
     LaurentPoly,
     dual_pair,
@@ -62,12 +77,14 @@ from .scattering import (
 
 Vec = tuple[int, ...]
 Point = tuple[Fraction, Fraction]
+HPoint = tuple[int, int, int]
 
 VIEWS = ("m", "n")
 
 
 # ---------------------------------------------------------------------------
-# 2D exact geometry helpers (rational coordinates)
+# 2D exact geometry helpers (rational coordinates: validation and the
+# endpoint check; the search uses homogeneous integer coordinates)
 
 
 def _as_point(raw: Sequence) -> Point:
@@ -117,9 +134,9 @@ def resolve_view(diagram: ScatteringDiagram, m0: Sequence[int], view: str = "aut
     return view
 
 
-def _velocity(expo: Vec, view: str, n: int) -> Point:
+def _velocity(expo: Vec, view: str, n: int) -> Vec:
     part = expo[:n] if view == "m" else expo[n:]
-    return (Fraction(-part[0]), Fraction(-part[1]))
+    return (-part[0], -part[1])
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +179,50 @@ def ensure_generic_view(diagram: ScatteringDiagram, pt: Point, view: str) -> Non
             )
 
 
+# Crossings of one scan share D, so their ray parameters s = c / (D * denom)
+# compare as the integer pairs (|c|, |denom|), by cross-multiplying.
+_NEAREST_FIRST = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def _backward_crossings(
-    point: Point, velocity: Point, traces: Sequence[_Trace]
-) -> list[tuple[Fraction, _Trace, Point]]:
+    point: HPoint, velocity: Vec, traces: Sequence[_Trace]
+) -> list[tuple[_Trace, HPoint]]:
     """Wall crossings of the backward ray ``{point - s*velocity : s > 0}``.
 
+    ``point`` is ``(X, Y, D)`` with ``D > 0``, standing for ``(X/D, Y/D)``,
+    and each crossing's bend point comes in the same reduced form.
     Returned nearest-first.  Raises when the ray runs inside a support
     line or passes through the origin, both of which make the broken
     line degenerate.
     """
-    found: list[tuple[Fraction, _Trace, Point]] = []
+    X, Y, D = point
+    vx, vy = velocity
+    found: list[tuple[int, int, _Trace, HPoint]] = []
     for trace in traces:
-        d = trace.direction
-        denom = _fcross(d, velocity)
+        d0, d1 = trace.direction
+        denom = d0 * vy - d1 * vx
+        c = d0 * Y - d1 * X
         if denom == 0:
-            if _fcross(d, point) == 0:
-                raise GenericPositionError(
-                    f"a segment runs along the support line of the wall with "
-                    f"normal {trace.wall.normal}; perturb the endpoint"
+            if c == 0:
+                raise DegenerateBrokenLineError(
+                    "runs along the support line of the wall with normal "
+                    f"{vec_str(trace.wall.normal)}"
                 )
             continue
-        s = _fcross(d, point) / denom
-        if s <= 0:
+        # s = c / (D * denom) must be positive
+        if c * denom <= 0:
             continue
-        x = (point[0] - s * velocity[0], point[1] - s * velocity[1])
-        if x == _ORIGIN:
-            raise GenericPositionError(
-                "a segment passes through the origin; perturb the endpoint"
-            )
-        if trace.kind == "ray" and _fdot(d, x) < 0:
+        x, y, w = X * denom - c * vx, Y * denom - c * vy, D * denom
+        if x == 0 and y == 0:
+            raise DegenerateBrokenLineError("passes through the origin")
+        if w < 0:
+            x, y, w = -x, -y, -w
+        if trace.kind == "ray" and d0 * x + d1 * y < 0:
             continue
-        found.append((s, trace, x))
-    found.sort(key=lambda item: item[0])
-    return found
+        g = gcd(x, y, w)
+        found.append((abs(c), abs(denom), trace, (x // g, y // g, w // g)))
+    found.sort(key=_NEAREST_FIRST)
+    return [(trace, x) for _, _, trace, x in found]
 
 
 # ---------------------------------------------------------------------------
@@ -265,36 +293,42 @@ class _Engine:
     def __init__(self, diagram: ScatteringDiagram, view: str):
         if diagram.rank != 2:
             raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
-        self.diagram = diagram
         self.view = view
         self.n = diagram.rank
-        self.eps = diagram.seed.exchange_block()
         self.traces = [_wall_trace(w, view) for w in diagram.walls]
+        # The exponent is linear in c: keep the images of the unit vectors.
+        eps = diagram.seed.exchange_block()
+        self.steps = tuple(
+            tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0))
+        )
 
     def exponent(self, m0: Vec, c: Vec) -> Vec:
-        return vec_add(m0, tilde_p_star(self.eps, c + (0,) * self.n))
+        (c1, c2), (s1, s2) = c, self.steps
+        return tuple(m + c1 * a + c2 * b for m, a, b in zip(m0, s1, s2))
 
     def bend_factor(self, wall: Wall, power: int, j: int) -> int:
         """Coefficient of the ``j``-th step term in ``wall.func ** power``."""
         return (wall.func ** power).coefficient(j)
 
     def search(self, m0: Vec, endpoint: Point, c_final: Vec) -> list[BrokenLine]:
+        den = lcm(*(t.denominator for t in endpoint))
+        x, y = (t.numerator * (den // t.denominator) for t in endpoint)
         out: list[BrokenLine] = []
-        self._descend(m0, c_final, endpoint, [], out, endpoint)
+        self._descend(m0, c_final, (x, y, den), [], out, endpoint)
         return out
 
     def _descend(
         self,
         m0: Vec,
         c_cur: Vec,
-        point: Point,
-        rev_bends: list[tuple[Wall, Point, int, int]],
+        point: HPoint,
+        rev_bends: list[tuple[Wall, HPoint, int, int]],
         out: list[BrokenLine],
         endpoint: Point,
     ) -> None:
         expo = self.exponent(m0, c_cur)
         vel = _velocity(expo, self.view, self.n)
-        if vel == _ORIGIN:
+        if vel == (0, 0):
             return
         # The scan also polices degeneracies (origin passage, running
         # inside a support line), so it runs even for the bend-free
@@ -303,36 +337,40 @@ class _Engine:
         if all(x == 0 for x in c_cur):
             out.append(self._assemble(m0, endpoint, rev_bends))
             return
-        for _, trace, x in crossings:
-            normal = trace.wall.normal
+        c1, c2 = c_cur
+        for trace, x in crossings:
+            n1, n2 = trace.wall.normal
+            # The pairing is the same before the bend: a bend adds
+            # multiples of p*(normal) to E_m, and the form is skew.
+            pairing = abs(dual_pair(expo[: self.n], trace.wall.normal))
+            if pairing == 0:
+                continue
             j = 1
-            while True:
-                c_prev = tuple(a - j * b for a, b in zip(c_cur, normal))
-                if any(a < 0 for a in c_prev):
-                    break
-                prev_expo = self.exponent(m0, c_prev)
-                pairing = dual_pair(prev_expo[: self.n], normal)
-                if pairing != 0:
-                    factor = self.bend_factor(trace.wall, abs(pairing), j)
-                    if factor:
-                        rev_bends.append((trace.wall, x, j, factor))
-                        self._descend(m0, c_prev, x, rev_bends, out, endpoint)
-                        rev_bends.pop()
+            # bending back by j steps leaves c - j*normal, which must stay
+            # nonnegative
+            while c1 >= j * n1 and c2 >= j * n2:
+                factor = self.bend_factor(trace.wall, pairing, j)
+                if factor:
+                    rev_bends.append((trace.wall, x, j, factor))
+                    c_prev = (c1 - j * n1, c2 - j * n2)
+                    self._descend(m0, c_prev, x, rev_bends, out, endpoint)
+                    rev_bends.pop()
                 j += 1
 
     def _assemble(
         self,
         m0: Vec,
         endpoint: Point,
-        rev_bends: list[tuple[Wall, Point, int, int]],
+        rev_bends: list[tuple[Wall, HPoint, int, int]],
     ) -> BrokenLine:
         segments = [Segment(1, m0, None, None, 0)]
         c: Vec = (0,) * self.n
         coeff = 1
-        for wall, x, j, factor in reversed(rev_bends):
+        for wall, (x, y, w), j, factor in reversed(rev_bends):
             c = vec_add(c, vec_scale(j, wall.normal))
             coeff *= factor
-            segments.append(Segment(coeff, self.exponent(m0, c), x, wall, j))
+            start = (Fraction(x, w), Fraction(y, w))
+            segments.append(Segment(coeff, self.exponent(m0, c), start, wall, j))
         return BrokenLine(m0, endpoint, self.view, tuple(segments))
 
 
@@ -345,12 +383,30 @@ def enumerate_broken_lines(
     view: str = "auto",
     final_filter: Sequence[int | None] | None = None,
 ) -> tuple[BrokenLine, ...]:
-    """All broken lines with initial exponent ``m0`` ending at ``endpoint``.
+    """All broken lines with initial exponent ``m0`` ending at ``endpoint``:
+    the lines of :func:`theta_function`."""
+    return theta_function(
+        m0, endpoint, diagram, k, view=view, final_filter=final_filter
+    ).lines
+
+
+def theta_function(
+    m0: Sequence[int],
+    endpoint: Sequence,
+    diagram: ScatteringDiagram,
+    k: int,
+    *,
+    view: str = "auto",
+    final_filter: Sequence[int | None] | None = None,
+) -> ThetaResult:
+    """Sum of final monomials over all broken lines of degree at most ``k``.
 
     ``k`` bounds the series degree of the final exponent.  The optional
     ``final_filter`` keeps only lines whose final exponent matches every
     non-``None`` entry.  Endpoints on the diagram's support raise
-    :class:`GenericPositionError`.
+    :class:`GenericPositionError`, and endpoints reached by a segment
+    through the origin or along a support line raise its subclass
+    :class:`DegenerateBrokenLineError`.
     """
     m0 = tuple(int(x) for x in m0)
     n = diagram.rank
@@ -370,7 +426,7 @@ def enumerate_broken_lines(
     q = _as_point(endpoint)
     ensure_generic_view(diagram, q, chosen)
     engine = _Engine(diagram, chosen)
-    if _velocity(m0, chosen, n) == _ORIGIN:
+    if _velocity(m0, chosen, n) == (0, 0):
         raise UnsupportedInputError(
             f"initial exponent {m0} has no direction in view {chosen!r}"
         )
@@ -388,27 +444,11 @@ def enumerate_broken_lines(
                 continue
             lines.extend(engine.search(m0, q, c))
     lines.sort(key=_sort_key)
-    return tuple(lines)
-
-
-def theta_function(
-    m0: Sequence[int],
-    endpoint: Sequence,
-    diagram: ScatteringDiagram,
-    k: int,
-    *,
-    view: str = "auto",
-    final_filter: Sequence[int | None] | None = None,
-) -> ThetaResult:
-    """Sum of final monomials over all broken lines of degree at most ``k``."""
-    lines = enumerate_broken_lines(
-        m0, endpoint, diagram, k, view=view, final_filter=final_filter
-    )
-    value = LaurentPoly()
+    value: dict[Vec, int] = {}
     for line in lines:
-        value = value + LaurentPoly.monomial(line.final_exponent, line.coefficient)
-    chosen = resolve_view(diagram, m0, view)
-    return ThetaResult(value, lines, k, _as_point(endpoint), chosen)
+        expo = line.final_exponent
+        value[expo] = value.get(expo, 0) + line.coefficient
+    return ThetaResult(LaurentPoly(value), tuple(lines), k, q, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +500,7 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
     walls = set(diagram.walls)
     for i, seg in enumerate(segs):
         vel = _velocity(seg.exponent, line.view, n)
-        if vel == _ORIGIN:
+        if vel == (0, 0):
             return _fail(f"segment {i} has a direction-free monomial")
         end = segs[i + 1].start if i + 1 < len(segs) else line.endpoint
         if end is None:

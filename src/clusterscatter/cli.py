@@ -39,9 +39,7 @@ from xml.sax.saxutils import escape
 from . import lattice
 from .brokenlines import (
     BrokenLine,
-    ensure_generic_view,
     enumerate_broken_lines,
-    resolve_view,
     restrict_to_A,
     theta_function,
     theta_via_path,
@@ -59,6 +57,7 @@ from .cluster import (
     seed_to_json,
 )
 from .errors import (
+    DegenerateBrokenLineError,
     GenericPositionError,
     InputError,
     InterpolationError,
@@ -575,19 +574,15 @@ def _cmd_scatter(job: JobSpec) -> str | dict:
 
 def _theta_with_fallback(m0, pt, diagram, order):
     """Theta at the endpoint; on a wall, or where a broken line to it
-    passes through the origin, agree the two one-sided limits."""
+    degenerates (passes through the origin or runs along a wall's support
+    line), agree the two one-sided limits."""
     try:
         return theta_function(m0, pt, diagram, order), None
     except GenericPositionError as exc:
-        try:
-            ensure_generic_view(diagram, pt, resolve_view(diagram, m0))
-        except GenericPositionError:
-            where = f"endpoint {vec_str(pt)} lies on a wall"
+        if isinstance(exc, DegenerateBrokenLineError):
+            where = f"a broken line to endpoint {vec_str(pt)} {exc.degeneracy}"
         else:
-            where = (
-                f"a broken line to endpoint {vec_str(pt)} passes through "
-                "the origin"
-            )
+            where = f"endpoint {vec_str(pt)} lies on a wall"
         for denom in (9973, 99991):
             # off a horizontal wall vertically, off any other horizontally
             step = (0, Fraction(1, denom)) if pt[1] == 0 else (Fraction(1, denom), 0)

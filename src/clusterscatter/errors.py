@@ -18,6 +18,16 @@ class GenericPositionError(InputError):
     """A base point or endpoint lies on a wall where genericity is required."""
 
 
+class DegenerateBrokenLineError(GenericPositionError):
+    """A segment of a broken line to a generic endpoint passes through the
+    origin or runs along a wall's support line; ``degeneracy`` says which,
+    as a phrase completing "a segment ..."."""
+
+    def __init__(self, degeneracy: str):
+        super().__init__(f"a segment {degeneracy}; perturb the endpoint")
+        self.degeneracy = degeneracy
+
+
 class NonTransversalCrossingError(InputError):
     """A path segment meets a wall tangentially, so no crossing is defined."""
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterscatter.brokenlines import (
     BrokenLine,
@@ -26,6 +28,7 @@ from clusterscatter.cluster import (
     rank2_exchange,
 )
 from clusterscatter.errors import (
+    DegenerateBrokenLineError,
     GenericPositionError,
     InputError,
     UnsupportedInputError,
@@ -58,6 +61,26 @@ CPLUS = (Fraction(3, 2), Fraction(1))
 QGEN = (Fraction(157, 100), Fraction(83, 100))
 
 K2 = kronecker_quiver(2)
+
+#: Order-6 diagrams for b = 1, 2, 3, for property tests at degree 4.
+SMALL_DIAGRAMS = {
+    b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), 6), 6)
+    for b in (1, 2, 3)
+}
+
+# Rational coordinates: small ones, large ones, and small points moved by
+# steps with denominators near 10^5, like the theta command's one-sided
+# limits.
+_RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**5)),
+    st.builds(
+        lambda p, k, den: p + Fraction(k, den),
+        st.integers(-4, 4),
+        st.integers(-3, 3),
+        st.integers(99_900, 100_000),
+    ),
+)
 
 
 def mono(*terms):
@@ -423,6 +446,14 @@ class TestClusterCharacterEquality:
         theta = theta_function(m0, QGEN, D2_DEEP, 11)
         assert theta.value == caldero_chapoton(K2, (5, 6))
 
+    def test_kronecker_along_n_n_plus_1_up_to_12(self):
+        diagram = complete_rank2(initial_diagram(SEED2, 25), 25)
+        for n in range(5, 13):
+            d = (n, n + 1)
+            m0 = tuple(-x for x in g_map(K2, d)) + (0, 0)
+            theta = theta_function(m0, QGEN, diagram, 2 * n + 1)
+            assert theta.value == caldero_chapoton(K2, d), d
+
     @pytest.mark.parametrize("d", [(1, 0), (0, 1), (1, 1)])
     def test_two_vertex_path_quiver(self, d):
         quiver = path_quiver(2)
@@ -459,3 +490,42 @@ class TestPositivity:
             assert all(c > 0 for c in theta.value.terms.values())
             for line in theta.lines:
                 assert line.coefficient > 0
+
+
+class TestIntegerEngine:
+    """The search runs in homogeneous integer coordinates; the rational
+    validator and the cone structure of the walls check it."""
+
+    def test_segment_along_a_support_line_raises(self):
+        diagram = complete_rank2(initial_diagram(SEED1, 6), 6)
+        with pytest.raises(DegenerateBrokenLineError) as info:
+            theta_function((-3, 0, 0, 0), (-1, 1), diagram, 4)
+        assert str(info.value) == (
+            "a segment runs along the support line of the wall with normal "
+            "(1,1); perturb the endpoint"
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        b=st.sampled_from([1, 2, 3]),
+        a=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+        endpoint=st.tuples(_RATIONALS, _RATIONALS),
+        scale=st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)),
+    )
+    def test_lines_validate_and_scaling_keeps_theta(self, b, a, endpoint, scale):
+        diagram = SMALL_DIAGRAMS[b]
+        m0 = (*a, 0, 0)
+        scaled = tuple(scale * x for x in endpoint)
+        try:
+            theta = theta_function(m0, endpoint, diagram, 4)
+        except GenericPositionError as exc:
+            with pytest.raises(type(exc)) as info:
+                theta_function(m0, scaled, diagram, 4)
+            if isinstance(exc, DegenerateBrokenLineError):
+                assert info.value.degeneracy == exc.degeneracy
+            return
+        for line in theta.lines:
+            assert validate_broken_line(line, diagram)
+        twin = theta_function(m0, scaled, diagram, 4)
+        assert twin.value == theta.value
+        assert len(twin.lines) == len(theta.lines)

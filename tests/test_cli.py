@@ -292,6 +292,17 @@ class TestThetaCommand:
         assert "lies on a wall" not in doc["note"]
         assert "passes through the origin" in doc["note"]
 
+    def test_line_along_a_support_line_note(self, cli):
+        # (-1,1) is on no wall; a broken line to it runs along the (1,1) wall
+        code, out, err = cli("theta", "--b", "1", "--m", "-3,0,0,0",
+                             "--endpoint", "-1,1", "--order", "6")
+        assert (code, err) == (0, "")
+        assert (
+            "note: a broken line to endpoint (-1,1) runs along the support "
+            "line of the wall with normal (1,1); the one-sided limits agree "
+            "and are shown\n"
+        ) in out
+
     def test_five_term_slice_view(self, cli):
         code, out, _ = cli("theta", "--b", "2", "--m", "2,-2,-1,-1",
                            "--endpoint", "1,-3/2", "--order", "8")
