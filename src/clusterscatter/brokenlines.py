@@ -58,6 +58,7 @@ from .errors import (
 )
 from .lattice import (
     LaurentPoly,
+    Vec,
     dual_pair,
     p_star,
     tilde_p_star,
@@ -67,24 +68,28 @@ from .lattice import (
     x_degree,
 )
 from .scattering import (
+    _ORIGIN,
     CrossingPath,
+    Point,
     ScatteringDiagram,
     Wall,
+    _cross,
+    _dot,
+    _Trace,
+    _wall_trace,
     cluster_complex_chambers,
+    ensure_generic_view,
     find_chamber,
     path_ordered_product,
 )
 
-Vec = tuple[int, ...]
-Point = tuple[Fraction, Fraction]
 HPoint = tuple[int, int, int]
 
 VIEWS = ("m", "n")
 
 
 # ---------------------------------------------------------------------------
-# 2D exact geometry helpers (rational coordinates: validation and the
-# endpoint check; the search uses homogeneous integer coordinates)
+# Endpoints
 
 
 def _as_point(raw: Sequence) -> Point:
@@ -92,17 +97,6 @@ def _as_point(raw: Sequence) -> Point:
     if len(pt) != 2:
         raise UnsupportedInputError("broken lines are drawn in two dimensions")
     return pt
-
-
-def _fcross(a: Sequence, b: Sequence) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _fdot(a: Sequence, b: Sequence) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-_ORIGIN = (Fraction(0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,43 +134,9 @@ def _velocity(expo: Vec, view: str, n: int) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Wall traces in a view
-
-
-@dataclass(frozen=True)
-class _Trace:
-    """The 2D footprint of a wall in the chosen view."""
-
-    wall: Wall
-    kind: str  # "line" or "ray"
-    direction: Vec
-
-    def contains(self, pt: Point) -> bool:
-        if _fcross(self.direction, pt) != 0:
-            return False
-        if self.kind == "line":
-            return True
-        return _fdot(self.direction, pt) >= 0
-
-
-def _wall_trace(wall: Wall, view: str) -> _Trace:
-    if view == "m":
-        return _Trace(wall, wall.kind, wall.direction())
-    if wall.incoming:
-        return _Trace(wall, "line", wall.normal)
-    return _Trace(wall, "ray", vec_scale(-1, wall.normal))
-
-
-def ensure_generic_view(diagram: ScatteringDiagram, pt: Point, view: str) -> None:
-    """Reject endpoints on the diagram's support (in the chosen view)."""
-    if pt == _ORIGIN:
-        raise GenericPositionError("endpoint at the origin is never generic")
-    for wall in diagram.walls:
-        if _wall_trace(wall, view).contains(pt):
-            raise GenericPositionError(
-                f"endpoint {vec_str(pt)} lies on the wall with normal "
-                f"{vec_str(wall.normal)}; perturb it off the support"
-            )
+# Wall traces in a view: ``_Trace``, ``_wall_trace`` and the support test
+# ``ensure_generic_view`` live in ``scattering``, whose angular paths check
+# their endpoints with them too.
 
 
 # Crossings of one scan share D, so their ray parameters s = c / (D * denom)
@@ -507,7 +467,7 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
             return _fail(f"segment {i + 1} is missing its bend point")
         if seg.start is not None:
             delta = (end[0] - seg.start[0], end[1] - seg.start[1])
-            if _fcross(delta, vel) != 0 or _fdot(delta, vel) <= 0:
+            if _cross(delta, vel) != 0 or _dot(delta, vel) <= 0:
                 return _fail(
                     f"segment {i} does not travel with velocity {vel} "
                     f"from {seg.start} to {end}"

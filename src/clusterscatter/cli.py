@@ -20,21 +20,22 @@ Resource ceilings come from the environment: ``CLUSTERSCATTER_MAX_TERMS``
 bounds series/polynomial term counts and ``CLUSTERSCATTER_SUBSPACE_LIMIT``
 bounds what the counting polynomial of ``grass --json`` and ``strata``
 enumerates: its torus-fixed points, and for ``grass --json`` the
-subspaces counted over F_2 to check it at q = 2.
+subspaces counted over F_2 to check it at q = 2.  Each must be an integer
+>= 0 (empty means the default); both are checked before any job runs, so
+a bad value exits 2 whatever the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
+from html import escape
 from typing import Callable, NamedTuple, Sequence
-from xml.sax.saxutils import escape
 
 from . import lattice
 from .brokenlines import (
@@ -76,6 +77,7 @@ from .hall import (
 from .lattice import (
     LaurentPoly,
     default_names,
+    env_ceiling,
     monomial_str,
     poly_str,
     tilde_p_star,
@@ -85,6 +87,7 @@ from .lattice import (
     x_degree,
 )
 from .quiver import (
+    DEFAULT_SUBSPACE_LIMIT,
     Quiver,
     ar_component,
     caldero_chapoton,
@@ -113,6 +116,7 @@ from .scattering import (
     diagram_to_json,
     initial_diagram,
     path_ordered_product,
+    support_directions,
 )
 
 FORMATS = ("text", "json", "svg", "dot", "tikz")
@@ -364,14 +368,6 @@ def _label_text(wall: Wall) -> str:
     return text
 
 
-def _ray_pieces(wall: Wall) -> list[tuple[int, int]]:
-    """Unit directions of the drawn ray pieces of a 2D wall."""
-    d = wall.direction()
-    if wall.kind == "line":
-        return [d, (-d[0], -d[1])]
-    return [d]
-
-
 def _extend(direction: Sequence[int]) -> tuple[float, float]:
     scale = _RADIUS / max(abs(direction[0]), abs(direction[1]))
     return direction[0] * scale, direction[1] * scale
@@ -417,8 +413,8 @@ def emit_svg(
     if diagram is not None and diagram.walls:
         out.append('<g class="walls" stroke="#333333" stroke-width="1.5">')
         for wall in diagram.walls:
-            label = escape(_label_text(wall))
-            for direction in _ray_pieces(wall):
+            label = escape(_label_text(wall), quote=False)
+            for direction in support_directions(wall):
                 x, y = _extend(direction)
                 out.append(
                     f'<line class="ray" x1="0" y1="0" '
@@ -454,7 +450,8 @@ def emit_svg(
                 mx = _SCALE * (a[0] + b[0]) / 2
                 my = -_SCALE * (a[1] + b[1]) / 2
                 label = escape(
-                    monomial_str(seg.exponent, seg.coefficient, names)
+                    monomial_str(seg.exponent, seg.coefficient, names),
+                    quote=False,
                 )
                 out.append(
                     f'<text class="segment-label" x="{_px(mx + 4)}" '
@@ -487,7 +484,7 @@ def emit_tikz(
     if diagram is not None:
         for wall in diagram.walls:
             label = _tex_math(_label_text(wall))
-            for direction in _ray_pieces(wall):
+            for direction in support_directions(wall):
                 scale = Fraction(9, 2) / max(abs(direction[0]), abs(direction[1]))
                 x, y = scale * direction[0], scale * direction[1]
                 out.append(
@@ -1213,17 +1210,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     )
 
 
-def _apply_resource_env() -> None:
-    raw = os.environ.get("CLUSTERSCATTER_MAX_TERMS")
-    if raw:
-        try:
-            lattice.MAX_TERMS = int(raw)
-        except ValueError:
-            raise InputError(
-                f"CLUSTERSCATTER_MAX_TERMS={raw!r} is not an integer"
-            ) from None
-
-
 #: Flags whose value is a vector or a point and may start with a minus sign.
 _VECTOR_FLAGS = {
     _flag(inp.key) for spec in _COMMANDS.values() for inp in spec.inputs
@@ -1251,7 +1237,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     max_terms = lattice.MAX_TERMS
     try:
-        _apply_resource_env()
+        # both ceilings are checked before any job runs
+        lattice.MAX_TERMS = env_ceiling("CLUSTERSCATTER_MAX_TERMS", max_terms)
+        env_ceiling("CLUSTERSCATTER_SUBSPACE_LIMIT", DEFAULT_SUBSPACE_LIMIT)
         output = run(_job_from_args(args))
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)

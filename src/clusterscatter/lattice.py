@@ -27,6 +27,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from typing import Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -38,6 +39,15 @@ Matrix = tuple[Vec, ...]
 #: series, to keep runaway computations from exhausting memory.  The
 #: command line sets it from CLUSTERSCATTER_MAX_TERMS.
 MAX_TERMS = 2_000_000
+
+
+def env_ceiling(name: str, default: int) -> int:
+    """The ceiling set by the environment variable ``name``: an integer
+    >= 0, or ``default`` when the variable is unset or empty."""
+    raw = os.environ.get(name, "")
+    if raw and not raw.isdecimal():
+        raise InputError(f"{name}={raw!r} is not an integer >= 0")
+    return int(raw) if raw else default
 
 
 def term_ceiling_error(what: str, terms: int) -> ResourceLimitError:

@@ -31,7 +31,6 @@ Conventions
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -50,6 +49,7 @@ from .lattice import (
     Matrix,
     Vec,
     check_skew,
+    env_ceiling,
     mat_mul,
     mat_transpose,
     tilde_p_star,
@@ -67,13 +67,7 @@ DEFAULT_SUBSPACE_LIMIT = 20_000
 
 def _charge_enumeration(count: int, what: str) -> None:
     """Raise ``ResourceLimitError`` before enumerating ``count`` items."""
-    raw = os.environ.get("CLUSTERSCATTER_SUBSPACE_LIMIT")
-    try:
-        limit = int(raw) if raw else DEFAULT_SUBSPACE_LIMIT
-    except ValueError:
-        raise InputError(
-            f"CLUSTERSCATTER_SUBSPACE_LIMIT={raw!r} is not an integer"
-        ) from None
+    limit = env_ceiling("CLUSTERSCATTER_SUBSPACE_LIMIT", DEFAULT_SUBSPACE_LIMIT)
     if count > limit:
         raise ResourceLimitError(
             f"{count} {what} exceed the configured enumeration limit {limit} "

@@ -8,7 +8,15 @@ Geometry conventions
   Every wall support passes through the origin, so a path between two
   generic points is, up to homotopy avoiding the origin, an angular
   sweep; paths are therefore specified by start/end points plus a turn
-  direction, and all angle comparisons use exact integer cross products.
+  direction, and all angle comparisons use exact cross products.
+* Every path reads one sequence: the supports a full anticlockwise loop
+  crosses, in order, from just after the start direction.  An
+  anticlockwise path is its prefix before the end direction, a clockwise
+  path is the rest reversed with the signs flipped, and a loop (of a
+  path or of the completion) is all of it.
+* Whether a point lies on a wall's support is decided in one place,
+  :func:`ensure_generic_view`, for path endpoints here and for broken
+  lines in :mod:`brokenlines`.
 * A wall stores a primitive normal with nonnegative entries, a support
   ("line" through the origin, "ray" from the origin, or a "cone" spanned
   by chamber generators in higher rank), a crossing function — a power
@@ -25,6 +33,7 @@ Geometry conventions
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -32,7 +41,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import lattice
-from .cluster import Seed, apply_word, mutate_seed
+from .cluster import Seed, mutate_seed
 from .errors import (
     GenericPositionError,
     InputError,
@@ -68,21 +77,16 @@ DEFAULT_ORDER = 8
 Point = tuple[Fraction, Fraction]
 
 
-def _direction_of_point(pt: Point) -> Vec:
-    """Primitive integer direction of a nonzero rational point."""
-    if pt[0] == 0 and pt[1] == 0:
-        raise InputError("the origin has no direction")
-    denom = pt[0].denominator * pt[1].denominator
-    return primitive((int(pt[0] * denom), int(pt[1] * denom)))
-
-
-def _cross(a: Sequence[int], b: Sequence[int]) -> int:
+def _cross(a: Sequence, b: Sequence):
+    """Exact 2D cross product, of integer or rational vectors."""
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _rot90(v: Sequence[int]) -> Vec:
-    """Rotate a quarter turn anticlockwise."""
-    return (-v[1], v[0])
+def _dot(a: Sequence, b: Sequence):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+_ORIGIN = (Fraction(0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,13 @@ class Wall:
         if self.kind == "cone":
             raise InputError("cone walls have no single direction")
         return self.span[0]
+
+
+def support_directions(wall: Wall) -> tuple[Vec, ...]:
+    """The directions of a 2D wall's support from the origin: two for a
+    full line, one for a ray."""
+    u = wall.direction()
+    return (u, vec_scale(-1, u)) if wall.kind == "line" else (u,)
 
 
 @dataclass(frozen=True)
@@ -203,44 +214,92 @@ def wall_cross(
 
 
 # ---------------------------------------------------------------------------
+# Supports in a view
+
+
+@dataclass(frozen=True)
+class _Trace:
+    """The 2D footprint of a wall in the chosen view."""
+
+    wall: Wall
+    kind: str  # "line" or "ray"
+    direction: Vec
+
+    def contains(self, pt: Point) -> bool:
+        if _cross(self.direction, pt) != 0:
+            return False
+        if self.kind == "line":
+            return True
+        return _dot(self.direction, pt) >= 0
+
+
+def _wall_trace(wall: Wall, view: str) -> _Trace:
+    if view == "m":
+        return _Trace(wall, wall.kind, wall.direction())
+    if wall.incoming:
+        return _Trace(wall, "line", wall.normal)
+    return _Trace(wall, "ray", vec_scale(-1, wall.normal))
+
+
+def ensure_generic_view(diagram: ScatteringDiagram, pt: Point, view: str) -> None:
+    """Reject endpoints on the diagram's support (in the chosen view)."""
+    if pt == _ORIGIN:
+        raise GenericPositionError("endpoint at the origin is never generic")
+    for wall in diagram.walls:
+        if _wall_trace(wall, view).contains(pt):
+            raise GenericPositionError(
+                f"endpoint {vec_str(pt)} lies on the wall with normal "
+                f"{vec_str(wall.normal)}; perturb it off the support"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Angular paths
 
 
-def _sector(base: Vec, u: Vec) -> int:
+def _sector(base: Sequence, u: Sequence) -> int:
     """0 = same direction, 1 = strictly anticlockwise side (0, pi),
     2 = opposite, 3 = clockwise side (pi, 2 pi)."""
     cr = _cross(base, u)
-    dt = base[0] * u[0] + base[1] * u[1]
     if cr == 0:
-        return 0 if dt > 0 else 2
+        return 0 if _dot(base, u) > 0 else 2
     return 1 if cr > 0 else 3
 
 
-def angular_order_from(base: Vec, directions: Iterable[Vec]) -> list[Vec]:
-    """Sort directions by anticlockwise angle from ``base`` (exclusive)."""
+def _angle_from(base: Sequence):
+    """Sort key of a direction (or point): its anticlockwise angle from
+    ``base``, where ``base`` itself comes first."""
 
-    def compare(u1: Vec, u2: Vec) -> int:
+    def compare(u1: Sequence, u2: Sequence) -> int:
         s1, s2 = _sector(base, u1), _sector(base, u2)
         if s1 != s2:
-            return -1 if s1 < s2 else 1
-        cr = _cross(u1, u2)
-        if cr == 0:
-            return 0
-        return -1 if cr > 0 else 1
+            return s1 - s2
+        return -_cross(u1, u2)
 
-    return sorted(directions, key=cmp_to_key(compare))
+    return cmp_to_key(compare)
 
 
-def _ccw_strictly_between(base: Vec, u: Vec, end: Vec) -> bool:
-    """Is ``u`` strictly inside the anticlockwise sweep from base to end?"""
-    sb, se = _sector(base, u), _sector(base, end)
-    if _sector(base, end) == 0:
-        return False
-    if sb == 0:
-        return False
-    if sb != se:
-        return sb < se
-    return _cross(u, end) > 0
+def _ccw_crossings(
+    walls: Iterable[Wall], base_dir: Sequence
+) -> list[tuple[Vec, Wall, int]]:
+    """Every (support direction, wall, anticlockwise crossing sign) of a
+    full anticlockwise loop starting just after ``base_dir``, in crossing
+    order; a full line yields one entry per direction.  Walls sharing a
+    direction keep their order in ``walls``."""
+    events = []
+    for wall in walls:
+        if wall.kind == "cone":
+            raise UnsupportedInputError(
+                "angular paths are only defined for 2D diagrams"
+            )
+        for v in support_directions(wall):
+            if _sector(base_dir, v) == 0:
+                raise GenericPositionError(
+                    "loop base direction lies on a support"
+                )
+            events.append((v, wall, _ccw_sign(v, wall.normal)))
+    angle = _angle_from(base_dir)
+    return sorted(events, key=lambda event: angle(event[0]))
 
 
 @dataclass(frozen=True)
@@ -261,105 +320,40 @@ class CrossingPath:
             raise InputError("full_loops must be nonnegative")
 
 
-def _support_events(diagram: ScatteringDiagram) -> list[tuple[Vec, Wall]]:
-    """All (support direction, wall) crossing events; a full line yields
-    one event per direction."""
-    events = []
-    for wall in diagram.walls:
-        if wall.kind == "cone":
-            raise UnsupportedInputError(
-                "angular paths are only defined for 2D diagrams"
-            )
-        dirs = [wall.direction()]
-        if wall.kind == "line":
-            dirs.append(vec_scale(-1, wall.direction()))
-        for u in dirs:
-            events.append((primitive(u), wall))
-    return events
-
-
-def _point_on_support(pt: Point, wall: Wall) -> bool:
-    u = wall.direction()
-    if pt[0] * u[1] != pt[1] * u[0]:
-        return False
-    if wall.kind == "line":
-        return True
-    # ray: same side as the direction
-    return pt[0] * u[0] + pt[1] * u[1] > 0
-
-
-def ensure_generic(diagram: ScatteringDiagram, pt: Point) -> None:
-    """Reject the origin and points on any wall support."""
-    if pt[0] == 0 and pt[1] == 0:
-        raise GenericPositionError("the origin is never a generic point")
-    for wall in diagram.walls:
-        if _point_on_support(pt, wall):
-            raise GenericPositionError(
-                f"point {vec_str(pt)} lies on the wall with normal "
-                f"{vec_str(wall.normal)}"
-            )
-
-
 def path_crossings(
     path: CrossingPath, diagram: ScatteringDiagram
 ) -> list[tuple[Wall, int]]:
     """The ordered (wall, sign) crossing list of an angular path.
 
-    Signs are computed from the anticlockwise tangent at each crossed
-    support direction; clockwise travel flips them and reverses order.
+    Every path reads the full anticlockwise loop from its start: an
+    anticlockwise sweep is the part of the loop before the end direction,
+    a clockwise sweep is the rest reversed with the signs flipped, and
+    ``"auto"`` takes the shorter (anticlockwise on a tie).
     """
     if diagram.rank != 2:
         raise UnsupportedInputError("angular paths need a rank-2 diagram")
-    ensure_generic(diagram, path.start)
-    ensure_generic(diagram, path.end)
-    start_dir = _direction_of_point(path.start)
-    end_dir = _direction_of_point(path.end)
-    events = _support_events(diagram)
-    ordered = angular_order_from(start_dir, [u for u, _ in events])
-    by_dir: dict[Vec, list[Wall]] = {}
-    for u, wall in events:
-        by_dir.setdefault(u, []).append(wall)
-
-    def sweep_ccw() -> list[tuple[Wall, int]]:
-        out = []
-        for u in ordered:
-            if _ccw_strictly_between(start_dir, u, end_dir):
-                for wall in by_dir[u]:
-                    out.append((wall, _ccw_sign(u, wall.normal)))
-        return out
-
-    def sweep_cw() -> list[tuple[Wall, int]]:
-        crossed = [
-            u
-            for u in ordered
-            if _sector(start_dir, u) != 0
-            and not _ccw_strictly_between(start_dir, u, end_dir)
-            and _sector(end_dir, u) != 0
-        ]
-        out = []
-        for u in reversed(crossed):
-            for wall in by_dir[u]:
-                out.append((wall, -_ccw_sign(u, wall.normal)))
-        return out
-
-    loop_events = (
-        _loop_action(diagram, start_dir).crossings * path.full_loops
-        if path.full_loops
-        else []
+    ensure_generic_view(diagram, path.start, "m")
+    ensure_generic_view(diagram, path.end, "m")
+    events = _ccw_crossings(diagram.walls, path.start)
+    angle = _angle_from(path.start)
+    # the end direction is on no support, so it splits the loop in two
+    split = bisect_left(
+        events, angle(path.end), key=lambda event: angle(event[0])
     )
-    if path.turn == "ccw":
-        tail = sweep_ccw()
-    elif path.turn == "cw":
-        tail = sweep_cw()
-    else:
-        ccw, cw = sweep_ccw(), sweep_cw()
+    loop = [(wall, sign) for _, wall, sign in events]
+    ccw = loop[:split]
+    cw = [(wall, -sign) for wall, sign in reversed(loop[split:])]
+    if path.turn == "auto":
         tail = ccw if len(ccw) <= len(cw) else cw
-    return loop_events + tail
+    else:
+        tail = ccw if path.turn == "ccw" else cw
+    return loop * path.full_loops + tail
 
 
 def _ccw_sign(u: Vec, normal: Vec) -> int:
-    tangent = _rot90(u)
-    s = dual_pair(tangent, normal)
+    """Sign of an anticlockwise crossing at direction ``u``: the normal
+    paired with the tangent ``(-u[1], u[0])``, which is ``u x normal``."""
+    s = _cross(u, normal)
     if s == 0:
         raise NonTransversalCrossingError(
             f"support direction {u} is tangent to its own normal pairing"
@@ -389,22 +383,13 @@ def path_ordered_product(path: CrossingPath, diagram: ScatteringDiagram) -> Path
 # Rank-2 consistency completion
 
 
-def _loop_action(diagram: ScatteringDiagram, base_dir: Vec) -> PathAction:
+def _loop_action(
+    walls: Iterable[Wall], base_dir: Vec, order: int
+) -> PathAction:
     """Full anticlockwise loop starting (and ending) just after
     ``base_dir``, which must avoid every support direction."""
-    events = _support_events(diagram)
-    for u, _ in events:
-        if _sector(base_dir, u) == 0:
-            raise GenericPositionError("loop base direction lies on a support")
-    ordered = angular_order_from(base_dir, [u for u, _ in events])
-    by_dir: dict[Vec, list[Wall]] = {}
-    for u, wall in events:
-        by_dir.setdefault(u, []).append(wall)
-    crossings = []
-    for u in ordered:
-        for wall in by_dir[u]:
-            crossings.append((wall, _ccw_sign(u, wall.normal)))
-    return PathAction(crossings, diagram.order)
+    events = _ccw_crossings(walls, base_dir)
+    return PathAction([(wall, sign) for _, wall, sign in events], order)
 
 
 def complete_rank2(
@@ -434,8 +419,9 @@ def complete_rank2(
     ]
 
     for degree in range(1, order + 1):
-        current = ScatteringDiagram(seed, order, tuple(walls))
-        loop = _loop_action(current, base_dir)
+        # a crossing never lowers the degree, so order ``degree`` keeps
+        # every term the degree-``degree`` defect reads
+        loop = _loop_action(walls, base_dir, degree)
         coeff_by_c: dict[Vec, int] = {}
         for i, unit in enumerate(unit_vectors):
             image = loop.apply(LaurentPoly.monomial(unit))
@@ -497,9 +483,8 @@ def complete_rank2(
                 [comb(t, k // g) if k % g == 0 else 0 for k in range(size)],
             )
             walls = _merge_ray(walls, normal, ray_dir, factor)
-    final = ScatteringDiagram(seed, order, tuple(walls))
-    _assert_consistent(final, base_dir, unit_vectors)
-    return final
+    _assert_consistent(walls, base_dir, order, unit_vectors)
+    return ScatteringDiagram(seed, order, tuple(walls))
 
 
 def _merge_ray(
@@ -519,9 +504,9 @@ def _merge_ray(
 
 
 def _assert_consistent(
-    diagram: ScatteringDiagram, base_dir: Vec, unit_vectors: list[Vec]
+    walls: list[Wall], base_dir: Vec, order: int, unit_vectors: list[Vec]
 ) -> None:
-    loop = _loop_action(diagram, base_dir)
+    loop = _loop_action(walls, base_dir, order)
     for unit in unit_vectors:
         if loop.apply(LaurentPoly.monomial(unit)) != LaurentPoly.monomial(unit):
             raise InputError(
@@ -601,9 +586,8 @@ def cluster_complex_diagram(
     chambers = cluster_complex_chambers(seed, depth)
     walls: dict[tuple[Vec, tuple[Vec, ...]], Wall] = {}
     for chamber in chambers:
-        s = apply_word(seed, chamber.word)
         for k in range(1, n + 1):
-            normal = _positive_rep(s.c_vectors()[k - 1])
+            normal = chamber.normals[k - 1]
             span = tuple(
                 g for j, g in enumerate(chamber.generators) if j != k - 1
             )

@@ -760,6 +760,30 @@ class TestResourceCeilings:
         assert "CLUSTERSCATTER_SUBSPACE_LIMIT" in err and "'abc'" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cc", "--quiver", "kronecker2", "--D", "2,3"),
+            ("grass", "--quiver", "kronecker2", "--D", "2,3", "--e", "1,1"),
+            ("mutate", "--b", "1", "--word", "1"),
+            ("scatter", "--b", "1", "--order", "3"),
+        ],
+        ids=["cc", "text-grass", "mutate", "scatter"],
+    )
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "variable", ["CLUSTERSCATTER_MAX_TERMS", "CLUSTERSCATTER_SUBSPACE_LIMIT"]
+    )
+    def test_ceiling_variables_checked_before_any_job(
+        self, cli, monkeypatch, restore_max_terms, variable, value, args
+    ):
+        # every command rejects both variables, read or not
+        monkeypatch.setenv(variable, value)
+        code, out, err = cli(*args)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{variable}={value!r}" in err
+
 
 @pytest.fixture(scope="module")
 def b2_diagram():
@@ -826,17 +850,20 @@ class TestRunApi:
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy is a test dependency only; every command pays for its imports
+    # numpy is a test dependency only, and xml.sax.saxutils would pull in
+    # email, http and urllib.request; every command pays for its imports
     src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
+    heavy = ("numpy", "xml", "email", "http", "urllib.request")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, clusterscatter.cli; print('numpy' in sys.modules)"],
+         "import sys, clusterscatter.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.skipif(

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusterscatter.cluster import (
     apply_word,
@@ -42,7 +44,7 @@ from clusterscatter.scattering import (
     cluster_complex_diagram,
     complete_rank2,
     diagram_to_json,
-    ensure_generic,
+    ensure_generic_view,
     find_chamber,
     initial_diagram,
     path_crossings,
@@ -212,6 +214,14 @@ class TestCompletion:
 # Angular paths and path-ordered products
 
 
+ORDER6 = {
+    b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), 6), 6)
+    for b in (1, 2, 3)
+}
+_COORDS = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+_POINTS = st.tuples(_COORDS, _COORDS)
+
+
 class TestPaths:
     def test_quarter_loop_action(self):
         # derived by hand: starting from z^(0,1,0,0), crossing the lower
@@ -254,7 +264,29 @@ class TestPaths:
                 CrossingPath((F(1), F(-1)), (F(2), F(1))), diagram
             )
         with pytest.raises(GenericPositionError):
-            ensure_generic(diagram, (F(0), F(0)))
+            ensure_generic_view(diagram, (F(0), F(0)), "m")
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.sampled_from([1, 2, 3]), a=_POINTS, c=_POINTS)
+    def test_sweeps_split_the_full_loop(self, b, a, c):
+        diagram = ORDER6[b]
+        for pt in (a, c):
+            try:
+                ensure_generic_view(diagram, pt, "m")
+            except GenericPositionError:
+                assume(False)
+        # points on one ray through the origin sweep nothing between them
+        assume(a[0] * c[1] != a[1] * c[0] or a[0] * c[0] + a[1] * c[1] < 0)
+
+        def crossings(start, end, turn, loops=0):
+            path = CrossingPath(start, end, turn=turn, full_loops=loops)
+            return path_crossings(path, diagram)
+
+        loop = crossings(a, a, "ccw", loops=1)
+        assert len(loop) == sum(2 if w.kind == "line" else 1 for w in diagram.walls)
+        back = crossings(c, a, "ccw")
+        assert crossings(a, c, "ccw") + back == loop
+        assert crossings(a, c, "cw") == [(w, -s) for w, s in reversed(back)]
 
     def test_opposite_ray_direction_is_not_a_crossing(self):
         # the (1,1)-normal ray points into the fourth quadrant; a sweep
