@@ -17,7 +17,11 @@ are the rows of the top-right ``n x n`` block of the mutated ``eps_ext``
 (the block pairing mutable rows with frozen columns); the c-matrix is
 that block transposed, so it starts out as the identity.  Columns of the
 g-matrix (one g-vector per variable) are then inverse-transpose to the
-c-matrix, which :func:`check_tropical_duality` verifies.
+c-matrix, which :func:`check_tropical_duality` verifies.  Tropical
+mutation at ``k`` (:func:`mutate_tropical`), with ``s`` the sign of
+c-vector ``k``, sets ``g'_k = -g_k + sum_j max(s * eps_ext[j][k], 0) g_j``
+and keeps the other g-vectors, the dual basis to the new c-vectors; the
+chamber search uses it instead of cluster variables.
 
 Some communities write the exchange matrix transposed ("b-matrix"
 convention); transpose such data before passing it to
@@ -72,6 +76,17 @@ def mutate_matrix(mat: Sequence[Sequence[int]], k: int, n_mutable: int | None = 
                 a, b = m[i][ki], m[ki][j]
                 out[i][j] = m[i][j] + (abs(a) * b + a * abs(b)) // 2
     return check_skew(out)
+
+
+def mutate_tropical(
+    mat: Matrix, gens: tuple[Vec, ...], k: int
+) -> tuple[Matrix, tuple[Vec, ...]]:
+    """Mutate an extended matrix and its g-vectors at 1-based ``k``."""
+    n, ki = len(gens), k - 1
+    sign = 1 if any(x > 0 for x in mat[ki][n:]) else -1
+    weights = [max(sign * row[ki], 0) for row in mat[:n]]
+    g = tuple(sum(w * x for w, x in zip(weights, col)) - col[ki] for col in zip(*gens))
+    return mutate_matrix(mat, k, n), gens[:ki] + (g,) + gens[ki + 1:]
 
 
 @dataclass(frozen=True)

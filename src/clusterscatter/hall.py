@@ -16,8 +16,9 @@ refinement:
   evaluated at ``q = 1`` recovers the line's monomial coefficient;
 * the Grassmannian-sum evaluation of a theta function (the integrated
   wall-crossing identity): once its endpoint and cluster-complex checks
-  pass, it is the cluster character, whose Euler characteristics come
-  from one walk along the string module; and
+  pass (decided for representation-finite and two-vertex quivers only),
+  it is the cluster character, whose Euler characteristics come from
+  one walk along the string module; and
 * exact stability phases attached to the subquotients of a filtration,
   with the strictly-decreasing phase test that every produced filtration
   satisfies.
@@ -41,7 +42,6 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from .brokenlines import BrokenLine
-from .cluster import initial_seed
 from .errors import InputError, UnsupportedInputError
 from .lattice import (
     LaurentPoly,
@@ -63,7 +63,6 @@ from .quiver import (
     quiver_to_skew,
     tits_positive_definite,
 )
-from .scattering import cluster_complex_chambers, find_chamber
 
 __all__ = [
     "Filtration",
@@ -419,7 +418,7 @@ def broken_line_strata(
 # Theta functions through the integrated wall-crossing identity
 
 
-def _require_cluster_complex(q: Quiver, d: Vec, depth: int) -> None:
+def _require_cluster_complex(q: Quiver, d: Vec) -> None:
     """Certify that the negated weight covector of ``d`` lies in the
     closure of the cluster complex; otherwise raise.
 
@@ -429,38 +428,30 @@ def _require_cluster_complex(q: Quiver, d: Vec, depth: int) -> None:
     sign test; on the boundary only the primitive isotropic vector is
     kept (its generic representation is still indecomposable, and the
     Grassmannian sum still equals the theta function there — for proper
-    multiples it provably does not).  In higher rank a chamber search up
-    to ``depth`` certifies membership.
+    multiples it provably does not).  Any other quiver is rejected.
     """
     if tits_positive_definite(q):
         return
-    if q.n_vertices == 2:
-        tits = euler_form(q, d, d)
-        if tits < 0:
-            raise UnsupportedInputError(
-                f"the direction opposite the weight covector of {d} lies "
-                "outside the cluster complex (negative Tits form)"
-            )
-        if tits == 0 and gcd(*d) > 1:
-            raise UnsupportedInputError(
-                f"{d} is an imprimitive isotropic vector; its theta "
-                "function is not a Grassmannian sum"
-            )
-        return
-    seed = initial_seed(quiver_to_skew(q))
-    chambers = cluster_complex_chambers(seed, depth)
-    target = tuple(-x for x in g_map(q, d))
-    try:
-        find_chamber(chambers, target)
-    except InputError:
+    if q.n_vertices != 2:
         raise UnsupportedInputError(
-            f"could not place the direction {target} in a cluster chamber "
-            f"within mutation depth {depth}"
-        ) from None
+            "the cluster complex is decided only for representation-finite "
+            "quivers and quivers on two vertices"
+        )
+    tits = euler_form(q, d, d)
+    if tits < 0:
+        raise UnsupportedInputError(
+            f"the direction opposite the weight covector of {d} lies "
+            "outside the cluster complex (negative Tits form)"
+        )
+    if tits == 0 and gcd(*d) > 1:
+        raise UnsupportedInputError(
+            f"{d} is an imprimitive isotropic vector; its theta "
+            "function is not a Grassmannian sum"
+        )
 
 
 def hall_theta_chi(
-    q: Quiver, d: Sequence[int], endpoint: Sequence, *, depth: int = 12
+    q: Quiver, d: Sequence[int], endpoint: Sequence
 ) -> LaurentPoly:
     """Theta function of the negated weight covector of ``d``, evaluated
     through the integrated wall-crossing identity.
@@ -487,7 +478,7 @@ def hall_theta_chi(
         )
     if all(x == 0 for x in d):
         return LaurentPoly.one(2 * n)
-    _require_cluster_complex(q, d, depth)
+    _require_cluster_complex(q, d)
     return caldero_chapoton(q, d)
 
 

@@ -38,6 +38,7 @@ from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
+from . import lattice
 from .errors import (
     InputError,
     ResourceLimitError,
@@ -1080,10 +1081,12 @@ def caldero_chapoton(q: Quiver, d: Sequence[int]) -> LaurentPoly:
     if all(x == 0 for x in d):
         return LaurentPoly.one(2 * n)
     classify_indecomposable(q, d)  # rejects d that are not indecomposable
-    gvec = g_map(q, d)
-    shift = tuple(-x for x in gvec) + (0,) * n
+    shift = tuple(-x for x in g_map(q, d)) + (0,) * n
+    chis = _fixed_point_euler_chars(q, d)
+    if len(chis) > lattice.MAX_TERMS:
+        raise lattice.term_ceiling_error("a cluster character", len(chis))
     terms: dict[Vec, int] = {}
-    for e, chi in _fixed_point_euler_chars(q, d).items():
+    for e, chi in chis.items():
         expo = vec_add(shift, tilde_p_star(eps, e + (0,) * n))
         terms[expo] = terms.get(expo, 0) + chi
     return LaurentPoly(terms)

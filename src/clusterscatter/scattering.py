@@ -41,7 +41,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import lattice
-from .cluster import Seed, mutate_seed
+from .cluster import Seed, mutate_tropical
 from .errors import (
     GenericPositionError,
     InputError,
@@ -56,7 +56,6 @@ from .lattice import (
     p_star,
     primitive,
     tilde_p_star,
-    vec_add,
     vec_gcd,
     vec_is_zero,
     vec_scale,
@@ -528,10 +527,7 @@ class Chamber:
     word: tuple[int, ...]
 
     def interior_point(self) -> Vec:
-        total = self.generators[0]
-        for g in self.generators[1:]:
-            total = vec_add(total, g)
-        return total
+        return tuple(map(sum, zip(*self.generators)))
 
 
 def _positive_rep(v: Vec) -> Vec:
@@ -543,31 +539,26 @@ def _positive_rep(v: Vec) -> Vec:
 
 
 def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
-    """Breadth-first mutation search recording each distinct chamber."""
+    """Breadth-first mutation search recording each distinct chamber; only
+    the extended matrix and the g-vectors mutate (:func:`mutate_tropical`),
+    and the normals are the positive representatives of the c-vectors."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     n = seed.rank
     seen: dict[frozenset[Vec], Chamber] = {}
-
-    def record(s: Seed) -> bool:
-        """Store the chamber of ``s``; True when it was new."""
-        gens = tuple(tuple(row[j] for row in s.g_matrix()) for j in range(n))
-        key = frozenset(gens)
-        if key in seen:
-            return False
-        normals = tuple(_positive_rep(c) for c in s.c_vectors())
-        seen[key] = Chamber(gens, normals, s.word)
-        return True
-
-    record(seed)
-    current = [seed]
-    for _ in range(depth):
+    current = [(seed.eps_ext, tuple(zip(*seed.g_matrix())), seed.word)]
+    for level in range(depth + 1):
         nxt = []
-        for s in current:
-            for k in range(1, n + 1):
-                child = mutate_seed(s, k)
-                if record(child):
-                    nxt.append(child)
+        for mat, gens, word in current:
+            if frozenset(gens) in seen:
+                continue
+            normals = tuple(_positive_rep(row[n:]) for row in mat[:n])
+            seen[frozenset(gens)] = Chamber(gens, normals, word)
+            if level < depth:
+                nxt += [
+                    mutate_tropical(mat, gens, k) + (word + (k,),)
+                    for k in range(1, n + 1)
+                ]
         current = nxt
     return list(seen.values())
 
@@ -586,11 +577,8 @@ def cluster_complex_diagram(
     chambers = cluster_complex_chambers(seed, depth)
     walls: dict[tuple[Vec, tuple[Vec, ...]], Wall] = {}
     for chamber in chambers:
-        for k in range(1, n + 1):
-            normal = chamber.normals[k - 1]
-            span = tuple(
-                g for j, g in enumerate(chamber.generators) if j != k - 1
-            )
+        for k, normal in enumerate(chamber.normals):
+            span = chamber.generators[:k] + chamber.generators[k + 1:]
             key = (normal, tuple(sorted(span)))
             if key in walls:
                 continue
@@ -603,10 +591,7 @@ def cluster_complex_diagram(
                 )
             else:
                 walls[key] = Wall(normal, "cone", span, func, incoming=False)
-    ordered = tuple(
-        walls[key] for key in sorted(walls, key=lambda k: (k[0], k[1]))
-    )
-    return ScatteringDiagram(seed, order, ordered)
+    return ScatteringDiagram(seed, order, tuple(walls[key] for key in sorted(walls)))
 
 
 def find_chamber(chambers: Sequence[Chamber], point: Sequence) -> Chamber:

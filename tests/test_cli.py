@@ -728,6 +728,13 @@ class TestResourceCeilings:
         assert (code, out) == (3, "")
         assert "term ceiling 3 (CLUSTERSCATTER_MAX_TERMS)" in err
 
+    def test_cluster_character_term_limit_exit_three(self, cli, monkeypatch,
+                                                     restore_max_terms):
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "0")
+        code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "30,31")
+        assert (code, out) == (3, "")
+        assert "term ceiling 0 (CLUSTERSCATTER_MAX_TERMS)" in err
+
     def test_bad_ceiling_value_exit_two(self, cli, monkeypatch,
                                         restore_max_terms):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "lots")

@@ -27,6 +27,7 @@ from clusterscatter.hall import (
 )
 from clusterscatter.lattice import LaurentPoly
 from clusterscatter.quiver import (
+    Quiver,
     caldero_chapoton,
     g_map,
     gaussian_binomial_int,
@@ -390,6 +391,13 @@ class TestHallThetaChi:
     def test_wild_regular_direction_rejected(self):
         with pytest.raises(UnsupportedInputError, match="cluster complex"):
             hall_theta_chi(K3, (1, 1), EP)
+
+    def test_wild_three_vertex_quiver_rejected_at_once(self):
+        # no chamber search: the cluster complex is decided only for
+        # representation-finite quivers and quivers on two vertices
+        wild = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+        with pytest.raises(UnsupportedInputError, match="two vertices"):
+            hall_theta_chi(wild, (1, 1, 1), (1, 1, 1))
 
     def test_endpoint_must_be_positive(self):
         with pytest.raises(InputError, match="positive chamber"):

@@ -39,6 +39,7 @@ from clusterscatter.scattering import (
     CrossingPath,
     ScatteringDiagram,
     Wall,
+    _positive_rep,
     ar_order_check,
     cluster_complex_chambers,
     cluster_complex_diagram,
@@ -342,6 +343,34 @@ class TestClusterComplex:
             for chamber in cluster_complex_chambers(seed, 4):
                 assert check_tropical_duality(apply_word(seed, chamber.word))
 
+    @pytest.mark.parametrize(
+        "label, depth",
+        [("b1", 6), ("b2", 6), ("b3", 5), ("a3", 6), ("a4", 6)],
+    )
+    def test_chambers_match_laurent_seeds(self, label, depth):
+        # second route: the seed that the Laurent mutation reaches along
+        # each chamber's word has the chamber's generators and normals
+        if label.startswith("b"):
+            eps = rank2_exchange(int(label[1:]))
+        else:
+            eps = quiver_to_skew(path_quiver(int(label[1:])))
+        seed = initial_seed(eps)
+        for chamber in cluster_complex_chambers(seed, depth):
+            reached = apply_word(seed, chamber.word)
+            assert tuple(zip(*reached.g_matrix())) == chamber.generators
+            normals = tuple(_positive_rep(c) for c in reached.c_vectors())
+            assert normals == chamber.normals
+
+    def test_chamber_search_builds_no_laurent_polynomial(self, monkeypatch):
+        seed = initial_seed(rank2_exchange(5))
+
+        def refuse(*args):
+            raise AssertionError("chamber search built a Laurent polynomial")
+
+        monkeypatch.setattr(LaurentPoly, "exact_div", refuse)
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        assert len(cluster_complex_chambers(seed, 8)) == 17
+
     def test_find_chamber_and_interior(self):
         seed = initial_seed(rank2_exchange(2))
         chambers = cluster_complex_chambers(seed, 4)
@@ -377,7 +406,6 @@ def positive_crossing_pairs(seed, quiver, depth):
     eps = quiver_to_skew(quiver)
     n = seed.rank
     chambers = cluster_complex_chambers(seed, depth)
-    by_key = {frozenset(c.generators): c for c in chambers}
 
     def wall_between(chamber, k):
         normal = chamber.normals[k]
@@ -430,19 +458,16 @@ def positive_crossing_pairs(seed, quiver, depth):
                 return False
         return all(x > 0 for x in solution)
 
+    # adjacent chambers share a facet: n - 1 common generators
     adjacency = []
     for chamber in chambers:
-        s = apply_word(seed, chamber.word)
-        for k in range(1, n + 1):
-            from clusterscatter.cluster import mutate_seed
-
-            child = mutate_seed(s, k)
-            gens = tuple(
-                tuple(row[j] for row in child.g_matrix()) for j in range(n)
-            )
-            key = frozenset(gens)
-            if key in by_key:
-                adjacency.append((chamber, by_key[key], k - 1))
+        for k in range(n):
+            facet = set(wall_between(chamber, k)[1])
+            adjacency += [
+                (chamber, other, k)
+                for other in chambers
+                if other is not chamber and facet <= set(other.generators)
+            ]
 
     pairs = []
     for c0, c1, k1 in adjacency:
@@ -491,7 +516,7 @@ class TestAROrder:
 
     @pytest.mark.parametrize(
         "label",
-        ["a2", "a3", "kronecker2"],
+        ["a2", "a3", "kronecker2", "kronecker3", "kronecker4"],
     )
     def test_all_positive_crossing_pairs(self, label):
         if label == "a2":
@@ -499,10 +524,13 @@ class TestAROrder:
         elif label == "a3":
             quiver, eps = path_quiver(3), quiver_to_skew(path_quiver(3))
         else:
-            quiver, eps = kronecker_quiver(2), rank2_exchange(2)
+            b = int(label.removeprefix("kronecker"))
+            quiver, eps = kronecker_quiver(b), rank2_exchange(b)
         assert quiver_to_skew(quiver) == eps
         seed = initial_seed(eps)
-        pairs = positive_crossing_pairs(seed, quiver, 5)
+        # the wild Kronecker quivers go one mutation level deeper
+        depth = 6 if label in ("kronecker3", "kronecker4") else 5
+        pairs = positive_crossing_pairs(seed, quiver, depth)
         assert pairs, "expected at least one positive-crossing pair"
         n = seed.rank
         checked = 0
