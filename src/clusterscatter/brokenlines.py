@@ -33,9 +33,14 @@ term: the exponent shifts by ``j`` times the wall's step vector
 ``(p*(d), d)`` and the coefficient multiplies by that term's series
 coefficient.
 
-The search runs in exact integer arithmetic: points are homogeneous
-integer coordinates ``(X, Y, D)`` with ``D > 0``, velocities are integer
-vectors, and each crossing is decided by integer cross and dot products.
+The search runs backward from the endpoint in exact integer arithmetic:
+points are homogeneous integer coordinates ``(X, Y, D)`` with ``D > 0``,
+velocities are integer vectors, and each crossing is decided by integer
+cross and dot products.  A segment with bend weight ``c`` left scans only
+the walls it can bend on, those with normal at most ``c`` that pair
+nonzero with its exponent, and only their crossings get a bend point.  A
+segment can run along a support line or through the origin only when its
+point is parallel to its velocity, so only then are all walls checked.
 Bend points become ``Fraction`` pairs only when a finished line is
 assembled.  Validation (:func:`validate_broken_line`) and the endpoint
 check keep rational geometry, so they re-check the integer search by a
@@ -144,45 +149,24 @@ def _velocity(expo: Vec, view: str, n: int) -> Vec:
 _NEAREST_FIRST = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _backward_crossings(
-    point: HPoint, velocity: Vec, traces: Sequence[_Trace]
-) -> list[tuple[_Trace, HPoint]]:
-    """Wall crossings of the backward ray ``{point - s*velocity : s > 0}``.
-
-    ``point`` is ``(X, Y, D)`` with ``D > 0``, standing for ``(X/D, Y/D)``,
-    and each crossing's bend point comes in the same reduced form.
-    Returned nearest-first.  Raises when the ray runs inside a support
-    line or passes through the origin, both of which make the broken
-    line degenerate.
-    """
-    X, Y, D = point
+def _check_collinear_ray(point: HPoint, velocity: Vec, traces: Sequence[_Trace]) -> None:
+    """Reject the backward ray ``{point - s*velocity : s > 0}`` of a point
+    parallel to its velocity if it runs inside a support line or passes
+    through the origin.  The first trace decides: one parallel to the
+    velocity contains the ray, and any other meets it at the origin when
+    the ray leads there."""
+    X, Y, _ = point
     vx, vy = velocity
-    found: list[tuple[int, int, _Trace, HPoint]] = []
+    toward_origin = X * vx + Y * vy > 0
     for trace in traces:
         d0, d1 = trace.direction
-        denom = d0 * vy - d1 * vx
-        c = d0 * Y - d1 * X
-        if denom == 0:
-            if c == 0:
-                raise DegenerateBrokenLineError(
-                    "runs along the support line of the wall with normal "
-                    f"{vec_str(trace.wall.normal)}"
-                )
-            continue
-        # s = c / (D * denom) must be positive
-        if c * denom <= 0:
-            continue
-        x, y, w = X * denom - c * vx, Y * denom - c * vy, D * denom
-        if x == 0 and y == 0:
+        if d0 * vy == d1 * vx:
+            raise DegenerateBrokenLineError(
+                "runs along the support line of the wall with normal "
+                f"{vec_str(trace.wall.normal)}"
+            )
+        if toward_origin:
             raise DegenerateBrokenLineError("passes through the origin")
-        if w < 0:
-            x, y, w = -x, -y, -w
-        if trace.kind == "ray" and d0 * x + d1 * y < 0:
-            continue
-        g = gcd(x, y, w)
-        found.append((abs(c), abs(denom), trace, (x // g, y // g, w // g)))
-    found.sort(key=_NEAREST_FIRST)
-    return [(trace, x) for _, _, trace, x in found]
 
 
 # ---------------------------------------------------------------------------
@@ -248,90 +232,103 @@ def _sort_key(line: BrokenLine):
 
 
 class _Engine:
-    """Backward depth-first enumeration shared by the public entry points."""
+    """Backward depth-first search for the broken lines from ``m0`` to
+    ``endpoint``, collected in ``lines``."""
 
-    def __init__(self, diagram: ScatteringDiagram, view: str):
+    def __init__(self, diagram: ScatteringDiagram, view: str, m0: Vec, endpoint: Point):
         if diagram.rank != 2:
             raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
         self.view = view
         self.n = diagram.rank
+        self.m0, self.endpoint = m0, endpoint
+        self.lines: list[BrokenLine] = []
         self.traces = [_wall_trace(w, view) for w in diagram.walls]
         # The exponent is linear in c: keep the images of the unit vectors.
         eps = diagram.seed.exchange_block()
         self.steps = tuple(
             tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0))
         )
+        # Per trace: normal, direction, ray flag, wall, and the exponent
+        # step of one bend, which also lowers c by the normal.
+        zero = (0,) * (2 * self.n)
+        self._bends = [
+            (*t.wall.normal, *t.direction, t.kind == "ray", t.wall,
+             self.exponent(zero, t.wall.normal))
+            for t in self.traces
+        ]
+        self._admissible: dict[Vec, list] = {}
 
     def exponent(self, m0: Vec, c: Vec) -> Vec:
         (c1, c2), (s1, s2) = c, self.steps
         return tuple(m + c1 * a + c2 * b for m, a, b in zip(m0, s1, s2))
 
-    def bend_factor(self, wall: Wall, power: int, j: int) -> int:
-        """Coefficient of the ``j``-th step term in ``wall.func ** power``."""
-        return (wall.func ** power).coefficient(j)
-
-    def search(self, m0: Vec, endpoint: Point, c_final: Vec) -> list[BrokenLine]:
-        den = lcm(*(t.denominator for t in endpoint))
-        x, y = (t.numerator * (den // t.denominator) for t in endpoint)
-        out: list[BrokenLine] = []
-        self._descend(m0, c_final, (x, y, den), [], out, endpoint)
-        return out
-
-    def _descend(
-        self,
-        m0: Vec,
-        c_cur: Vec,
-        point: HPoint,
-        rev_bends: list[tuple[Wall, HPoint, int, int]],
-        out: list[BrokenLine],
-        endpoint: Point,
-    ) -> None:
-        expo = self.exponent(m0, c_cur)
-        vel = _velocity(expo, self.view, self.n)
+    def descend(self, c_cur: Vec, expo: Vec, point: HPoint, rev_bends: list) -> None:
+        """Collect the lines whose segment into ``point`` carries ``expo``
+        and leaves bend weight ``c_cur``, before the bends ``rev_bends``."""
+        vx, vy = vel = _velocity(expo, self.view, self.n)
         if vel == (0, 0):
             return
-        # The scan also polices degeneracies (origin passage, running
-        # inside a support line), so it runs even for the bend-free
-        # initial segment.
-        crossings = _backward_crossings(point, vel, self.traces)
-        if all(x == 0 for x in c_cur):
-            out.append(self._assemble(m0, endpoint, rev_bends))
+        X, Y, D = point
+        # Only a ray parallel to its point can be degenerate; the bend-free
+        # initial segment is checked too.
+        if X * vy == Y * vx:
+            _check_collinear_ray(point, vel, self.traces)
+        if not any(c_cur):
+            self.lines.append(self._assemble(rev_bends))
             return
         c1, c2 = c_cur
-        for trace, x in crossings:
-            n1, n2 = trace.wall.normal
+        admissible = self._admissible.get(c_cur)
+        if admissible is None:
+            # only a wall with normal <= c leaves a nonnegative budget
+            admissible = self._admissible[c_cur] = [
+                bend for bend in self._bends if bend[0] <= c1 and bend[1] <= c2
+            ]
+        e1, e2 = expo[0], expo[1]
+        found = []
+        for n1, n2, d0, d1, ray, wall, step in admissible:
             # The pairing is the same before the bend: a bend adds
             # multiples of p*(normal) to E_m, and the form is skew.
-            pairing = abs(dual_pair(expo[: self.n], trace.wall.normal))
+            pairing = abs(e1 * n1 + e2 * n2)
             if pairing == 0:
                 continue
+            denom = d0 * vy - d1 * vx
+            c = d0 * Y - d1 * X
+            # s = c / (D * denom) must be positive
+            if c * denom <= 0:
+                continue
+            x, y, w = X * denom - c * vx, Y * denom - c * vy, D * denom
+            if w < 0:
+                x, y, w = -x, -y, -w
+            if ray and d0 * x + d1 * y < 0:
+                continue
+            g = gcd(x, y, w)
+            found.append(
+                (abs(c), abs(denom), wall, pairing, step, (x // g, y // g, w // g))
+            )
+        found.sort(key=_NEAREST_FIRST)
+        for _, _, wall, pairing, step, x in found:
+            n1, n2 = wall.normal
+            series = wall.func ** pairing
             j = 1
             # bending back by j steps leaves c - j*normal, which must stay
             # nonnegative
             while c1 >= j * n1 and c2 >= j * n2:
-                factor = self.bend_factor(trace.wall, pairing, j)
+                factor = series.coefficient(j)
                 if factor:
-                    rev_bends.append((trace.wall, x, j, factor))
-                    c_prev = (c1 - j * n1, c2 - j * n2)
-                    self._descend(m0, c_prev, x, rev_bends, out, endpoint)
+                    rev_bends.append((wall, x, j, factor, expo))
+                    e_prev = tuple(e - j * s for e, s in zip(expo, step))
+                    self.descend((c1 - j * n1, c2 - j * n2), e_prev, x, rev_bends)
                     rev_bends.pop()
                 j += 1
 
-    def _assemble(
-        self,
-        m0: Vec,
-        endpoint: Point,
-        rev_bends: list[tuple[Wall, HPoint, int, int]],
-    ) -> BrokenLine:
-        segments = [Segment(1, m0, None, None, 0)]
-        c: Vec = (0,) * self.n
+    def _assemble(self, rev_bends: list) -> BrokenLine:
+        segments = [Segment(1, self.m0, None, None, 0)]
         coeff = 1
-        for wall, (x, y, w), j, factor in reversed(rev_bends):
-            c = vec_add(c, vec_scale(j, wall.normal))
+        for wall, (x, y, w), j, factor, expo in reversed(rev_bends):
             coeff *= factor
             start = (Fraction(x, w), Fraction(y, w))
-            segments.append(Segment(coeff, self.exponent(m0, c), start, wall, j))
-        return BrokenLine(m0, endpoint, self.view, tuple(segments))
+            segments.append(Segment(coeff, expo, start, wall, j))
+        return BrokenLine(self.m0, self.endpoint, self.view, tuple(segments))
 
 
 def enumerate_broken_lines(
@@ -385,14 +382,15 @@ def theta_function(
     chosen = resolve_view(diagram, m0, view)
     q = _as_point(endpoint)
     ensure_generic_view(diagram, q, chosen)
-    engine = _Engine(diagram, chosen)
+    engine = _Engine(diagram, chosen, m0, q)
     if _velocity(m0, chosen, n) == (0, 0):
         raise UnsupportedInputError(
             f"initial exponent {m0} has no direction in view {chosen!r}"
         )
     if final_filter is not None and len(final_filter) != 2 * n:
         raise InputError(f"final filter must have length {2 * n}")
-    lines: list[BrokenLine] = []
+    den = lcm(*(t.denominator for t in q))
+    point = (*(t.numerator * (den // t.denominator) for t in q), den)
     for c1 in range(budget + 1):
         for c2 in range(budget + 1 - c1):
             c = (c1, c2)
@@ -402,8 +400,8 @@ def theta_function(
                 for have, want in zip(final, final_filter)
             ):
                 continue
-            lines.extend(engine.search(m0, q, c))
-    lines.sort(key=_sort_key)
+            engine.descend(c, final, point, [])
+    lines = sorted(engine.lines, key=_sort_key)
     value: dict[Vec, int] = {}
     for line in lines:
         expo = line.final_exponent
@@ -442,7 +440,6 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
         return _fail("validation implemented for rank-2 diagrams")
     if line.view not in VIEWS:
         return _fail(f"unknown view {line.view!r}")
-    engine = _Engine(diagram, line.view)
     segs = line.segments
     if not segs:
         return _fail("a broken line needs at least one segment")
@@ -494,7 +491,7 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
         pairing = dual_pair(prev.exponent[:n], seg.bend_wall.normal)
         if pairing == 0:
             return _fail(f"segment {i - 1} meets its bend wall tangentially")
-        factor = engine.bend_factor(seg.bend_wall, abs(pairing), seg.bend_power)
+        factor = (seg.bend_wall.func ** abs(pairing)).coefficient(seg.bend_power)
         if factor == 0 or seg.coefficient != prev.coefficient * factor:
             return _fail(
                 f"segment {i} coefficient does not match the crossing series"

@@ -67,6 +67,8 @@ from .errors import (
     UnsupportedInputError,
 )
 from .hall import (
+    Filtration,
+    StabilityValue,
     broken_line_strata,
     gl_poincare,
     hall_theta_chi,
@@ -75,6 +77,7 @@ from .hall import (
     qbinom,
 )
 from .lattice import (
+    GradedSeries,
     LaurentPoly,
     default_names,
     env_ceiling,
@@ -964,6 +967,16 @@ def _hall_theta_is_broken_line_theta() -> bool:
     return hall == lines.value
 
 
+def _exact_phases() -> tuple:
+    """The stability values at (2,1) of the filtration (2,3), (0,1) of
+    D=(5,6), e=(2,4), the types of their parts, and whether the phases
+    strictly decrease."""
+    filt = Filtration((((2, 3), 1), ((0, 1), 1)))
+    values, decreasing = hn_phases(filt, (2, 1), kronecker_quiver(2), (5, 6), (2, 4))
+    parts = {type(part).__name__ for z in values for part in (z.re, z.im)}
+    return values, parts, decreasing
+
+
 def _seven_mutations() -> LaurentPoly:
     return cluster_variable(initial_seed(rank2_exchange(2)), (1, 2, 1, 2, 1, 2, 1), 1)
 
@@ -982,6 +995,18 @@ class Golden(NamedTuple):
 GOLDEN: tuple[Golden, ...] = (
     *(Golden("loop-consistency-b123", f"b={b}", partial(_loop_moved, b), [])
       for b in (1, 2, 3)),
+    Golden("wall-functions-b1-b2", "b=1: one outgoing ray, 1 + t on (1,1)",
+           lambda: [(w.normal, w.func) for w in _b_diagram(1, 8).walls
+                    if not w.incoming],
+           [((1, 1), GradedSeries((-1, 1, 1, 1), 8, (1, 1)))]),
+    # (1 - t)^-2 on the central ray: t = z^(-2,2,1,1) has series degree 2
+    Golden("wall-functions-b1-b2", "b=2: central ray (1 - t)^-2, rays 1 + t",
+           lambda: {w.normal: w.func for w in _b_diagram(2, 8).walls
+                    if w.normal in ((1, 1), (1, 2), (2, 1), (2, 3))},
+           {(1, 1): GradedSeries((-2, 2, 1, 1), 8, (1, 2, 3, 4, 5)),
+            (1, 2): GradedSeries((-4, 2, 1, 2), 8, (1, 1)),
+            (2, 1): GradedSeries((-2, 4, 2, 1), 8, (1, 1)),
+            (2, 3): GradedSeries((-6, 4, 2, 3), 8, (1, 1))}),
     Golden("three-term-theta", "value", lambda: _three_term().value,
            LaurentPoly({(1, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 1, 1, 1): 1})),
     Golden("three-term-theta", "broken lines", lambda: len(_three_term().lines), 3),
@@ -995,6 +1020,9 @@ GOLDEN: tuple[Golden, ...] = (
     Golden("kronecker-56-strata-10-8", "strata at q=1", _strata_values, [8, 10]),
     Golden("kronecker-56-strata-10-8", "chi",
            lambda: grassmannian_euler_char(kronecker_quiver(2), (5, 6), (2, 4)), 18),
+    Golden("stability-phases-exact", "Z(2,3) = 8+7i, Z(0,1) = 2+i, decreasing",
+           _exact_phases,
+           ((StabilityValue(8, 7), StabilityValue(2, 1)), {"Fraction"}, True)),
     Golden("kronecker-translate", "tau(2,3)",
            lambda: coxeter_translate(kronecker_quiver(2), (2, 3)), (0, 1)),
     Golden("kronecker-translate", "undefined on projectives", _tau_undefined,

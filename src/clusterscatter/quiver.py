@@ -471,6 +471,8 @@ def ar_component(q: Quiver, side: str, bound: int) -> ARGraph:
     if bound < 0:
         raise InputError("bound must be nonnegative")
     n = q.n_vertices
+    if n * (bound + 1) > lattice.MAX_TERMS:
+        raise lattice.term_ceiling_error("an AR component", n * (bound + 1))
     starts = projective_dims(q) if side == "P" else injective_dims(q)
     stops = injective_dims(q) if side == "P" else projective_dims(q)
     step_mat = coxeter_inverse(q) if side == "P" else coxeter_matrix(q)
@@ -485,8 +487,9 @@ def ar_component(q: Quiver, side: str, bound: int) -> ARGraph:
                 break
             x = _apply(step_mat, x)
     edges: list[tuple[int, int]] = []
+    slices = max(node.steps for node in nodes) + 1
     for u, v in q.arrows:
-        for t in range(bound + 1):
+        for t in range(slices):
             if (v, t) in index and (u, t) in index:
                 edges.append((index[(v, t)], index[(u, t)]))
             if side == "P":

@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from broken_line_oracle import reference_lines
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterscatter.brokenlines import (
@@ -33,7 +34,7 @@ from clusterscatter.errors import (
     InputError,
     UnsupportedInputError,
 )
-from clusterscatter.lattice import LaurentPoly
+from clusterscatter.lattice import LaurentPoly, p_star, x_degree
 from clusterscatter.quiver import (
     caldero_chapoton,
     g_map,
@@ -529,3 +530,46 @@ class TestIntegerEngine:
         twin = theta_function(m0, scaled, diagram, 4)
         assert twin.value == theta.value
         assert len(twin.lines) == len(theta.lines)
+
+    def test_ray_parallel_to_its_point_leading_away_bends(self):
+        # The lines with bend weight (2,1) end with velocity (5,-1): their
+        # backward ray from (-5,1) is parallel to its point, leads away
+        # from the origin and meets no support line, so it bends on.
+        diagram = SMALL_DIAGRAMS[2]
+        theta = theta_function((-3, -3, 0, 0), (-5, 1), diagram, 4)
+        assert theta.value == mono(
+            (1, (-3, -3, 0, 0)), (3, (-5, -3, 0, 1)),
+            (3, (-7, -3, 0, 2)), (1, (-9, -3, 0, 3)),
+        )
+        assert theta.lines == reference_lines((-3, -3, 0, 0), (-5, 1), diagram, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.sampled_from([1, 2, 3]),
+        a=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+        on_slice=st.booleans(),
+        endpoint=st.one_of(
+            st.tuples(_RATIONALS, _RATIONALS),
+            st.builds(Fraction, st.integers(-8, 8).filter(bool), st.integers(1, 4)),
+        ),
+        weight=st.integers(0, 4),
+    )
+    def test_search_matches_all_wall_oracle(self, b, a, on_slice, endpoint, weight):
+        """Same lines as the reference that scans every wall at every
+        node, or the same error; a scalar endpoint stands for that
+        multiple of the initial direction, parallel to +-m0."""
+        diagram = SMALL_DIAGRAMS[b]
+        m0 = (*p_star(diagram.seed.exchange_block(), a), *a) if on_slice else (*a, 0, 0)
+        if isinstance(endpoint, Fraction):
+            endpoint = (endpoint * a[0], endpoint * a[1])
+        k = x_degree(m0, 2) + weight
+        assume(k >= 0)
+        outcomes = []
+        for search in (theta_function, reference_lines):
+            try:
+                result = search(m0, endpoint, diagram, k)
+            except InputError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(getattr(result, "lines", result))
+        assert outcomes[0] == outcomes[1]

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -290,7 +291,10 @@ class TestThetaCommand:
             ",".join(map(str, e)): c for e, c in cc.sorted_terms()
         }
         assert "lies on a wall" not in doc["note"]
-        assert "passes through the origin" in doc["note"]
+        assert doc["note"] == (
+            "note: a broken line to endpoint (2,1) passes through the origin; "
+            "the one-sided limits agree and are shown"
+        )
 
     def test_line_along_a_support_line_note(self, cli):
         # (-1,1) is on no wall; a broken line to it runs along the (1,1) wall
@@ -522,8 +526,8 @@ class TestCheckCommand:
     def test_full_suite_passes(self, cli):
         code, out, err = cli("check")
         assert (code, err) == (0, "")
-        assert out.rstrip().endswith("PASS (12 checks)")
-        assert out.count("ok  ") == 12
+        assert out.rstrip().endswith("PASS (14 checks)")
+        assert out.count("ok  ") == 14
         assert "FAIL" not in out
 
     def test_single_check(self, cli):
@@ -727,6 +731,18 @@ class TestResourceCeilings:
         code, out, err = cli("mutate", "--b", "3", "--word", "1,2,1")
         assert (code, out) == (3, "")
         assert "term ceiling 3 (CLUSTERSCATTER_MAX_TERMS)" in err
+
+    def test_ar_component_bound_charged_before_the_walk(self, cli, monkeypatch):
+        monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS", raising=False)
+        t0 = time.perf_counter()
+        code, out, err = cli("ar", "--quiver", "kronecker2", "--component", "P",
+                             "--bound", "100000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: resource limit: an AR component of 200000002 terms exceeds "
+            "the term ceiling 2000000 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
 
     def test_cluster_character_term_limit_exit_three(self, cli, monkeypatch,
                                                      restore_max_terms):

@@ -9,6 +9,7 @@ counts by the independent brute-force enumerator in this file.
 
 from __future__ import annotations
 
+import time
 from itertools import product
 from math import comb
 
@@ -277,6 +278,15 @@ def test_ar_component_bound_zero_is_projectives_with_quiver_arrows():
         ((0, 0, 1), (0, 1, 1)),
         ((0, 1, 1), (1, 1, 1)),
     ]
+
+
+def test_ar_component_edges_stop_at_the_last_slice():
+    # The projective orbits of A3 end within 3 steps; a bound near the term
+    # ceiling must cost no more than the slices that exist.
+    t0 = time.perf_counter()
+    graph = ar_component(A3, "P", 666_665)
+    assert time.perf_counter() - t0 < 0.1
+    assert graph == ar_component(A3, "P", 3)
 
 
 def test_ar_component_is_acyclic():
