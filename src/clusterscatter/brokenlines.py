@@ -49,11 +49,10 @@ second route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateBrokenLineError,
@@ -173,8 +172,7 @@ def _check_collinear_ray(point: HPoint, velocity: Vec, traces: Sequence[_Trace])
 # Broken lines
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One straight piece of a broken line, in travel order.
 
     ``start`` is the bend point where the piece begins (``None`` for the
@@ -191,8 +189,7 @@ class Segment:
     bend_power: int
 
 
-@dataclass(frozen=True)
-class BrokenLine:
+class BrokenLine(NamedTuple):
     initial_exponent: Vec
     endpoint: Point
     view: str
@@ -211,8 +208,7 @@ class BrokenLine:
         return tuple((seg.bend_wall, seg.bend_power) for seg in self.segments[1:])
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(NamedTuple):
     value: LaurentPoly
     lines: tuple[BrokenLine, ...]
     order: int

@@ -17,12 +17,12 @@ resource ceiling was hit.  Output is deterministic: identical inputs give
 identical bytes.
 
 Resource ceilings come from the environment: ``CLUSTERSCATTER_MAX_TERMS``
-bounds series/polynomial term counts and ``CLUSTERSCATTER_SUBSPACE_LIMIT``
-bounds what the counting polynomial of ``grass --json`` and ``strata``
-enumerates: its torus-fixed points, and for ``grass --json`` the
-subspaces counted over F_2 to check it at q = 2.  Each must be an integer
->= 0 (empty means the default); both are checked before any job runs, so
-a bad value exits 2 whatever the command.
+bounds series/polynomial term counts and the size of a named quiver, and
+``CLUSTERSCATTER_SUBSPACE_LIMIT`` bounds what the counting polynomial of
+``grass --json`` and ``strata`` enumerates: its torus-fixed points, and
+for ``grass --json`` the subspaces counted over F_2 to check it at q = 2.
+Each must be an integer >= 0 (empty means the default); both are checked
+before any job runs, so a bad value exits 2 whatever the command.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from html import escape
 from typing import Callable, NamedTuple, Sequence
 
 from . import lattice
@@ -198,10 +196,14 @@ def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
 
 
 def _seed_for(inputs: dict) -> tuple[Seed, str]:
-    """The initial seed of the job's quiver, with a display label."""
-    q, label = _quiver_for(inputs)
-    label = f"b={inputs['b']}" if "b" in inputs else f"quiver {label}"
-    return initial_seed(quiver_to_skew(q)), label
+    """The initial seed of the job's quiver, with a display label; a
+    ``b`` job reads its matrix off ``b`` without building the arrows."""
+    if "b" in inputs:
+        if inputs["b"] < 1:
+            raise InputError("need at least one arrow")
+        return initial_seed(rank2_exchange(inputs["b"])), f"b={inputs['b']}"
+    q = named_quiver(inputs["quiver"])
+    return initial_seed(quiver_to_skew(q)), f"quiver {inputs['quiver']}"
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +262,16 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+#: Marks a ``JobSpec`` built without inputs; each such job gets a fresh dict.
+_NO_INPUTS = object()
+
+
+class JobSpec(NamedTuple("JobSpec", [
+    ("command", str),
+    ("inputs", dict),
+    ("output_format", str),
+    ("order", int | None),
+])):
     """A validated unit of work: command, parsed inputs, format, order.
 
     The command's entry in ``_COMMANDS`` lists every input it takes, with
@@ -269,43 +279,48 @@ class JobSpec:
     ``InputError``.
     """
 
-    command: str
-    inputs: dict = field(default_factory=dict)
-    output_format: str = "text"
-    order: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        spec = _COMMANDS.get(self.command) if isinstance(self.command, str) else None
+    def __new__(
+        cls,
+        command: str,
+        inputs: dict = _NO_INPUTS,
+        output_format: str = "text",
+        order: int | None = None,
+    ) -> "JobSpec":
+        if inputs is _NO_INPUTS:
+            inputs = {}
+        spec = _COMMANDS.get(command) if isinstance(command, str) else None
         if spec is None:
             raise InputError(
-                f"unknown command {self.command!r}; expected one of {COMMANDS}"
+                f"unknown command {command!r}; expected one of {COMMANDS}"
             )
-        if self.output_format not in spec.formats:
+        if output_format not in spec.formats:
             raise InputError(
-                f"output format {self.output_format!r} is not available for "
-                f"command {self.command!r}; expected one of {spec.formats}"
+                f"output format {output_format!r} is not available for "
+                f"command {command!r}; expected one of {spec.formats}"
             )
-        if self.order is not None:
+        if order is not None:
             if spec.order is None:
-                raise InputError(f"command {self.command!r} takes no order")
-            if not _is_int(self.order) or self.order < 1:
+                raise InputError(f"command {command!r} takes no order")
+            if not _is_int(order) or order < 1:
                 raise InputError("order must be a positive integer")
         elif spec.order == "required":
-            raise InputError(f"command {self.command!r} requires an order")
-        if not isinstance(self.inputs, dict):
+            raise InputError(f"command {command!r} requires an order")
+        if not isinstance(inputs, dict):
             raise InputError("job inputs must be an object")
-        unknown = sorted(set(self.inputs) - {inp.key for inp in spec.inputs})
+        unknown = sorted(set(inputs) - {inp.key for inp in spec.inputs})
         if unknown:
-            raise InputError(f"command {self.command!r} takes no input {unknown[0]!r}")
+            raise InputError(f"command {command!r} takes no input {unknown[0]!r}")
         groups: dict[str, list[str]] = {}
         for inp in spec.inputs:
             if isinstance(inp.required, str):
                 groups.setdefault(inp.required, []).append(inp.key)
-            if inp.key not in self.inputs:
+            if inp.key not in inputs:
                 if inp.required is True:
-                    raise InputError(f"{self.command} needs {_flag(inp.key)}")
+                    raise InputError(f"{command} needs {_flag(inp.key)}")
                 continue
-            value = self.inputs[inp.key]
+            value = inputs[inp.key]
             what, ok = _KINDS[inp.kind][:2]
             if not ok(value):
                 raise InputError(
@@ -317,11 +332,12 @@ class JobSpec:
                     f"got {value!r}"
                 )
         for keys in groups.values():
-            if sum(key in self.inputs for key in keys) != 1:
+            if sum(key in inputs for key in keys) != 1:
                 raise InputError(
-                    f"{self.command} needs exactly one of "
+                    f"{command} needs exactly one of "
                     + ", ".join(_flag(key) for key in keys)
                 )
+        return super().__new__(cls, command, inputs, output_format, order)
 
 
 def job_from_json(data: dict) -> JobSpec:
@@ -354,6 +370,11 @@ def _poly_json(poly: LaurentPoly) -> dict:
 _SCALE = 55
 _RADIUS = 270
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
+
+
+def _escape(text: str) -> str:
+    """SVG text content: ``&``, ``<`` and ``>`` as entities, quotes kept."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _px(value) -> str:
@@ -416,7 +437,7 @@ def emit_svg(
     if diagram is not None and diagram.walls:
         out.append('<g class="walls" stroke="#333333" stroke-width="1.5">')
         for wall in diagram.walls:
-            label = escape(_label_text(wall), quote=False)
+            label = _escape(_label_text(wall))
             for direction in support_directions(wall):
                 x, y = _extend(direction)
                 out.append(
@@ -452,10 +473,7 @@ def emit_svg(
             for seg, (a, b) in zip(line.segments, zip(pts, pts[1:])):
                 mx = _SCALE * (a[0] + b[0]) / 2
                 my = -_SCALE * (a[1] + b[1]) / 2
-                label = escape(
-                    monomial_str(seg.exponent, seg.coefficient, names),
-                    quote=False,
-                )
+                label = _escape(monomial_str(seg.exponent, seg.coefficient, names))
                 out.append(
                     f'<text class="segment-label" x="{_px(mx + 4)}" '
                     f'y="{_px(my - 4)}" font-size="9" stroke="none" '
@@ -837,7 +855,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
             "action": "component",
             "side": side,
             "bound": bound,
-            "nodes": [asdict(node) for node in graph.nodes],
+            "nodes": [node._asdict() for node in graph.nodes],
             "edges": [list(edge) for edge in graph.edges],
         }
     out = [f"AR component {side} of quiver {label}, bound {bound}:"]

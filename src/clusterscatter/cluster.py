@@ -30,8 +30,7 @@ convention); transpose such data before passing it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import InputError
 from .lattice import (
@@ -89,21 +88,28 @@ def mutate_tropical(
     return mutate_matrix(mat, k, n), gens[:ki] + (g,) + gens[ki + 1:]
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple("Seed", [
+    ("rank", int),
+    ("eps_ext", Matrix),
+    ("variables", tuple[LaurentPoly, ...]),
+    ("word", tuple[int, ...]),
+])):
     """A labeled seed with principal coefficients (see module docstring)."""
 
-    rank: int
-    eps_ext: Matrix
-    variables: tuple[LaurentPoly, ...]
-    word: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.rank
-        if len(self.eps_ext) != 2 * n:
+    def __new__(
+        cls,
+        rank: int,
+        eps_ext: Matrix,
+        variables: tuple[LaurentPoly, ...],
+        word: tuple[int, ...] = (),
+    ) -> "Seed":
+        if len(eps_ext) != 2 * rank:
             raise InputError("extended matrix must have size 2n")
-        if len(self.variables) != n:
+        if len(variables) != rank:
             raise InputError("seed must carry n mutable variables")
+        return super().__new__(cls, rank, eps_ext, variables, word)
 
     # -- tropical data -----------------------------------------------------
 

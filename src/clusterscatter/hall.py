@@ -35,7 +35,6 @@ chambers never border.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -131,22 +130,23 @@ def gl_poincare(d: int) -> LaurentPoly:
 # Filtrations and strata
 
 
-@dataclass(frozen=True)
 class Filtration:
     """Chain of subrepresentations with semisimple-like subquotients.
 
     ``steps`` is a sequence of ``(c_j, lambda_j)`` meaning the ``j``-th
     subquotient is the ``lambda_j``-fold sum of the indecomposable with
     dimension vector ``c_j``.  The total dimension vector of the chain
-    is the weighted sum of the steps.
+    is the weighted sum of the steps.  A filtration is immutable, and
+    equal chains compare and hash equal.
     """
 
+    __slots__ = ("steps",)
     steps: tuple[tuple[Vec, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: Sequence) -> None:
         clean = []
         width = None
-        for entry in self.steps:
+        for entry in steps:
             try:
                 c, lam = entry
             except (TypeError, ValueError):
@@ -163,6 +163,23 @@ class Filtration:
                 raise InputError("step vectors must be nonzero and nonnegative")
             clean.append((c, lam))
         object.__setattr__(self, "steps", tuple(clean))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __repr__(self) -> str:
+        return f"Filtration(steps={self.steps!r})"
 
     def dimension(self) -> Vec:
         """Weighted sum of the step vectors (empty chain gives ``()``)."""
@@ -181,8 +198,7 @@ class Filtration:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """One bend's contribution to the Grassmannian stratification.
 
     ``qpoly`` is ``q^affine_exponent`` times the Gaussian binomial with
@@ -486,21 +502,22 @@ def hall_theta_chi(
 # Stability phases
 
 
-@dataclass(frozen=True)
-class StabilityValue:
+class StabilityValue(NamedTuple("StabilityValue", [
+    ("re", Fraction),
+    ("im", Fraction),
+])):
     """Exact stability value in the open upper half plane."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-        if self.im <= 0:
+    def __new__(cls, re, im) -> "StabilityValue":
+        re, im = Fraction(re), Fraction(im)
+        if im <= 0:
             raise InputError(
-                f"stability value {self.re} + {self.im}i must lie in the "
+                f"stability value {re} + {im}i must lie in the "
                 "open upper half plane (zero objects carry no phase)"
             )
+        return super().__new__(cls, re, im)
 
     def phase_cross(self, other: "StabilityValue") -> Fraction:
         """Cross product; negative exactly when ``other`` has the

@@ -31,7 +31,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
@@ -80,8 +79,10 @@ def _charge_enumeration(count: int, what: str) -> None:
 # Quivers
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple("Quiver", [
+    ("n_vertices", int),
+    ("arrows", tuple[tuple[int, int], ...]),
+])):
     """An acyclic quiver on vertices ``1..n_vertices``.
 
     Representation invariant: every arrow ``(s, t)`` satisfies
@@ -89,33 +90,39 @@ class Quiver:
     topological order to be the vertex numbering.
     """
 
-    n_vertices: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+    def __new__(cls, n_vertices: int, arrows: tuple[tuple[int, int], ...]) -> "Quiver":
+        if n_vertices < 1:
             raise InputError("quiver needs at least one vertex")
-        for s, t in self.arrows:
-            if not (1 <= s < t <= self.n_vertices):
+        for s, t in arrows:
+            if not (1 <= s < t <= n_vertices):
                 raise InputError(
-                    f"arrow ({s}, {t}) must satisfy 1 <= source < target <= {self.n_vertices}"
+                    f"arrow ({s}, {t}) must satisfy 1 <= source < target <= {n_vertices}"
                 )
+        return super().__new__(cls, n_vertices, arrows)
 
     def out_arrows(self, v: int) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arrows if a[0] == v)
 
 
 def kronecker_quiver(b: int) -> Quiver:
-    """Two vertices joined by ``b`` parallel arrows ``1 -> 2``."""
+    """Two vertices joined by ``b`` parallel arrows ``1 -> 2``, charged
+    for its arrow list."""
     if b < 1:
         raise InputError("need at least one arrow")
+    if b > lattice.MAX_TERMS:
+        raise lattice.term_ceiling_error("an arrow list", b)
     return Quiver(2, tuple((1, 2) for _ in range(b)))
 
 
 def path_quiver(n: int) -> Quiver:
-    """Linear quiver ``1 -> 2 -> ... -> n``."""
+    """Linear quiver ``1 -> 2 -> ... -> n``, charged for its ``n x n``
+    skew matrix."""
     if n < 1:
         raise InputError("need at least one vertex")
+    if n * n > lattice.MAX_TERMS:
+        raise lattice.term_ceiling_error("a skew matrix", n * n)
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
 
 
@@ -310,8 +317,7 @@ def tits_positive_definite(q: Quiver) -> bool:
 # Component classification
 
 
-@dataclass(frozen=True)
-class ARNode:
+class ARNode(NamedTuple):
     """A classified indecomposable: component tag plus orbit coordinates.
 
     ``component`` is "P", "R" or "I".  For "P", the module is the
@@ -437,8 +443,7 @@ def hom_ext_dims(q: Quiver, c: Sequence[int], d: Sequence[int]) -> HomExt:
 # Mesh graphs of translate orbits
 
 
-@dataclass(frozen=True)
-class ARGraph:
+class ARGraph(NamedTuple):
     """Directed graph of classified indecomposables with irreducible-map
     arrows; parallel edges are repeated entries of ``edges``."""
 
@@ -541,8 +546,12 @@ def is_predecessor(q: Quiver, v: ARNode, w: ARNode) -> bool:
 # Explicit representations
 
 
-@dataclass(frozen=True)
-class ExplicitRep:
+class ExplicitRep(NamedTuple("ExplicitRep", [
+    ("quiver", Quiver),
+    ("field", int),
+    ("dims", Vec),
+    ("maps", tuple[Matrix, ...]),
+])):
     """A representation given by explicit arrow matrices.
 
     ``field`` is 0 for exact integer entries or a prime ``p`` for entries
@@ -551,24 +560,24 @@ class ExplicitRep:
     empty tuples of the appropriate outer length.
     """
 
-    quiver: Quiver
-    field: int
-    dims: Vec
-    maps: tuple[Matrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != self.quiver.n_vertices:
+    def __new__(
+        cls, quiver: Quiver, field: int, dims: Vec, maps: tuple[Matrix, ...]
+    ) -> "ExplicitRep":
+        if len(dims) != quiver.n_vertices:
             raise InputError("dimension vector length must match the quiver")
-        if any(x < 0 for x in self.dims):
+        if any(x < 0 for x in dims):
             raise InputError("dimensions must be nonnegative")
-        if len(self.maps) != len(self.quiver.arrows):
+        if len(maps) != len(quiver.arrows):
             raise InputError("need exactly one matrix per arrow")
-        for (s, t), mat in zip(self.quiver.arrows, self.maps):
-            rows, cols = self.dims[t - 1], self.dims[s - 1]
+        for (s, t), mat in zip(quiver.arrows, maps):
+            rows, cols = dims[t - 1], dims[s - 1]
             if len(mat) != rows or any(len(row) != cols for row in mat):
                 raise InputError(
                     f"matrix for arrow ({s}, {t}) must be {rows}x{cols}"
                 )
+        return super().__new__(cls, quiver, field, dims, maps)
 
 
 def rep_mod_p(rep: ExplicitRep, p: int) -> ExplicitRep:

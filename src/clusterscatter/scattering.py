@@ -34,11 +34,10 @@ Geometry conventions
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice
 from .cluster import Seed, mutate_tropical
@@ -92,8 +91,13 @@ _ORIGIN = (Fraction(0), Fraction(0))
 # Walls and diagrams
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple("Wall", [
+    ("normal", Vec),
+    ("kind", str),
+    ("span", tuple[Vec, ...]),
+    ("func", GradedSeries),
+    ("incoming", bool),
+])):
     """One wall of a scattering diagram.
 
     ``normal`` is primitive with nonnegative entries.  ``kind`` is
@@ -104,25 +108,29 @@ class Wall:
     ``t = z^(p~*(normal, 0))``, so its step ends with the normal.
     """
 
-    normal: Vec
-    kind: str
-    span: tuple[Vec, ...]
-    func: GradedSeries
-    incoming: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(x < 0 for x in self.normal) or vec_is_zero(self.normal):
+    def __new__(
+        cls,
+        normal: Vec,
+        kind: str,
+        span: tuple[Vec, ...],
+        func: GradedSeries,
+        incoming: bool,
+    ) -> "Wall":
+        if any(x < 0 for x in normal) or vec_is_zero(normal):
             raise InputError("wall normal must be nonzero with nonnegative entries")
-        if self.normal != primitive(self.normal):
+        if normal != primitive(normal):
             raise InputError("wall normal must be primitive")
-        if self.kind not in ("line", "ray", "cone"):
-            raise InputError(f"unknown wall kind {self.kind!r}")
-        if self.func.constant_term() != 1:
+        if kind not in ("line", "ray", "cone"):
+            raise InputError(f"unknown wall kind {kind!r}")
+        if func.constant_term() != 1:
             raise InputError("wall function must have constant term 1")
-        if self.func.step[len(self.normal):] != self.normal:
+        if func.step[len(normal):] != normal:
             raise InputError(
                 "wall function must be a series in the monomial of the normal"
             )
+        return super().__new__(cls, normal, kind, span, func, incoming)
 
     def direction(self) -> Vec:
         if self.kind == "cone":
@@ -137,8 +145,7 @@ def support_directions(wall: Wall) -> tuple[Vec, ...]:
     return (u, vec_scale(-1, u)) if wall.kind == "line" else (u,)
 
 
-@dataclass(frozen=True)
-class ScatteringDiagram:
+class ScatteringDiagram(NamedTuple):
     """A finite-order collection of walls attached to a seed."""
 
     seed: Seed
@@ -216,8 +223,7 @@ def wall_cross(
 # Supports in a view
 
 
-@dataclass(frozen=True)
-class _Trace:
+class _Trace(NamedTuple):
     """The 2D footprint of a wall in the chosen view."""
 
     wall: Wall
@@ -301,22 +307,26 @@ def _ccw_crossings(
     return sorted(events, key=lambda event: angle(event[0]))
 
 
-@dataclass(frozen=True)
-class CrossingPath:
+class CrossingPath(NamedTuple("CrossingPath", [
+    ("start", Point),
+    ("end", Point),
+    ("turn", str),
+    ("full_loops", int),
+])):
     """An origin-avoiding path between two generic points, encoded as an
     angular sweep: start point, end point, turn direction, and a number
     of extra full anticlockwise loops."""
 
-    start: Point
-    end: Point
-    turn: str = "auto"
-    full_loops: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.turn not in ("auto", "ccw", "cw"):
+    def __new__(
+        cls, start: Point, end: Point, turn: str = "auto", full_loops: int = 0
+    ) -> "CrossingPath":
+        if turn not in ("auto", "ccw", "cw"):
             raise InputError('turn must be "auto", "ccw" or "cw"')
-        if self.full_loops < 0:
+        if full_loops < 0:
             raise InputError("full_loops must be nonnegative")
+        return super().__new__(cls, start, end, turn, full_loops)
 
 
 def path_crossings(
@@ -412,7 +422,10 @@ def complete_rank2(
         raise UnsupportedInputError("completion is implemented in rank 2 only")
     eps = seed.exchange_block()
     base_dir = (-1, 1)
-    walls = [replace(w, func=w.func.truncate(order)) for w in diagram.walls]
+    walls = [
+        Wall(w.normal, w.kind, w.span, w.func.truncate(order), w.incoming)
+        for w in diagram.walls
+    ]
     unit_vectors = [
         tuple(int(j == i) for j in range(2 * n)) for i in range(2 * n)
     ]
@@ -493,7 +506,8 @@ def _merge_ray(
     merged = False
     for wall in walls:
         if wall.kind == "ray" and wall.direction() == ray_dir:
-            out.append(replace(wall, func=wall.func * factor))
+            func = wall.func * factor
+            out.append(Wall(wall.normal, wall.kind, wall.span, func, wall.incoming))
             merged = True
         else:
             out.append(wall)
@@ -517,8 +531,7 @@ def _assert_consistent(
 # Cluster-complex walls in any rank
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A mutation-reachable chamber: generator columns, wall normals, and
     the word that reaches its seed."""
 

@@ -807,6 +807,65 @@ class TestResourceCeilings:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{variable}={value!r}" in err
 
+    @pytest.mark.parametrize(
+        "args, terms",
+        [
+            (("cc", "--b", "51", "--D", "1,1"), "an arrow list of 51 terms"),
+            (("cc", "--quiver", "kronecker51", "--D", "1,1"),
+             "an arrow list of 51 terms"),
+            (("grass", "--quiver", "kronecker51", "--D", "1,1", "--e", "0,1"),
+             "an arrow list of 51 terms"),
+            (("mutate", "--quiver", "kronecker51", "--word", "1"),
+             "an arrow list of 51 terms"),
+            (("mutate", "--quiver", "a8", "--word", "1"),
+             "a skew matrix of 64 terms"),
+            (("ar", "--quiver", "a8", "--tau", "1,0,0,0,0,0,0,0"),
+             "a skew matrix of 64 terms"),
+        ],
+        ids=["cc-b", "cc-kronecker", "grass-kronecker", "mutate-kronecker",
+             "mutate-path", "ar-path"],
+    )
+    def test_quiver_size_charged_before_the_build(
+        self, cli, monkeypatch, restore_max_terms, args, terms
+    ):
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
+        code, out, err = cli(*args)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: resource limit: {terms} exceeds the term ceiling 50 "
+            "(CLUSTERSCATTER_MAX_TERMS)\n"
+        )
+
+    def test_quiver_at_the_ceiling_is_built(self, cli, monkeypatch,
+                                            restore_max_terms):
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "49")
+        assert cli("mutate", "--quiver", "a7", "--word", "1")[0] == 0
+        assert cli("ar", "--quiver", "kronecker49", "--tau", "1,0")[0] == 0
+
+    def test_b_seed_builds_no_arrows(self, cli, monkeypatch, restore_max_terms):
+        # the seed commands read a b job's matrix off b, so neither the
+        # ceiling nor b arrow tuples stand in their way
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
+        t0 = time.perf_counter()
+        code, out, err = cli("mutate", "--b", "9999999", "--word", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "")
+        assert out == (
+            "seed b=9999999 after word (1):\n"
+            "  A1' = A1^-1 + A1^-1*A2^9999999*X1\n"
+            "  A2' = A2\n"
+            "  g-vectors: (-1,0), (0,1)\n"
+            "  c-vectors: (-1,0), (0,1)\n"
+            "  c-vectors sign-coherent: yes\n"
+        )
+
+    @pytest.mark.parametrize("command", ["mutate", "scatter", "theta"])
+    def test_b_seed_needs_an_arrow(self, command):
+        job = dict(VALID_INPUTS[command][0], b=0)
+        order = VALID_INPUTS[command][1]
+        with pytest.raises(InputError, match="^need at least one arrow$"):
+            run(JobSpec(command, job, order=order))
+
 
 @pytest.fixture(scope="module")
 def b2_diagram():
@@ -887,6 +946,30 @@ def test_cli_import_leaves_numpy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_html_out():
+    # records are named tuples and SVG labels are escaped in place, so a
+    # command loads neither dataclasses (with inspect) nor html
+    src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
+    heavy = ("dataclasses", "inspect", "html")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clusterscatter.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_svg_escape_matches_html_escape():
+    import html
+
+    text = "a<b & c>d \"q\" 'r' &amp;"
+    assert cli_mod._escape(text) == html.escape(text, quote=False)
 
 
 @pytest.mark.skipif(
