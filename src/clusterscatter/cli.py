@@ -81,6 +81,7 @@ from .lattice import (
     env_ceiling,
     monomial_str,
     poly_str,
+    term_ceiling_error,
     tilde_p_star,
     vec_add,
     vec_str,
@@ -161,17 +162,29 @@ def parse_point(text: str, what: str = "endpoint") -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _kronecker(b: int) -> Quiver:
+    """``kronecker_quiver(b)``, its ``b`` arrows charged against the term
+    ceiling before they are built."""
+    if b > lattice.MAX_TERMS:
+        raise term_ceiling_error("an arrow list", b)
+    return kronecker_quiver(b)
+
+
 def named_quiver(label: str) -> Quiver:
-    """Resolve built-in quiver names ``kronecker{b}`` and ``a{n}``."""
+    """Resolve built-in quiver names ``kronecker{b}`` and ``a{n}``; the
+    size of the named quiver is charged against the term ceiling."""
     name = str(label).strip().lower()
     if name.startswith("kronecker"):
         try:
             b = int(name[len("kronecker"):], 10)
         except ValueError:
             raise InputError(f"unknown quiver name {label!r}") from None
-        return kronecker_quiver(b)
+        return _kronecker(b)
     if name.startswith("a") and name[1:].isdigit():
-        return path_quiver(int(name[1:], 10))
+        n = int(name[1:], 10)
+        if n * n > lattice.MAX_TERMS:
+            raise term_ceiling_error("a skew matrix", n * n)
+        return path_quiver(n)
     raise InputError(
         f"unknown quiver name {label!r}; expected kronecker<b> or a<n>"
     )
@@ -191,7 +204,7 @@ def _endpoint(inputs: dict) -> tuple[Fraction, ...]:
 def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
     """The quiver a job names by exactly one of ``b`` or ``quiver``."""
     if "b" in inputs:
-        return kronecker_quiver(inputs["b"]), f"kronecker{inputs['b']}"
+        return _kronecker(inputs["b"]), f"kronecker{inputs['b']}"
     return named_quiver(inputs["quiver"]), inputs["quiver"]
 
 
@@ -199,8 +212,6 @@ def _seed_for(inputs: dict) -> tuple[Seed, str]:
     """The initial seed of the job's quiver, with a display label; a
     ``b`` job reads its matrix off ``b`` without building the arrows."""
     if "b" in inputs:
-        if inputs["b"] < 1:
-            raise InputError("need at least one arrow")
         return initial_seed(rank2_exchange(inputs["b"])), f"b={inputs['b']}"
     q = named_quiver(inputs["quiver"])
     return initial_seed(quiver_to_skew(q)), f"quiver {inputs['quiver']}"

@@ -153,7 +153,9 @@ def initial_seed(eps: Sequence[Sequence[int]]) -> Seed:
 
 
 def rank2_exchange(b: int) -> Matrix:
-    """The rank-2 skew matrix ``[[0, b], [-b, 0]]``."""
+    """The rank-2 skew matrix ``[[0, b], [-b, 0]]`` of ``b >= 1`` arrows."""
+    if b < 1:
+        raise InputError("need at least one arrow")
     return ((0, b), (-b, 0))
 
 

@@ -107,22 +107,16 @@ class Quiver(NamedTuple("Quiver", [
 
 
 def kronecker_quiver(b: int) -> Quiver:
-    """Two vertices joined by ``b`` parallel arrows ``1 -> 2``, charged
-    for its arrow list."""
+    """Two vertices joined by ``b`` parallel arrows ``1 -> 2``."""
     if b < 1:
         raise InputError("need at least one arrow")
-    if b > lattice.MAX_TERMS:
-        raise lattice.term_ceiling_error("an arrow list", b)
     return Quiver(2, tuple((1, 2) for _ in range(b)))
 
 
 def path_quiver(n: int) -> Quiver:
-    """Linear quiver ``1 -> 2 -> ... -> n``, charged for its ``n x n``
-    skew matrix."""
+    """Linear quiver ``1 -> 2 -> ... -> n``."""
     if n < 1:
         raise InputError("need at least one vertex")
-    if n * n > lattice.MAX_TERMS:
-        raise lattice.term_ceiling_error("a skew matrix", n * n)
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
 
 
@@ -147,7 +141,7 @@ def dim_vector(q: Quiver, v: Sequence[int], what: str = "dimension vector") -> V
 
 
 def _is_path_quiver(q: Quiver) -> bool:
-    return q == path_quiver(q.n_vertices)
+    return q.arrows == tuple((i, i + 1) for i in range(1, q.n_vertices))
 
 
 def _kronecker_width(q: Quiver) -> int | None:

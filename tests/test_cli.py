@@ -751,6 +751,18 @@ class TestResourceCeilings:
         assert (code, out) == (3, "")
         assert "term ceiling 0 (CLUSTERSCATTER_MAX_TERMS)" in err
 
+    def test_cluster_character_table_charged(self, cli, monkeypatch,
+                                             restore_max_terms):
+        # a ceiling of 2 lets the two arrows be built, so the charge that
+        # stops the job is the one on the character's 497-entry chi table
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "2")
+        code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "30,31")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: resource limit: a cluster character of 497 terms exceeds "
+            "the term ceiling 2 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
+
     def test_bad_ceiling_value_exit_two(self, cli, monkeypatch,
                                         restore_max_terms):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "lots")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterscatter import lattice
 from clusterscatter import quiver as quiver_mod
 from clusterscatter.cluster import cluster_variable, initial_seed, rank2_exchange
 from clusterscatter.errors import (
@@ -287,6 +288,18 @@ def test_ar_component_edges_stop_at_the_last_slice():
     graph = ar_component(A3, "P", 666_665)
     assert time.perf_counter() - t0 < 0.1
     assert graph == ar_component(A3, "P", 3)
+
+
+def test_quiver_builders_read_no_term_ceiling(monkeypatch):
+    # The command line charges a named quiver's size; building a quiver in
+    # the library, or testing its shape during classification, does not.
+    monkeypatch.setattr(lattice, "MAX_TERMS", 0)
+    assert kronecker_quiver(3).arrows == ((1, 2),) * 3
+    assert path_quiver(4).arrows == ((1, 2), (2, 3), (3, 4))
+    assert indecomposable_rep(A3, (0, 1, 1)).dims == (0, 1, 1)
+    wild = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+    with pytest.raises(UnsupportedInputError):
+        indecomposable_rep(wild, (1, 1, 1))
 
 
 def test_ar_component_is_acyclic():
