@@ -107,29 +107,14 @@ def _as_point(raw: Sequence) -> Point:
 # Projection views
 
 
-def _slice_compatible(m0: Vec, eps: Sequence[Sequence[int]]) -> bool:
-    """Whether ``m0`` lies on the slice ``{(p*(v), v)}`` with ``v != 0``."""
-    n = len(m0) // 2
-    npart = m0[n:]
-    if all(x == 0 for x in npart):
-        return False
-    return tuple(m0[:n]) == p_star(eps, npart)
-
-
-def resolve_view(diagram: ScatteringDiagram, m0: Sequence[int], view: str = "auto") -> str:
-    """Pick (or validate) the 2D projection used to draw broken lines."""
+def resolve_view(diagram: ScatteringDiagram, m0: Sequence[int]) -> str:
+    """The 2D projection used to draw broken lines from ``m0``: ``"n"``
+    when ``m0`` lies on the slice ``{(p*(v), v)}`` with ``v != 0``, ``"m"``
+    otherwise."""
     m0 = tuple(int(x) for x in m0)
+    n = len(m0) // 2
     eps = diagram.seed.exchange_block()
-    if view == "auto":
-        return "n" if _slice_compatible(m0, eps) else "m"
-    if view not in VIEWS:
-        raise InputError(f"unknown view {view!r}; expected one of {VIEWS + ('auto',)}")
-    if view == "n" and not _slice_compatible(m0, eps):
-        raise UnsupportedInputError(
-            "view 'n' needs an initial exponent on the slice "
-            "(first half equal to p* of the nonzero second half)"
-        )
-    return view
+    return "n" if any(m0[n:]) and m0[:n] == p_star(eps, m0[n:]) else "m"
 
 
 def _velocity(expo: Vec, view: str, n: int) -> Vec:
@@ -333,14 +318,11 @@ def enumerate_broken_lines(
     diagram: ScatteringDiagram,
     k: int,
     *,
-    view: str = "auto",
     final_filter: Sequence[int | None] | None = None,
 ) -> tuple[BrokenLine, ...]:
     """All broken lines with initial exponent ``m0`` ending at ``endpoint``:
     the lines of :func:`theta_function`."""
-    return theta_function(
-        m0, endpoint, diagram, k, view=view, final_filter=final_filter
-    ).lines
+    return theta_function(m0, endpoint, diagram, k, final_filter=final_filter).lines
 
 
 def theta_function(
@@ -349,7 +331,6 @@ def theta_function(
     diagram: ScatteringDiagram,
     k: int,
     *,
-    view: str = "auto",
     final_filter: Sequence[int | None] | None = None,
 ) -> ThetaResult:
     """Sum of final monomials over all broken lines of degree at most ``k``.
@@ -375,7 +356,7 @@ def theta_function(
             f"degree bound {k} needs bend weight up to {budget}, beyond the "
             f"diagram's series order {diagram.order}; complete a deeper diagram"
         )
-    chosen = resolve_view(diagram, m0, view)
+    chosen = resolve_view(diagram, m0)
     q = _as_point(endpoint)
     ensure_generic_view(diagram, q, chosen)
     engine = _Engine(diagram, chosen, m0, q)

@@ -21,8 +21,10 @@ bounds series/polynomial term counts and the size of a named quiver, and
 ``CLUSTERSCATTER_SUBSPACE_LIMIT`` bounds what the counting polynomial of
 ``grass --json`` and ``strata`` enumerates: its torus-fixed points, and
 for ``grass --json`` the subspaces counted over F_2 to check it at q = 2.
-Each must be an integer >= 0 (empty means the default); both are checked
-before any job runs, so a bad value exits 2 whatever the command.
+Each must be an integer >= 0 (empty means the default).  Both are read
+once per command into ``lattice.BUDGET``, before any job runs, so a bad
+value exits 2 whatever the command.  Library calls charge that budget
+and read no environment.
 """
 
 from __future__ import annotations
@@ -77,11 +79,10 @@ from .hall import (
 from .lattice import (
     GradedSeries,
     LaurentPoly,
+    charge,
     default_names,
-    env_ceiling,
     monomial_str,
     poly_str,
-    term_ceiling_error,
     tilde_p_star,
     vec_add,
     vec_str,
@@ -89,7 +90,6 @@ from .lattice import (
     x_degree,
 )
 from .quiver import (
-    DEFAULT_SUBSPACE_LIMIT,
     Quiver,
     ar_component,
     caldero_chapoton,
@@ -165,8 +165,7 @@ def parse_point(text: str, what: str = "endpoint") -> tuple[Fraction, ...]:
 def _kronecker(b: int) -> Quiver:
     """``kronecker_quiver(b)``, its ``b`` arrows charged against the term
     ceiling before they are built."""
-    if b > lattice.MAX_TERMS:
-        raise term_ceiling_error("an arrow list", b)
+    charge("terms", "an arrow list", b)
     return kronecker_quiver(b)
 
 
@@ -182,8 +181,7 @@ def named_quiver(label: str) -> Quiver:
         return _kronecker(b)
     if name.startswith("a") and name[1:].isdigit():
         n = int(name[1:], 10)
-        if n * n > lattice.MAX_TERMS:
-            raise term_ceiling_error("a skew matrix", n * n)
+        charge("terms", "a skew matrix", n * n)
         return path_quiver(n)
     raise InputError(
         f"unknown quiver name {label!r}; expected kronecker<b> or a<n>"
@@ -1292,11 +1290,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
-    max_terms = lattice.MAX_TERMS
+    budget = lattice.BUDGET
     try:
-        # both ceilings are checked before any job runs
-        lattice.MAX_TERMS = env_ceiling("CLUSTERSCATTER_MAX_TERMS", max_terms)
-        env_ceiling("CLUSTERSCATTER_SUBSPACE_LIMIT", DEFAULT_SUBSPACE_LIMIT)
+        # both ceilings are read once, before any job runs
+        lattice.BUDGET = lattice.budget_from_env()
         output = run(_job_from_args(args))
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
@@ -1305,7 +1302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        lattice.MAX_TERMS = max_terms
+        lattice.BUDGET = budget
     sys.stdout.write(output)
     return 0
 

@@ -28,33 +28,58 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError, ResourceLimitError
 
 Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
 
-#: Hard ceiling on term counts in polynomial products, wall crossings and
-#: series, to keep runaway computations from exhausting memory.  The
-#: command line sets it from CLUSTERSCATTER_MAX_TERMS.
-MAX_TERMS = 2_000_000
+
+class Budget(NamedTuple):
+    """The resource ceilings: ``terms`` bounds polynomial products, wall
+    crossings, series and the sizes the command line builds, ``subspaces``
+    what a counting polynomial enumerates (subspaces over a prime field,
+    torus-fixed points).  Pure-Python counting over F_2 takes about 150 us
+    per subspace."""
+
+    terms: int = 2_000_000
+    subspaces: int = 20_000
 
 
-def env_ceiling(name: str, default: int) -> int:
-    """The ceiling set by the environment variable ``name``: an integer
-    >= 0, or ``default`` when the variable is unset or empty."""
-    raw = os.environ.get(name, "")
-    if raw and not raw.isdecimal():
-        raise InputError(f"{name}={raw!r} is not an integer >= 0")
-    return int(raw) if raw else default
+#: The budget in force; the command line sets it for each job.
+BUDGET = Budget()
+
+_VARIABLES = {"terms": "CLUSTERSCATTER_MAX_TERMS",
+              "subspaces": "CLUSTERSCATTER_SUBSPACE_LIMIT"}
 
 
-def term_ceiling_error(what: str, terms: int) -> ResourceLimitError:
-    """The error for ``what`` reaching ``terms`` terms, past ``MAX_TERMS``."""
-    return ResourceLimitError(
-        f"{what} of {terms} terms exceeds the term ceiling {MAX_TERMS} "
-        "(CLUSTERSCATTER_MAX_TERMS)"
+def budget_from_env() -> Budget:
+    """The budget the environment sets: each variable an integer >= 0, its
+    field's default when unset or empty."""
+    limits = []
+    for kind, name in _VARIABLES.items():
+        raw = os.environ.get(name, "")
+        if raw and not raw.isdecimal():
+            raise InputError(f"{name}={raw!r} is not an integer >= 0")
+        limits.append(int(raw) if raw else Budget._field_defaults[kind])
+    return Budget(*limits)
+
+
+def charge(kind: str, what: str, count: int) -> None:
+    """Raise :class:`ResourceLimitError` when ``count`` (of ``what``)
+    exceeds the ``kind`` field of ``BUDGET``."""
+    limit = getattr(BUDGET, kind)
+    if count <= limit:
+        return
+    if kind == "terms":
+        raise ResourceLimitError(
+            f"{what} of {count} terms exceeds the term ceiling {limit} "
+            f"({_VARIABLES[kind]})"
+        )
+    raise ResourceLimitError(
+        f"{count} {what} exceed the configured enumeration limit {limit} "
+        f"({_VARIABLES[kind]})"
     )
 
 
@@ -294,12 +319,13 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_width(other)
         out: dict[Vec, int] = {}
+        limit = BUDGET.terms
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = vec_add(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
-            if len(out) > MAX_TERMS:
-                raise term_ceiling_error("a polynomial product", len(out))
+            if len(out) > limit:
+                charge("terms", "a polynomial product", len(out))
         return LaurentPoly(out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -356,8 +382,7 @@ class LaurentPoly:
                 raise InputError("division not exact (exponent outside quotient box)")
             q_coeff = cr // cd
             quotient[q_exp] = q_coeff
-            if len(quotient) > MAX_TERMS:
-                raise term_ceiling_error("a quotient", len(quotient))
+            charge("terms", "a quotient", len(quotient))
             for e, c in divisor.terms.items():
                 e2 = vec_add(q_exp, e)
                 nv = remainder.get(e2, 0) - q_coeff * c
@@ -482,8 +507,7 @@ class GradedSeries:
             )
         self.order = order
         size = order // x_degree(self.step, n) + 1
-        if size > MAX_TERMS:
-            raise term_ceiling_error("a series", size)
+        charge("terms", "a series", size)
         head = tuple(int(c) for c in coeffs[:size])
         self.coeffs = head + (0,) * (size - len(head))
         self._powers: dict[int, GradedSeries] = {}

@@ -37,43 +37,19 @@ from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
-from . import lattice
-from .errors import (
-    InputError,
-    ResourceLimitError,
-    TranslateUndefinedError,
-    UnsupportedInputError,
-)
+from .errors import InputError, TranslateUndefinedError, UnsupportedInputError
 from .lattice import (
     LaurentPoly,
     Matrix,
     Vec,
+    charge,
     check_skew,
-    env_ceiling,
     mat_mul,
     mat_transpose,
     tilde_p_star,
     vec_add,
     vec_sub,
 )
-
-#: Cap on what a counting polynomial enumerates: the subspaces counted
-#: over one prime field, and the torus-fixed points whose cells are
-#: summed (Euler characteristics enumerate neither); override with
-#: CLUSTERSCATTER_SUBSPACE_LIMIT.  Pure-Python counting over F_2 takes
-#: about 150 us per subspace.
-DEFAULT_SUBSPACE_LIMIT = 20_000
-
-
-def _charge_enumeration(count: int, what: str) -> None:
-    """Raise ``ResourceLimitError`` before enumerating ``count`` items."""
-    limit = env_ceiling("CLUSTERSCATTER_SUBSPACE_LIMIT", DEFAULT_SUBSPACE_LIMIT)
-    if count > limit:
-        raise ResourceLimitError(
-            f"{count} {what} exceed the configured enumeration limit {limit} "
-            "(CLUSTERSCATTER_SUBSPACE_LIMIT)"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Quivers
@@ -362,17 +338,20 @@ def classify_indecomposable(q: Quiver, d: Sequence[int], bound: int = 64) -> ARN
     if not any(d):
         raise InputError("need a nonzero dimension vector")
     _validate_known_indecomposable(q, d)
+    # translates keep the Tits form and every projective and injective has
+    # form 1, so when the form of d is not 1 no orbit step can reach one
+    steps = bound + 1 if euler_form(q, d, d) == 1 else 0
     projs = projective_dims(q)
     injs = injective_dims(q)
     x = d
-    for t in range(bound + 1):
+    for t in range(steps):
         if x in projs:
             return ARNode("P", projs.index(x) + 1, t, d)
         x = _apply(coxeter_matrix(q), x)
         if any(v < 0 for v in x):
             break
     x = d
-    for s in range(bound + 1):
+    for s in range(steps):
         if x in injs:
             return ARNode("I", injs.index(x) + 1, s, d)
         x = _apply(coxeter_inverse(q), x)
@@ -470,8 +449,7 @@ def ar_component(q: Quiver, side: str, bound: int) -> ARGraph:
     if bound < 0:
         raise InputError("bound must be nonnegative")
     n = q.n_vertices
-    if n * (bound + 1) > lattice.MAX_TERMS:
-        raise lattice.term_ceiling_error("an AR component", n * (bound + 1))
+    charge("terms", "an AR component", n * (bound + 1))
     starts = projective_dims(q) if side == "P" else injective_dims(q)
     stops = injective_dims(q) if side == "P" else projective_dims(q)
     step_mat = coxeter_inverse(q) if side == "P" else coxeter_matrix(q)
@@ -757,8 +735,8 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     by vertex; at sinks the count of admissible subspaces containing the
     accumulated image span is a Gaussian binomial, no enumeration needed.
     The product of the Gaussian binomials at the other vertices, the
-    number of subspaces enumerated, is charged to the enumeration limit
-    before any is.
+    number of subspaces enumerated, is charged against the ``subspaces``
+    budget before any is.
     """
     q = rep.quiver
     p = rep.field
@@ -776,7 +754,7 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
         for v in range(n)
         if not is_sink[v]
     )
-    _charge_enumeration(prod(enumerated), f"subspaces over F_{p}")
+    charge("subspaces", f"subspaces over F_{p}", prod(enumerated))
     arrow_mats = dict(zip(range(len(q.arrows)), rep.maps))
     bases: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -1058,11 +1036,11 @@ def grassmannian_counting_polynomial(
     cells are verified by tests against counts over finite fields, not
     proven.  The tuple has length at
     least ``max(0, <e, d - e>) + 1``.  The number of fixed points, which
-    is the Euler characteristic, is checked against
-    ``CLUSTERSCATTER_SUBSPACE_LIMIT`` before any is enumerated.
+    is the Euler characteristic, is charged against the ``subspaces``
+    budget before any is enumerated.
     """
     d, e = dim_vector(q, d), tuple(int(x) for x in e)
-    _charge_enumeration(grassmannian_euler_char(q, d, e), "torus-fixed points")
+    charge("subspaces", "torus-fixed points", grassmannian_euler_char(q, d, e))
     walk = _string(q, d)
     coeffs = [0] * (max(0, euler_form(q, e, vec_sub(d, e))) + 1)
     for k in _cell_dimensions(q, walk, _fixed_points(walk, e)):
@@ -1089,8 +1067,7 @@ def caldero_chapoton(q: Quiver, d: Sequence[int]) -> LaurentPoly:
     classify_indecomposable(q, d)  # rejects d that are not indecomposable
     shift = tuple(-x for x in g_map(q, d)) + (0,) * n
     chis = _fixed_point_euler_chars(q, d)
-    if len(chis) > lattice.MAX_TERMS:
-        raise lattice.term_ceiling_error("a cluster character", len(chis))
+    charge("terms", "a cluster character", len(chis))
     terms: dict[Vec, int] = {}
     for e, chi in chis.items():
         expo = vec_add(shift, tilde_p_star(eps, e + (0,) * n))

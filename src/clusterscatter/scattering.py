@@ -204,6 +204,7 @@ def wall_cross(
     n = len(wall.normal)
     deg = x_degree(func.step, n)
     out: dict[Vec, int] = {}
+    limit = lattice.BUDGET.terms
     for expo, coeff in poly.terms.items():
         room = order - x_degree(expo, n)
         if room < 0:
@@ -214,8 +215,8 @@ def wall_cross(
             if c:
                 e = tuple(x + k * s for x, s in zip(expo, func.step))
                 out[e] = out.get(e, 0) + coeff * c
-        if len(out) > lattice.MAX_TERMS:
-            raise lattice.term_ceiling_error("a wall crossing", len(out))
+        if len(out) > limit:
+            lattice.charge("terms", "a wall crossing", len(out))
     return LaurentPoly(out)
 
 

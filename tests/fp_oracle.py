@@ -5,8 +5,9 @@ count subrepresentations over prime fields (on the two-arrow quiver by a
 numpy-batched rank histogram over every source subspace) and fit the
 palindromic polynomial whose degree is the expected dimension.  The
 package computes the polynomial from torus-fixed points instead; tests
-compare the two.  No subspace ceiling applies here: tests choose inputs
-the oracle can count.
+compare the two.  The numpy histogram has no subspace ceiling, but its
+fallback to ``quiver.subrep_count`` is charged against ``lattice.BUDGET``
+like any library call: tests choose inputs the oracle can count.
 """
 
 from __future__ import annotations

@@ -182,11 +182,6 @@ class TestFiveLineTheta:
     def test_view_resolution(self):
         assert resolve_view(D2, (2, -2, -1, -1)) == "n"
         assert resolve_view(D2, (1, -1, 0, 0)) == "m"
-        assert resolve_view(D2, (2, -2, -1, -1), "m") == "m"
-        with pytest.raises(UnsupportedInputError):
-            resolve_view(D2, (1, -1, 0, 0), "n")
-        with pytest.raises(InputError):
-            resolve_view(D2, (1, -1, 0, 0), "sideways")
 
 
 class TestFilteredEnumeration:

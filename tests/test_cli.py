@@ -39,6 +39,8 @@ from clusterscatter.errors import InputError
 from clusterscatter.hall import qbinom
 from clusterscatter.quiver import (
     caldero_chapoton,
+    grassmannian_counting_polynomial,
+    grassmannian_euler_char,
     kronecker_quiver,
     path_quiver,
     quiver_to_skew,
@@ -89,10 +91,10 @@ def cli(capsys):
 
 
 @pytest.fixture()
-def restore_max_terms():
-    saved = lattice.MAX_TERMS
+def restore_budget():
+    saved = lattice.BUDGET
     yield
-    lattice.MAX_TERMS = saved
+    lattice.BUDGET = saved
 
 
 class TestParsing:
@@ -708,6 +710,19 @@ class TestResourceCeilings:
         assert "resource limit" in err
         assert "limit 2 (CLUSTERSCATTER_SUBSPACE_LIMIT)" in err
 
+    def test_subspace_limit_read_by_the_command_line_only(self, cli,
+                                                          monkeypatch):
+        # the library charges the budget in force (here the default) and
+        # reads no environment; the command line reads the variable
+        monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1")
+        k2 = kronecker_quiver(2)
+        coeffs = grassmannian_counting_polynomial(k2, (5, 6), (2, 4))
+        assert sum(coeffs) == grassmannian_euler_char(k2, (5, 6), (2, 4)) > 1
+        code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "5,6",
+                             "--e", "2,4", "--json")
+        assert (code, out) == (3, "")
+        assert "limit 1 (CLUSTERSCATTER_SUBSPACE_LIMIT)" in err
+
     def test_text_grass_ignores_subspace_limit(self, cli, monkeypatch):
         monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "2")
         code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "7,8",
@@ -718,7 +733,7 @@ class TestResourceCeilings:
         "b, limit", [("2", "3"), ("3", "10")], ids=["b2-limit3", "b3-limit10"]
     )
     def test_series_term_limit_exit_three(self, cli, monkeypatch,
-                                          restore_max_terms, b, limit):
+                                          restore_budget, b, limit):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", limit)
         code, _, err = cli("scatter", "--b", b, "--order", "8")
         assert code == 3
@@ -726,7 +741,7 @@ class TestResourceCeilings:
         assert f"term ceiling {limit} (CLUSTERSCATTER_MAX_TERMS)" in err
 
     def test_product_term_limit_names_its_budget(self, cli, monkeypatch,
-                                                 restore_max_terms):
+                                                 restore_budget):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "3")
         code, out, err = cli("mutate", "--b", "3", "--word", "1,2,1")
         assert (code, out) == (3, "")
@@ -745,14 +760,14 @@ class TestResourceCeilings:
         )
 
     def test_cluster_character_term_limit_exit_three(self, cli, monkeypatch,
-                                                     restore_max_terms):
+                                                     restore_budget):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "0")
         code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "30,31")
         assert (code, out) == (3, "")
         assert "term ceiling 0 (CLUSTERSCATTER_MAX_TERMS)" in err
 
     def test_cluster_character_table_charged(self, cli, monkeypatch,
-                                             restore_max_terms):
+                                             restore_budget):
         # a ceiling of 2 lets the two arrows be built, so the charge that
         # stops the job is the one on the character's 497-entry chi table
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "2")
@@ -764,7 +779,7 @@ class TestResourceCeilings:
         )
 
     def test_bad_ceiling_value_exit_two(self, cli, monkeypatch,
-                                        restore_max_terms):
+                                        restore_budget):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "lots")
         code, _, err = cli("scatter", "--b", "1", "--order", "4")
         assert code == 2
@@ -772,11 +787,11 @@ class TestResourceCeilings:
 
     def test_term_ceiling_does_not_leak_into_the_next_call(self, cli,
                                                            monkeypatch):
-        default = lattice.MAX_TERMS
+        default = lattice.BUDGET
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "10")
         assert cli("scatter", "--b", "3", "--order", "8")[0] == 3
         monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS")
-        assert lattice.MAX_TERMS == default
+        assert lattice.BUDGET == default
         assert cli("scatter", "--b", "3", "--order", "8")[0] == 0
 
     def test_series_length_charged_before_allocation(self, cli, monkeypatch):
@@ -810,7 +825,7 @@ class TestResourceCeilings:
         "variable", ["CLUSTERSCATTER_MAX_TERMS", "CLUSTERSCATTER_SUBSPACE_LIMIT"]
     )
     def test_ceiling_variables_checked_before_any_job(
-        self, cli, monkeypatch, restore_max_terms, variable, value, args
+        self, cli, monkeypatch, restore_budget, variable, value, args
     ):
         # every command rejects both variables, read or not
         monkeypatch.setenv(variable, value)
@@ -838,7 +853,7 @@ class TestResourceCeilings:
              "mutate-path", "ar-path"],
     )
     def test_quiver_size_charged_before_the_build(
-        self, cli, monkeypatch, restore_max_terms, args, terms
+        self, cli, monkeypatch, restore_budget, args, terms
     ):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
         code, out, err = cli(*args)
@@ -849,12 +864,12 @@ class TestResourceCeilings:
         )
 
     def test_quiver_at_the_ceiling_is_built(self, cli, monkeypatch,
-                                            restore_max_terms):
+                                            restore_budget):
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "49")
         assert cli("mutate", "--quiver", "a7", "--word", "1")[0] == 0
         assert cli("ar", "--quiver", "kronecker49", "--tau", "1,0")[0] == 0
 
-    def test_b_seed_builds_no_arrows(self, cli, monkeypatch, restore_max_terms):
+    def test_b_seed_builds_no_arrows(self, cli, monkeypatch, restore_budget):
         # the seed commands read a b job's matrix off b, so neither the
         # ceiling nor b arrow tuples stand in their way
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterscatter.errors import InputError
+from clusterscatter import lattice
+from clusterscatter.errors import InputError, ResourceLimitError
 from clusterscatter.lattice import (
+    Budget,
     GradedSeries,
     LaurentPoly,
+    budget_from_env,
+    charge,
     default_names,
     mat_mul,
     monomial_str,
@@ -248,3 +255,47 @@ def test_matrix_helpers():
     b = ((0, 1), (1, 0))
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert vec_add((1, 2), (3, -5)) == (4, -3)
+
+
+# ---------------------------------------------------------------------------
+# the resource budget
+
+
+def test_charge_names_the_budget_its_limit_and_the_count(monkeypatch):
+    monkeypatch.setattr(lattice, "BUDGET", Budget(terms=3, subspaces=5))
+    charge("terms", "a series", 3)
+    charge("subspaces", "torus-fixed points", 5)
+    with pytest.raises(ResourceLimitError) as err:
+        charge("terms", "a series", 4)
+    assert str(err.value) == (
+        "a series of 4 terms exceeds the term ceiling 3 "
+        "(CLUSTERSCATTER_MAX_TERMS)"
+    )
+    with pytest.raises(ResourceLimitError) as err:
+        charge("subspaces", "torus-fixed points", 6)
+    assert str(err.value) == (
+        "6 torus-fixed points exceed the configured enumeration limit 5 "
+        "(CLUSTERSCATTER_SUBSPACE_LIMIT)"
+    )
+
+
+def test_budget_from_env(monkeypatch):
+    monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS", raising=False)
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "")
+    assert budget_from_env() == Budget() == (2_000_000, 20_000)
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "7")
+    assert budget_from_env() == Budget(subspaces=7)
+    # the term ceiling is checked first
+    monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "-1")
+    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "x")
+    with pytest.raises(InputError, match="CLUSTERSCATTER_MAX_TERMS='-1'"):
+        budget_from_env()
+
+
+def test_only_lattice_reads_the_environment():
+    source = Path(lattice.__file__).parent
+    readers = sorted(
+        path.name for path in source.glob("*.py")
+        if re.search(r"\bos\.(environ|getenv)\b", path.read_text())
+    )
+    assert readers == ["lattice.py"]

@@ -189,6 +189,29 @@ def test_classify_kronecker():
         classify_indecomposable(K2, (1, 3))
 
 
+def test_classify_skips_orbits_when_the_tits_form_is_not_one(monkeypatch):
+    # translates keep the Tits form and projectives and injectives have
+    # form 1, so a vector of another form is settled without a translate
+    steps = []
+    original = quiver_mod._apply
+
+    def counting(mat, d):
+        steps.append(d)
+        return original(mat, d)
+
+    monkeypatch.setattr(quiver_mod, "_apply", counting)
+    assert classify_indecomposable(kronecker_quiver(300_000), (1, 1)) == ARNode(
+        "R", None, None, (1, 1)
+    )
+    assert steps == []
+    with pytest.raises(InputError) as err:
+        classify_indecomposable(Quiver(3, ((1, 2), (1, 3))), (2, 1, 1))
+    assert str(err.value) == (
+        "could not classify (2, 1, 1) within 64 translate steps on a "
+        "representation-finite quiver"
+    )
+
+
 def test_classify_dynkin():
     assert classify_indecomposable(A2, (1, 1)) == ARNode("P", 1, 0, (1, 1))
     assert classify_indecomposable(A2, (0, 1)) == ARNode("P", 2, 0, (0, 1))
@@ -293,7 +316,7 @@ def test_ar_component_edges_stop_at_the_last_slice():
 def test_quiver_builders_read_no_term_ceiling(monkeypatch):
     # The command line charges a named quiver's size; building a quiver in
     # the library, or testing its shape during classification, does not.
-    monkeypatch.setattr(lattice, "MAX_TERMS", 0)
+    monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(terms=0))
     assert kronecker_quiver(3).arrows == ((1, 2),) * 3
     assert path_quiver(4).arrows == ((1, 2), (2, 3), (3, 4))
     assert indecomposable_rep(A3, (0, 1, 1)).dims == (0, 1, 1)
@@ -554,7 +577,7 @@ def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(quiver_mod, "_subspaces_containing", enumerating)
-    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1000")
+    monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(subspaces=1000))
     rep = rep_mod_p(indecomposable_rep(K2, (6, 5)), 2)
     with pytest.raises(ResourceLimitError, match="1395 subspaces over F_2"):
         subrep_count(rep, (3, 4))
@@ -571,7 +594,7 @@ def test_counting_polynomial_checks_limit_before_enumerating(monkeypatch):
         return original(walk, e)
 
     monkeypatch.setattr(quiver_mod, "_fixed_points", enumerating)
-    monkeypatch.setenv("CLUSTERSCATTER_SUBSPACE_LIMIT", "1000")
+    monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(subspaces=1000))
     with pytest.raises(ResourceLimitError, match="6435 torus-fixed points"):
         grassmannian_counting_polynomial(K2, (14, 15), (0, 7))
     assert calls == []
