@@ -17,7 +17,8 @@ resource ceiling was hit.  Output is deterministic: identical inputs give
 identical bytes.
 
 Resource ceilings come from the environment: ``CLUSTERSCATTER_MAX_TERMS``
-bounds series/polynomial term counts and the size of a named quiver, and
+bounds series/polynomial term counts, the arrow counts of ``a<n>`` and the
+nodes and edges of an ``ar`` component, and
 ``CLUSTERSCATTER_SUBSPACE_LIMIT`` bounds what the counting polynomial of
 ``grass --json`` and ``strata`` enumerates: its torus-fixed points, and
 for ``grass --json`` the subspaces counted over F_2 to check it at q = 2.
@@ -162,23 +163,17 @@ def parse_point(text: str, what: str = "endpoint") -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _kronecker(b: int) -> Quiver:
-    """``kronecker_quiver(b)``, its ``b`` arrows charged against the term
-    ceiling before they are built."""
-    charge("terms", "an arrow list", b)
-    return kronecker_quiver(b)
-
-
 def named_quiver(label: str) -> Quiver:
     """Resolve built-in quiver names ``kronecker{b}`` and ``a{n}``; the
-    size of the named quiver is charged against the term ceiling."""
+    ``n * n`` arrow counts of ``a{n}`` are charged against the term
+    ceiling."""
     name = str(label).strip().lower()
     if name.startswith("kronecker"):
         try:
             b = int(name[len("kronecker"):], 10)
         except ValueError:
             raise InputError(f"unknown quiver name {label!r}") from None
-        return _kronecker(b)
+        return kronecker_quiver(b)
     if name.startswith("a") and name[1:].isdigit():
         n = int(name[1:], 10)
         charge("terms", "a skew matrix", n * n)
@@ -202,17 +197,15 @@ def _endpoint(inputs: dict) -> tuple[Fraction, ...]:
 def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
     """The quiver a job names by exactly one of ``b`` or ``quiver``."""
     if "b" in inputs:
-        return _kronecker(inputs["b"]), f"kronecker{inputs['b']}"
+        return kronecker_quiver(inputs["b"]), f"kronecker{inputs['b']}"
     return named_quiver(inputs["quiver"]), inputs["quiver"]
 
 
 def _seed_for(inputs: dict) -> tuple[Seed, str]:
-    """The initial seed of the job's quiver, with a display label; a
-    ``b`` job reads its matrix off ``b`` without building the arrows."""
-    if "b" in inputs:
-        return initial_seed(rank2_exchange(inputs["b"])), f"b={inputs['b']}"
-    q = named_quiver(inputs["quiver"])
-    return initial_seed(quiver_to_skew(q)), f"quiver {inputs['quiver']}"
+    """The initial seed of the job's quiver, with a display label."""
+    q, label = _quiver_for(inputs)
+    label = f"b={inputs['b']}" if "b" in inputs else f"quiver {label}"
+    return initial_seed(quiver_to_skew(q)), label
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def _generic_summands(q: Quiver, rem: Vec) -> tuple[tuple[Vec, int], ...]:
         raise UnsupportedInputError(
             f"no generic decomposition available for {rem} on this quiver"
         )
-    width = len(q.arrows)
+    width = q.counts[0][1]
     u, v = rem
     if width == 1:
         # Representation-finite: generic map has full rank.

@@ -14,8 +14,12 @@ those Euler characteristics.
 
 Conventions
 -----------
-* Vertices are numbered ``1..n`` and every arrow points from a lower to a
-  higher vertex, so quivers are acyclic by construction.
+* Vertices are numbered ``1..n``.  A quiver is its strictly upper
+  triangular matrix ``counts`` of arrow multiplicities (``counts[s-1][t-1]``
+  arrows ``s -> t``), so quivers are acyclic by construction.
+* ``Quiver.arrows`` expands ``counts`` into one ``(s, t)`` per arrow in
+  lexicographic order, the order of an explicit representation's maps;
+  only code that needs one map per arrow reads it.
 * ``euler_form(Q, c, d)`` is ``sum(c_i d_i) - sum_{arrows i->j} c_i d_j``;
   on dimension vectors of representations it equals
   ``dim Hom - dim Ext1``.
@@ -57,53 +61,65 @@ from .lattice import (
 
 class Quiver(NamedTuple("Quiver", [
     ("n_vertices", int),
-    ("arrows", tuple[tuple[int, int], ...]),
+    ("counts", Matrix),
 ])):
-    """An acyclic quiver on vertices ``1..n_vertices``.
+    """An acyclic quiver on vertices ``1..n_vertices`` with
+    ``counts[s-1][t-1]`` arrows ``s -> t``.
 
-    Representation invariant: every arrow ``(s, t)`` satisfies
-    ``1 <= s < t <= n_vertices``, which forces acyclicity and fixes the
-    topological order to be the vertex numbering.
+    Representation invariant: ``counts`` is an ``n x n`` matrix of
+    integers ``>= 0`` that vanishes on and below the diagonal, which forces
+    acyclicity and fixes the topological order to be the vertex numbering.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n_vertices: int, arrows: tuple[tuple[int, int], ...]) -> "Quiver":
+    def __new__(cls, n_vertices: int, counts: Sequence[Sequence[int]]) -> "Quiver":
         if n_vertices < 1:
             raise InputError("quiver needs at least one vertex")
-        for s, t in arrows:
-            if not (1 <= s < t <= n_vertices):
-                raise InputError(
-                    f"arrow ({s}, {t}) must satisfy 1 <= source < target <= {n_vertices}"
-                )
-        return super().__new__(cls, n_vertices, arrows)
+        n, counts = n_vertices, tuple(tuple(row) for row in counts)
+        if len(counts) != n or any(len(row) != n for row in counts):
+            raise InputError(f"arrow counts must form a {n}x{n} matrix")
+        for s, row in enumerate(counts, start=1):
+            for t, m in enumerate(row, start=1):
+                if not isinstance(m, int) or m < 0:
+                    raise InputError(
+                        f"arrow count {m!r} of ({s}, {t}) must be an integer >= 0"
+                    )
+                if m and s >= t:
+                    raise InputError(
+                        f"arrow ({s}, {t}) must satisfy 1 <= source < target <= {n}"
+                    )
+        return super().__new__(cls, n_vertices, counts)
 
-    def out_arrows(self, v: int) -> tuple[tuple[int, int], ...]:
-        return tuple(a for a in self.arrows if a[0] == v)
+    @property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """One ``(s, t)`` per arrow, in lexicographic order."""
+        return tuple(
+            (s, t)
+            for s, row in enumerate(self.counts, start=1)
+            for t, m in enumerate(row, start=1)
+            for _ in range(m)
+        )
 
 
 def kronecker_quiver(b: int) -> Quiver:
     """Two vertices joined by ``b`` parallel arrows ``1 -> 2``."""
     if b < 1:
         raise InputError("need at least one arrow")
-    return Quiver(2, tuple((1, 2) for _ in range(b)))
+    return Quiver(2, ((0, b), (0, 0)))
 
 
 def path_quiver(n: int) -> Quiver:
     """Linear quiver ``1 -> 2 -> ... -> n``."""
     if n < 1:
         raise InputError("need at least one vertex")
-    return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+    return Quiver(n, tuple(tuple(int(t == s + 1) for t in range(n)) for s in range(n)))
 
 
 def quiver_to_skew(q: Quiver) -> Matrix:
     """Skew matrix ``eps[i][j] = #arrows(i->j) - #arrows(j->i)``."""
-    n = q.n_vertices
-    eps = [[0] * n for _ in range(n)]
-    for s, t in q.arrows:
-        eps[s - 1][t - 1] += 1
-        eps[t - 1][s - 1] -= 1
-    return check_skew(eps)
+    n, c = q.n_vertices, q.counts
+    return check_skew([[c[i][j] - c[j][i] for j in range(n)] for i in range(n)])
 
 
 def dim_vector(q: Quiver, v: Sequence[int], what: str = "dimension vector") -> Vec:
@@ -116,17 +132,6 @@ def dim_vector(q: Quiver, v: Sequence[int], what: str = "dimension vector") -> V
     return vec
 
 
-def _is_path_quiver(q: Quiver) -> bool:
-    return q.arrows == tuple((i, i + 1) for i in range(1, q.n_vertices))
-
-
-def _kronecker_width(q: Quiver) -> int | None:
-    """Return ``b`` when ``q`` is two vertices with ``b`` arrows, else None."""
-    if q.n_vertices == 2 and q.arrows and all(a == (1, 2) for a in q.arrows):
-        return len(q.arrows)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Euler form, weight covector, translate matrices
 
@@ -135,10 +140,7 @@ def _kronecker_width(q: Quiver) -> int | None:
 def euler_matrix(q: Quiver) -> Matrix:
     """Upper unitriangular matrix ``E`` with ``euler_form = c E d``."""
     n = q.n_vertices
-    mat = [[int(i == j) for j in range(n)] for i in range(n)]
-    for s, t in q.arrows:
-        mat[s - 1][t - 1] -= 1
-    return tuple(tuple(row) for row in mat)
+    return tuple(tuple(int(i == j) - q.counts[i][j] for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +152,7 @@ def _euler_inverse(q: Quiver) -> Matrix:
     ``(i, j)`` entry counts paths from vertex ``i+1`` to vertex ``j+1``.
     """
     n = q.n_vertices
-    a = [[-euler_matrix(q)[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
+    a = q.counts
     total = [[int(i == j) for j in range(n)] for i in range(n)]
     power = [row[:] for row in total]
     for _ in range(n):
@@ -168,20 +170,16 @@ def euler_form(q: Quiver, c: Sequence[int], d: Sequence[int]) -> int:
     n = q.n_vertices
     if len(c) != n or len(d) != n:
         raise InputError("vector length must match the number of vertices")
-    total = sum(ci * di for ci, di in zip(c, d))
-    for s, t in q.arrows:
-        total -= c[s - 1] * d[t - 1]
-    return total
+    return sum(ci * di for ci, di in zip(c, d)) - sum(
+        ci * m * dj for ci, row in zip(c, q.counts) for m, dj in zip(row, d)
+    )
 
 
 def g_map(q: Quiver, d: Sequence[int]) -> Vec:
     """Weight covector of ``d``: entry ``i`` is ``d_i - sum_{arrows i->t} d_t``."""
     if len(d) != q.n_vertices:
         raise InputError("vector length must match the number of vertices")
-    out = list(d)
-    for s, t in q.arrows:
-        out[s - 1] -= d[t - 1]
-    return tuple(out)
+    return tuple(di - sum(m * dj for m, dj in zip(row, d)) for di, row in zip(d, q.counts))
 
 
 @lru_cache(maxsize=None)
@@ -303,15 +301,14 @@ class ARNode(NamedTuple):
 
 
 def _validate_known_indecomposable(q: Quiver, d: Vec) -> None:
-    width = _kronecker_width(q)
-    if width == 2:
+    if q == kronecker_quiver(2):
         a, b = d
         if not (abs(a - b) <= 1 and max(a, b) >= 1):
             raise InputError(
                 f"{d} is not an indecomposable dimension vector for the two-arrow quiver"
             )
         return
-    if width == 1 or _is_path_quiver(q):
+    if q == path_quiver(q.n_vertices):  # kronecker_quiver(1) is path_quiver(2)
         n = q.n_vertices
         support = [i for i in range(n) if d[i] != 0]
         ok = (
@@ -442,7 +439,9 @@ def ar_component(q: Quiver, side: str, bound: int) -> ARGraph:
     up to ``bound`` translate steps, stopping early where the translate
     becomes undefined.  For each quiver arrow ``u -> v`` (with
     multiplicity) the graph carries the slice edge from the ``v``-node to
-    the ``u``-node and the mesh edge into the next slice.
+    the ``u``-node and the mesh edge into the next slice.  The nodes, and
+    then the edges, are charged against the ``terms`` budget before they
+    are built.
     """
     if side not in ("P", "I"):
         raise InputError('side must be "P" or "I"')
@@ -463,19 +462,20 @@ def ar_component(q: Quiver, side: str, bound: int) -> ARGraph:
             if x in stops:
                 break
             x = _apply(step_mat, x)
-    edges: list[tuple[int, int]] = []
     slices = max(node.steps for node in nodes) + 1
-    for u, v in q.arrows:
+    runs = []  # the edges of one arrow u -> v, and the number of arrows u -> v
+    for u, v in combinations(range(1, n + 1), 2):
+        if not q.counts[u - 1][v - 1]:
+            continue
+        run = []
         for t in range(slices):
-            if (v, t) in index and (u, t) in index:
-                edges.append((index[(v, t)], index[(u, t)]))
-            if side == "P":
-                if (u, t) in index and (v, t + 1) in index:
-                    edges.append((index[(u, t)], index[(v, t + 1)]))
-            else:
-                if (u, t + 1) in index and (v, t) in index:
-                    edges.append((index[(u, t + 1)], index[(v, t)]))
-    return ARGraph(tuple(nodes), tuple(edges))
+            mesh = ((u, t), (v, t + 1)) if side == "P" else ((u, t + 1), (v, t))
+            for a, b in (((v, t), (u, t)), mesh):
+                if a in index and b in index:
+                    run.append((index[a], index[b]))
+        runs.append((run, q.counts[u - 1][v - 1]))
+    charge("terms", "an AR edge list", sum(len(run) * m for run, m in runs))
+    return ARGraph(tuple(nodes), tuple(edge for run, m in runs for edge in run * m))
 
 
 def is_predecessor(q: Quiver, v: ARNode, w: ARNode) -> bool:
@@ -541,7 +541,7 @@ class ExplicitRep(NamedTuple("ExplicitRep", [
             raise InputError("dimension vector length must match the quiver")
         if any(x < 0 for x in dims):
             raise InputError("dimensions must be nonnegative")
-        if len(maps) != len(quiver.arrows):
+        if len(maps) != sum(map(sum, quiver.counts)):
             raise InputError("need exactly one matrix per arrow")
         for (s, t), mat in zip(quiver.arrows, maps):
             rows, cols = dims[t - 1], dims[s - 1]
@@ -614,10 +614,9 @@ def indecomposable_rep(q: Quiver, d: Sequence[int]) -> ExplicitRep:
     eigenvalue 1 for the square case).  Other quivers are unsupported.
     """
     d = tuple(int(x) for x in d)
-    width = _kronecker_width(q)
-    if width == 2:
+    if q == kronecker_quiver(2):
         return kronecker_indecomposable(d)
-    if width == 1 or _is_path_quiver(q):
+    if q == path_quiver(q.n_vertices):
         _validate_known_indecomposable(q, d)
         maps = []
         for s, t in q.arrows:
@@ -748,23 +747,23 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     if any(x < 0 or x > dx for x, dx in zip(e, rep.dims)):
         return 0
     n = q.n_vertices
-    is_sink = [not q.out_arrows(v) for v in range(1, n + 1)]
+    is_sink = [not any(row) for row in q.counts]
     enumerated = (
         gaussian_binomial_int(rep.dims[v], e[v], p)
         for v in range(n)
         if not is_sink[v]
     )
     charge("subspaces", f"subspaces over F_{p}", prod(enumerated))
-    arrow_mats = dict(zip(range(len(q.arrows)), rep.maps))
+    arrow_maps = tuple(zip(q.arrows, rep.maps))
     bases: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def recurse(v: int) -> int:
         if v > n:
             return 1
         forced: list[list[int]] = []
-        for i, (s, t) in enumerate(q.arrows):
+        for (s, t), mat in arrow_maps:
             if t == v and s in bases:
-                forced.extend(_image_rows(arrow_mats[i], bases[s], p))
+                forced.extend(_image_rows(mat, bases[s], p))
         w_rref, w_pivots = _rref_mod_p(forced, p)
         w = len(w_rref)
         if e[v - 1] < w:
@@ -807,7 +806,7 @@ def _string(q: Quiver, d: Vec) -> list[tuple[int, int, int]]:
     if sum(d) == 1:  # a simple module is one node on any quiver
         return [(d.index(1), 0, 0)]
     maps = list(indecomposable_rep(q, d).maps)
-    if _kronecker_width(q) == 2 and d[0] == d[1]:
+    if q == kronecker_quiver(2) and d[0] == d[1]:
         first, second = maps
         maps[1] = tuple(
             tuple(y - x for x, y in zip(row1, row2))
@@ -963,17 +962,22 @@ def _cell_dimensions(
     ``phi(z, x')`` over ``x -a-> x'`` equals the sum of ``phi(y, x)``
     over ``y -a-> z`` with ``y`` outside ``U``; both sides have degree
     ``w(z) - w(x) - a``.  The dimension is the number of unknowns of
-    positive degree minus the exact rank of their equations.
+    positive degree minus the exact rank of their equations.  Both sides
+    vanish for an arrow with no edge on the walk, so only the walk's
+    arrows are visited.
     """
     n = len(walk)
     weight = [0] * n
     succ: dict[tuple[int, int], list[int]] = {}
     pred: dict[tuple[int, int], list[int]] = {}
+    ends: dict[int, tuple[int, int]] = {}  # arrow index -> 0-based (source, target)
     for node, (_, orientation, arrow) in enumerate(walk[1:], start=1):
         weight[node] = weight[node - 1] + orientation * arrow
         source, target = (node - 1, node) if orientation == 1 else (node, node - 1)
         succ.setdefault((arrow, source), []).append(target)
         pred.setdefault((arrow, target), []).append(source)
+        ends[arrow] = (walk[source][0], walk[target][0])
+    arrows = sorted(ends.items())
     for mask in masks:
         within = [[] for _ in range(q.n_vertices)]
         outside = [[] for _ in range(q.n_vertices)]
@@ -986,9 +990,9 @@ def _cell_dimensions(
             for y in outside[v]
         )
         rows = []
-        for arrow, (s, t) in enumerate(q.arrows):
-            for x in within[s - 1]:
-                for z in outside[t - 1]:
+        for arrow, (s, t) in arrows:
+            for x in within[s]:
+                for z in outside[t]:
                     if weight[z] - weight[x] - arrow <= 0:
                         continue
                     row: dict[int, int] = {}  # phi(y, x) is column y * n + x

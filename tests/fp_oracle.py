@@ -123,7 +123,7 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     e = tuple(int(x) for x in e)
     if any(x < 0 or x > dx for x, dx in zip(e, rep.dims)):
         return 0
-    if q.n_vertices == 2 and all(a == (1, 2) for a in q.arrows):
+    if q.n_vertices == 2:  # counts are upper triangular: every arrow is 1 -> 2
         p = rep.field
         hist = dict(_cached_rank_histogram(rep, e[0]))
         return sum(

@@ -768,8 +768,8 @@ class TestResourceCeilings:
 
     def test_cluster_character_table_charged(self, cli, monkeypatch,
                                              restore_budget):
-        # a ceiling of 2 lets the two arrows be built, so the charge that
-        # stops the job is the one on the character's 497-entry chi table
+        # a Kronecker quiver is charged nothing, so the charge that stops
+        # the job is the one on the character's 497-entry chi table
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "2")
         code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "30,31")
         assert (code, out) == (3, "")
@@ -837,20 +837,12 @@ class TestResourceCeilings:
     @pytest.mark.parametrize(
         "args, terms",
         [
-            (("cc", "--b", "51", "--D", "1,1"), "an arrow list of 51 terms"),
-            (("cc", "--quiver", "kronecker51", "--D", "1,1"),
-             "an arrow list of 51 terms"),
-            (("grass", "--quiver", "kronecker51", "--D", "1,1", "--e", "0,1"),
-             "an arrow list of 51 terms"),
-            (("mutate", "--quiver", "kronecker51", "--word", "1"),
-             "an arrow list of 51 terms"),
             (("mutate", "--quiver", "a8", "--word", "1"),
              "a skew matrix of 64 terms"),
             (("ar", "--quiver", "a8", "--tau", "1,0,0,0,0,0,0,0"),
              "a skew matrix of 64 terms"),
         ],
-        ids=["cc-b", "cc-kronecker", "grass-kronecker", "mutate-kronecker",
-             "mutate-path", "ar-path"],
+        ids=["mutate-path", "ar-path"],
     )
     def test_quiver_size_charged_before_the_build(
         self, cli, monkeypatch, restore_budget, args, terms
@@ -869,9 +861,64 @@ class TestResourceCeilings:
         assert cli("mutate", "--quiver", "a7", "--word", "1")[0] == 0
         assert cli("ar", "--quiver", "kronecker49", "--tau", "1,0")[0] == 0
 
+    def test_kronecker_quiver_is_not_charged(self, cli, monkeypatch,
+                                             restore_budget):
+        # K_b is a 2x2 matrix of arrow counts whatever b is, so the term
+        # ceiling never stops its build; cc has no model beyond b = 2
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
+        assert cli("cc", "--b", "51", "--D", "1,1") == (
+            2, "", "error: no explicit indecomposable model for this quiver "
+            "shape\n"
+        )
+        code, out, err = cli("mutate", "--quiver", "kronecker51", "--word", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("seed quiver kronecker51 after word (1):\n")
+
+    def test_strata_of_a_simple_module_cost_nothing_in_b(self, cli):
+        # the cells visit only the arrows on the string, not all b of them
+        t0 = time.perf_counter()
+        code, out, err = cli("strata", "--b", "1000000000000", "--D", "1,0",
+                             "--e", "1,0", "--endpoint", "2,1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "")
+        assert out.endswith("total over strata: 1\n"
+                            "finite-field Euler characteristic: 1\n"
+                            "agreement: yes\n")
+
+    def test_huge_kronecker_quiver_fails_fast_in_a_fresh_process(self):
+        src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "clusterscatter.cli", "cc",
+             "--b", "1000000000000", "--D", "1,1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "CLUSTERSCATTER_MAX_TERMS": "50"},
+        )
+        assert time.perf_counter() - t0 < 5.0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: no explicit indecomposable model for this quiver "
+            "shape\n"
+        )
+
+    def test_ar_component_edges_charged_before_they_are_built(self, cli,
+                                                              monkeypatch):
+        # 3 slices of 2 nodes, 5 edges for each of the 1999999 arrows
+        monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS", raising=False)
+        t0 = time.perf_counter()
+        code, out, err = cli("ar", "--b", "1999999", "--component", "P",
+                             "--bound", "2")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: resource limit: an AR edge list of 9999995 terms exceeds "
+            "the term ceiling 2000000 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
+
     def test_b_seed_builds_no_arrows(self, cli, monkeypatch, restore_budget):
-        # the seed commands read a b job's matrix off b, so neither the
-        # ceiling nor b arrow tuples stand in their way
+        # a b job's quiver is its matrix of arrow counts, so neither the
+        # ceiling nor b arrow tuples stand in its way
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
         t0 = time.perf_counter()
         code, out, err = cli("mutate", "--b", "9999999", "--word", "1")

@@ -395,7 +395,7 @@ class TestHallThetaChi:
     def test_wild_three_vertex_quiver_rejected_at_once(self):
         # no chamber search: the cluster complex is decided only for
         # representation-finite quivers and quivers on two vertices
-        wild = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+        wild = Quiver(3, ((0, 2, 0), (0, 0, 1), (0, 0, 0)))
         with pytest.raises(UnsupportedInputError, match="two vertices"):
             hall_theta_chi(wild, (1, 1, 1), (1, 1, 1))
 

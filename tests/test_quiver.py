@@ -36,6 +36,7 @@ from clusterscatter.quiver import (
     classify_indecomposable,
     coxeter_translate,
     euler_form,
+    euler_matrix,
     g_map,
     gaussian_binomial_int,
     grassmannian_counting_polynomial,
@@ -46,6 +47,7 @@ from clusterscatter.quiver import (
     kronecker_indecomposable,
     kronecker_quiver,
     path_quiver,
+    projective_dims,
     quiver_to_skew,
     rep_mod_p,
     subrep_count,
@@ -120,7 +122,7 @@ def naive_subrep_count(rep: ExplicitRep, e: tuple[int, ...]) -> int:
 def test_euler_form_examples():
     assert euler_form(K2, (1, 2), (5, 6)) == 5
     assert euler_form(K2, (1, 0), (0, 1)) == -2
-    one_vertex = Quiver(1, ())
+    one_vertex = Quiver(1, ((0,),))
     assert euler_form(one_vertex, (7,), (7,)) == 49
 
 
@@ -205,7 +207,8 @@ def test_classify_skips_orbits_when_the_tits_form_is_not_one(monkeypatch):
     )
     assert steps == []
     with pytest.raises(InputError) as err:
-        classify_indecomposable(Quiver(3, ((1, 2), (1, 3))), (2, 1, 1))
+        fork = Quiver(3, ((0, 1, 1), (0, 0, 0), (0, 0, 0)))
+        classify_indecomposable(fork, (2, 1, 1))
     assert str(err.value) == (
         "could not classify (2, 1, 1) within 64 translate steps on a "
         "representation-finite quiver"
@@ -320,9 +323,35 @@ def test_quiver_builders_read_no_term_ceiling(monkeypatch):
     assert kronecker_quiver(3).arrows == ((1, 2),) * 3
     assert path_quiver(4).arrows == ((1, 2), (2, 3), (3, 4))
     assert indecomposable_rep(A3, (0, 1, 1)).dims == (0, 1, 1)
-    wild = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+    wild = Quiver(3, ((0, 2, 0), (0, 0, 1), (0, 0, 0)))
     with pytest.raises(UnsupportedInputError):
         indecomposable_rep(wild, (1, 1, 1))
+
+
+def test_kronecker_quiver_is_its_arrow_counts():
+    # K_b costs the same for every b: the structural maps read the 2x2
+    # matrix of arrow counts and never walk the b arrows
+    b = 10**12
+    t0 = time.perf_counter()
+    q = kronecker_quiver(b)
+    assert quiver_to_skew(q) == ((0, b), (-b, 0))
+    assert euler_form(q, (1, 1), (1, 1)) == 2 - b
+    assert g_map(q, (1, 1)) == (1 - b, 1)
+    assert projective_dims(q) == ((1, b), (0, 1))
+    assert classify_indecomposable(q, (1, 1)) == ARNode("R", None, None, (1, 1))
+    assert time.perf_counter() - t0 < 0.1
+    # a quiver built from its counts is the quiver a builder makes, so the
+    # lru caches keyed on quivers share their entries
+    for built, counts in (
+        (K2, ((0, 2), (0, 0))),
+        (A3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    ):
+        q = Quiver(built.n_vertices, counts)
+        assert q == built and hash(q) == hash(built)
+        want = euler_matrix(built)
+        hits = euler_matrix.cache_info().hits
+        assert euler_matrix(q) is want
+        assert euler_matrix.cache_info().hits == hits + 1
 
 
 def test_ar_component_is_acyclic():

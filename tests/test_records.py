@@ -149,8 +149,11 @@ INVALID = [
     (lambda: CrossingPath((1, 2), (2, 1), full_loops=-1),
      "full_loops must be nonnegative"),
     (lambda: Quiver(0, ()), "quiver needs at least one vertex"),
-    (lambda: Quiver(2, ((2, 1),)),
+    (lambda: Quiver(2, ((0, 0), (1, 0))),
      "arrow (2, 1) must satisfy 1 <= source < target <= 2"),
+    (lambda: Quiver(2, ((0, 1),)), "arrow counts must form a 2x2 matrix"),
+    (lambda: Quiver(2, ((0, -1), (0, 0))),
+     "arrow count -1 of (1, 2) must be an integer >= 0"),
     (lambda: ExplicitRep(_K2, 0, (1,), ((), ())),
      "dimension vector length must match the quiver"),
     (lambda: ExplicitRep(_K2, 0, (-1, 0), ((), ())),
