@@ -1,32 +1,28 @@
 """Broken lines and theta functions over rank-2 scattering diagrams.
 
-A broken line is a piecewise-straight path drawn in a two-dimensional
-picture of the diagram.  Each straight piece carries a monomial
-``coeff * z^E`` with ``E`` in the doubled exponent lattice and travels
-with velocity equal to minus the chosen 2D projection of ``E``.  The
-path comes in from infinity carrying ``z^{m0}`` with coefficient 1, may
-bend wherever it crosses a wall by selecting a non-constant term of the
-wall-crossing image of its monomial, and stops at a generic endpoint.
-The theta function with initial exponent ``m0`` is the sum of the final
-monomials over all such paths.
+A broken line is a piecewise-straight path in the plane of the first two
+coordinates, the plane the diagram's walls are stored in (Gross, Hacking,
+Keel and Kontsevich, arXiv:1411.1394).  Each straight piece carries a
+monomial ``coeff * z^E`` with ``E`` in the doubled exponent lattice and
+travels with velocity ``-E_m``, minus the first two coordinates of ``E``.
+The path comes in from infinity carrying ``z^{m0}`` with coefficient 1,
+may bend wherever it crosses a wall by selecting a non-constant term of
+the wall-crossing image of its monomial, and stops at a generic
+endpoint.  The theta function with initial exponent ``m0`` is the sum of
+the final monomials over all such paths.
 
-Two projections are supported:
+Endpoints.  A slice exponent ``(p*(v), v)`` reads its endpoint ``Q`` in
+the plane of the last two coordinates, where its lines would travel with
+velocity ``-v``.  In rank 2, ``p*`` is invertible and carries that
+picture onto this one, so :func:`theta_function` and
+:func:`theta_via_path` map ``Q`` to ``p*(Q)`` once, at entry, and work in
+this plane from there on; a wall-position error still names ``Q``.
+Every other exponent reads its endpoint in the plane of the first two
+coordinates.
 
-* view ``"m"`` -- positions and velocities read the first two
-  coordinates of each exponent.  Wall supports are used exactly as the
-  diagram stores them (incoming walls are full lines, outgoing walls are
-  rays along ``-p*(normal)``).
-* view ``"n"`` -- positions and velocities read the last two
-  coordinates.  This slice picture is available exactly when the initial
-  exponent satisfies ``m-part == p*(x-part)``; bending preserves that
-  relation, so the whole computation stays on the slice.  On the slice
-  an incoming wall with normal ``d`` traces the full line ``R*d`` and an
-  outgoing wall traces the ray ``R>=0 * (-d)``.
-
-The crossing algebra is the same in both views.  A segment with exponent
-``E`` crossing a wall with normal ``d`` multiplies its monomial by
-``func ** |<E_m, d>|`` where ``E_m`` is the first-two-coordinates part;
-the absolute value is correct because the functional is oriented to be
+Crossing algebra.  A segment with exponent ``E`` crossing a wall with
+normal ``d`` multiplies its monomial by ``func ** |<E_m, d>|``; the
+absolute value is correct because the functional is oriented to be
 negative on the incoming velocity, which makes the exponent positive for
 every transversal crossing.  Bending means keeping the ``j``-th power
 term: the exponent shifts by ``j`` times the wall's step vector
@@ -79,17 +75,14 @@ from .scattering import (
     Wall,
     _cross,
     _dot,
-    _Trace,
-    _wall_trace,
     cluster_complex_chambers,
-    ensure_generic_view,
+    ensure_generic,
     find_chamber,
+    on_support,
     path_ordered_product,
 )
 
 HPoint = tuple[int, int, int]
-
-VIEWS = ("m", "n")
 
 
 # ---------------------------------------------------------------------------
@@ -103,29 +96,13 @@ def _as_point(raw: Sequence) -> Point:
     return pt
 
 
-# ---------------------------------------------------------------------------
-# Projection views
-
-
-def resolve_view(diagram: ScatteringDiagram, m0: Sequence[int]) -> str:
-    """The 2D projection used to draw broken lines from ``m0``: ``"n"``
-    when ``m0`` lies on the slice ``{(p*(v), v)}`` with ``v != 0``, ``"m"``
-    otherwise."""
-    m0 = tuple(int(x) for x in m0)
-    n = len(m0) // 2
+def _plane_endpoint(diagram: ScatteringDiagram, m0: Vec, q: Point) -> Point:
+    """The endpoint ``q`` of lines from ``m0`` in the plane of the first two
+    coordinates: ``p*(q)`` for a slice exponent ``(p*(v), v)``, whose
+    endpoint is read in the plane of the last two, and ``q`` otherwise."""
     eps = diagram.seed.exchange_block()
-    return "n" if any(m0[n:]) and m0[:n] == p_star(eps, m0[n:]) else "m"
-
-
-def _velocity(expo: Vec, view: str, n: int) -> Vec:
-    part = expo[:n] if view == "m" else expo[n:]
-    return (-part[0], -part[1])
-
-
-# ---------------------------------------------------------------------------
-# Wall traces in a view: ``_Trace``, ``_wall_trace`` and the support test
-# ``ensure_generic_view`` live in ``scattering``, whose angular paths check
-# their endpoints with them too.
+    n = len(m0) // 2
+    return p_star(eps, q) if m0[:n] == p_star(eps, m0[n:]) else q
 
 
 # Crossings of one scan share D, so their ray parameters s = c / (D * denom)
@@ -133,21 +110,20 @@ def _velocity(expo: Vec, view: str, n: int) -> Vec:
 _NEAREST_FIRST = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _check_collinear_ray(point: HPoint, velocity: Vec, traces: Sequence[_Trace]) -> None:
+def _check_collinear_ray(point: HPoint, velocity: Vec, bends: Sequence[tuple]) -> None:
     """Reject the backward ray ``{point - s*velocity : s > 0}`` of a point
     parallel to its velocity if it runs inside a support line or passes
-    through the origin.  The first trace decides: one parallel to the
-    velocity contains the ray, and any other meets it at the origin when
-    the ray leads there."""
+    through the origin.  The first wall of ``bends`` decides: one whose
+    support is parallel to the velocity contains the ray, and any other
+    meets it at the origin when the ray leads there."""
     X, Y, _ = point
     vx, vy = velocity
     toward_origin = X * vx + Y * vy > 0
-    for trace in traces:
-        d0, d1 = trace.direction
+    for n1, n2, d0, d1, *_ in bends:
         if d0 * vy == d1 * vx:
             raise DegenerateBrokenLineError(
                 "runs along the support line of the wall with normal "
-                f"{vec_str(trace.wall.normal)}"
+                f"{vec_str((n1, n2))}"
             )
         if toward_origin:
             raise DegenerateBrokenLineError("passes through the origin")
@@ -175,9 +151,11 @@ class Segment(NamedTuple):
 
 
 class BrokenLine(NamedTuple):
+    """A broken line in the plane of the first two coordinates: its bend
+    points and endpoint lie there."""
+
     initial_exponent: Vec
     endpoint: Point
-    view: str
     segments: tuple[Segment, ...]
 
     @property
@@ -194,11 +172,13 @@ class BrokenLine(NamedTuple):
 
 
 class ThetaResult(NamedTuple):
+    """A theta function, its broken lines, and their common endpoint in
+    the plane of the first two coordinates."""
+
     value: LaurentPoly
     lines: tuple[BrokenLine, ...]
     order: int
     endpoint: Point
-    view: str
 
 
 def _sort_key(line: BrokenLine):
@@ -216,26 +196,23 @@ class _Engine:
     """Backward depth-first search for the broken lines from ``m0`` to
     ``endpoint``, collected in ``lines``."""
 
-    def __init__(self, diagram: ScatteringDiagram, view: str, m0: Vec, endpoint: Point):
+    def __init__(self, diagram: ScatteringDiagram, m0: Vec, endpoint: Point):
         if diagram.rank != 2:
             raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
-        self.view = view
-        self.n = diagram.rank
         self.m0, self.endpoint = m0, endpoint
         self.lines: list[BrokenLine] = []
-        self.traces = [_wall_trace(w, view) for w in diagram.walls]
         # The exponent is linear in c: keep the images of the unit vectors.
         eps = diagram.seed.exchange_block()
         self.steps = tuple(
             tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0))
         )
-        # Per trace: normal, direction, ray flag, wall, and the exponent
-        # step of one bend, which also lowers c by the normal.
-        zero = (0,) * (2 * self.n)
+        # Per wall: normal, support direction, ray flag, wall, and the
+        # exponent step of one bend, which also lowers c by the normal.
+        zero = (0,) * len(m0)
         self._bends = [
-            (*t.wall.normal, *t.direction, t.kind == "ray", t.wall,
-             self.exponent(zero, t.wall.normal))
-            for t in self.traces
+            (*w.normal, *w.direction(), w.kind == "ray", w,
+             self.exponent(zero, w.normal))
+            for w in diagram.walls
         ]
         self._admissible: dict[Vec, list] = {}
 
@@ -246,14 +223,14 @@ class _Engine:
     def descend(self, c_cur: Vec, expo: Vec, point: HPoint, rev_bends: list) -> None:
         """Collect the lines whose segment into ``point`` carries ``expo``
         and leaves bend weight ``c_cur``, before the bends ``rev_bends``."""
-        vx, vy = vel = _velocity(expo, self.view, self.n)
+        vx, vy = vel = -expo[0], -expo[1]
         if vel == (0, 0):
             return
         X, Y, D = point
         # Only a ray parallel to its point can be degenerate; the bend-free
         # initial segment is checked too.
         if X * vy == Y * vx:
-            _check_collinear_ray(point, vel, self.traces)
+            _check_collinear_ray(point, vel, self._bends)
         if not any(c_cur):
             self.lines.append(self._assemble(rev_bends))
             return
@@ -309,7 +286,7 @@ class _Engine:
             coeff *= factor
             start = (Fraction(x, w), Fraction(y, w))
             segments.append(Segment(coeff, expo, start, wall, j))
-        return BrokenLine(self.m0, self.endpoint, self.view, tuple(segments))
+        return BrokenLine(self.m0, self.endpoint, tuple(segments))
 
 
 def enumerate_broken_lines(
@@ -337,7 +314,10 @@ def theta_function(
 
     ``k`` bounds the series degree of the final exponent.  The optional
     ``final_filter`` keeps only lines whose final exponent matches every
-    non-``None`` entry.  Endpoints on the diagram's support raise
+    non-``None`` entry.  A slice exponent's endpoint is read in the plane
+    of the last two coordinates and mapped by ``p*`` (see the module
+    docstring); the lines and the result carry the mapped endpoint.
+    Endpoints on the diagram's support raise
     :class:`GenericPositionError`, and endpoints reached by a segment
     through the origin or along a support line raise its subclass
     :class:`DegenerateBrokenLineError`.
@@ -356,18 +336,16 @@ def theta_function(
             f"degree bound {k} needs bend weight up to {budget}, beyond the "
             f"diagram's series order {diagram.order}; complete a deeper diagram"
         )
-    chosen = resolve_view(diagram, m0)
     q = _as_point(endpoint)
-    ensure_generic_view(diagram, q, chosen)
-    engine = _Engine(diagram, chosen, m0, q)
-    if _velocity(m0, chosen, n) == (0, 0):
-        raise UnsupportedInputError(
-            f"initial exponent {m0} has no direction in view {chosen!r}"
-        )
+    pt = _plane_endpoint(diagram, m0, q)
+    ensure_generic(diagram, pt, given=q)
+    engine = _Engine(diagram, m0, pt)
+    if not any(m0[:n]):
+        raise UnsupportedInputError(f"initial exponent {m0} has no direction")
     if final_filter is not None and len(final_filter) != 2 * n:
         raise InputError(f"final filter must have length {2 * n}")
-    den = lcm(*(t.denominator for t in q))
-    point = (*(t.numerator * (den // t.denominator) for t in q), den)
+    den = lcm(*(t.denominator for t in pt))
+    point = (*(t.numerator * (den // t.denominator) for t in pt), den)
     for c1 in range(budget + 1):
         for c2 in range(budget + 1 - c1):
             c = (c1, c2)
@@ -383,7 +361,7 @@ def theta_function(
     for line in lines:
         expo = line.final_exponent
         value[expo] = value.get(expo, 0) + line.coefficient
-    return ThetaResult(LaurentPoly(value), tuple(lines), k, q, chosen)
+    return ThetaResult(LaurentPoly(value), tuple(lines), k, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +393,6 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
     n = diagram.rank
     if n != 2:
         return _fail("validation implemented for rank-2 diagrams")
-    if line.view not in VIEWS:
-        return _fail(f"unknown view {line.view!r}")
     segs = line.segments
     if not segs:
         return _fail("a broken line needs at least one segment")
@@ -428,12 +404,12 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
     if first.start is not None or first.bend_wall is not None:
         return _fail("the initial segment comes in from infinity, with no bend")
     try:
-        ensure_generic_view(diagram, line.endpoint, line.view)
+        ensure_generic(diagram, line.endpoint)
     except GenericPositionError as exc:
         return _fail(str(exc))
     walls = set(diagram.walls)
     for i, seg in enumerate(segs):
-        vel = _velocity(seg.exponent, line.view, n)
+        vel = (-seg.exponent[0], -seg.exponent[1])
         if vel == (0, 0):
             return _fail(f"segment {i} has a direction-free monomial")
         end = segs[i + 1].start if i + 1 < len(segs) else line.endpoint
@@ -453,8 +429,7 @@ def validate_broken_line(line: BrokenLine, diagram: ScatteringDiagram) -> Valida
             return _fail(f"segment {i} must record the bend that created it")
         if seg.bend_wall not in walls:
             return _fail(f"segment {i} bends on a wall absent from the diagram")
-        trace = _wall_trace(seg.bend_wall, line.view)
-        if seg.start == _ORIGIN or not trace.contains(seg.start):
+        if seg.start == _ORIGIN or not on_support(seg.bend_wall, seg.start):
             return _fail(
                 f"bend point {seg.start} of segment {i} is off the wall with "
                 f"normal {seg.bend_wall.normal}"
@@ -492,7 +467,7 @@ def theta_via_path(
     Works when the first-two-coordinates direction of ``m0`` lies in a
     chamber of the mutation fan (explored to ``depth``); there the theta
     function is the bare monomial, and the path-ordered product moves it
-    to the requested endpoint.
+    to the requested endpoint, read as :func:`theta_function` reads it.
     """
     m0 = tuple(int(x) for x in m0)
     n = diagram.rank
@@ -510,8 +485,10 @@ def theta_via_path(
         raise UnsupportedInputError(
             f"direction {direction} lies outside the explored mutation fan"
         ) from exc
-    start = chamber.interior_point()
-    path = CrossingPath(start=start, end=_as_point(endpoint))
+    q = _as_point(endpoint)
+    end = _plane_endpoint(diagram, m0, q)
+    ensure_generic(diagram, end, given=q)
+    path = CrossingPath(start=chamber.interior_point(), end=end)
     action = path_ordered_product(path, diagram)
     return action.apply(LaurentPoly.monomial(m0))
 

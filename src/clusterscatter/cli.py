@@ -403,10 +403,7 @@ def _line_points(line: BrokenLine) -> list[tuple[Fraction, Fraction]]:
     """Drawn vertices: synthetic entry point, bend points, endpoint."""
     bends = [seg.start for seg in line.segments[1:]]
     first_known = bends[0] if bends else line.endpoint
-    n = len(line.initial_exponent) // 2
-    expo = line.segments[0].exponent
-    part = expo[:n] if line.view == "m" else expo[n:]
-    vx, vy = Fraction(-part[0]), Fraction(-part[1])
+    vx, vy = (Fraction(-x) for x in line.initial_exponent[:2])
     speed = max(abs(vx), abs(vy))
     reach = Fraction(5) + max(abs(first_known[0]), abs(first_known[1]))
     t = reach / speed

@@ -258,17 +258,8 @@ def _generic_summands(q: Quiver, rem: Vec) -> tuple[tuple[Vec, int], ...]:
         )
     width = q.counts[0][1]
     u, v = rem
-    if width == 1:
-        # Representation-finite: generic map has full rank.
-        m = min(u, v)
-        parts = [((1, 1), m)] if m else []
-        if u > m:
-            parts.append(((1, 0), u - m))
-        if v > m:
-            parts.append(((0, 1), v - m))
-        return tuple(parts)
-    # Multi-arrow: walk the translate orbit on the appropriate side and
-    # express the vector over two adjacent orbit members.
+    # Walk the translate orbit on the appropriate side and express the
+    # vector over two adjacent orbit members.
     if u < v:
         prev, cur = (0, 1), (1, width)
     else:

@@ -419,24 +419,14 @@ class LaurentPoly:
         return f"LaurentPoly({poly_str(self, names)})"
 
 
-def default_names(width: int, base_rank: int | None = None) -> list[str]:
-    """Variable names for a given exponent width.
-
-    With ``base_rank`` n and width 2n the names are ``A1..An, X1..Xn``;
-    width n alone defaults to ``A1..An``.  Pass explicit names for other
-    layouts (e.g. ``X``-only polynomials).
-    """
-    if base_rank is None:
-        if width % 2 == 0 and width > 0:
-            n = width // 2
-            return [f"A{i+1}" for i in range(n)] + [f"X{i+1}" for i in range(n)]
-        return [f"A{i+1}" for i in range(width)]
-    n = base_rank
-    if width == 2 * n:
+def default_names(width: int) -> list[str]:
+    """Variable names for a given exponent width: ``A1..An, X1..Xn`` for
+    a positive even width 2n, and ``A1..Aw`` for any other width w.  Pass
+    explicit names for other layouts (e.g. ``X``-only polynomials)."""
+    if width % 2 == 0 and width > 0:
+        n = width // 2
         return [f"A{i+1}" for i in range(n)] + [f"X{i+1}" for i in range(n)]
-    if width == n:
-        return [f"A{i+1}" for i in range(n)]
-    raise InputError(f"width {width} does not match base rank {n}")
+    return [f"A{i+1}" for i in range(width)]
 
 
 def monomial_str(exponent: Sequence[int], coeff: int, names: Sequence[str]) -> str:

@@ -609,11 +609,17 @@ def kronecker_indecomposable(d: Sequence[int]) -> ExplicitRep:
 def indecomposable_rep(q: Quiver, d: Sequence[int]) -> ExplicitRep:
     """Exact model of the indecomposable with dimension vector ``d``.
 
-    Covers the linear quivers (interval representations with identity
+    Covers the simple modules of every quiver (all maps zero; the arrows
+    are charged against the ``terms`` budget before their maps are
+    built), the linear quivers (interval representations with identity
     maps) and the two-arrow quiver (explicit Kronecker-type matrices,
     eigenvalue 1 for the square case).  Other quivers are unsupported.
     """
     d = tuple(int(x) for x in d)
+    if d.count(1) == 1 and d.count(0) == len(d) - 1:
+        charge("terms", "an arrow map list", sum(map(sum, q.counts)))
+        maps = tuple(_zero_matrix(d[t - 1], d[s - 1]) for s, t in q.arrows)
+        return ExplicitRep(q, 0, d, maps)
     if q == kronecker_quiver(2):
         return kronecker_indecomposable(d)
     if q == path_quiver(q.n_vertices):

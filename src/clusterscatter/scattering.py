@@ -3,9 +3,11 @@ and cluster-complex wall fans in any rank.
 
 Geometry conventions
 --------------------
-* All rank-2 geometry lives in the plane obtained by pairing exponents
-  with base-lattice vectors coordinatewise (the "A-side" projection).
-  Every wall support passes through the origin, so a path between two
+* All rank-2 geometry lives in one plane: the plane of the first two
+  coordinates of an exponent, where a point pairs with a wall normal
+  coordinatewise.  Walls, angular paths, broken lines and the pictures
+  all use it, with every wall support exactly as the diagram stores it.
+* Every wall support passes through the origin, so a path between two
   generic points is, up to homotopy avoiding the origin, an angular
   sweep; paths are therefore specified by start/end points plus a turn
   direction, and all angle comparisons use exact cross products.
@@ -15,8 +17,8 @@ Geometry conventions
   path is the rest reversed with the signs flipped, and a loop (of a
   path or of the completion) is all of it.
 * Whether a point lies on a wall's support is decided in one place,
-  :func:`ensure_generic_view`, for path endpoints here and for broken
-  lines in :mod:`brokenlines`.
+  :func:`on_support`, which :func:`ensure_generic` applies to path
+  endpoints here and to broken-line endpoints in :mod:`brokenlines`.
 * A wall stores a primitive normal with nonnegative entries, a support
   ("line" through the origin, "ray" from the origin, or a "cone" spanned
   by chamber generators in higher rank), a crossing function — a power
@@ -221,41 +223,31 @@ def wall_cross(
 
 
 # ---------------------------------------------------------------------------
-# Supports in a view
+# Supports
 
 
-class _Trace(NamedTuple):
-    """The 2D footprint of a wall in the chosen view."""
-
-    wall: Wall
-    kind: str  # "line" or "ray"
-    direction: Vec
-
-    def contains(self, pt: Point) -> bool:
-        if _cross(self.direction, pt) != 0:
-            return False
-        if self.kind == "line":
-            return True
-        return _dot(self.direction, pt) >= 0
+def on_support(wall: Wall, pt: Point) -> bool:
+    """Whether the point lies on the 2D support of the wall."""
+    d = wall.direction()
+    if _cross(d, pt) != 0:
+        return False
+    return wall.kind == "line" or _dot(d, pt) >= 0
 
 
-def _wall_trace(wall: Wall, view: str) -> _Trace:
-    if view == "m":
-        return _Trace(wall, wall.kind, wall.direction())
-    if wall.incoming:
-        return _Trace(wall, "line", wall.normal)
-    return _Trace(wall, "ray", vec_scale(-1, wall.normal))
-
-
-def ensure_generic_view(diagram: ScatteringDiagram, pt: Point, view: str) -> None:
-    """Reject endpoints on the diagram's support (in the chosen view)."""
+def ensure_generic(
+    diagram: ScatteringDiagram, pt: Point, *, given: Point | None = None
+) -> None:
+    """Reject a point on the diagram's support.  The message names
+    ``given``, the point as the caller wrote it, when ``pt`` is its image
+    in the plane."""
     if pt == _ORIGIN:
         raise GenericPositionError("endpoint at the origin is never generic")
     for wall in diagram.walls:
-        if _wall_trace(wall, view).contains(pt):
+        if on_support(wall, pt):
             raise GenericPositionError(
-                f"endpoint {vec_str(pt)} lies on the wall with normal "
-                f"{vec_str(wall.normal)}; perturb it off the support"
+                f"endpoint {vec_str(pt if given is None else given)} lies on "
+                f"the wall with normal {vec_str(wall.normal)}; perturb it off "
+                "the support"
             )
 
 
@@ -342,8 +334,8 @@ def path_crossings(
     """
     if diagram.rank != 2:
         raise UnsupportedInputError("angular paths need a rank-2 diagram")
-    ensure_generic_view(diagram, path.start, "m")
-    ensure_generic_view(diagram, path.end, "m")
+    ensure_generic(diagram, path.start)
+    ensure_generic(diagram, path.end)
     events = _ccw_crossings(diagram.walls, path.start)
     angle = _angle_from(path.start)
     # the end direction is on no support, so it splits the loop in two

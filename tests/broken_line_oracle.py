@@ -20,27 +20,25 @@ from clusterscatter.brokenlines import (
     BrokenLine,
     Segment,
     _sort_key,
-    _velocity,
-    ensure_generic_view,
-    resolve_view,
 )
 from clusterscatter.errors import DegenerateBrokenLineError
 from clusterscatter.lattice import (
     dual_pair,
+    p_star,
     tilde_p_star,
     vec_add,
     vec_scale,
     vec_str,
     x_degree,
 )
-from clusterscatter.scattering import _wall_trace
+from clusterscatter.scattering import ensure_generic
 
 # Crossings of one scan share D, so their ray parameters s = c / (D * denom)
 # compare as the integer pairs (|c|, |denom|), by cross-multiplying.
 _NEAREST_FIRST = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def backward_crossings(point, velocity, traces):
+def backward_crossings(point, velocity, walls):
     """Wall crossings of the backward ray ``{point - s*velocity : s > 0}``.
 
     ``point`` is ``(X, Y, D)`` with ``D > 0``, standing for ``(X/D, Y/D)``,
@@ -51,15 +49,15 @@ def backward_crossings(point, velocity, traces):
     X, Y, D = point
     vx, vy = velocity
     found = []
-    for trace in traces:
-        d0, d1 = trace.direction
+    for wall in walls:
+        d0, d1 = wall.direction()
         denom = d0 * vy - d1 * vx
         c = d0 * Y - d1 * X
         if denom == 0:
             if c == 0:
                 raise DegenerateBrokenLineError(
                     "runs along the support line of the wall with normal "
-                    f"{vec_str(trace.wall.normal)}"
+                    f"{vec_str(wall.normal)}"
                 )
             continue
         # s = c / (D * denom) must be positive
@@ -70,23 +68,25 @@ def backward_crossings(point, velocity, traces):
             raise DegenerateBrokenLineError("passes through the origin")
         if w < 0:
             x, y, w = -x, -y, -w
-        if trace.kind == "ray" and d0 * x + d1 * y < 0:
+        if wall.kind == "ray" and d0 * x + d1 * y < 0:
             continue
         g = gcd(x, y, w)
-        found.append((abs(c), abs(denom), trace, (x // g, y // g, w // g)))
+        found.append((abs(c), abs(denom), wall, (x // g, y // g, w // g)))
     found.sort(key=_NEAREST_FIRST)
-    return [(trace, x) for _, _, trace, x in found]
+    return [(wall, x) for _, _, wall, x in found]
 
 
 def reference_lines(m0, endpoint, diagram, k) -> tuple[BrokenLine, ...]:
     """The broken lines of degree at most ``k`` from ``m0`` to
-    ``endpoint``, in the order of ``theta_function(...).lines``."""
+    ``endpoint``, in the order of ``theta_function(...).lines``.  A slice
+    exponent ``(p*(v), v)`` reads its endpoint in the plane of the last
+    two coordinates, so the lines end at its image under ``p*``."""
     m0 = tuple(int(x) for x in m0)
-    view = resolve_view(diagram, m0)
-    q = tuple(Fraction(x) for x in endpoint)
-    ensure_generic_view(diagram, q, view)
-    traces = [_wall_trace(w, view) for w in diagram.walls]
+    given = tuple(Fraction(x) for x in endpoint)
     eps = diagram.seed.exchange_block()
+    on_slice = m0[:2] == p_star(eps, m0[2:])
+    q = tuple(Fraction(x) for x in p_star(eps, given)) if on_slice else given
+    ensure_generic(diagram, q, given=given)
     s1, s2 = (tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0)))
 
     def exponent(c):
@@ -100,30 +100,30 @@ def reference_lines(m0, endpoint, diagram, k) -> tuple[BrokenLine, ...]:
             coeff *= factor
             start = (Fraction(x, w), Fraction(y, w))
             segments.append(Segment(coeff, exponent(c), start, wall, j))
-        return BrokenLine(m0, q, view, tuple(segments))
+        return BrokenLine(m0, q, tuple(segments))
 
     lines = []
 
     def descend(c_cur, point, rev_bends):
         expo = exponent(c_cur)
-        vel = _velocity(expo, view, 2)
+        vel = (-expo[0], -expo[1])
         if vel == (0, 0):
             return
-        crossings = backward_crossings(point, vel, traces)
+        crossings = backward_crossings(point, vel, diagram.walls)
         if all(x == 0 for x in c_cur):
             lines.append(assemble(rev_bends))
             return
         c1, c2 = c_cur
-        for trace, x in crossings:
-            n1, n2 = trace.wall.normal
-            pairing = abs(dual_pair(expo[:2], trace.wall.normal))
+        for wall, x in crossings:
+            n1, n2 = wall.normal
+            pairing = abs(dual_pair(expo[:2], wall.normal))
             if pairing == 0:
                 continue
             j = 1
             while c1 >= j * n1 and c2 >= j * n2:
-                factor = (trace.wall.func ** pairing).coefficient(j)
+                factor = (wall.func ** pairing).coefficient(j)
                 if factor:
-                    rev_bends.append((trace.wall, x, j, factor))
+                    rev_bends.append((wall, x, j, factor))
                     descend((c1 - j * n1, c2 - j * n2), x, rev_bends)
                     rev_bends.pop()
                 j += 1

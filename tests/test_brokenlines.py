@@ -13,8 +13,6 @@ from clusterscatter.brokenlines import (
     Segment,
     ThetaResult,
     enumerate_broken_lines,
-    ensure_generic_view,
-    resolve_view,
     restrict_to_A,
     theta_function,
     theta_via_path,
@@ -111,7 +109,6 @@ def bend_signature(line: BrokenLine):
 class TestThreeLineTheta:
     def test_positive_chamber_value_and_count(self):
         theta = theta_function((1, -1, 0, 0), CPLUS, D2, 8)
-        assert theta.view == "m"
         assert len(theta.lines) == 3
         assert theta.value == THREE_TERM
         for line in theta.lines:
@@ -157,7 +154,6 @@ class TestThreeLineTheta:
 class TestFiveLineTheta:
     def test_slice_value_and_multiplicities(self):
         theta = theta_function((2, -2, -1, -1), (1, Fraction(-3, 2)), D2_DEEP, 8)
-        assert theta.view == "n"
         assert len(theta.lines) == 5
         assert theta.value == FIVE_TERM
         assert sorted(line.coefficient for line in theta.lines) == [1, 1, 1, 2, 2]
@@ -165,23 +161,51 @@ class TestFiveLineTheta:
             assert validate_broken_line(line, D2_DEEP)
 
     def test_slice_bend_geometry_frozen(self):
+        # Bend points lie in the plane of the first two coordinates, on
+        # the walls as the diagram stores them.
         theta = theta_function((2, -2, -1, -1), (1, Fraction(-3, 2)), D2_DEEP, 8)
         by_final = {line.final_exponent: line for line in theta.lines}
         doubled_y = by_final[(0, -2, -1, 0)]
         assert doubled_y.coefficient == 2
         assert bend_signature(doubled_y) == (
-            ((0, 1), 1, (Fraction(0), Fraction(-3, 2))),
+            ((0, 1), 1, (Fraction(3), Fraction(0))),
         )
         doubled_x = by_final[(-2, 0, 0, 1)]
         assert doubled_x.coefficient == 2
         assert bend_signature(doubled_x) == (
-            ((0, 1), 2, (Fraction(0), Fraction(1))),
-            ((1, 0), 1, (Fraction(1), Fraction(0))),
+            ((0, 1), 2, (Fraction(-2), Fraction(0))),
+            ((1, 0), 1, (Fraction(0), Fraction(2))),
         )
 
-    def test_view_resolution(self):
-        assert resolve_view(D2, (2, -2, -1, -1)) == "n"
-        assert resolve_view(D2, (1, -1, 0, 0)) == "m"
+    def test_slice_endpoint_is_mapped_by_p_star(self):
+        """A slice exponent (p*(v), v) reads its endpoint in the plane of
+        the last two coordinates and ends at its image under p*; any
+        other exponent ends where it was asked to."""
+        q = (1, Fraction(-3, 2))
+        eps = SEED2.exchange_block()
+        theta = theta_function((2, -2, -1, -1), q, D2_DEEP, 8)
+        assert theta.endpoint == p_star(eps, q) == (3, 2)
+        assert {line.endpoint for line in theta.lines} == {(3, 2)}
+        for line in theta.lines:
+            assert validate_broken_line(line, D2_DEEP)
+        assert theta_function((1, -1, 0, 0), CPLUS, D2, 8).endpoint == CPLUS
+        # (-2, 2, 0, 0) is not on the slice: p*(0, 0) is zero.
+        assert theta_function((-2, 2, 0, 0), CPLUS, D2, 8).endpoint == CPLUS
+
+    def test_slice_wall_error_names_the_given_endpoint(self):
+        # (1, 0) maps to (0, 2), on the wall with normal (1,0).
+        message = (
+            "endpoint (1,0) lies on the wall with normal (1,0); perturb it "
+            "off the support"
+        )
+        m0 = (0, 2, 1, 0)
+        for route in (
+            lambda: theta_function(m0, (1, 0), D2_DEEP, 8),
+            lambda: theta_via_path(m0, (1, 0), D2_DEEP),
+        ):
+            with pytest.raises(GenericPositionError) as info:
+                route()
+            assert str(info.value) == message
 
 
 class TestFilteredEnumeration:
@@ -260,7 +284,6 @@ class TestValidation:
         tampered = BrokenLine(
             straight.initial_exponent,
             straight.endpoint,
-            straight.view,
             (straight.segments[0], fake_seg),
         )
         check = validate_broken_line(tampered, D2)
@@ -279,7 +302,6 @@ class TestValidation:
         tampered = BrokenLine(
             bent.initial_exponent,
             bent.endpoint,
-            bent.view,
             (bent.segments[0], bad_last),
         )
         check = validate_broken_line(tampered, D2)
@@ -291,7 +313,6 @@ class TestValidation:
         tampered = BrokenLine(
             straight.initial_exponent,
             straight.endpoint,
-            straight.view,
             (bad_first,),
         )
         assert not validate_broken_line(tampered, D2)
@@ -309,7 +330,6 @@ class TestValidation:
         tampered = BrokenLine(
             two_bend.initial_exponent,
             two_bend.endpoint,
-            two_bend.view,
             two_bend.segments[:2] + (moved,),
         )
         assert not validate_broken_line(tampered, D2)
@@ -405,6 +425,32 @@ class TestViaPath:
     def test_direction_outside_fan_unsupported(self):
         with pytest.raises(UnsupportedInputError):
             theta_via_path((1, -1, 0, 0), CPLUS, D2)
+
+    def test_slice_exponents_match_enumeration(self):
+        """Both routes read a slice exponent's endpoint in the plane of the
+        last two coordinates; they agree on every term of degree <= k."""
+        endpoints = [QGEN, (Fraction(-157, 100), Fraction(83, 100)),
+                     (Fraction(1, 3), Fraction(-22, 7)), (-2, Fraction(-1, 3)),
+                     (Fraction(5, 2), Fraction(-1, 3))]
+        compared = 0
+        for diagram in (D1, D2):
+            eps = diagram.seed.exchange_block()
+            for v in product(range(-2, 3), repeat=2):
+                if v == (0, 0):
+                    continue
+                m0 = (*p_star(eps, v), *v)
+                k = min(diagram.order, diagram.order + x_degree(m0, 2))
+                for q in endpoints:
+                    try:
+                        direct = theta_function(m0, q, diagram, k).value
+                        via = theta_via_path(m0, q, diagram, depth=8)
+                    except InputError:
+                        continue
+                    assert direct == LaurentPoly({
+                        e: c for e, c in via.terms.items() if x_degree(e, 2) <= k
+                    }), (m0, q)
+                    compared += 1
+        assert compared == 204
 
     def test_three_term_value_via_path_on_finite_diagram(self):
         got = theta_via_path((1, -1, 0, 0), CPLUS, D1)

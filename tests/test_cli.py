@@ -1,7 +1,9 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -175,6 +177,15 @@ class TestGrassCommand:
         assert sum(coeffs) == 18
         assert coeffs == coeffs[::-1]
 
+    def test_json_simple_module_of_any_quiver(self, cli):
+        # the F_2 check models the simple module with zero maps
+        code, out, err = cli("grass", "--json", "--b", "3", "--D", "1,0",
+                             "--e", "1,0")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["euler_characteristic"] == 1
+        assert doc["counting_polynomial"] == [1]
+
     def test_missing_argument_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["grass", "--quiver", "kronecker2", "--D", "5,6"])
@@ -256,6 +267,17 @@ broken lines: 3
 """
 
 
+def _on_a_segment(pt, ends, tol):
+    """Whether ``pt`` lies within ``tol`` of a segment from the origin to
+    one of ``ends``: printed coordinates are rounded."""
+    for x, y in ends:
+        length = math.hypot(x, y)
+        along = (pt[0] * x + pt[1] * y) / length
+        if abs(pt[0] * y - pt[1] * x) / length <= tol and -tol <= along <= length + tol:
+            return True
+    return False
+
+
 class TestThetaCommand:
     def test_three_term_golden(self, cli):
         code, out, err = cli("theta", "--b", "2", "--m", "1,-1,0,0",
@@ -318,6 +340,38 @@ class TestThetaCommand:
             "value = A1^-2*A2^-2*X1^-1*X2 + 2*A1^-2*X2 + A1^-2*A2^2*X1*X2"
             " + 2*A2^-2*X1^-1 + A1^2*A2^-2*X1^-1*X2^-1" in out
         )
+
+    def test_slice_bends_drawn_on_the_walls(self, cli):
+        """The bend circles of a slice exponent's lines sit on drawn walls,
+        in both picture formats."""
+        args = ("theta", "--b", "2", "--m", "2,-2,-1,-1",
+                "--endpoint=-9/7,-9/5", "--order", "8")
+        code, svg, _ = cli(*args, "--svg")
+        assert code == 0
+        rays = [
+            (float(x), float(y)) for x, y in re.findall(
+                r'<line class="ray" x1="0" y1="0" x2="([-.\d]+)" y2="([-.\d]+)"/>', svg
+            )
+        ]
+        bends = [
+            (float(x), float(y))
+            for x, y in re.findall(r'<circle class="bend" cx="([-.\d]+)" cy="([-.\d]+)"', svg)
+        ]
+        assert len(rays) >= 7 and len(bends) == 6
+        assert all(_on_a_segment(pt, rays, 0.02) for pt in bends)
+        code, tikz, _ = cli(*args, "--tikz")
+        assert code == 0
+        number = r"(-?[\d.]+)"
+        walls = [
+            (float(x), float(y))
+            for x, y in re.findall(rf"\\draw \(0,0\) -- \({number},{number}\)", tikz)
+        ]
+        fills = [
+            (float(x), float(y))
+            for x, y in re.findall(rf"\\fill \({number},{number}\) circle", tikz)
+        ]
+        assert len(walls) == len(rays) and len(fills) == 6
+        assert all(_on_a_segment(pt, walls, 0.002) for pt in fills)
 
     def test_json_lines_match_text_count(self, cli):
         code, out, _ = cli("theta", "--b", "2", "--m", "1,-1,0,0",
@@ -776,6 +830,18 @@ class TestResourceCeilings:
         assert err == (
             "error: resource limit: a cluster character of 497 terms exceeds "
             "the term ceiling 2 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
+
+    def test_simple_module_arrows_charged(self, cli, monkeypatch,
+                                          restore_budget):
+        # the simple module's zero maps, one per arrow, are charged first
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "50")
+        code, out, err = cli("grass", "--json", "--b", "51", "--D", "1,0",
+                             "--e", "1,0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: resource limit: an arrow map list of 51 terms exceeds "
+            "the term ceiling 50 (CLUSTERSCATTER_MAX_TERMS)\n"
         )
 
     def test_bad_ceiling_value_exit_two(self, cli, monkeypatch,

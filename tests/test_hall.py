@@ -15,6 +15,7 @@ from clusterscatter.hall import (
     HNPhases,
     StabilityValue,
     Stratum,
+    _generic_summands,
     broken_line_strata,
     first_bending,
     gl_poincare,
@@ -253,6 +254,18 @@ class TestNextBending:
         _, filt = first_bending(K2, (5, 6), (1, 2), 1)
         with pytest.raises(UnsupportedInputError, match="regular"):
             next_bending(K2, (5, 6), filt, (1, 1), 1)
+
+
+class TestGenericSummands:
+    def test_a2_orbit_walk_gives_the_full_rank_split(self):
+        """On the one-arrow quiver the generic map has full rank: (u, v)
+        splits as min(u, v) copies of (1,1) and the rest simple."""
+        a2 = path_quiver(2)
+        for u, v in product(range(7), repeat=2):
+            m = min(u, v)
+            want = [(part, k) for part, k in
+                    (((0, 1), v - m), ((1, 0), u - m), ((1, 1), m)) if k]
+            assert sorted(_generic_summands(a2, (u, v))) == want, (u, v)
 
 
 @pytest.fixture(scope="module")

@@ -148,7 +148,7 @@ def test_exact_division_inverts_product(terms_a, terms_b):
 
 
 def test_monomial_canonical_text():
-    names = default_names(4, 2)
+    names = default_names(4)
     assert names == ["A1", "A2", "X1", "X2"]
     assert monomial_str((1, -1, 0, 0), 1, names) == "A1*A2^-1"
     assert monomial_str((0, 0, 0, 0), 7, names) == "7"
@@ -157,7 +157,7 @@ def test_monomial_canonical_text():
 
 def test_poly_canonical_text_sorted_lexicographically():
     p = LaurentPoly({(1, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 1, 1, 1): 1})
-    s = poly_str(p, default_names(4, 2))
+    s = poly_str(p, default_names(4))
     assert s == "A1^-1*A2^-1*X2 + A1^-1*A2*X1*X2 + A1*A2^-1"
 
 

@@ -64,6 +64,10 @@ PINNED = [
         "c724d77c35e23f2b2438fbb04abb8b2ce82b68ad6e6ac9edd5d0d53a18ab643e",
     ),
     (
+        "theta --b 2 --m 2,-2,-1,-1 --endpoint=-9/7,-9/5 --order 8 --svg",
+        "9f3110c00edf56c215debe3e27b3688088e66d8a76c3b055c79e7611b6df51f3",
+    ),
+    (
         "theta --b 3 --m 1,-1,0,0 --endpoint 3/2,1 --order 6",
         "58db52192458dda1c31e6e79aceae17f17e2816a15c86378a5f38bea64352783",
     ),

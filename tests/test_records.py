@@ -24,7 +24,6 @@ from clusterscatter.quiver import (
 from clusterscatter.scattering import (
     CrossingPath,
     Wall,
-    _wall_trace,
     cluster_complex_chambers,
     complete_rank2,
     initial_diagram,
@@ -48,7 +47,6 @@ RECORDS = {
     "Seed": _seed,
     "Wall": lambda: _diagram().walls[-1],
     "ScatteringDiagram": _diagram,
-    "_Trace": lambda: _wall_trace(_diagram().walls[0], "m"),
     "CrossingPath": lambda: CrossingPath((1, 2), (2, 1), "cw", 1),
     "Chamber": lambda: cluster_complex_chambers(_seed(), 2)[-1],
     "Segment": lambda: _theta().lines[-1].segments[-1],

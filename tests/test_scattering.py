@@ -45,7 +45,7 @@ from clusterscatter.scattering import (
     cluster_complex_diagram,
     complete_rank2,
     diagram_to_json,
-    ensure_generic_view,
+    ensure_generic,
     find_chamber,
     initial_diagram,
     path_crossings,
@@ -265,7 +265,7 @@ class TestPaths:
                 CrossingPath((F(1), F(-1)), (F(2), F(1))), diagram
             )
         with pytest.raises(GenericPositionError):
-            ensure_generic_view(diagram, (F(0), F(0)), "m")
+            ensure_generic(diagram, (F(0), F(0)))
 
     @settings(max_examples=60, deadline=None)
     @given(b=st.sampled_from([1, 2, 3]), a=_POINTS, c=_POINTS)
@@ -273,7 +273,7 @@ class TestPaths:
         diagram = ORDER6[b]
         for pt in (a, c):
             try:
-                ensure_generic_view(diagram, pt, "m")
+                ensure_generic(diagram, pt)
             except GenericPositionError:
                 assume(False)
         # points on one ray through the origin sweep nothing between them
