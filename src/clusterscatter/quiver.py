@@ -2,15 +2,18 @@
 
 Provides the Euler form, the weight covector of a dimension vector, the
 translate on dimension vectors via the Coxeter matrix, classification of
-indecomposables into preprojective / regular / preinjective components,
-mesh graphs of translate orbits with irreducible-map arrows, explicit
-two-vertex (Kronecker-type) indecomposable representations, exact
-subrepresentation counting over prime fields, Euler characteristics of
-subrepresentation Grassmannians as counts of torus-fixed points on the
-string module's coefficient quiver (Cerulli Irelli, arXiv:0910.2592),
-counting polynomials as sums of ``q^(cell dimension)`` over the same
-fixed points, and the cluster-character Laurent polynomial built from
-those Euler characteristics.
+indecomposables into preprojective / regular / preinjective components
+(Kac's theorem rejects every vector of Tits form above 1), mesh graphs of
+translate orbits with irreducible-map arrows, one model per
+indecomposable as a string (the simples of every quiver, the intervals of
+the linear quivers and the indecomposables of the two-arrow quiver) with
+its arrow matrices read off the string, exact subrepresentation counting
+over prime fields, Euler characteristics of subrepresentation
+Grassmannians as counts of torus-fixed points on the string's
+coefficient quiver (Cerulli Irelli, arXiv:0910.2592), counting
+polynomials as sums of ``q^(cell dimension)`` over the same fixed points,
+and the cluster-character Laurent polynomial built from those Euler
+characteristics.
 
 Conventions
 -----------
@@ -35,8 +38,9 @@ Conventions
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
@@ -147,22 +151,20 @@ def euler_matrix(q: Quiver) -> Matrix:
 def _euler_inverse(q: Quiver) -> Matrix:
     """Exact integer inverse of the unitriangular Euler matrix.
 
-    ``E = I - A`` with ``A`` strictly upper triangular (hence nilpotent),
-    so the inverse is the finite geometric sum of powers of ``A``; its
-    ``(i, j)`` entry counts paths from vertex ``i+1`` to vertex ``j+1``.
+    Its ``(i, j)`` entry counts paths from vertex ``i+1`` to vertex
+    ``j+1``, so row ``i`` is the unit vector plus the rows of the targets
+    of the arrows out of ``i+1``, one per arrow; the rows are filled from
+    the last vertex up.
     """
     n = q.n_vertices
-    a = q.counts
-    total = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = [row[:] for row in total]
-    for _ in range(n):
-        power = [list(row) for row in mat_mul(power, a)]
-        if all(all(x == 0 for x in row) for row in power):
-            break
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += power[i][j]
-    return tuple(tuple(row) for row in total)
+    rows: list[Vec] = [()] * n
+    for i in reversed(range(n)):
+        row = [int(i == j) for j in range(n)]
+        for j, m in enumerate(q.counts[i]):
+            if m:
+                row = [x + m * y for x, y in zip(row, rows[j])]
+        rows[i] = tuple(row)
+    return tuple(rows)
 
 
 def euler_form(q: Quiver, c: Sequence[int], d: Sequence[int]) -> int:
@@ -244,40 +246,26 @@ def coxeter_translate(q: Quiver, d: Sequence[int], direction: str = "tau") -> Ve
     return out
 
 
-def _int_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    m = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @lru_cache(maxsize=None)
 def tits_positive_definite(q: Quiver) -> bool:
     """True when the symmetrized Euler form is positive definite.
 
-    Positive definiteness characterizes the representation-finite case;
-    quivers failing it have infinite regular components.
+    Positive definiteness characterizes the representation-finite
+    (Dynkin) case; quivers failing it have infinite regular components.
+    One symmetric Gaussian elimination over the rationals decides it:
+    the form is positive definite exactly when every pivot is positive.
     """
     e = euler_matrix(q)
     n = q.n_vertices
-    sym = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _int_det([row[:k] for row in sym[:k]]) <= 0:
+    sym = [[Fraction(e[i][j] + e[j][i]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if sym[k][k] <= 0:
             return False
+        for i in range(k + 1, n):
+            if sym[i][k]:
+                f = sym[i][k] / sym[k][k]
+                for j in range(k + 1, n):
+                    sym[i][j] -= f * sym[k][j]
     return True
 
 
@@ -300,66 +288,67 @@ class ARNode(NamedTuple):
     dim: Vec
 
 
-def _validate_known_indecomposable(q: Quiver, d: Vec) -> None:
-    if q == kronecker_quiver(2):
-        a, b = d
-        if not (abs(a - b) <= 1 and max(a, b) >= 1):
-            raise InputError(
-                f"{d} is not an indecomposable dimension vector for the two-arrow quiver"
-            )
-        return
-    if q == path_quiver(q.n_vertices):  # kronecker_quiver(1) is path_quiver(2)
-        n = q.n_vertices
-        support = [i for i in range(n) if d[i] != 0]
-        ok = (
-            bool(support)
-            and all(d[i] == 1 for i in support)
-            and support == list(range(support[0], support[-1] + 1))
-        )
-        if not ok:
-            raise InputError(
-                f"{d} is not an interval dimension vector for the linear quiver"
-            )
-
-
-def classify_indecomposable(q: Quiver, d: Sequence[int], bound: int = 64) -> ARNode:
-    """Locate an indecomposable's translate orbit.
-
-    Iterates the forward translate looking for a projective (component
-    "P"), then the backward translate looking for an injective
-    (component "I"); if neither appears within ``bound`` steps the vector
-    is regular when the quiver admits regular components, otherwise the
-    search is inconclusive and an ``InputError`` is raised.
-    """
-    d = dim_vector(q, d)
+def _require_root(q: Quiver, d: Vec) -> int:
+    """Reject ``d`` where Kac's theorem rules out an indecomposable: a
+    root is nonzero and has Tits form at most 1.  Returns the form."""
     if not any(d):
         raise InputError("need a nonzero dimension vector")
-    _validate_known_indecomposable(q, d)
-    # translates keep the Tits form and every projective and injective has
-    # form 1, so when the form of d is not 1 no orbit step can reach one
-    steps = bound + 1 if euler_form(q, d, d) == 1 else 0
-    projs = projective_dims(q)
-    injs = injective_dims(q)
-    x = d
-    for t in range(steps):
-        if x in projs:
-            return ARNode("P", projs.index(x) + 1, t, d)
-        x = _apply(coxeter_matrix(q), x)
-        if any(v < 0 for v in x):
-            break
-    x = d
-    for s in range(steps):
-        if x in injs:
-            return ARNode("I", injs.index(x) + 1, s, d)
-        x = _apply(coxeter_inverse(q), x)
-        if any(v < 0 for v in x):
-            break
-    if not tits_positive_definite(q):
+    form = euler_form(q, d, d)
+    if form > 1:
+        raise InputError(
+            f"{d} has Tits form {form} > 1, so no indecomposable has this "
+            "dimension vector"
+        )
+    return form
+
+
+# the longest orbit walk on a quiver that is neither Dynkin nor on two vertices
+_ORBIT_STEPS = 64
+
+
+def classify_indecomposable(q: Quiver, d: Sequence[int]) -> ARNode:
+    """Locate an indecomposable's translate orbit.
+
+    Translates keep the Tits form and every projective and injective has
+    form 1, so a vector of another form is regular.  A vector of form 1
+    is walked along the forward translate looking for a projective
+    (component "P"), then along the backward translate looking for an
+    injective (component "I"); a walk ends where it leaves the positive
+    cone.  On a Dynkin quiver both walks run to their end, which comes
+    within the Coxeter number of steps.  On two vertices and not Dynkin,
+    ``(d1, d2)`` is preprojective when ``d1 < d2`` and preinjective
+    otherwise, so only that walk runs, to its end.  On any other quiver
+    each walk stops after ``_ORBIT_STEPS`` steps, and a vector that
+    neither reaches is regular.
+    """
+    d = dim_vector(q, d)
+    form = _require_root(q, d)
+    dynkin = tits_positive_definite(q)
+    if form == 1:
+        walks = [
+            ("P", projective_dims(q), coxeter_matrix(q)),
+            ("I", injective_dims(q), coxeter_inverse(q)),
+        ]
+        two_vertex = not dynkin and q.n_vertices == 2
+        bound = None if dynkin or two_vertex else _ORBIT_STEPS
+        if two_vertex:
+            # the smaller coordinate drops at every step: by 2 on two
+            # arrows, to below half on more, which bounds the walk
+            small = min(d)
+            charge("terms", "a translate orbit",
+                   small if q.counts[0][1] == 2 else small.bit_length())
+            walks = walks[:1] if d[0] < d[1] else walks[1:]
+        for component, ends, step in walks:
+            x = d
+            for t in count() if bound is None else range(bound + 1):
+                if x in ends:
+                    return ARNode(component, ends.index(x) + 1, t, d)
+                x = _apply(step, x)
+                if any(v < 0 for v in x):
+                    break
+    if not dynkin:
         return ARNode("R", None, None, d)
-    raise InputError(
-        f"could not classify {d} within {bound} translate steps on a "
-        "representation-finite quiver"
-    )
+    raise InputError(f"could not classify {d} on a representation-finite quiver")
 
 
 _COMPONENT_ORDER = {"P": 0, "R": 1, "I": 2}
@@ -560,80 +549,30 @@ def rep_mod_p(rep: ExplicitRep, p: int) -> ExplicitRep:
     return ExplicitRep(rep.quiver, p, rep.dims, maps)
 
 
-def _zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-
-
-def kronecker_indecomposable(d: Sequence[int]) -> ExplicitRep:
-    """Explicit indecomposable for the two-arrow quiver.
-
-    Supported shapes: ``(n, n+1)`` (append a zero at the bottom resp.
-    top), ``(k, k)`` (identity and a single Jordan block with eigenvalue
-    1), and ``(n+1, n)`` (drop the last resp. first coordinate).
-    """
-    d = tuple(int(x) for x in d)
-    if len(d) != 2 or any(x < 0 for x in d) or d == (0, 0):
-        raise InputError(f"{d} is not a two-vertex dimension vector")
-    q = kronecker_quiver(2)
-    a, b = d
-    if b == a + 1:
-        n = a
-        first = tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n + 1)
-        )
-        second = tuple(
-            tuple(int(i == j + 1) for j in range(n)) for i in range(n + 1)
-        )
-        return ExplicitRep(q, 0, d, (first, second))
-    if a == b:
-        k = a
-        ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        jordan = tuple(
-            tuple(int(j in (i, i + 1)) for j in range(k)) for i in range(k)
-        )
-        return ExplicitRep(q, 0, d, (ident, jordan))
-    if a == b + 1:
-        n = b
-        first = tuple(
-            tuple(int(i == j) for j in range(n + 1)) for i in range(n)
-        )
-        second = tuple(
-            tuple(int(i + 1 == j) for j in range(n + 1)) for i in range(n)
-        )
-        return ExplicitRep(q, 0, d, (first, second))
-    raise InputError(
-        f"{d} is not an indecomposable dimension vector for the two-arrow quiver"
-    )
-
-
 def indecomposable_rep(q: Quiver, d: Sequence[int]) -> ExplicitRep:
     """Exact model of the indecomposable with dimension vector ``d``.
 
-    Covers the simple modules of every quiver (all maps zero; the arrows
-    are charged against the ``terms`` budget before their maps are
-    built), the linear quivers (interval representations with identity
-    maps) and the two-arrow quiver (explicit Kronecker-type matrices,
-    eigenvalue 1 for the square case).  Other quivers are unsupported.
+    The matrices are read off the string :func:`_string` walks: one entry
+    1 per edge of the walk, in the matrix of that edge's arrow, at the
+    row and column of its end nodes (the nodes at a vertex are numbered
+    in walk order); every other entry is 0.  A simple module exists on
+    every quiver, so its arrows are charged against the ``terms`` budget
+    before their zero maps are built.
     """
-    d = tuple(int(x) for x in d)
-    if d.count(1) == 1 and d.count(0) == len(d) - 1:
+    d = dim_vector(q, d)
+    walk = _string(q, d)
+    if len(walk) == 1:
         charge("terms", "an arrow map list", sum(map(sum, q.counts)))
-        maps = tuple(_zero_matrix(d[t - 1], d[s - 1]) for s, t in q.arrows)
-        return ExplicitRep(q, 0, d, maps)
-    if q == kronecker_quiver(2):
-        return kronecker_indecomposable(d)
-    if q == path_quiver(q.n_vertices):
-        _validate_known_indecomposable(q, d)
-        maps = []
-        for s, t in q.arrows:
-            if d[s - 1] == 1 and d[t - 1] == 1:
-                maps.append(((1,),))
-            else:
-                maps.append(_zero_matrix(d[t - 1], d[s - 1]))
-        return ExplicitRep(q, 0, d, tuple(maps))
-    raise UnsupportedInputError(
-        "no explicit indecomposable model for this quiver shape"
-    )
+    maps = [[[0] * d[s - 1] for _ in range(d[t - 1])] for s, t in q.arrows]
+    seen = [0] * q.n_vertices
+    index = []  # each node's position among the nodes at its vertex
+    for v, _, _ in walk:
+        index.append(seen[v])
+        seen[v] += 1
+    for node, (_, orientation, arrow) in enumerate(walk[1:], start=1):
+        source, target = (node - 1, node) if orientation == 1 else (node, node - 1)
+        maps[arrow][index[target]][index[source]] = 1
+    return ExplicitRep(q, 0, d, tuple(tuple(map(tuple, mat)) for mat in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -796,63 +735,44 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
 
 
 def _string(q: Quiver, d: Vec) -> list[tuple[int, int, int]]:
-    """The coefficient quiver of the model of ``d``, walked from one end.
+    """The model of ``d`` as a string: its coefficient quiver, a path
+    walked from one end.
 
-    The coefficient quiver of ``indecomposable_rep(q, d)`` has one node
-    per basis vector and an edge ``x -> y`` for every entry 1 of an arrow
-    matrix (column ``x`` at the source, row ``y`` at the target).  The
-    square Kronecker model ``(I, J_k(1))`` has the same subrepresentations
-    as ``(I, J_k(1) - I)``, whose coefficient quiver is a path, so that
-    model is used.  Returns one ``(vertex, orientation, arrow)`` per node
-    in path order: the 0-based vertex, +1 when the edge from the previous
-    node points here and -1 when it points back (0 at the start), and the
-    index of that edge's arrow in ``q.arrows`` (0 at the start).  Anything
-    that is not a path with 0/1 entries raises ``UnsupportedInputError``.
+    The coefficient quiver has one node per basis vector and one edge per
+    entry 1 of an arrow matrix.  Returns one ``(vertex, orientation,
+    arrow)`` per node in path order: the 0-based vertex, +1 when the edge
+    from the previous node points here and -1 when it points back (0 at
+    the start), and the index of that edge's arrow in ``q.arrows`` (0 at
+    the start).  The models:
+
+    * a simple module is one node, on any quiver;
+    * an interval of the linear quiver climbs one arrow per node;
+    * the two-arrow quiver zigzags between its vertices, starting at
+      vertex 2 for ``(n, n+1)`` and at vertex 1 otherwise; with ``s = 1``
+      for ``(n, n+1)`` and 0 otherwise, entering vertex 2 is ``(+1, s)``
+      and entering vertex 1 is ``(-1, 1 - s)``.  So the two arrows send
+      basis vector ``j`` to ``j`` and ``j + 1`` for ``(n, n+1)``, to
+      ``j`` and ``j - 1`` for ``(n+1, n)``, and ``(k, k)`` is
+      ``(I, J_k(0))``.
+
+    ``d`` is checked by :func:`_require_root`; other quivers raise
+    ``UnsupportedInputError``.
     """
-    if sum(d) == 1:  # a simple module is one node on any quiver
+    _require_root(q, d)
+    if sum(d) == 1:
         return [(d.index(1), 0, 0)]
-    maps = list(indecomposable_rep(q, d).maps)
-    if q == kronecker_quiver(2) and d[0] == d[1]:
-        first, second = maps
-        maps[1] = tuple(
-            tuple(y - x for x, y in zip(row1, row2))
-            for row1, row2 in zip(first, second)
-        )
-    # node -> [(neighbour, True when the edge points at the neighbour, arrow)]
-    links: dict[tuple[int, int], list[tuple[tuple[int, int], bool, int]]] = {
-        (v, i): [] for v in range(q.n_vertices) for i in range(d[v])
-    }
-    n_edges = 0
-    for arrow, ((s, t), mat) in enumerate(zip(q.arrows, maps)):
-        for i, row in enumerate(mat):
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise UnsupportedInputError(
-                        f"the model of {d} has a matrix entry {entry}, not 0 or 1"
-                    )
-                if entry:
-                    links[(s - 1, j)].append(((t - 1, i), True, arrow))
-                    links[(t - 1, i)].append(((s - 1, j), False, arrow))
-                    n_edges += 1
-    not_a_string = UnsupportedInputError(
-        f"the coefficient quiver of the model of {d} is not a path"
+    if q == path_quiver(q.n_vertices):  # kronecker_quiver(1) is path_quiver(2)
+        lo = d.index(1)
+        return [(lo, 0, 0)] + [(v, 1, v - 1) for v in range(lo + 1, lo + sum(d))]
+    if q == kronecker_quiver(2):
+        s = int(d[1] == d[0] + 1)
+        walk = [(s, 0, 0)]
+        for _ in range(sum(d) - 1):
+            walk.append((0, -1, 1 - s) if walk[-1][0] else (1, 1, s))
+        return walk
+    raise UnsupportedInputError(
+        "no explicit indecomposable model for this quiver shape"
     )
-    ends = [x for x, nbrs in links.items() if len(nbrs) <= 1]
-    if n_edges != len(links) - 1 or not ends:
-        raise not_a_string
-    walk = [(ends[0][0], 0, 0)]
-    prev, node = None, ends[0]
-    while True:
-        ahead = [link for link in links[node] if link[0] != prev]
-        if len(ahead) > 1:
-            raise not_a_string
-        if not ahead:
-            break
-        prev, (node, points_here, arrow) = node, ahead[0]
-        walk.append((node[0], 1 if points_here else -1, arrow))
-    if len(walk) != len(links):
-        raise not_a_string
-    return walk
 
 
 @lru_cache(maxsize=128)
@@ -1014,8 +934,8 @@ def _cell_dimensions(
 def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """Euler characteristic of the subrepresentation Grassmannian.
 
-    Reads ``e`` off the table that one walk along the string module
-    ``indecomposable_rep(q, d)`` yields for every subdimension vector
+    Reads ``e`` off the table that one walk along the string
+    :func:`_string` of ``d`` yields for every subdimension vector
     (see :func:`_fixed_point_euler_chars`); no finite-field counting is
     involved.
     """
@@ -1032,7 +952,7 @@ def grassmannian_counting_polynomial(
     q: Quiver, d: Sequence[int], e: Sequence[int]
 ) -> tuple[int, ...]:
     """Coefficients (low degree first) of the counting polynomial of
-    ``Gr_e`` of the string module ``indecomposable_rep(q, d)``.
+    ``Gr_e`` of the string module of ``d`` (:func:`_string`).
 
     The sum of ``q^dim cell(U)`` over the torus-fixed points ``U`` (the
     successor-closed node sets of :func:`_string` with dimension vector
@@ -1041,11 +961,11 @@ def grassmannian_counting_polynomial(
     sum of the arrow indices along the path to it (Cerulli Irelli-
     Esposito-Franzen-Reineke, cell decompositions of quiver
     Grassmannians).  For a rigid ``d`` the Grassmannian is smooth and
-    Bialynicki-Birula gives the count.  For a square Kronecker ``d`` some
-    fixed points are singular and the theorem does not apply; there the
-    cells are verified by tests against counts over finite fields, not
-    proven.  The tuple has length at
-    least ``max(0, <e, d - e>) + 1``.  The number of fixed points, which
+    Bialynicki-Birula gives the count.  For a square Kronecker ``d``, whose
+    model is ``(I, J_k(0))``, some fixed points are singular and the
+    theorem does not apply; there the cells are verified by tests against
+    counts over finite fields, not proven.  The tuple has length at least
+    ``max(0, <e, d - e>) + 1``.  The number of fixed points, which
     is the Euler characteristic, is charged against the ``subspaces``
     budget before any is enumerated.
     """

@@ -419,16 +419,17 @@ def complete_rank2(
         Wall(w.normal, w.kind, w.span, w.func.truncate(order), w.incoming)
         for w in diagram.walls
     ]
-    unit_vectors = [
-        tuple(int(j == i) for j in range(2 * n)) for i in range(2 * n)
-    ]
+    # a crossing multiplies z^m by the wall function to the power
+    # <m, normal>, which reads only the base part of m, so the coefficient
+    # units never move and only the base units are measured
+    unit_vectors = [tuple(int(j == i) for j in range(2 * n)) for i in range(n)]
 
     for degree in range(1, order + 1):
         # a crossing never lowers the degree, so order ``degree`` keeps
         # every term the degree-``degree`` defect reads
         loop = _loop_action(walls, base_dir, degree)
         coeff_by_c: dict[Vec, int] = {}
-        for i, unit in enumerate(unit_vectors):
+        for unit in unit_vectors:
             image = loop.apply(LaurentPoly.monomial(unit))
             defect = image - LaurentPoly.monomial(unit)
             for expo, coeff in defect.terms.items():
@@ -443,26 +444,19 @@ def complete_rank2(
                 # the loop defect is a sum of ray derivations; each pairs
                 # monomials against the *primitive* normal of its ray
                 pairing = dual_pair(unit[:n], primitive(c))
-                if i < n:
-                    if pairing == 0:
-                        continue
-                    value, rem = divmod(coeff, pairing)
-                    if rem:
-                        raise InputError(
-                            f"defect coefficient {coeff} not divisible by "
-                            f"pairing {pairing} at degree {degree}"
-                        )
-                    prev = coeff_by_c.setdefault(c, value)
-                    if prev != value:
-                        raise InputError(
-                            f"inconsistent defect readings {prev} vs {value} "
-                            f"for normal {c}"
-                        )
-                else:
-                    # pure coefficient-lattice monomials pair to zero and
-                    # must show no defect at all
+                if pairing == 0:
+                    continue
+                value, rem = divmod(coeff, pairing)
+                if rem:
                     raise InputError(
-                        f"frozen-direction monomial picked up a defect {rel}"
+                        f"defect coefficient {coeff} not divisible by "
+                        f"pairing {pairing} at degree {degree}"
+                    )
+                prev = coeff_by_c.setdefault(c, value)
+                if prev != value:
+                    raise InputError(
+                        f"inconsistent defect readings {prev} vs {value} "
+                        f"for normal {c}"
                     )
         for c in sorted(coeff_by_c):
             a_c = coeff_by_c[c]

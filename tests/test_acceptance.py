@@ -31,7 +31,7 @@ from clusterscatter.hall import (
 )
 from clusterscatter.quiver import (
     grassmannian_counting_polynomial,
-    kronecker_indecomposable,
+    indecomposable_rep,
     kronecker_quiver,
     path_quiver,
     quiver_to_skew,
@@ -74,7 +74,7 @@ def test_criterion_5_grassmannian_18_and_strata_10_8():
     counting = grassmannian_counting_polynomial(K2, (5, 6), (2, 4))
     assert counting == (1, 2, 4, 4, 4, 2, 1)
     assert sum(counting) == 18
-    rep = kronecker_indecomposable((5, 6))
+    rep = indecomposable_rep(K2, (5, 6))
     for p in (2, 3, 5, 7, 11):
         direct = fp_oracle.subrep_count(rep_mod_p(rep, p), (2, 4))
         assert direct == sum(c * p**i for i, c in enumerate(counting))

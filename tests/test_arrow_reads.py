@@ -17,7 +17,6 @@ PER_ARROW = {
     ("quiver", "ExplicitRep.__new__"),
     ("quiver", "indecomposable_rep"),
     ("quiver", "subrep_count"),
-    ("quiver", "_string"),
 }
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from clusterscatter.brokenlines import (
     BrokenLine,
     Segment,
-    ThetaResult,
     enumerate_broken_lines,
     restrict_to_A,
     theta_function,
@@ -19,8 +18,6 @@ from clusterscatter.brokenlines import (
     validate_broken_line,
 )
 from clusterscatter.cluster import (
-    apply_word,
-    cluster_variable,
     g_vector,
     initial_seed,
     mutate_seed,

@@ -515,6 +515,15 @@ class TestStrataCommand:
         assert "regular" in err
         assert err.count("\n") == 1
 
+    def test_orbit_longer_than_64_steps_is_not_regular(self, cli):
+        # (200, 201) is the 100-fold backward translate of a projective
+        code, out, err = cli("strata", "--b", "2", "--D", "200,201",
+                             "--e", "0,1", "--endpoint", "2,1")
+        assert (code, err) == (0, "")
+        assert out.endswith("total over strata: 201\n"
+                            "finite-field Euler characteristic: 201\n"
+                            "agreement: yes\n")
+
     def test_higher_rank_rejected(self, cli):
         code, _, err = cli("strata", "--quiver", "a3", "--D", "1,1,1",
                            "--e", "1,0,0", "--endpoint", "1,1")
@@ -561,6 +570,30 @@ class TestArCommand:
         code, out, _ = cli("ar", "--quiver", "kronecker2", "--classify", "2,3")
         assert code == 0
         assert out == "dim (2,3): component P, orbit of vertex 2, translate steps 1\n"
+
+    def test_classify_walks_past_64_steps(self, cli):
+        code, out, err = cli("ar", "--b", "2", "--classify", "200,201")
+        assert (code, err) == (0, "")
+        assert out == (
+            "dim (200,201): component P, orbit of vertex 2, translate steps 100\n"
+        )
+
+    def test_classify_rejects_tits_form_above_one(self, cli):
+        code, out, err = cli("ar", "--b", "3", "--classify", "2,0")
+        assert (code, out) == (2, "")
+        assert err == ("error: (2, 0) has Tits form 4 > 1, so no indecomposable "
+                       "has this dimension vector\n")
+
+    def test_classify_charges_the_orbit_walk(self, cli, monkeypatch,
+                                             restore_budget):
+        monkeypatch.delenv("CLUSTERSCATTER_MAX_TERMS", raising=False)
+        code, out, err = cli("ar", "--b", "2", "--classify",
+                             "1000000000000,1000000000001")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: resource limit: a translate orbit of 1000000000000 terms "
+            "exceeds the term ceiling 2000000 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
 
     def test_component_dot(self, cli):
         code, out, _ = cli("ar", "--quiver", "a3", "--component", "P",
@@ -822,14 +855,15 @@ class TestResourceCeilings:
 
     def test_cluster_character_table_charged(self, cli, monkeypatch,
                                              restore_budget):
-        # a Kronecker quiver is charged nothing, so the charge that stops
-        # the job is the one on the character's 497-entry chi table
-        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "2")
+        # a Kronecker quiver is charged nothing and the orbit walk that
+        # classifies (30, 31) 30 terms, so the charge that stops the job is
+        # the one on the character's 497-entry chi table
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "30")
         code, out, err = cli("cc", "--quiver", "kronecker2", "--D", "30,31")
         assert (code, out) == (3, "")
         assert err == (
             "error: resource limit: a cluster character of 497 terms exceeds "
-            "the term ceiling 2 (CLUSTERSCATTER_MAX_TERMS)\n"
+            "the term ceiling 30 (CLUSTERSCATTER_MAX_TERMS)\n"
         )
 
     def test_simple_module_arrows_charged(self, cli, monkeypatch,

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterscatter import lattice
+from clusterscatter import hall as hall_mod
 from clusterscatter import quiver as quiver_mod
 from clusterscatter.cluster import cluster_variable, initial_seed, rank2_exchange
 from clusterscatter.errors import (
@@ -44,7 +45,6 @@ from clusterscatter.quiver import (
     hom_ext_dims,
     indecomposable_rep,
     is_predecessor,
-    kronecker_indecomposable,
     kronecker_quiver,
     path_quiver,
     projective_dims,
@@ -210,9 +210,10 @@ def test_classify_skips_orbits_when_the_tits_form_is_not_one(monkeypatch):
         fork = Quiver(3, ((0, 1, 1), (0, 0, 0), (0, 0, 0)))
         classify_indecomposable(fork, (2, 1, 1))
     assert str(err.value) == (
-        "could not classify (2, 1, 1) within 64 translate steps on a "
-        "representation-finite quiver"
+        "(2, 1, 1) has Tits form 2 > 1, so no indecomposable has this "
+        "dimension vector"
     )
+    assert steps == []
 
 
 def test_classify_dynkin():
@@ -224,8 +225,39 @@ def test_classify_dynkin():
     assert classify_indecomposable(A2, (1, 0)) == ARNode("P", 2, 1, (1, 0))
     node = classify_indecomposable(A3, (0, 1, 0))
     assert node.component in ("P", "I")
-    with pytest.raises(InputError):
-        classify_indecomposable(A3, (0, 1, 0), bound=0)
+    # an orbit on a Dynkin quiver is walked to its end, however long
+    a140 = path_quiver(140)
+    simple = tuple(int(v == 69) for v in range(140))
+    assert classify_indecomposable(a140, simple) == ARNode("P", 140, 70, simple)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 7])
+def test_classify_walks_two_vertex_orbits_to_their_end(b):
+    # every node of 150 translate steps comes back to itself, far past
+    # the 64 steps that still bound quivers on three or more vertices
+    q = kronecker_quiver(b)
+    for side in ("P", "I"):
+        for node in ar_component(q, side, 150).nodes:
+            assert classify_indecomposable(q, node.dim) == node
+
+
+def test_classify_charges_a_two_vertex_orbit_first(monkeypatch):
+    # the smaller coordinate drops by 2 at every step on two arrows, and
+    # falls below half on more, so the walk is charged before it starts
+    monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(terms=1000))
+    with pytest.raises(ResourceLimitError, match="translate orbit of 1001 terms"):
+        classify_indecomposable(K2, (1001, 1002))
+    assert classify_indecomposable(K2, (1000, 1001)) == ARNode("P", 2, 500, (1000, 1001))
+    k3 = kronecker_quiver(3)
+    top = ar_component(k3, "P", 150).nodes[-1]
+    assert classify_indecomposable(k3, top.dim) == top
+
+
+def test_classify_rejects_vectors_of_tits_form_above_one():
+    # Kac: no root has Tits form > 1, on wild quivers too
+    with pytest.raises(InputError, match="Tits form 4 > 1"):
+        classify_indecomposable(kronecker_quiver(3), (2, 0))
+    assert hall_mod._generic_summands(kronecker_quiver(3), (2, 0)) == (((1, 0), 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +432,74 @@ def test_ar_to_dot():
 
 
 def test_kronecker_indecomposable_matrices():
-    rep = kronecker_indecomposable((1, 2))
+    rep = indecomposable_rep(K2, (1, 2))
     assert rep.maps[0] == ((1,), (0,))
     assert rep.maps[1] == ((0,), (1,))
-    rep = kronecker_indecomposable((2, 1))
+    rep = indecomposable_rep(K2, (2, 1))
     assert rep.maps[0] == ((1, 0),)
     assert rep.maps[1] == ((0, 1),)
-    rep = kronecker_indecomposable((2, 2))
+    rep = indecomposable_rep(K2, (2, 2))
     assert rep.maps[0] == ((1, 0), (0, 1))
-    assert rep.maps[1] == ((1, 1), (0, 1))
+    assert rep.maps[1] == ((0, 1), (0, 0))
     with pytest.raises(InputError):
-        kronecker_indecomposable((1, 3))
+        indecomposable_rep(K2, (1, 3))
+
+
+@pytest.mark.parametrize(
+    "q, d, walk",
+    [
+        (K2, (2, 3), [(1, 0, 0), (0, -1, 0), (1, 1, 1), (0, -1, 0), (1, 1, 1)]),
+        (K2, (3, 2), [(0, 0, 0), (1, 1, 0), (0, -1, 1), (1, 1, 0), (0, -1, 1)]),
+        (K2, (2, 2), [(0, 0, 0), (1, 1, 0), (0, -1, 1), (1, 1, 0)]),
+        (path_quiver(4), (0, 1, 1, 1), [(1, 0, 0), (2, 1, 1), (3, 1, 2)]),
+    ],
+    ids=["K2-2-3", "K2-3-2", "K2-2-2", "a4-interval"],
+)
+def test_string_walks_are_pinned(q, d, walk):
+    # the walks the coefficient quivers of the earlier matrix models gave
+    assert quiver_mod._string(q, d) == walk
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_square_model_matches_the_eigenvalue_one_block(k):
+    # (I, J_k(1)) and the model (I, J_k(0)) have the same
+    # subrepresentations, since (A, B) -> (A, B - A) preserves them
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    jordan = tuple(tuple(int(j in (i, i + 1)) for j in range(k)) for i in range(k))
+    block = ExplicitRep(K2, 0, (k, k), (ident, jordan))
+    for e in product(range(k + 1), repeat=2):
+        coeffs = grassmannian_counting_polynomial(K2, (k, k), e)
+        for p in (2, 3):
+            count = subrep_count(rep_mod_p(block, p), e)
+            assert sum(c * p**i for i, c in enumerate(coeffs)) == count, (e, p)
+
+
+def _leading_minors_positive(q: Quiver) -> bool:
+    n = q.n_vertices
+    sym = [[2 * int(i == j) - q.counts[i][j] - q.counts[j][i] for j in range(n)]
+           for i in range(n)]
+
+    def det(rows: list[list[int]]) -> int:
+        if not rows:
+            return 1
+        return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j, x in enumerate(rows[0]) if x)
+
+    return all(det([row[:k] for row in sym[:k]]) > 0 for k in range(1, n + 1))
+
+
+def test_tits_positive_definite_matches_leading_minors():
+    quivers = [kronecker_quiver(b) for b in range(1, 7)]
+    for n, most in ((3, 2), (4, 1)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for counts in product(range(most + 1), repeat=len(pairs)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), m in zip(pairs, counts):
+                rows[i][j] = m
+            quivers.append(Quiver(n, rows))
+    quivers += [path_quiver(n) for n in range(1, 9)]
+    for q in quivers:
+        assert quiver_mod.tits_positive_definite(q) == _leading_minors_positive(q), q
 
 
 def test_quiver_skew_roundtrip():
@@ -433,7 +522,7 @@ def test_gaussian_binomial_against_census():
 
 
 def test_subrep_count_trivial_cases():
-    rep = rep_mod_p(kronecker_indecomposable((2, 3)), 3)
+    rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), 3)
     assert subrep_count(rep, (0, 0)) == 1
     assert subrep_count(rep, (2, 3)) == 1
     assert subrep_count(rep, (3, 1)) == 0
@@ -442,7 +531,7 @@ def test_subrep_count_trivial_cases():
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("e", [(1, 1), (1, 2), (0, 2), (2, 2)])
 def test_subrep_count_matches_naive_kronecker(p, e):
-    rep = rep_mod_p(kronecker_indecomposable((2, 3)), p)
+    rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), p)
     assert subrep_count(rep, e) == naive_subrep_count(rep, e)
 
 
@@ -457,7 +546,7 @@ def test_subrep_count_matches_naive_path(p, e):
 @pytest.mark.parametrize("e", [(1, 1), (1, 2), (2, 2), (2, 3)])
 def test_two_vertex_fast_path_matches_general(p, e):
     # the oracle's rank histogram against the package's vertex-by-vertex count
-    rep = rep_mod_p(kronecker_indecomposable((2, 3)), p)
+    rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), p)
     assert fp_oracle.subrep_count(rep, e) == subrep_count(rep, e)
 
 
@@ -550,23 +639,6 @@ def test_cluster_character_matches_zigzag_closed_form(n):
     for e in product(range(n + 1), range(n + 2)):
         expo = vec_add(shift, tilde_p_star(eps, e + (0, 0)))
         assert cc.coefficient(expo) == zigzag_chi(n, *e), e
-
-
-@pytest.mark.parametrize(
-    "maps, reason",
-    [
-        ((((1,), (0,)), ((0,), (2,))), "0 or 1"),
-        ((((1,), (1,)), ((1,), (0,))), "not a path"),
-        ((((1,), (0,)), ((1,), (0,))), "not a path"),
-    ],
-)
-def test_fixed_point_chi_rejects_non_string_models(monkeypatch, maps, reason):
-    model = ExplicitRep(K2, 0, (1, 2), maps)
-    monkeypatch.setattr(quiver_mod, "indecomposable_rep", lambda q, d: model)
-    # an earlier test may have cached the walk of the real (1, 2) model
-    quiver_mod._fixed_point_euler_chars.cache_clear()
-    with pytest.raises(UnsupportedInputError, match=reason):
-        grassmannian_euler_char(K2, (1, 2), (0, 1))
 
 
 def test_fixed_point_table_is_cached_and_read_only():

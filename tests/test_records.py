@@ -18,7 +18,7 @@ from clusterscatter.quiver import (
     Quiver,
     ar_component,
     classify_indecomposable,
-    kronecker_indecomposable,
+    indecomposable_rep,
     kronecker_quiver,
 )
 from clusterscatter.scattering import (
@@ -55,7 +55,7 @@ RECORDS = {
     "Quiver": lambda: kronecker_quiver(3),
     "ARNode": lambda: classify_indecomposable(kronecker_quiver(2), (2, 3)),
     "ARGraph": lambda: ar_component(kronecker_quiver(2), "P", 2),
-    "ExplicitRep": lambda: kronecker_indecomposable((2, 3)),
+    "ExplicitRep": lambda: indecomposable_rep(kronecker_quiver(2), (2, 3)),
     "Filtration": lambda: Filtration((((2, 3), 1), ((0, 1), 2))),
     "Stratum": lambda: Stratum.from_params(1, 1, 3),
     "StabilityValue": lambda: StabilityValue(1, 2),

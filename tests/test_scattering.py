@@ -26,7 +26,6 @@ from clusterscatter.lattice import (
     dual_pair,
     p_star,
     primitive,
-    tilde_p_star,
     vec_scale,
 )
 from clusterscatter.quiver import (
@@ -35,9 +34,7 @@ from clusterscatter.quiver import (
     quiver_to_skew,
 )
 from clusterscatter.scattering import (
-    Chamber,
     CrossingPath,
-    ScatteringDiagram,
     Wall,
     _positive_rep,
     ar_order_check,

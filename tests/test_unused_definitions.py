@@ -4,7 +4,9 @@ A top-level function or class, or a method not named ``__*__``, that
 nothing under ``src/clusterscatter`` references is code that only tests
 call, or that nothing calls: wire it into the program or delete it.
 References inside the definition itself (recursion) do not count.  The
-console-script entry point ``cli.main`` is the one exemption.
+console-script entry point ``cli.main`` is the one exemption.  Likewise,
+every name a test module imports from the package is read in that
+module.
 """
 
 import ast
@@ -45,3 +47,20 @@ def test_every_definition_is_referenced_in_the_package():
                 if (module, label) not in EXEMPT and references[member.name] <= own:
                     unused.append(f"{module}.{label}")
     assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
+
+
+def test_every_name_a_test_imports_from_the_package_is_read():
+    unread = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "clusterscatter"
+            ):
+                unread += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in read
+                ]
+    assert not unread, "imported from the package and never read: " + ", ".join(unread)
