@@ -37,17 +37,30 @@ the walls it can bend on, those with normal at most ``c`` that pair
 nonzero with its exponent, and only their crossings get a bend point.  A
 segment can run along a support line or through the origin only when its
 point is parallel to its velocity, so only then are all walls checked.
-Bend points become ``Fraction`` pairs only when a finished line is
-assembled.  Validation (:func:`validate_broken_line`) and the endpoint
-check keep rational geometry, so they re-check the integer search by a
-second route.
+A node carries its bend weight ``c`` and its point; the segment's
+exponent ``m0 + p~*(c)`` is built in full only when a finished line is
+assembled, and its bend points become ``Fraction`` pairs only then.
+Validation (:func:`validate_broken_line`) keeps rational geometry and
+the endpoint check runs :func:`on_support`, so they re-check the integer
+search by a second route.
+
+Dead states.  Every wall is a cone from the origin, so scaling a point
+by ``t > 0`` scales every backward ray from it, and with it every later
+crossing, by ``t``: the search below a point finds the same lines, up to
+scaling, and raises the same errors.  A bend point on a wall lies on one
+ray of its support, so the wall's index, the side of the support and the
+bend weight ``c`` left, which fixes the exponent, determine that search.
+Each call keeps the set of such states whose search ended with no line
+and no error, and does not enter them again; an error ends the whole
+call, so none is skipped.  The set lives in the engine of one call and
+nothing is cached from one call to the next.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -78,6 +91,7 @@ from .scattering import (
     cluster_complex_chambers,
     ensure_generic,
     find_chamber,
+    homogeneous,
     on_support,
     path_ordered_product,
 )
@@ -206,44 +220,43 @@ class _Engine:
         self.steps = tuple(
             tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0))
         )
-        # Per wall: normal, support direction, ray flag, wall, and the
-        # exponent step of one bend, which also lowers c by the normal.
-        zero = (0,) * len(m0)
+        # E_m, the first two coordinates, gives velocities and pairings.
+        s1, s2 = self.steps
+        self._plane = (m0[0], s1[0], s2[0], m0[1], s1[1], s2[1])
+        # Per wall: normal, support direction, ray flag, index and wall.
         self._bends = [
-            (*w.normal, *w.direction(), w.kind == "ray", w,
-             self.exponent(zero, w.normal))
-            for w in diagram.walls
+            (*w.normal, *w.direction(), w.kind == "ray", i, w)
+            for i, w in enumerate(diagram.walls)
         ]
-        self._admissible: dict[Vec, list] = {}
+        # (wall index, side of its support, c1, c2) of the bend points whose
+        # search found no line.
+        self._dead: set[tuple[int, bool, int, int]] = set()
 
-    def exponent(self, m0: Vec, c: Vec) -> Vec:
-        (c1, c2), (s1, s2) = c, self.steps
-        return tuple(m + c1 * a + c2 * b for m, a, b in zip(m0, s1, s2))
+    def exponent(self, c1: int, c2: int) -> Vec:
+        s1, s2 = self.steps
+        return tuple(m + c1 * a + c2 * b for m, a, b in zip(self.m0, s1, s2))
 
-    def descend(self, c_cur: Vec, expo: Vec, point: HPoint, rev_bends: list) -> None:
-        """Collect the lines whose segment into ``point`` carries ``expo``
-        and leaves bend weight ``c_cur``, before the bends ``rev_bends``."""
-        vx, vy = vel = -expo[0], -expo[1]
-        if vel == (0, 0):
+    def descend(self, c1: int, c2: int, point: HPoint, rev_bends: list) -> None:
+        """Collect the lines whose segment into ``point`` leaves bend weight
+        ``(c1, c2)``, before the bends ``rev_bends``."""
+        m1, a1, b1, m2, a2, b2 = self._plane
+        e1, e2 = m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2
+        vx, vy = -e1, -e2
+        if not (vx or vy):
             return
         X, Y, D = point
         # Only a ray parallel to its point can be degenerate; the bend-free
         # initial segment is checked too.
         if X * vy == Y * vx:
-            _check_collinear_ray(point, vel, self._bends)
-        if not any(c_cur):
+            _check_collinear_ray(point, (vx, vy), self._bends)
+        if not (c1 or c2):
             self.lines.append(self._assemble(rev_bends))
             return
-        c1, c2 = c_cur
-        admissible = self._admissible.get(c_cur)
-        if admissible is None:
-            # only a wall with normal <= c leaves a nonnegative budget
-            admissible = self._admissible[c_cur] = [
-                bend for bend in self._bends if bend[0] <= c1 and bend[1] <= c2
-            ]
-        e1, e2 = expo[0], expo[1]
         found = []
-        for n1, n2, d0, d1, ray, wall, step in admissible:
+        for n1, n2, d0, d1, ray, index, wall in self._bends:
+            # only a wall with normal <= c leaves a nonnegative budget
+            if n1 > c1 or n2 > c2:
+                continue
             # The pairing is the same before the bend: a bend adds
             # multiples of p*(normal) to E_m, and the form is skew.
             pairing = abs(e1 * n1 + e2 * n2)
@@ -257,14 +270,18 @@ class _Engine:
             x, y, w = X * denom - c * vx, Y * denom - c * vy, D * denom
             if w < 0:
                 x, y, w = -x, -y, -w
-            if ray and d0 * x + d1 * y < 0:
+            # which ray of the support the bend point, never the origin, is on
+            side = d0 * x + d1 * y
+            if ray and side < 0:
                 continue
             g = gcd(x, y, w)
             found.append(
-                (abs(c), abs(denom), wall, pairing, step, (x // g, y // g, w // g))
+                (abs(c), abs(denom), index, side > 0, wall, pairing,
+                 (x // g, y // g, w // g))
             )
         found.sort(key=_NEAREST_FIRST)
-        for _, _, wall, pairing, step, x in found:
+        dead, lines = self._dead, self.lines
+        for _, _, index, side, wall, pairing, x in found:
             n1, n2 = wall.normal
             series = wall.func ** pairing
             j = 1
@@ -272,20 +289,24 @@ class _Engine:
             # nonnegative
             while c1 >= j * n1 and c2 >= j * n2:
                 factor = series.coefficient(j)
-                if factor:
-                    rev_bends.append((wall, x, j, factor, expo))
-                    e_prev = tuple(e - j * s for e, s in zip(expo, step))
-                    self.descend((c1 - j * n1, c2 - j * n2), e_prev, x, rev_bends)
+                r1, r2 = c1 - j * n1, c2 - j * n2
+                state = (index, side, r1, r2)
+                if factor and state not in dead:
+                    rev_bends.append((wall, x, j, factor, c1, c2))
+                    before = len(lines)
+                    self.descend(r1, r2, x, rev_bends)
                     rev_bends.pop()
+                    if len(lines) == before:
+                        dead.add(state)
                 j += 1
 
     def _assemble(self, rev_bends: list) -> BrokenLine:
         segments = [Segment(1, self.m0, None, None, 0)]
         coeff = 1
-        for wall, (x, y, w), j, factor, expo in reversed(rev_bends):
+        for wall, (x, y, w), j, factor, c1, c2 in reversed(rev_bends):
             coeff *= factor
             start = (Fraction(x, w), Fraction(y, w))
-            segments.append(Segment(coeff, expo, start, wall, j))
+            segments.append(Segment(coeff, self.exponent(c1, c2), start, wall, j))
         return BrokenLine(self.m0, self.endpoint, tuple(segments))
 
 
@@ -344,18 +365,15 @@ def theta_function(
         raise UnsupportedInputError(f"initial exponent {m0} has no direction")
     if final_filter is not None and len(final_filter) != 2 * n:
         raise InputError(f"final filter must have length {2 * n}")
-    den = lcm(*(t.denominator for t in pt))
-    point = (*(t.numerator * (den // t.denominator) for t in pt), den)
+    point = homogeneous(pt)
     for c1 in range(budget + 1):
         for c2 in range(budget + 1 - c1):
-            c = (c1, c2)
-            final = engine.exponent(m0, c)
             if final_filter is not None and any(
                 want is not None and have != want
-                for have, want in zip(final, final_filter)
+                for have, want in zip(engine.exponent(c1, c2), final_filter)
             ):
                 continue
-            engine.descend(c, final, point, [])
+            engine.descend(c1, c2, point, [])
     lines = sorted(engine.lines, key=_sort_key)
     value: dict[Vec, int] = {}
     for line in lines:

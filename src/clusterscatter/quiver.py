@@ -788,9 +788,11 @@ def _fixed_point_euler_chars(q: Quiver, d: Vec) -> MappingProxyType[Vec, int]:
 
     One walk along the path yields the whole table: it keeps the number
     of partial sets for each (previous node in ``S``, dimension vector so
-    far), and the final dimension vectors are the ``e``.  The table is
-    cached per ``(q, d)`` and read-only, so the Euler characteristics of
-    one module cost one walk whichever ``e`` a caller asks for.
+    far), and the final dimension vectors are the ``e``.  Its states
+    range over every ``e <= d``, so only :func:`caldero_chapoton`, which
+    needs them all, reads it; one ``e`` costs a pass bounded by ``e``
+    (:func:`_completions`).  The table is cached per ``(q, d)`` and
+    read-only.
     """
     states = {(False, (0,) * len(d)): 1}
     for v, orientation, _ in _string(q, d):
@@ -821,26 +823,43 @@ def _keeps_closed(orientation: int, prev_in: bool, take: bool) -> bool:
     return True
 
 
-def _fixed_points(walk: list[tuple[int, int, int]], e: Vec) -> Iterator[int]:
-    """The successor-closed node sets of the walk with dimension vector
-    ``e``, as bit masks over the path positions.
+def _completions(
+    walk: list[tuple[int, int, int]], e: Vec
+) -> list[dict[tuple[bool, Vec], int]]:
+    """Backward pass over the walk: entry ``i`` counts, per state (node
+    ``i - 1`` taken, nodes still needed at each vertex), the ways positions
+    ``i..`` complete a successor-closed set with dimension vector ``e``.
 
-    A backward pass finds the states (node ``i - 1`` taken, nodes still
-    needed at each vertex) from which positions ``i..`` can complete a
-    set, so the forward enumeration never enters a dead branch.
+    A state needs at most ``e``, so the pass stays bounded by ``e`` however
+    long the walk is.  Entry 0 at ``(False, e)`` is the number of fixed
+    points, the Euler characteristic of ``Gr_e``; a state is present only
+    when it has a completion.
     """
-    n = len(walk)
     zero = (0,) * len(e)
-    live = [set() for _ in range(n)] + [{(False, zero), (True, zero)}]
-    for i in range(n - 1, -1, -1):
-        v, orientation, _ = walk[i]
-        for taken, after in live[i + 1]:
+    counts = [{(False, zero): 1, (True, zero): 1}]
+    for v, orientation, _ in reversed(walk):
+        here: dict[tuple[bool, Vec], int] = {}
+        for (taken, after), ways in counts[-1].items():
             if after[v] + taken <= e[v]:
                 need = after[:v] + (after[v] + taken,) + after[v + 1 :]
                 for prev_in in (False, True):
                     if _keeps_closed(orientation, prev_in, taken):
-                        live[i].add((prev_in, need))
-    stack = [(0, 0, e)] if (False, e) in live[0] else []
+                        here[prev_in, need] = here.get((prev_in, need), 0) + ways
+        counts.append(here)
+    return counts[::-1]
+
+
+def _fixed_points(
+    walk: list[tuple[int, int, int]], e: Vec, completions: list[dict]
+) -> Iterator[int]:
+    """The successor-closed node sets of the walk with dimension vector
+    ``e``, as bit masks over the path positions.
+
+    ``completions`` is the backward pass of :func:`_completions`, so the
+    forward enumeration never enters a state with no completion.
+    """
+    n = len(walk)
+    stack = [(0, 0, e)] if (False, e) in completions[0] else []
     while stack:
         i, mask, need = stack.pop()
         if i == n:
@@ -850,7 +869,9 @@ def _fixed_points(walk: list[tuple[int, int, int]], e: Vec) -> Iterator[int]:
         prev_in = i > 0 and bool(mask >> (i - 1) & 1)
         for take in (False, True):
             rest = need[:v] + (need[v] - take,) + need[v + 1 :]
-            if _keeps_closed(orientation, prev_in, take) and (take, rest) in live[i + 1]:
+            if _keeps_closed(orientation, prev_in, take) and (
+                (take, rest) in completions[i + 1]
+            ):
                 stack.append((i + 1, mask | take << i, rest))
 
 
@@ -931,21 +952,27 @@ def _cell_dimensions(
         yield unknowns - _rank_over_q(rows)
 
 
-def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
-    """Euler characteristic of the subrepresentation Grassmannian.
-
-    Reads ``e`` off the table that one walk along the string
-    :func:`_string` of ``d`` yields for every subdimension vector
-    (see :func:`_fixed_point_euler_chars`); no finite-field counting is
-    involved.
-    """
-    d = dim_vector(q, d)
+def _subdimension(d: Vec, e: Sequence[int]) -> Vec:
+    """``e`` as a tuple, checked to lie between 0 and ``d``."""
     e = tuple(int(x) for x in e)
     if len(e) != len(d) or any(x < 0 or x > dx for x, dx in zip(e, d)):
         raise InputError("need 0 <= e <= d componentwise")
+    return e
+
+
+def grassmannian_euler_char(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
+    """Euler characteristic of the subrepresentation Grassmannian.
+
+    The number of torus-fixed points of ``Gr_e`` on the string
+    :func:`_string` of ``d``, counted by the backward pass of
+    :func:`_completions`, whose states are bounded by ``e``; no
+    finite-field counting is involved.
+    """
+    d = dim_vector(q, d)
+    e = _subdimension(d, e)
     if all(x == 0 for x in e) or e == d:
         return 1
-    return _fixed_point_euler_chars(q, d).get(e, 0)
+    return _completions(_string(q, d), e)[0].get((False, e), 0)
 
 
 def grassmannian_counting_polynomial(
@@ -965,15 +992,18 @@ def grassmannian_counting_polynomial(
     model is ``(I, J_k(0))``, some fixed points are singular and the
     theorem does not apply; there the cells are verified by tests against
     counts over finite fields, not proven.  The tuple has length at least
-    ``max(0, <e, d - e>) + 1``.  The number of fixed points, which
-    is the Euler characteristic, is charged against the ``subspaces``
-    budget before any is enumerated.
+    ``max(0, <e, d - e>) + 1``.  One backward pass (:func:`_completions`)
+    counts the fixed points, which is the Euler characteristic, and guides
+    their enumeration; the count is charged against the ``subspaces``
+    budget before any fixed point is enumerated.
     """
-    d, e = dim_vector(q, d), tuple(int(x) for x in e)
-    charge("subspaces", "torus-fixed points", grassmannian_euler_char(q, d, e))
+    d = dim_vector(q, d)
+    e = _subdimension(d, e)
     walk = _string(q, d)
+    completions = _completions(walk, e)
+    charge("subspaces", "torus-fixed points", completions[0].get((False, e), 0))
     coeffs = [0] * (max(0, euler_form(q, e, vec_sub(d, e))) + 1)
-    for k in _cell_dimensions(q, walk, _fixed_points(walk, e)):
+    for k in _cell_dimensions(q, walk, _fixed_points(walk, e, completions)):
         coeffs.extend([0] * (k + 1 - len(coeffs)))
         coeffs[k] += 1
     return tuple(coeffs)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb
+from math import comb, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice
@@ -234,6 +234,14 @@ def on_support(wall: Wall, pt: Point) -> bool:
     return wall.kind == "line" or _dot(d, pt) >= 0
 
 
+def homogeneous(pt: Sequence) -> tuple[int, int, int]:
+    """Integer coordinates ``(X, Y, D)`` with ``D > 0`` of the rational
+    point ``(X/D, Y/D)``."""
+    x, y = Fraction(pt[0]), Fraction(pt[1])
+    den = lcm(x.denominator, y.denominator)
+    return int(x * den), int(y * den), den
+
+
 def ensure_generic(
     diagram: ScatteringDiagram, pt: Point, *, given: Point | None = None
 ) -> None:
@@ -242,8 +250,11 @@ def ensure_generic(
     in the plane."""
     if pt == _ORIGIN:
         raise GenericPositionError("endpoint at the origin is never generic")
+    # Every support is a cone, so the positive multiple (X, Y) of pt lies
+    # on the same ones and the test runs on integers.
+    scaled = homogeneous(pt)[:2]
     for wall in diagram.walls:
-        if on_support(wall, pt):
+        if on_support(wall, scaled):
             raise GenericPositionError(
                 f"endpoint {vec_str(pt if given is None else given)} lies on "
                 f"the wall with normal {vec_str(wall.normal)}; perturb it off "

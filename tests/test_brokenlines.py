@@ -8,6 +8,7 @@ from broken_line_oracle import reference_lines
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clusterscatter import brokenlines
 from clusterscatter.brokenlines import (
     BrokenLine,
     Segment,
@@ -611,3 +612,79 @@ class TestIntegerEngine:
             else:
                 outcomes.append(getattr(result, "lines", result))
         assert outcomes[0] == outcomes[1]
+
+
+# The theta basis of the ``theta-basis`` benchmark workload: (b, initial
+# A-exponent, degree), each evaluated at both base endpoints.  Its bend
+# weights reach 10, where searches meet dead states again; the property
+# test against the oracle stops at weight 4.
+BASIS_DIAGRAMS = {
+    b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), order), order)
+    for b, order in ((2, 10), (3, 8))
+}
+BASIS_ENDPOINTS = (
+    (Fraction(157, 100), Fraction(83, 100)),
+    (Fraction(1), Fraction(-29, 20)),
+)
+BASIS_EXPONENTS = (
+    (2, (1, -2), 10), (2, (2, -3), 8), (2, (7, -6), 10),
+    (2, (1, -1), 8), (2, (3, -3), 8), (2, (4, -4), 10),
+    (3, (-1, 0), 6), (3, (1, -3), 8), (3, (3, -8), 8), (3, (8, -3), 6),
+    (3, (21, -8), 8), (3, (2, -2), 8), (3, (3, -2), 6),
+)
+
+
+class TestDeadStates:
+    """A bend point's search depends on its wall, the side of the wall's
+    support it lies on and the bend weight left, so a search that found
+    no line is not repeated within one call."""
+
+    @pytest.mark.parametrize("b,a,k", BASIS_EXPONENTS)
+    @pytest.mark.parametrize("endpoint", BASIS_ENDPOINTS, ids=["positive", "past-rays"])
+    def test_deep_search_matches_all_wall_oracle(self, b, a, k, endpoint):
+        m0 = (*a, 0, 0)
+        diagram = BASIS_DIAGRAMS[b]
+        got = theta_function(m0, endpoint, diagram, k).lines
+        assert got == reference_lines(m0, endpoint, diagram, k)
+
+    @staticmethod
+    def _searched_states(monkeypatch, endpoint):
+        """(state, found a line) of every node that the search for theta of
+        (3,-8,0,0) on b=3 enters; a node at the endpoint has state ``None``."""
+        diagram = BASIS_DIAGRAMS[3]
+        index = {id(wall): i for i, wall in enumerate(diagram.walls)}
+        original = brokenlines._Engine.descend
+        entered = []
+
+        def descend(engine, c1, c2, point, rev_bends):
+            before = len(engine.lines)
+            original(engine, c1, c2, point, rev_bends)
+            state = None
+            if rev_bends:
+                wall = rev_bends[-1][0]
+                d0, d1 = wall.direction()
+                side = d0 * point[0] + d1 * point[1] > 0
+                state = (index[id(wall)], side, c1, c2)
+            entered.append((state, len(engine.lines) > before))
+
+        monkeypatch.setattr(brokenlines._Engine, "descend", descend)
+        theta_function((3, -8, 0, 0), endpoint, diagram, 8)
+        monkeypatch.undo()
+        return entered
+
+    @pytest.mark.parametrize("endpoint", BASIS_ENDPOINTS, ids=["positive", "past-rays"])
+    def test_no_dead_state_is_searched_twice(self, monkeypatch, endpoint):
+        entered = self._searched_states(monkeypatch, endpoint)
+        outcomes: dict = {}
+        for state, found in entered:
+            if state is not None:
+                outcomes.setdefault(state, []).append(found)
+        dead = [state for state, found in outcomes.items() if not any(found)]
+        assert dead
+        for state in dead:
+            assert outcomes[state] == [False], state
+        # a state is live or dead wherever on its ray the search meets it
+        assert all(len(set(found)) == 1 for found in outcomes.values())
+        # nothing is kept from one call to the next: a second call enters
+        # the same nodes, as many as the first
+        assert self._searched_states(monkeypatch, endpoint) == entered

@@ -690,9 +690,9 @@ def test_counting_polynomial_checks_limit_before_enumerating(monkeypatch):
     calls = []
     original = quiver_mod._fixed_points
 
-    def enumerating(walk, e):
+    def enumerating(walk, e, completions):
         calls.append(e)
-        return original(walk, e)
+        return original(walk, e, completions)
 
     monkeypatch.setattr(quiver_mod, "_fixed_points", enumerating)
     monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(subspaces=1000))
