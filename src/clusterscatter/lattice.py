@@ -528,14 +528,21 @@ class GradedSeries:
     def __hash__(self) -> int:
         return hash((self.step, self.order, self.coeffs))
 
+    def _same_shape(self, coeffs: list[int]) -> "GradedSeries":
+        """The series of this step and order with the given coefficients,
+        one per power of ``t``: already integers, and of a size already
+        charged, so the checks of ``__init__`` are skipped."""
+        out = object.__new__(GradedSeries)
+        out.step, out.order, out.coeffs = self.step, self.order, tuple(coeffs)
+        out._powers = {}
+        return out
+
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         if self.step != other.step or self.order != other.order:
             raise InputError("series step/order mismatch")
         a, b = self.coeffs, other.coeffs
-        return GradedSeries(
-            self.step,
-            self.order,
-            [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))],
+        return self._same_shape(
+            [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
         )
 
     def __pow__(self, p: int) -> "GradedSeries":
@@ -544,7 +551,8 @@ class GradedSeries:
         For ``g = f^p`` with ``f_0 = 1``, comparing coefficients in
         ``f g' = p f' g`` gives
         ``k g_k = sum_{i=1..k} ((p+1) i - k) f_i g_{k-i}``, exact over the
-        integers.
+        integers.  The sum runs over the nonzero ``f_i`` only, so a
+        binomial such as ``1 + t`` costs one term per coefficient.
         """
         power = self._powers.get(p)
         if power is None:
@@ -552,12 +560,15 @@ class GradedSeries:
             if f[0] != 1:
                 raise InputError("series powers require constant term 1")
             g = [1]
+            nonzero = []
             for k in range(1, len(f)):
+                if f[k]:
+                    nonzero.append(k)
                 total = sum(
-                    ((p + 1) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)
+                    ((p + 1) * i - k) * f[i] * g[k - i] for i in nonzero
                 )
                 g.append(total // k)
-            power = self._powers[p] = GradedSeries(self.step, self.order, g)
+            power = self._powers[p] = self._same_shape(g)
         return power
 
     def truncate(self, order: int) -> "GradedSeries":

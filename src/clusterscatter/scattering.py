@@ -30,7 +30,17 @@ Geometry conventions
   applied as ``z^e -> z^e * f^{s * <e_m, normal>}`` where ``s`` is -1 for
   a positive crossing and +1 for a negative one (the signed normal pairs
   negatively with the travel direction), and ``e_m`` is the base-lattice
-  part of the exponent.
+  part of the exponent.  :func:`wall_cross` is the one crossing kernel:
+  paths, completion and its check all push polynomials through it.
+
+Rank-2 completion
+-----------------
+The outgoing rays of a consistent rank-2 diagram sit in one open sector
+that the incoming lines do not enter, so their ordered product equals the
+lines crossed the other way round the origin, and it factors uniquely in
+slope order (Kontsevich-Soibelman; Gross-Pandharipande-Siebert).
+:func:`complete_rank2` peels the rays off that product at the full order,
+last slope first, and checks the result with one full loop.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb, lcm
+from math import lcm
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice
@@ -57,12 +68,10 @@ from .lattice import (
     p_star,
     primitive,
     tilde_p_star,
-    vec_gcd,
+    vec_add,
     vec_is_zero,
     vec_scale,
     vec_str,
-    vec_sub,
-    x_degree,
 )
 from .quiver import (
     Quiver,
@@ -194,7 +203,8 @@ def wall_cross(
     ``z^e * func^{-sign * <e_m, normal>}`` truncated at the series
     order: the ``k``-th coefficient of that power lands on
     ``e + k * step`` while both ``k * deg(step)`` and the degree of the
-    result stay within the order.
+    result stay within the order.  The multiples of the step are built
+    once per call, and each distinct power is looked up once.
     """
     if sign not in (1, -1):
         raise NonTransversalCrossingError(
@@ -203,23 +213,38 @@ def wall_cross(
     func = wall.func
     if order > func.order:
         raise InputError("cannot extend a truncated series")
-    n = len(wall.normal)
-    deg = x_degree(func.step, n)
+    normal = wall.normal
+    n = len(normal)
+    width = poly.width()
+    if width is not None and width != 2 * n:
+        raise InputError(f"exponent length {width} is not 2*{n}")
+    step = func.step
+    deg = sum(step[n:])
+    multiples = [tuple(k * s for s in step) for k in range(order // deg + 1)]
+    powers: dict[int, tuple[int, ...]] = {}
     out: dict[Vec, int] = {}
+    get = out.get
     limit = lattice.BUDGET.terms
     for expo, coeff in poly.terms.items():
-        room = order - x_degree(expo, n)
+        room = order - sum(expo[n:])
         if room < 0:
             continue
-        power = -sign * dual_pair(expo[:n], wall.normal)
-        coeffs = (func ** power).coeffs if power else (1,)
-        for k, c in enumerate(coeffs[: min(room, order) // deg + 1]):
-            if c:
-                e = tuple(x + k * s for x, s in zip(expo, func.step))
-                out[e] = out.get(e, 0) + coeff * c
+        out[expo] = get(expo, 0) + coeff
+        power = -sign * sum(map(mul, expo, normal))
+        if power and room >= deg:
+            coeffs = powers.get(power)
+            if coeffs is None:
+                coeffs = powers[power] = (func ** power).coeffs
+            for k in range(1, min(room, order) // deg + 1):
+                c = coeffs[k]
+                if c:
+                    e = tuple(map(add, expo, multiples[k]))
+                    out[e] = get(e, 0) + coeff * c
         if len(out) > limit:
             lattice.charge("terms", "a wall crossing", len(out))
-    return LaurentPoly(out)
+    result = LaurentPoly()
+    result.terms = {e: c for e, c in out.items() if c}
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -411,107 +436,124 @@ def complete_rank2(
     """Add outgoing rays until every loop around the origin acts as the
     identity modulo the given order.
 
-    Degree by degree, the full-loop defect is measured on the unit
-    base-lattice monomials; each degree-``d`` defect term must be a
-    doubled monomial ``z^(p~*(c, 0))`` with ``c`` of degree ``d``, and is
-    cancelled by inserting ``(1 + z^(p~*(c,0)))^t`` on the ray in
-    direction ``-p*(c)``.  In the monomial ``u = z^(p~*(c', 0))`` of the
-    ray's primitive normal ``c' = c / g`` that factor is ``(1 + u^g)^t``,
-    whose coefficients are binomials.  The exponents ``t`` must come out
-    as positive integers; anything else is an inconsistency and raises.
+    ``diagram`` must be the :func:`initial_diagram` of its seed: the two
+    incoming lines.  The outgoing rays lie in the open sector from
+    ``-p*(1, 0)`` anticlockwise to ``-p*(0, 1)``, which no line enters, so
+    a loop that is the identity makes their product ``R``, crossed
+    anticlockwise, equal to the lines crossed the other way round the
+    origin.  That gives the images of the unit base monomials under ``R``
+    (a crossing reads only the base part of an exponent, so they fix
+    ``R``), and the rays are peeled off them, last first:
+
+    * Every term of an image is ``z^(unit + p~*(c, 0))`` with ``c >= 0``
+      a sum of ray normals, and ``c -> -p*(c)`` keeps the anticlockwise
+      order.  Only the ray crossed last reaches its own direction: each
+      ray multiplies by a series in the monomial of its normal, so a term
+      that an earlier ray touched carries a positive multiple of that
+      earlier normal, which comes strictly before the last one.  The terms
+      on the last direction are therefore the last ray's function to the
+      power ``-s <unit, normal>``, with ``s`` its crossing sign, and a
+      Bezout combination of the two units' readings gives the function.
+    * One inverse :func:`wall_cross` divides the ray off both images; this
+      repeats until both are bare monomials.
+
+    Each ray's function must split as a product of ``(1 + u^g)^t`` with
+    positive integers ``t``, ``u`` the monomial of its primitive normal;
+    anything else is an inconsistency and raises.  The rays come out in
+    order of their first factor's exponent ``g * normal``: by degree, then
+    lexicographically.  A full loop at the order checks the result.
     """
     seed = diagram.seed
-    n = seed.rank
-    if n != 2:
+    if seed.rank != 2:
         raise UnsupportedInputError("completion is implemented in rank 2 only")
+    if diagram.walls != initial_diagram(seed, diagram.order).walls:
+        raise UnsupportedInputError(
+            "completion starts from the initial diagram of its seed"
+        )
     eps = seed.exchange_block()
-    base_dir = (-1, 1)
-    walls = [
+    lines = [
         Wall(w.normal, w.kind, w.span, w.func.truncate(order), w.incoming)
         for w in diagram.walls
     ]
+    # -p*(1, 1) lies inside the sector of the rays and p*(1, 1) opposite it
+    inside = vec_scale(-1, p_star(eps, (1, 1)))
+    around = PathAction(
+        [(wall, -sign) for _, wall, sign in reversed(_ccw_crossings(lines, inside))],
+        order,
+    )
     # a crossing multiplies z^m by the wall function to the power
     # <m, normal>, which reads only the base part of m, so the coefficient
     # units never move and only the base units are measured
-    unit_vectors = [tuple(int(j == i) for j in range(2 * n)) for i in range(n)]
-
-    for degree in range(1, order + 1):
-        # a crossing never lowers the degree, so order ``degree`` keeps
-        # every term the degree-``degree`` defect reads
-        loop = _loop_action(walls, base_dir, degree)
-        coeff_by_c: dict[Vec, int] = {}
-        for unit in unit_vectors:
-            image = loop.apply(LaurentPoly.monomial(unit))
-            defect = image - LaurentPoly.monomial(unit)
-            for expo, coeff in defect.terms.items():
-                rel = vec_sub(expo, unit)
-                if x_degree(rel, n) != degree:
-                    continue
-                c = rel[n:]
-                if any(x < 0 for x in c) or rel[:n] != p_star(eps, c):
-                    raise InputError(
-                        f"defect term {rel} is not a doubled normal monomial"
-                    )
-                # the loop defect is a sum of ray derivations; each pairs
-                # monomials against the *primitive* normal of its ray
-                pairing = dual_pair(unit[:n], primitive(c))
-                if pairing == 0:
-                    continue
-                value, rem = divmod(coeff, pairing)
-                if rem:
-                    raise InputError(
-                        f"defect coefficient {coeff} not divisible by "
-                        f"pairing {pairing} at degree {degree}"
-                    )
-                prev = coeff_by_c.setdefault(c, value)
-                if prev != value:
-                    raise InputError(
-                        f"inconsistent defect readings {prev} vs {value} "
-                        f"for normal {c}"
-                    )
-        for c in sorted(coeff_by_c):
-            a_c = coeff_by_c[c]
-            if a_c == 0:
-                continue
-            ray_dir = primitive(vec_scale(-1, p_star(eps, c)))
-            normal = primitive(c)
-            s = _ccw_sign(ray_dir, normal)
-            # the inserted ray contributes -s*t per unit pairing to the
-            # loop defect, so t = a_c * s cancels the measured a_c
-            t = a_c * s
-            if t <= 0:
-                raise InputError(
-                    f"completion produced a nonpositive exponent {t} for "
-                    f"normal {c}; positivity violated"
-                )
-            g = vec_gcd(c)
-            step = tilde_p_star(eps, normal + (0,) * n)
-            size = order // x_degree(step, n) + 1
-            factor = GradedSeries(
-                step,
-                order,
-                [comb(t, k // g) if k % g == 0 else 0 for k in range(size)],
-            )
-            walls = _merge_ray(walls, normal, ray_dir, factor)
-    _assert_consistent(walls, base_dir, order, unit_vectors)
+    units = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    images = [around.apply(LaurentPoly.monomial(unit)) for unit in units]
+    rays = []
+    done = None
+    while True:
+        last = None
+        for image in images:
+            for expo in image.terms:
+                c = expo[2:]
+                if c != (0, 0) and (last is None or _cross(last, c) > 0):
+                    last = c
+        if last is None:
+            break
+        # a ray that failed to divide off would be read again forever
+        if done is not None and _cross(last, done) <= 0:
+            raise InputError("completion failed to factor the ray product")
+        normal = done = primitive(last)
+        ray_dir = primitive(vec_scale(-1, p_star(eps, normal)))
+        sign = _ccw_sign(ray_dir, normal)
+        step = tilde_p_star(eps, normal + (0, 0))
+        readings = [
+            GradedSeries(step, order, [
+                image.coefficient(vec_add(unit, vec_scale(k, step)))
+                for k in range(order // sum(normal) + 1)
+            ])
+            for image, unit in zip(images, units)
+        ]
+        x, y = _bezout(*normal)
+        wall = Wall(
+            normal, "ray", (ray_dir,),
+            (readings[0] ** x * readings[1] ** y) ** -sign, incoming=False,
+        )
+        rays.append((_first_factor(wall), wall))
+        images = [wall_cross(image, wall, -sign, order) for image in images]
+    walls = lines + [wall for _, wall in sorted(rays, key=lambda ray: ray[0])]
+    _assert_consistent(walls, p_star(eps, (1, 1)), order, units)
     return ScatteringDiagram(seed, order, tuple(walls))
 
 
-def _merge_ray(
-    walls: list[Wall], normal: Vec, ray_dir: Vec, factor: GradedSeries
-) -> list[Wall]:
-    out = []
-    merged = False
-    for wall in walls:
-        if wall.kind == "ray" and wall.direction() == ray_dir:
-            func = wall.func * factor
-            out.append(Wall(wall.normal, wall.kind, wall.span, func, wall.incoming))
-            merged = True
-        else:
-            out.append(wall)
-    if not merged:
-        out.append(Wall(normal, "ray", (ray_dir,), factor, incoming=False))
-    return out
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """Integers ``(x, y)`` with ``x * a + y * b == 1``, for coprime
+    ``a, b >= 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0
+
+
+def _first_factor(ray: Wall) -> tuple[int, Vec]:
+    """Degree and exponent ``g * normal`` of the first factor of the ray's
+    function ``prod_g (1 + u^g)^(t_g)``; raises unless every ``t_g`` is a
+    positive integer or 0."""
+    func = ray.func
+    rest, first = func, None
+    for g in range(1, len(func.coeffs)):
+        t = rest.coeffs[g]
+        if not t:
+            continue
+        c = vec_scale(g, ray.normal)
+        if t < 0:
+            raise InputError(
+                f"completion produced a nonpositive exponent {t} for "
+                f"normal {c}; positivity violated"
+            )
+        first = first or (sum(c), c)
+        binomial = GradedSeries(func.step, func.order, [1] + [0] * (g - 1) + [1])
+        rest = rest * binomial ** -t
+    return first
 
 
 def _assert_consistent(

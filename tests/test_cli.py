@@ -452,6 +452,17 @@ class TestScatterCommand:
         assert out.rstrip().endswith("\\end{tikzpicture}")
         assert out.count("\\draw (0,0) --") == 5
 
+    def test_deep_one_arrow_diagram_has_three_walls(self, cli):
+        # the rays are peeled off at the full order, so a diagram with one
+        # ray costs one peel however deep; degree by degree this job ran
+        # for minutes
+        t0 = time.perf_counter()
+        code, out, err = cli("scatter", "--b", "1", "--order", "200", "--json")
+        assert time.perf_counter() - t0 < 20.0
+        assert (code, err) == (0, "")
+        walls = json.loads(out)["diagram"]["walls"]
+        assert [w["normal"] for w in walls] == [[1, 0], [0, 1], [1, 1]]
+
 
 STRATA_TEXT = """\
 wall-crossing strata, quiver kronecker2, D = (5,6), e = (2,4), endpoint = (2,1), order 6
@@ -826,6 +837,25 @@ class TestResourceCeilings:
         assert code == 3
         assert "resource limit" in err
         assert f"term ceiling {limit} (CLUSTERSCATTER_MAX_TERMS)" in err
+
+    @pytest.mark.parametrize(
+        "b, order, terms", [("3", "40", 505), ("2", "60", 520)],
+        ids=["b3-order40", "b2-order60"],
+    )
+    def test_deep_completion_stops_at_the_term_ceiling(
+        self, cli, monkeypatch, restore_budget, b, order, terms
+    ):
+        # the lines' product at the full order outgrows a small ceiling in
+        # its second crossing, before any ray is read
+        monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "500")
+        t0 = time.perf_counter()
+        code, out, err = cli("scatter", "--b", b, "--order", order)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: resource limit: a wall crossing of {terms} terms exceeds "
+            "the term ceiling 500 (CLUSTERSCATTER_MAX_TERMS)\n"
+        )
 
     def test_product_term_limit_names_its_budget(self, cli, monkeypatch,
                                                  restore_budget):

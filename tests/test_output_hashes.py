@@ -36,6 +36,14 @@ PINNED = [
         "07db5b5071676ad40b43abf17602b32a18a40fcd38fe00a8c671865457dfb7f5",
     ),
     (
+        "scatter --b 3 --order 12 --json",
+        "c376f2a991920254b630acffa7c808430cb5a8486cb671d9c37632ed381b1d43",
+    ),
+    (
+        "scatter --b 2 --order 16 --json",
+        "882c9ec1d93fe092dbdca9bbbbe99d6f5002139b681ab17286ced4e418a592bc",
+    ),
+    (
         "scatter --b 2 --order 8",
         "90d633fc51098f413f4d628390401c67c53ddb1fcb1530b771fa79da3c1c7e2f",
     ),

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from completion_oracle import reference_completion, reference_cross
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,7 @@ from clusterscatter.quiver import (
 from clusterscatter.scattering import (
     CrossingPath,
     Wall,
+    _first_factor,
     _positive_rep,
     ar_order_check,
     cluster_complex_chambers,
@@ -47,6 +49,7 @@ from clusterscatter.scattering import (
     initial_diagram,
     path_crossings,
     path_ordered_product,
+    wall_cross,
 )
 
 
@@ -102,8 +105,6 @@ class TestWallCross:
     def test_positive_crossing_of_second_axis_wall(self):
         # crossing the second coordinate wall of the two-arrow diagram
         # multiplies z^(1,-1,0,0) by one positive power of the function
-        from clusterscatter.scattering import wall_cross
-
         seed = initial_seed(rank2_exchange(2))
         diagram = initial_diagram(seed, order=8)
         wall = wall_by_normal(diagram, (0, 1))
@@ -114,8 +115,6 @@ class TestWallCross:
         assert result == expected
 
     def test_positive_crossing_of_first_axis_wall(self):
-        from clusterscatter.scattering import wall_cross
-
         seed = initial_seed(rank2_exchange(2))
         diagram = initial_diagram(seed, order=8)
         wall = wall_by_normal(diagram, (1, 0))
@@ -126,22 +125,54 @@ class TestWallCross:
         assert result == expected
 
     def test_zero_pairing_leaves_monomial_alone(self):
-        from clusterscatter.scattering import wall_cross
-
         seed = initial_seed(rank2_exchange(1))
         diagram = initial_diagram(seed, order=8)
         wall = wall_by_normal(diagram, (1, 0))
         mono = LaurentPoly.monomial((0, 3, 0, 0))
         assert wall_cross(mono, wall, 1, 8) == mono
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 4),
+        ray=st.integers(0, 30),
+        sign=st.sampled_from([1, -1]),
+        order=st.integers(0, 7),
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(-4, 4)] * 2, *[st.integers(-1, 4)] * 2),
+            st.integers(-5, 5),
+            max_size=12,
+        ),
+    )
+    def test_matches_the_per_term_expansion(self, b, ray, sign, order, terms):
+        # every wall of the completed order-7 diagram (lines and rays),
+        # on polynomials whose terms reach past the order or below degree 0
+        walls = ORDER7[b].walls
+        wall = walls[ray % len(walls)]
+        poly = LaurentPoly(terms)
+        assert wall_cross(poly, wall, sign, order) == reference_cross(
+            poly, wall, sign, order
+        )
 
-# ---------------------------------------------------------------------------
-# Completion in rank 2
+    def test_rejects_an_exponent_of_the_wrong_width(self):
+        wall = initial_diagram(initial_seed(rank2_exchange(1)), 4).walls[0]
+        with pytest.raises(InputError, match="exponent length 3 is not 2[*]2"):
+            wall_cross(LaurentPoly.monomial((1, 0, 0)), wall, 1, 4)
+
 
     def test_wall_function_lives_in_the_normal_monomial(self):
         Wall((1, 2), "ray", ((2, -1),), series_of(4, (-4, 2, 1, 2)), False)
         with pytest.raises(InputError):
             Wall((1, 2), "ray", ((2, -1),), series_of(4, (-2, 2, 1, 1)), False)
+
+
+ORDER7 = {
+    b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), 7), 7)
+    for b in (1, 2, 3, 4)
+}
+
+
+# ---------------------------------------------------------------------------
+# Completion in rank 2
 
 
 class TestCompletion:
@@ -180,12 +211,14 @@ class TestCompletion:
                 unit
             )
 
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_central_ray_matches_closed_form(self, m):
+    @pytest.mark.parametrize(
+        "m, order", [(3, 16), (4, 16), (5, 16), (3, 30)],
+        ids=["3", "4", "5", "3-order30"],
+    )
+    def test_central_ray_matches_closed_form(self, m, order):
         # Gross-Pandharipande-Siebert / Reineke: the central ray of the
         # (m, m) diagram is (sum_k C(a k, k) / ((a - 1) k + 1) t^k)^m with
         # a = (m - 1)^2 and t the doubled monomial of the normal (1, 1)
-        order = 16
         diagram = complete_rank2(
             initial_diagram(initial_seed(rank2_exchange(m)), order), order
         )
@@ -206,6 +239,55 @@ class TestCompletion:
         seed = initial_seed(quiver_to_skew(path_quiver(3)))
         with pytest.raises(UnsupportedInputError):
             complete_rank2(initial_diagram(seed, order=4), 4)
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_matches_degree_by_degree_oracle(self, b):
+        seed = initial_seed(rank2_exchange(b))
+        for order in range(13):
+            diagram = initial_diagram(seed, order)
+            peeled = complete_rank2(diagram, order)
+            reference = reference_completion(diagram, order)
+            assert peeled.walls == reference.walls, order
+            assert diagram_to_json(peeled) == diagram_to_json(reference), order
+
+    def test_completion_starts_from_the_initial_diagram(self):
+        seed = initial_seed(rank2_exchange(2))
+        completed = complete_rank2(initial_diagram(seed, order=4), 4)
+        lines = completed.walls[:2]
+        for walls in (completed.walls, lines[:1], lines[::-1]):
+            with pytest.raises(UnsupportedInputError, match="initial diagram"):
+                complete_rank2(completed._replace(walls=walls), 4)
+
+    def test_ray_factors_must_be_positive(self):
+        # (1 + u^2)^3 (1 + u^3) on the (1, 2) ray of b = 2: its first
+        # factor is at c = (2, 4); (1 + u)^-1 has the exponent -1
+        step, order = (-4, 2, 1, 2), 12
+        u2 = GradedSeries(step, order, (1, 0, 1))
+        u3 = GradedSeries(step, order, (1, 0, 0, 1))
+        ray = Wall((1, 2), "ray", ((2, -1),), u2 ** 3 * u3, False)
+        assert _first_factor(ray) == (6, (2, 4))
+        inverse = series_of(order, step) ** -1
+        inverse = Wall((1, 2), "ray", ((2, -1),), inverse, False)
+        with pytest.raises(InputError, match="nonpositive exponent -1 for "
+                           r"normal \(1, 2\); positivity violated"):
+            _first_factor(inverse)
+
+    @pytest.mark.parametrize("b", [-1, -3])
+    def test_ray_sector_comes_from_the_seed(self, b):
+        # with the arrows reversed the rays fill the second quadrant,
+        # where the loop of the positive case starts; the peeled diagram
+        # is still consistent, checked on a loop from the fourth quadrant
+        seed = initial_seed(((0, b), (-b, 0)))
+        diagram = complete_rank2(initial_diagram(seed, order=6), 6)
+        assert all(
+            w.direction()[0] < 0 < w.direction()[1]
+            for w in diagram.walls if not w.incoming
+        )
+        loop = CrossingPath((F(1), F(-1)), (F(1), F(-1)), full_loops=1)
+        action = path_ordered_product(loop, diagram)
+        for i in range(4):
+            unit = LaurentPoly.monomial(tuple(int(j == i) for j in range(4)))
+            assert action.apply(unit) == unit
 
 
 # ---------------------------------------------------------------------------
