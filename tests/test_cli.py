@@ -846,7 +846,7 @@ class TestResourceCeilings:
         self, cli, monkeypatch, restore_budget, b, order, terms
     ):
         # the lines' product at the full order outgrows a small ceiling in
-        # its second crossing, before any ray is read
+        # its third crossing, before any ray is read
         monkeypatch.setenv("CLUSTERSCATTER_MAX_TERMS", "500")
         t0 = time.perf_counter()
         code, out, err = cli("scatter", "--b", b, "--order", order)
