@@ -12,6 +12,8 @@ over prime fields, Euler characteristics of subrepresentation
 Grassmannians as counts of torus-fixed points on the string's
 coefficient quiver (Cerulli Irelli, arXiv:0910.2592), counting
 polynomials as sums of ``q^(cell dimension)`` over the same fixed points,
+each cell dimension a count of graph maps between the strings of the
+fixed point and its quotient (Crawley-Boevey), with no linear algebra,
 and the cluster-character Laurent polynomial built from those Euler
 characteristics.
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
-from math import gcd, prod
+from math import prod
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
@@ -755,6 +757,11 @@ def _string(q: Quiver, d: Vec) -> list[tuple[int, int, int]]:
       ``j`` and ``j - 1`` for ``(n+1, n)``, and ``(k, k)`` is
       ``(I, J_k(0))``.
 
+    On every one of these walks the word of an interval, its
+    ``(vertex, orientation, arrow)`` entries with the first node's edge
+    left out, depends only on its start vertex and its length, and no
+    word longer than one node equals the reverse of a word of the walk
+    (its own included); :func:`_cell_dimensions` keys graph maps on this.
     ``d`` is checked by :func:`_require_root`; other quivers raise
     ``UnsupportedInputError``.
     """
@@ -875,81 +882,67 @@ def _fixed_points(
                 stack.append((i + 1, mask | take << i, rest))
 
 
-def _rank_over_q(rows: list[dict[int, int]]) -> int:
-    """Exact rank over Q of sparse integer rows ``{column: coefficient}``,
-    by fraction-free elimination that divides out each row's gcd."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        while row:
-            col = min(row)
-            pivot = pivots.setdefault(col, row)
-            if pivot is row:
-                break
-            a, b = pivot[col], row[col]
-            row = {c: a * row.get(c, 0) - b * pivot.get(c, 0) for c in row | pivot}
-            g = gcd(*row.values()) or 1
-            row = {c: x // g for c, x in row.items() if x}
-    return len(pivots)
-
-
 def _cell_dimensions(
-    q: Quiver, walk: list[tuple[int, int, int]], masks: Iterator[int]
+    walk: list[tuple[int, int, int]], masks: Iterator[int]
 ) -> Iterator[int]:
     """Dimension of the Bialynicki-Birula cell of each fixed point ``U``
     (a node set given as a bit mask): the positive-weight part of the
-    tangent space ``Hom_Q(U, M/U)``.
+    tangent space ``Hom_Q(U, M/U)``, as a count of graph maps.
 
     A node's weight is the signed sum of the arrow indices along the path
-    to it, so the arrow with index ``a`` has degree ``a``.  A hom of
-    degree ``lam`` sends a node ``x`` of ``U`` to nodes ``y`` outside it
-    at the same vertex with ``w(y) - w(x) = lam``.  Its coefficients
-    ``phi(y, x)`` commute with every arrow ``a``: for ``x`` in ``U`` at
-    the source and ``z`` outside at the target, the sum of
-    ``phi(z, x')`` over ``x -a-> x'`` equals the sum of ``phi(y, x)``
-    over ``y -a-> z`` with ``y`` outside ``U``; both sides have degree
-    ``w(z) - w(x) - a``.  The dimension is the number of unknowns of
-    positive degree minus the exact rank of their equations.  Both sides
-    vanish for an arrow with no edge on the walk, so only the walk's
-    arrows are visited.
+    to it, so the arrow with index ``a`` has degree ``a``.  ``U`` and
+    ``M/U`` are the sums of the string modules on their maximal runs of
+    path positions, and Hom between string modules has a basis of graph
+    maps (Crawley-Boevey, "Maps between representations of zero-relation
+    algebras", J. Algebra 1989): a factor substring of a run of ``U``
+    (the run's edges at its two ends, where it has them, point out of
+    it) identified with an image substring of a run of ``M/U`` (they
+    point into it) whose word is the same or reversed.  By the walk
+    property in :func:`_string` these are the pairs with equal (start
+    vertex, length) keys, and never reversed, so the map from a factor
+    starting at node ``i`` to an image starting at node ``j`` sends node
+    ``i + k`` to node ``j + k`` and has the one degree ``w(j) - w(i)``.
+    The cell dimension is the number of graph maps of positive degree.
     """
     n = len(walk)
     weight = [0] * n
-    succ: dict[tuple[int, int], list[int]] = {}
-    pred: dict[tuple[int, int], list[int]] = {}
-    ends: dict[int, tuple[int, int]] = {}  # arrow index -> 0-based (source, target)
-    for node, (_, orientation, arrow) in enumerate(walk[1:], start=1):
-        weight[node] = weight[node - 1] + orientation * arrow
-        source, target = (node - 1, node) if orientation == 1 else (node, node - 1)
-        succ.setdefault((arrow, source), []).append(target)
-        pred.setdefault((arrow, target), []).append(source)
-        ends[arrow] = (walk[source][0], walk[target][0])
-    arrows = sorted(ends.items())
+    for node in range(1, n):
+        weight[node] = weight[node - 1] + walk[node][1] * walk[node][2]
+    # (key, first weight) of the factor or image substrings of a run, by
+    # (start, stop, in U, longest length that can match)
+    substrings: dict[tuple[int, int, int, int], list[tuple[tuple[int, int], int]]] = {}
     for mask in masks:
-        within = [[] for _ in range(q.n_vertices)]
-        outside = [[] for _ in range(q.n_vertices)]
-        for node, (v, _, _) in enumerate(walk):
-            (within if mask >> node & 1 else outside)[v].append(node)
-        unknowns = sum(
-            weight[y] > weight[x]
-            for v in range(q.n_vertices)
-            for x in within[v]
-            for y in outside[v]
+        runs = []  # the maximal runs [start, stop) of positions in or out of U
+        start = 0
+        for stop in range(1, n + 1):
+            if stop == n or (mask >> stop & 1) != (mask >> start & 1):
+                runs.append((start, stop, mask >> start & 1))
+                start = stop
+        # a substring longer than every run on the other side matches none
+        longest = min(
+            max((b - a for a, b, inside in runs if inside == side), default=0)
+            for side in (0, 1)
         )
-        rows = []
-        for arrow, (s, t) in arrows:
-            for x in within[s]:
-                for z in outside[t]:
-                    if weight[z] - weight[x] - arrow <= 0:
-                        continue
-                    row: dict[int, int] = {}  # phi(y, x) is column y * n + x
-                    for x2 in succ.get((arrow, x), ()):
-                        row[z * n + x2] = row.get(z * n + x2, 0) + 1
-                    for y in pred.get((arrow, z), ()):
-                        if not mask >> y & 1:
-                            row[y * n + x] = row.get(y * n + x, 0) - 1
-                    rows.append(row)
-        yield unknowns - _rank_over_q(rows)
+        factors: dict[tuple[int, int], list[int]] = {}
+        images = []
+        for start, stop, inside in runs:
+            run = (start, stop, inside, longest)
+            if run not in substrings:
+                # a first node's edge back points out of a factor, into an image
+                back = -1 if inside else 1
+                substrings[run] = [
+                    ((walk[i][0], j - i), weight[i])
+                    for i in range(start, stop)
+                    if i == start or walk[i][1] == back
+                    for j in range(i, min(stop, i + longest))
+                    if j == stop - 1 or walk[j + 1][1] == -back
+                ]
+            if inside:
+                for key, x in substrings[run]:
+                    factors.setdefault(key, []).append(x)
+            else:
+                images += substrings[run]
+        yield sum(w > x for key, w in images for x in factors.get(key, ()))
 
 
 def _subdimension(d: Vec, e: Sequence[int]) -> Vec:
@@ -984,10 +977,13 @@ def grassmannian_counting_polynomial(
     The sum of ``q^dim cell(U)`` over the torus-fixed points ``U`` (the
     successor-closed node sets of :func:`_string` with dimension vector
     ``e``), each cell being the positive-weight part of its tangent space
-    (:func:`_cell_dimensions`) under the torus that gives a node the signed
-    sum of the arrow indices along the path to it (Cerulli Irelli-
-    Esposito-Franzen-Reineke, cell decompositions of quiver
-    Grassmannians).  For a rigid ``d`` the Grassmannian is smooth and
+    under the torus that gives a node the signed sum of the arrow indices
+    along the path to it (Cerulli Irelli-Esposito-Franzen-Reineke, cell
+    decompositions of quiver Grassmannians).  Its dimension is the number
+    of graph maps of positive degree from ``U`` to ``M/U``, read off the
+    walk's substrings by their (start vertex, length) keys
+    (:func:`_cell_dimensions`, which relies on the walk property stated in
+    :func:`_string`).  For a rigid ``d`` the Grassmannian is smooth and
     Bialynicki-Birula gives the count.  For a square Kronecker ``d``, whose
     model is ``(I, J_k(0))``, some fixed points are singular and the
     theorem does not apply; there the cells are verified by tests against
@@ -1003,7 +999,7 @@ def grassmannian_counting_polynomial(
     completions = _completions(walk, e)
     charge("subspaces", "torus-fixed points", completions[0].get((False, e), 0))
     coeffs = [0] * (max(0, euler_form(q, e, vec_sub(d, e))) + 1)
-    for k in _cell_dimensions(q, walk, _fixed_points(walk, e, completions)):
+    for k in _cell_dimensions(walk, _fixed_points(walk, e, completions)):
         coeffs.extend([0] * (k + 1 - len(coeffs)))
         coeffs[k] += 1
     return tuple(coeffs)

@@ -2,8 +2,9 @@
 
 An independent route to the counting polynomial of a quiver Grassmannian:
 count subrepresentations over prime fields (on the two-arrow quiver by a
-numpy-batched rank histogram over every source subspace) and fit the
-palindromic polynomial whose degree is the expected dimension.  The
+numpy-batched rank histogram over every source subspace, of the module
+or of its dual, whichever has fewer) and fit the palindromic polynomial
+whose degree is the expected dimension.  The
 package computes the polynomial from torus-fixed points instead; tests
 compare the two.  The numpy histogram has no subspace ceiling, but its
 fallback to ``quiver.subrep_count`` is charged against ``lattice.BUDGET``
@@ -125,6 +126,15 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
         return 0
     if q.n_vertices == 2:  # counts are upper triangular: every arrow is 1 -> 2
         p = rep.field
+        d1, d2 = rep.dims
+        if gaussian_binomial_int(d2, e[1], p) < gaussian_binomial_int(d1, e[0], p):
+            # Gr_e(M) is Gr_(d2 - e2, d1 - e1) of the dual, whose maps are the
+            # transposes: count on the side with fewer source subspaces
+            maps = tuple(
+                tuple(tuple(row[j] for row in mat) for j in range(d1))
+                for mat in rep.maps
+            )
+            rep, e = ExplicitRep(q, p, (d2, d1), maps), (d2 - e[1], d1 - e[0])
         hist = dict(_cached_rank_histogram(rep, e[0]))
         return sum(
             mult * gaussian_binomial_int(rep.dims[1] - rank, e[1] - rank, p)

@@ -4,7 +4,8 @@ Every output of the package is deterministic byte-for-byte, so a change
 that should leave the results alone (a refactor, a speed-up) must leave
 these hashes alone too.  The invocations cover every subcommand that
 builds a scattering diagram, each rendering format of ``scatter``, the
-README examples, and one job each of ``mutate`` and ``ar``.  Each runs
+README examples, one job each of ``mutate`` and ``ar``, and a ``strata``
+job whose counting polynomial has 3,640 torus-fixed points.  Each runs
 in process through ``cli.main``.
 """
 
@@ -94,6 +95,10 @@ PINNED = [
     (
         "strata --quiver kronecker2 --D 5,6 --e 2,4 --endpoint 2,1 --json",
         "e5f24b8f1f05a5f0140c77624428be968d51ebd80d253ed32a6e0b88a7e9ef7c",
+    ),
+    (
+        "strata --quiver kronecker2 --D 16,17 --e 3,6 --endpoint 2,1",
+        "94b06431b64ca6771b910e6864bebf937d64f798043ff098ec1f04d84a421b0f",
     ),
     (
         "grass --quiver kronecker2 --D 5,6 --e 2,4",

@@ -27,7 +27,7 @@ from clusterscatter.errors import (
     TranslateUndefinedError,
     UnsupportedInputError,
 )
-from clusterscatter.lattice import LaurentPoly, tilde_p_star, vec_add
+from clusterscatter.lattice import LaurentPoly, tilde_p_star, vec_add, vec_sub
 from clusterscatter.quiver import (
     ARNode,
     ExplicitRep,
@@ -53,6 +53,7 @@ from clusterscatter.quiver import (
     subrep_count,
 )
 
+import cell_oracle
 import fp_oracle
 
 K2 = kronecker_quiver(2)
@@ -639,6 +640,67 @@ def test_cluster_character_matches_zigzag_closed_form(n):
     for e in product(range(n + 1), range(n + 2)):
         expo = vec_add(shift, tilde_p_star(eps, e + (0, 0)))
         assert cc.coefficient(expo) == zigzag_chi(n, *e), e
+
+
+@pytest.mark.parametrize(
+    "n, e, degree, chi", [(16, (3, 6), 39, 3640), (24, (4, 7), 62, 19950)]
+)
+def test_counting_polynomial_beyond_the_finite_field_oracle(n, e, degree, chi):
+    # (n, n + 1) is rigid, so Gr_e is smooth and irreducible: its polynomial
+    # is palindromic of degree <e, d - e> and sums to the number of fixed points
+    d = (n, n + 1)
+    coeffs = grassmannian_counting_polynomial(K2, d, e)
+    assert len(coeffs) - 1 == euler_form(K2, e, vec_sub(d, e)) == degree
+    assert coeffs == coeffs[::-1] and coeffs[0] == 1
+    assert sum(coeffs) == zigzag_chi(n, *e) == chi
+
+
+def _string_cases():
+    """Walks of every shape :func:`quiver._string` builds, up to a size."""
+    for n in range(9):
+        yield K2, (n, n + 1)
+        yield K2, (n + 1, n)
+    for k in range(1, 5):
+        yield K2, (k, k)
+    for m in range(2, 6):
+        for lo in range(m):
+            for hi in range(lo, m):
+                yield path_quiver(m), tuple(int(lo <= i <= hi) for i in range(m))
+
+
+def test_cell_dimensions_match_the_elimination_oracle():
+    # graph maps of positive degree against Hom(U, M/U) solved over Q, at
+    # every fixed point of every e of every walk above
+    cases = fixed_points = 0
+    for q, d in _string_cases():
+        walk = quiver_mod._string(q, d)
+        for e in product(*(range(x + 1) for x in d)):
+            completions = quiver_mod._completions(walk, e)
+            masks = list(quiver_mod._fixed_points(walk, e, completions))
+            want = list(cell_oracle.cell_dimensions(q, walk, masks))
+            assert list(quiver_mod._cell_dimensions(walk, masks)) == want, (d, e)
+            cases, fixed_points = cases + 1, fixed_points + len(masks)
+    assert (cases, fixed_points) == (910, 13718)
+
+
+def test_string_words_are_keyed_by_start_vertex_and_length():
+    # the walk property the graph-map count keys on: the word of an interval
+    # (its entries, the first node's edge left out) is fixed by its start
+    # vertex and length, and no word longer than one node is a reversed word
+    for q, d in _string_cases():
+        walk = quiver_mod._string(q, d)
+        words: dict[tuple[int, int], tuple] = {}
+        reversed_words = set()
+        for i in range(len(walk)):
+            for j in range(i, len(walk)):
+                word = ((walk[i][0], 0, 0),) + tuple(walk[i + 1 : j + 1])
+                assert words.setdefault((walk[i][0], j - i), word) == word, (d, i, j)
+                if j > i:
+                    back = range(j, i, -1)
+                    reversed_words.add(((walk[j][0], 0, 0),) + tuple(
+                        (walk[k - 1][0], -walk[k][1], walk[k][2]) for k in back
+                    ))
+        assert not reversed_words & set(words.values()), d
 
 
 def test_fixed_point_table_is_cached_and_read_only():
