@@ -119,6 +119,7 @@ from .scattering import (
     diagram_to_json,
     initial_diagram,
     path_ordered_product,
+    positive_crossing_pairs,
     support_directions,
 )
 
@@ -747,6 +748,10 @@ def _cmd_strata(job: JobSpec) -> str | dict:
         )
     pt = _endpoint(job.inputs)
     order = job.order if job.order is not None else max(sum(e), 2)
+    if order < sum(e):
+        raise InputError(
+            f"order {order} is below |e| = {sum(e)}, the final exponent's bend weight"
+        )
     m0, target, lines = _strata_lines(q, d, e, pt, order)
     chi = grassmannian_euler_char(q, d, e)
     counting = LaurentPoly(
@@ -945,6 +950,19 @@ def _ar_order(first, second) -> bool:
     return ar_order_check(walls[first], walls[second], kronecker_quiver(2))
 
 
+def _ar_order_failures() -> tuple[int, list]:
+    """How many positive-crossing pairs the depth-6 mutation fans of a2,
+    a3 and kronecker2-4 have, and those against the paper's theorem."""
+    labels = ("a2", "a3", "kronecker2", "kronecker3", "kronecker4")
+    pairs = [
+        (q, *pair) for q in map(named_quiver, labels)
+        for pair in positive_crossing_pairs(initial_seed(quiver_to_skew(q)), 6)
+    ]
+    return len(pairs), [
+        (w1.normal, w2.normal) for q, w1, w2 in pairs if not ar_order_check(w1, w2, q)
+    ]
+
+
 def _transport_mismatches(b: int) -> tuple[int, list]:
     """How many generators the depth-4 mutation fan of b has, and those
     whose theta by chamber transport to (157/100, 83/100) differs from
@@ -1057,6 +1075,8 @@ GOLDEN: tuple[Golden, ...] = (
            partial(_ar_order, (1, 2), (0, 1)), True),
     Golden("ar-order-positive-crossing", "(0,1) then (1,2)",
            partial(_ar_order, (0, 1), (1, 2)), False),
+    Golden("ar-order-positive-crossing", "every pair of a2, a3, kronecker2-4",
+           _ar_order_failures, (29, [])),
     Golden("theta-via-path", "b=1", partial(_transport_mismatches, 1), (5, [])),
     Golden("theta-via-path", "b=2", partial(_transport_mismatches, 2), (10, [])),
     Golden("cc-equals-cluster-variable", "D=(7,6) vs word 1,2,1,2,1,2,1",

@@ -41,6 +41,18 @@ lines crossed the other way round the origin, and it factors uniquely in
 slope order (Kontsevich-Soibelman; Gross-Pandharipande-Siebert).
 :func:`complete_rank2` peels the rays off that product at the full order,
 last slope first, and checks the result with one full loop.
+
+Positive crossings
+------------------
+In the mutation fan (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394) a
+path out of a chamber through its facet ``k`` crosses positively iff the
+``k``-th c-vector is nonpositive.  A positive-crossing pair ``(w1, w2)``
+is crossed positively in turn, out of ``C0`` and then out of the next
+chamber, with ``-p*(n1)`` strictly inside the crossed facet: every other
+c-vector of ``C0`` pairs with it to more than 0.  Allowing the closed
+facet makes many pairs fail the paper's theorem (:func:`ar_order_check`).
+A4 has no pair: of its 84 positive crossings (42 chambers) none has
+``-p*(n1)`` in the open facet and 35 in the closed one (A5: 330, 0, 126).
 """
 
 from __future__ import annotations
@@ -421,15 +433,6 @@ def path_ordered_product(path: CrossingPath, diagram: ScatteringDiagram) -> Path
 # Rank-2 consistency completion
 
 
-def _loop_action(
-    walls: Iterable[Wall], base_dir: Vec, order: int
-) -> PathAction:
-    """Full anticlockwise loop starting (and ending) just after
-    ``base_dir``, which must avoid every support direction."""
-    events = _ccw_crossings(walls, base_dir)
-    return PathAction([(wall, sign) for _, wall, sign in events], order)
-
-
 def complete_rank2(
     diagram: ScatteringDiagram, order: int
 ) -> ScatteringDiagram:
@@ -559,7 +562,9 @@ def _first_factor(ray: Wall) -> tuple[int, Vec]:
 def _assert_consistent(
     walls: list[Wall], base_dir: Vec, order: int, unit_vectors: list[Vec]
 ) -> None:
-    loop = _loop_action(walls, base_dir, order)
+    """Raise unless a full loop from just after ``base_dir`` fixes the units."""
+    events = _ccw_crossings(walls, base_dir)
+    loop = PathAction([(wall, sign) for _, wall, sign in events], order)
     for unit in unit_vectors:
         if loop.apply(LaurentPoly.monomial(unit)) != LaurentPoly.monomial(unit):
             raise InputError(
@@ -572,12 +577,21 @@ def _assert_consistent(
 
 
 class Chamber(NamedTuple):
-    """A mutation-reachable chamber: generator columns, wall normals, and
-    the word that reaches its seed."""
+    """A mutation-reachable chamber: generator columns, the c-vectors
+    dual to them (``<c_j, g_k> = [j == k]``, Nakanishi-Zelevinsky
+    arXiv:1101.3736), and the word that reaches its seed."""
 
     generators: tuple[Vec, ...]
-    normals: tuple[Vec, ...]
+    c_vectors: tuple[Vec, ...]
     word: tuple[int, ...]
+
+    @property
+    def normals(self) -> tuple[Vec, ...]:
+        return tuple(map(_positive_rep, self.c_vectors))
+
+    def facet(self, k: int) -> tuple[Vec, ...]:
+        """The sorted generators of the facet without generator ``k``."""
+        return tuple(sorted(self.generators[:k] + self.generators[k + 1:]))
 
     def interior_point(self) -> Vec:
         return tuple(map(sum, zip(*self.generators)))
@@ -594,7 +608,7 @@ def _positive_rep(v: Vec) -> Vec:
 def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
     """Breadth-first mutation search recording each distinct chamber; only
     the extended matrix and the g-vectors mutate (:func:`mutate_tropical`),
-    and the normals are the positive representatives of the c-vectors."""
+    and the c-vectors are read off the extended matrix."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     n = seed.rank
@@ -605,8 +619,8 @@ def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
         for mat, gens, word in current:
             if frozenset(gens) in seen:
                 continue
-            normals = tuple(_positive_rep(row[n:]) for row in mat[:n])
-            seen[frozenset(gens)] = Chamber(gens, normals, word)
+            cvecs = tuple(row[n:] for row in mat[:n])
+            seen[frozenset(gens)] = Chamber(gens, cvecs, word)
             if level < depth:
                 nxt += [
                     mutate_tropical(mat, gens, k) + (word + (k,),)
@@ -616,50 +630,40 @@ def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
     return list(seen.values())
 
 
+def _fan(seed: Seed, depth: int, order: int):
+    """The chambers of the mutation fan explored to ``depth``, and by
+    facet its wall (normal the facet's c-vector made positive, function
+    ``1 + z^(p~*(normal, 0))``) and the explored chambers on it."""
+    n = seed.rank
+    eps = seed.exchange_block()
+    kind = "ray" if n == 2 else "cone"
+    chambers = cluster_complex_chambers(seed, depth)
+    facets: dict[tuple[Vec, ...], tuple[Wall, list[Chamber]]] = {}
+    for chamber in chambers:
+        for k, normal in enumerate(chamber.normals):
+            span = chamber.facet(k)
+            if span not in facets:
+                step = p_star(eps, normal) + normal  # p~*(normal, 0)
+                func = GradedSeries(step, order, (1, 1))
+                facets[span] = Wall(normal, kind, span, func, incoming=False), []
+            facets[span][1].append(chamber)
+    return chambers, facets
+
+
 def cluster_complex_diagram(
     seed: Seed, depth: int, order: int = DEFAULT_ORDER
 ) -> ScatteringDiagram:
-    """Walls separating adjacent chambers of the mutation fan.
-
-    Each seed direction ``k`` contributes the facet of its chamber with
-    the ``k``-th generator removed, normal the positive representative of
-    the ``k``-th c-vector, and function ``1 + z^(p~*(normal, 0))``.
-    """
-    n = seed.rank
-    eps = seed.exchange_block()
-    chambers = cluster_complex_chambers(seed, depth)
-    walls: dict[tuple[Vec, tuple[Vec, ...]], Wall] = {}
-    for chamber in chambers:
-        for k, normal in enumerate(chamber.normals):
-            span = chamber.generators[:k] + chamber.generators[k + 1:]
-            key = (normal, tuple(sorted(span)))
-            if key in walls:
-                continue
-            func = GradedSeries(
-                tilde_p_star(eps, normal + (0,) * n), order, (1, 1)
-            )
-            if n == 2:
-                walls[key] = Wall(
-                    normal, "ray", (primitive(span[0]),), func, incoming=False
-                )
-            else:
-                walls[key] = Wall(normal, "cone", span, func, incoming=False)
-    return ScatteringDiagram(seed, order, tuple(walls[key] for key in sorted(walls)))
+    """Walls separating adjacent chambers of the mutation fan, one per
+    facet of an explored chamber."""
+    walls = [wall for wall, _ in _fan(seed, depth, order)[1].values()]
+    walls.sort(key=lambda wall: (wall.normal, wall.span))
+    return ScatteringDiagram(seed, order, tuple(walls))
 
 
 def find_chamber(chambers: Sequence[Chamber], point: Sequence) -> Chamber:
-    """The chamber whose closed cone contains the point (rank 2)."""
-    pt = tuple(Fraction(x) for x in point)
-    if len(pt) != 2:
-        raise UnsupportedInputError("chamber location implemented in rank 2")
+    """The first chamber whose c-vectors all pair with the point to >= 0."""
     for chamber in chambers:
-        g1, g2 = chamber.generators
-        det = _cross(g1, g2)
-        if det == 0:
-            continue
-        alpha = Fraction(pt[0] * g2[1] - pt[1] * g2[0], det)
-        beta = Fraction(g1[0] * pt[1] - g1[1] * pt[0], det)
-        if alpha >= 0 and beta >= 0:
+        if all(dual_pair(c, point) >= 0 for c in chamber.c_vectors):
             return chamber
     raise InputError(f"point {point} lies in no explored chamber")
 
@@ -668,15 +672,31 @@ def find_chamber(chambers: Sequence[Chamber], point: Sequence) -> Chamber:
 # Positive-crossing order theorem check
 
 
-def ar_order_check(w1: Wall, w2: Wall, q: Quiver) -> bool:
-    """Check the translate-order statement for a positive crossing pair.
+def positive_crossing_pairs(seed: Seed, depth: int) -> list[tuple[Wall, Wall]]:
+    """The positive-crossing pairs (module notes) between explored chambers."""
+    eps = seed.exchange_block()
+    chambers, facets = _fan(seed, depth, DEFAULT_ORDER)
 
-    For walls crossed first-``w1``-then-``w2``, both positively, with the
-    crossing leaving through the outgoing part of ``w1``, the
-    indecomposable of ``w2``'s normal must precede the indecomposable of
-    ``w1``'s normal.  Regular-regular pairs are unsupported.  As a
-    cross-check, the skew pairing identity relating the two normals'
-    bilinear forms is asserted.
+    def crossings(chamber):
+        for k, c in enumerate(chamber.c_vectors):
+            if max(c) <= 0:
+                wall, sides = facets[chamber.facet(k)]
+                yield from ((k, wall, c1) for c1 in sides if c1 is not chamber)
+
+    pairs = []
+    for c0 in chambers:
+        for k, w1, c1 in crossings(c0):
+            x = p_star(eps, c0.c_vectors[k])  # -p*(n1), as n1 = -c_k
+            if all(dual_pair(c, x) > 0 for j, c in enumerate(c0.c_vectors) if j != k):
+                pairs += [(w1, w2) for _, w2, _ in crossings(c1)]
+    return pairs
+
+
+def ar_order_check(w1: Wall, w2: Wall, q: Quiver) -> bool:
+    """The paper's theorem on a positive-crossing pair (module notes): the
+    indecomposable of ``w2``'s normal precedes that of ``w1``'s.
+    Regular-regular pairs are unsupported.  As a cross-check, the skew
+    pairing identity relating the two normals' bilinear forms is asserted.
     """
     c1, c2 = w1.normal, w2.normal
     if c1 == c2:

@@ -9,6 +9,8 @@ package computes the polynomial from torus-fixed points instead; tests
 compare the two.  The numpy histogram has no subspace ceiling, but its
 fallback to ``quiver.subrep_count`` is charged against ``lattice.BUDGET``
 like any library call: tests choose inputs the oracle can count.
+:func:`brute_gl_order` is the brute force for |GL_d(F_p)|: it counts the
+invertible matrices by their determinants.
 """
 
 from __future__ import annotations
@@ -211,3 +213,27 @@ def grassmannian_counting_polynomial(
                 f"over F_{p} but counted {count} for d={d}, e={e}"
             )
     return tuple(int(c) for c in coeffs)
+
+
+def brute_gl_order(d: int, p: int) -> int:
+    """Count invertible d x d matrices over F_p by exhaustive determinant."""
+    if d == 0:
+        return 1
+    n = p ** (d * d)
+    idx = np.arange(n, dtype=np.int64)
+    digits = []
+    for _ in range(d * d):
+        digits.append((idx % p).astype(np.int32))
+        idx //= p
+    m = np.stack(digits, axis=1).reshape(n, d, d)
+    if d == 1:
+        det = m[:, 0, 0]
+    elif d == 2:
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    else:
+        det = (
+            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
+        )
+    return int(np.count_nonzero(det % p))

@@ -13,8 +13,6 @@ from fractions import Fraction
 import pytest
 
 import fp_oracle
-from test_hall import brute_gl_order
-from test_scattering import _as_wall, positive_crossing_pairs
 
 from clusterscatter.brokenlines import enumerate_broken_lines, theta_function
 from clusterscatter.cli import GOLDEN
@@ -24,7 +22,6 @@ from clusterscatter.cluster import (
     mutate_seed,
     rank2_exchange,
 )
-from clusterscatter.errors import UnsupportedInputError
 from clusterscatter.hall import (
     broken_line_strata,
     gl_poincare,
@@ -39,7 +36,6 @@ from clusterscatter.quiver import (
 )
 from clusterscatter.scattering import (
     CrossingPath,
-    ar_order_check,
     complete_rank2,
     initial_diagram,
     path_ordered_product,
@@ -153,28 +149,5 @@ def test_criterion_8e_gl_poincare_matches_brute_force():
     t0 = time.perf_counter()
     for d in range(4):
         for p in (2, 3, 5):
-            assert gl_poincare(d).evaluate_int((p,)) == brute_gl_order(d, p)
+            assert gl_poincare(d).evaluate_int((p,)) == fp_oracle.brute_gl_order(d, p)
     elapsed_under(t0, 30.0, "criterion 8e: gl_poincare matches |GL_d(F_p)|")
-
-
-def test_criterion_8f_ar_order_on_positive_crossing_pairs():
-    t0 = time.perf_counter()
-    for label in ("a2", "a3", "kronecker2"):
-        if label == "kronecker2":
-            quiver = kronecker_quiver(2)
-        else:
-            quiver = path_quiver(int(label[1]))
-        seed = initial_seed(quiver_to_skew(quiver))
-        pairs = positive_crossing_pairs(seed, quiver, 5)
-        assert pairs, label
-        checked = 0
-        for n1, span1, n2, span2 in pairs:
-            w1 = _as_wall(n1, span1, seed.rank)
-            w2 = _as_wall(n2, span2, seed.rank)
-            try:
-                assert ar_order_check(w1, w2, quiver) is True, (label, n1, n2)
-                checked += 1
-            except UnsupportedInputError:
-                continue
-        assert checked > 0, label
-    elapsed_under(t0, 30.0, "criterion 8f: translate order on crossing pairs")

@@ -526,6 +526,16 @@ class TestStrataCommand:
         assert "regular" in err
         assert err.count("\n") == 1
 
+    def test_order_below_e_rejected(self, cli):
+        # the final exponent bends with weight |e| = 6, beyond order 5
+        args = ("strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
+                "--endpoint", "2,1", "--order", "5")
+        for extra in ((), ("--json",)):
+            code, out, err = cli(*args, *extra)
+            assert (code, out) == (2, "")
+            assert "order 5" in err and "|e| = 6" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_orbit_longer_than_64_steps_is_not_regular(self, cli):
         # (200, 201) is the 100-fold backward translate of a projective
         code, out, err = cli("strata", "--b", "2", "--D", "200,201",

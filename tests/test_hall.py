@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-import numpy as np
 import pytest
+
+import fp_oracle
 
 from clusterscatter.brokenlines import enumerate_broken_lines, theta_function
 from clusterscatter.cluster import initial_seed, rank2_exchange
@@ -101,30 +102,6 @@ class TestQBinom:
                     assert at(qbinom(a, b), p) == gaussian_binomial_int(a, b, p)
 
 
-def brute_gl_order(d: int, p: int) -> int:
-    """Count invertible d x d matrices over F_p by exhaustive determinant."""
-    if d == 0:
-        return 1
-    n = p ** (d * d)
-    idx = np.arange(n, dtype=np.int64)
-    digits = []
-    for _ in range(d * d):
-        digits.append((idx % p).astype(np.int32))
-        idx //= p
-    m = np.stack(digits, axis=1).reshape(n, d, d)
-    if d == 1:
-        det = m[:, 0, 0]
-    elif d == 2:
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    else:
-        det = (
-            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-        )
-    return int(np.count_nonzero(det % p))
-
-
 class TestGLPoincare:
     def test_closed_forms(self):
         assert gl_poincare(0) == ONE
@@ -138,7 +115,7 @@ class TestGLPoincare:
     def test_matches_brute_force_group_orders(self):
         for d in range(4):
             for p in (2, 3, 5):
-                assert at(gl_poincare(d), p) == brute_gl_order(d, p)
+                assert at(gl_poincare(d), p) == fp_oracle.brute_gl_order(d, p)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(InputError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
 from math import comb
 
 import pytest
@@ -30,6 +31,7 @@ from clusterscatter.lattice import (
     vec_scale,
 )
 from clusterscatter.quiver import (
+    Quiver,
     kronecker_quiver,
     path_quiver,
     quiver_to_skew,
@@ -49,6 +51,7 @@ from clusterscatter.scattering import (
     initial_diagram,
     path_crossings,
     path_ordered_product,
+    positive_crossing_pairs,
     wall_cross,
 )
 
@@ -479,101 +482,38 @@ class TestClusterComplex:
 # Positive-crossing order checks
 
 
-def positive_crossing_pairs(seed, quiver, depth):
-    """All (wall, wall) pairs from consecutive positive chamber crossings
-    where the first crossing happens on the outgoing side of its wall."""
-    eps = quiver_to_skew(quiver)
-    n = seed.rank
-    chambers = cluster_complex_chambers(seed, depth)
+def _quiver(n, counts):
+    """The quiver on ``n`` vertices with these arrow counts over the pairs
+    ``(s, t)``, ``s < t``, in lexicographic order."""
+    rows = [[0] * n for _ in range(n)]
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    for (s, t), m in zip(pairs, counts):
+        rows[s][t] = m
+    return Quiver(n, rows)
 
-    def wall_between(chamber, k):
-        normal = chamber.normals[k]
-        span = tuple(g for j, g in enumerate(chamber.generators) if j != k)
-        return normal, span
 
-    def crossing_is_positive(normal, source, target):
-        si = dual_pair(normal, source.interior_point())
-        ti = dual_pair(normal, target.interior_point())
-        return si < 0 < ti
+# positive-crossing pairs of the fan explored to depths 5, 6 and 8
+PAIR_COUNTS = {
+    "a2": (path_quiver(2), (2, 2, 2)),
+    "a3": (path_quiver(3), (3, 3, 3)),
+    "a3 (1,2),(1,3)": (_quiver(3, (1, 1, 0)), (4, 4, 4)),
+    "affine A2": (_quiver(3, (1, 1, 1)), (10, 16, 28)),
+    "affine D4": (_quiver(4, (0, 0, 1, 0, 1, 1)), (3, 6, 6)),
+    "wild (1,2)^2,(2,3)": (_quiver(3, (2, 0, 1)), (4, 5, 9)),
+    "kronecker2": (kronecker_quiver(2), (6, 8, 12)),
+    "kronecker3": (kronecker_quiver(3), (6, 8, 12)),
+    "kronecker4": (kronecker_quiver(4), (6, 8, 12)),
+    "a4": (path_quiver(4), (0, 0, 0)),
+}
 
-    def facet_contains(span, point):
-        # point = sum alpha_i * span_i with alpha_i > 0, exactly: the
-        # point must lie in the relative interior of the crossed piece
-        from fractions import Fraction
 
-        cols = list(span)
-        rows = len(point)
-        mat = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(rows)]
-        rhs = [Fraction(x) for x in point]
-        # Gaussian elimination on the overdetermined system
-        piv = []
-        r = 0
-        for c in range(len(cols)):
-            pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-            if pr is None:
-                continue
-            mat[r], mat[pr] = mat[pr], mat[r]
-            rhs[r], rhs[pr] = rhs[pr], rhs[r]
-            scale = mat[r][c]
-            mat[r] = [x / scale for x in mat[r]]
-            rhs[r] = rhs[r] / scale
-            for i in range(rows):
-                if i != r and mat[i][c] != 0:
-                    factor = mat[i][c]
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-                    rhs[i] = rhs[i] - factor * rhs[r]
-            piv.append(c)
-            r += 1
-        solution = [Fraction(0)] * len(cols)
-        for row_idx, c in enumerate(piv):
-            solution[c] = rhs[row_idx]
-        for i in range(r, rows):
-            if rhs[i] != 0:
-                return False
-        # verify (handles free columns left at zero)
-        for i in range(rows):
-            total = sum(solution[j] * cols[j][i] for j in range(len(cols)))
-            if total != point[i]:
-                return False
-        return all(x > 0 for x in solution)
-
-    # adjacent chambers share a facet: n - 1 common generators
-    adjacency = []
-    for chamber in chambers:
-        for k in range(n):
-            facet = set(wall_between(chamber, k)[1])
-            adjacency += [
-                (chamber, other, k)
-                for other in chambers
-                if other is not chamber and facet <= set(other.generators)
-            ]
-
-    pairs = []
-    for c0, c1, k1 in adjacency:
-        n1, span1 = wall_between(c0, k1)
-        if not crossing_is_positive(n1, c0, c1):
-            continue
-        if not facet_contains(span1, vec_scale(-1, p_star(eps, n1))):
-            continue
-        for c1b, c2, k2 in adjacency:
-            if frozenset(c1b.generators) != frozenset(c1.generators):
-                continue
-            if frozenset(c2.generators) == frozenset(c0.generators):
-                continue
-            n2, span2 = wall_between(c1b, k2)
-            if not crossing_is_positive(n2, c1b, c2):
-                continue
-            pairs.append((n1, span1, n2, span2))
+def _pairs_hold_theorem(q, depth):
+    """The positive-crossing pairs of the fan of ``q``, after checking that
+    each satisfies the paper's theorem."""
+    pairs = positive_crossing_pairs(initial_seed(quiver_to_skew(q)), depth)
+    for w1, w2 in pairs:
+        assert ar_order_check(w1, w2, q) is True, (q, w1.normal, w2.normal)
     return pairs
-
-
-def _as_wall(normal, span, n, order=4):
-    # ar_order_check reads only normals; the function is the constant 1
-    # in the X-monomial of the normal
-    func = GradedSeries((0,) * n + primitive(normal), order, (1,))
-    kind = "ray" if n == 2 else "cone"
-    span_vecs = tuple(primitive(v) for v in span) if n == 2 else span
-    return Wall(primitive(normal), kind, span_vecs, func, incoming=False)
 
 
 class TestAROrder:
@@ -587,38 +527,42 @@ class TestAROrder:
         assert ar_order_check(walls[(1, 2)], walls[(1, 2)], q) is True
 
     def test_regular_regular_unsupported(self):
-        q = kronecker_quiver(3)
-        w1 = _as_wall((1, 2), ((2, -1),), 2)
-        w2 = _as_wall((2, 1), ((1, -2),), 2)
+        q = PAIR_COUNTS["affine A2"][0]
+        fan = cluster_complex_diagram(initial_seed(quiver_to_skew(q)), 3)
+        walls = {w.normal: w for w in fan.walls}
         with pytest.raises(UnsupportedInputError):
-            ar_order_check(w1, w2, q)
+            ar_order_check(walls[(0, 1, 0)], walls[(1, 0, 1)], q)
 
-    @pytest.mark.parametrize(
-        "label",
-        ["a2", "a3", "kronecker2", "kronecker3", "kronecker4"],
-    )
+    @pytest.mark.parametrize("label", PAIR_COUNTS)
     def test_all_positive_crossing_pairs(self, label):
-        if label == "a2":
-            quiver, eps = path_quiver(2), quiver_to_skew(path_quiver(2))
-        elif label == "a3":
-            quiver, eps = path_quiver(3), quiver_to_skew(path_quiver(3))
-        else:
-            b = int(label.removeprefix("kronecker"))
-            quiver, eps = kronecker_quiver(b), rank2_exchange(b)
-        assert quiver_to_skew(quiver) == eps
-        seed = initial_seed(eps)
-        # the wild Kronecker quivers go one mutation level deeper
-        depth = 6 if label in ("kronecker3", "kronecker4") else 5
-        pairs = positive_crossing_pairs(seed, quiver, depth)
-        assert pairs, "expected at least one positive-crossing pair"
-        n = seed.rank
-        checked = 0
-        for n1, span1, n2, span2 in pairs:
-            w1 = _as_wall(n1, span1, n)
-            w2 = _as_wall(n2, span2, n)
-            try:
-                assert ar_order_check(w1, w2, quiver) is True
-                checked += 1
-            except UnsupportedInputError:
-                continue
-        assert checked > 0
+        q, counts = PAIR_COUNTS[label]
+        seed = initial_seed(quiver_to_skew(q))
+        eps, n = seed.exchange_block(), seed.rank
+        for depth, count in zip((5, 6, 8), counts):
+            pairs = _pairs_hold_theorem(q, depth)
+            assert len(pairs) == count
+            chambers = cluster_complex_chambers(seed, depth)
+            for w1, _ in pairs:
+                # the chamber w1 is crossed out of holds -p*(n1) strictly
+                # inside w1's facet, in its generator coordinates <c_j, x>
+                x = vec_scale(-1, p_star(eps, w1.normal))
+                (source, k), = [
+                    (c, k) for c in chambers for k in range(n)
+                    if c.facet(k) == w1.span
+                    and c.c_vectors[k] == vec_scale(-1, w1.normal)
+                ]
+                coords = [dual_pair(c, x) for c in source.c_vectors]
+                terms = [vec_scale(a, g) for a, g in zip(coords, source.generators)]
+                assert tuple(map(sum, zip(*terms))) == x
+                assert coords[k] == 0
+                assert all(a > 0 for j, a in enumerate(coords) if j != k)
+
+    def test_three_vertex_sweep(self):
+        # every acyclic quiver on 3 vertices with at most 2 arrows a pair
+        quivers = [_quiver(3, c) for c in product(range(3), repeat=3)]
+        assert sum(len(_pairs_hold_theorem(q, 6)) for q in quivers) == 138
+
+    def test_four_vertex_sweep(self):
+        # every acyclic quiver on 4 vertices with at most 1 arrow a pair
+        quivers = [_quiver(4, c) for c in product(range(2), repeat=6)]
+        assert sum(len(_pairs_hold_theorem(q, 6)) for q in quivers) == 122

@@ -6,7 +6,8 @@ call, or that nothing calls: wire it into the program or delete it.
 References inside the definition itself (recursion) do not count.  The
 console-script entry point ``cli.main`` is the one exemption.  Likewise,
 every name a test module imports from the package is read in that
-module.
+module, and no test module imports another: shared test code lives in the
+``*_oracle.py`` reference modules.
 """
 
 import ast
@@ -64,3 +65,18 @@ def test_every_name_a_test_imports_from_the_package_is_read():
                     if (alias.asname or alias.name) not in read
                 ]
     assert not unread, "imported from the package and never read: " + ", ".join(unread)
+
+
+def test_no_test_module_imports_another():
+    imports = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0].startswith("test_")]
+    assert not imports, "test modules import test modules: " + ", ".join(imports)
