@@ -32,17 +32,27 @@ coefficient.
 The search runs backward from the endpoint in exact integer arithmetic:
 points are homogeneous integer coordinates ``(X, Y, D)`` with ``D > 0``,
 velocities are integer vectors, and each crossing is decided by integer
-cross and dot products.  A segment with bend weight ``c`` left scans only
-the walls it can bend on, those with normal at most ``c`` that pair
-nonzero with its exponent, and only their crossings get a bend point.  A
-segment can run along a support line or through the origin only when its
-point is parallel to its velocity, so only then are all walls checked.
-A node carries its bend weight ``c`` and its point; the segment's
-exponent ``m0 + p~*(c)`` is built in full only when a finished line is
-assembled, and its bend points become ``Fraction`` pairs only then.
-Validation (:func:`validate_broken_line`) keeps rational geometry and
-the endpoint check runs :func:`on_support`, so they re-check the integer
-search by a second route.
+cross products.  Each call sorts the walls' supports as half-lines from
+the origin, a line giving two and a ray one, anticlockwise by exact
+integer comparison, half-lines of one direction by wall index.  The
+backward ray ``P + s*E_m`` from a point ``P`` turns monotonically from
+the direction of ``P`` towards that of ``E_m``, through less than a
+half-turn, so it crosses exactly the half-lines strictly between the
+two, in angular order.  A node walks them from its own half-line (the
+endpoint from its slot between two) in the sense of ``cross(P, E_m)``
+and stops at the first half-line not before ``E_m``; half-lines of one
+direction are crossed at one point and taken in wall-index order either
+way round.  A segment with bend weight ``c`` left bends only on walls
+with normal at most ``c`` that pair nonzero with its exponent, reading
+the powers' coefficients off the wall function's series.  A segment can
+run along a support line or through the origin only when its point is
+parallel to its velocity, so only then are all walls checked.  A node
+carries its bend weight ``c`` and its point; the segment's exponent
+``m0 + p~*(c)`` is built in full only when a finished line is assembled,
+and its bend points become ``Fraction`` pairs only then.  Validation
+(:func:`validate_broken_line`) keeps rational geometry and the endpoint
+check runs :func:`on_support`, so they re-check the integer search by a
+second route.
 
 Dead states.  Every wall is a cone from the origin, so scaling a point
 by ``t > 0`` scales every backward ray from it, and with it every later
@@ -52,15 +62,20 @@ ray of its support, so the wall's index, the side of the support and the
 bend weight ``c`` left, which fixes the exponent, determine that search.
 Each call keeps the set of such states whose search ended with no line
 and no error, and does not enter them again; an error ends the whole
-call, so none is skipped.  The set lives in the engine of one call and
-nothing is cached from one call to the next.
+call, so none is skipped.  A state with bend weight left whose first
+half-line ahead, in the sense its own ray turns, is already past its
+exponent crosses nothing: it joins the set without being entered, and
+its bend point is never built.  (A state whose exponent is parallel to
+its half-line is always entered, since it may raise.)  The set lives in
+the engine of one call and nothing is cached from one call to the next.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -74,7 +89,6 @@ from .lattice import (
     Vec,
     dual_pair,
     p_star,
-    tilde_p_star,
     vec_add,
     vec_scale,
     vec_str,
@@ -119,9 +133,72 @@ def _plane_endpoint(diagram: ScatteringDiagram, m0: Vec, q: Point) -> Point:
     return p_star(eps, q) if m0[:n] == p_star(eps, m0[n:]) else q
 
 
-# Crossings of one scan share D, so their ray parameters s = c / (D * denom)
-# compare as the integer pairs (|c|, |denom|), by cross-multiplying.
-_NEAREST_FIRST = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+def _half_line_rings(
+    walls: Sequence[Wall], point: HPoint
+) -> tuple[list[tuple], list[tuple], tuple]:
+    """The walls' supports as half-lines from the origin, a line giving
+    two and a ray one, in the two orders a backward ray meets them, and
+    the slot of ``point``, which lies on none of them.
+
+    A half-line is ``(hx, hy, n1, n2, [wall index, side, wall, slot])``:
+    its direction, the wall's normal, whether it is the wall's direction
+    rather than its opposite, and the slot of the points on it.  The
+    first ring holds the half-lines anticlockwise from ``(1, 0)``, the
+    second clockwise, with half-lines of one direction in wall-index
+    order in both; each ring is listed twice, so that a walk of one lap
+    is a slice.  A slot ``(ccw, cw)`` is where a point's walk starts in
+    each ring: at the first half-line past the point's direction."""
+    halves = []
+    for index, wall in enumerate(walls):
+        (d0, d1), (n1, n2) = wall.direction(), wall.normal
+        halves.append((d0, d1, n1, n2, [index, True, wall, None]))
+        if wall.kind == "line":
+            halves.append((-d0, -d1, n1, n2, [index, False, wall, None]))
+    if not halves:
+        return [], [], (0, 0)
+    # The angle is ordered by the half-plane, then by the cotangent -x/y,
+    # which rises with the angle in either half: over a common denominator
+    # the order is exact.
+    scale = lcm(point[1] or 1, *(half[1] for half in halves if half[1]))
+
+    def angle(x: int, y: int) -> tuple[bool, bool, int]:
+        return (y < 0 or (y == 0 and x < 0), y != 0, -x * (scale // y) if y else 0)
+
+    groups: list[list[tuple]] = []
+    keys: list[tuple] = []
+    for key, _, half in sorted((angle(h[0], h[1]), h[4][0], h) for h in halves):
+        if keys and keys[-1] == key:
+            groups[-1].append(half)
+        else:
+            keys.append(key)
+            groups.append([half])
+    # A point past the first i groups walks from starts[i] anticlockwise
+    # and, as the clockwise ring lists the groups last to first, from
+    # total - starts[i] clockwise (total is where the second listing
+    # starts); a point on group i is past i + 1 of them anticlockwise.
+    starts = list(accumulate(map(len, groups), initial=0))
+    total = starts[-1]
+    for i, group in enumerate(groups):
+        here = starts[i + 1], total - starts[i]
+        for half in group:
+            half[4][3] = here
+    ccw = [half for group in groups for half in group]
+    cw = [half for group in reversed(groups) for half in group]
+    after = bisect_left(keys, angle(point[0], point[1]))
+    return ccw + ccw, cw + cw, (starts[after], total - starts[after])
+
+
+def _bend_point(point: HPoint, d0: int, d1: int, e1: int, e2: int) -> HPoint:
+    """Where the backward ray ``point + s*(e1, e2)`` crosses the line of
+    direction ``(d0, d1)``, in reduced homogeneous coordinates."""
+    X, Y, D = point
+    denom = d1 * e1 - d0 * e2
+    c = d0 * Y - d1 * X
+    x, y, w = X * denom + c * e1, Y * denom + c * e2, D * denom
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = gcd(x, y, w)
+    return x // g, y // g, w // g
 
 
 def _check_collinear_ray(point: HPoint, velocity: Vec, bends: Sequence[tuple]) -> None:
@@ -215,90 +292,106 @@ class _Engine:
             raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
         self.m0, self.endpoint = m0, endpoint
         self.lines: list[BrokenLine] = []
-        # The exponent is linear in c: keep the images of the unit vectors.
-        eps = diagram.seed.exchange_block()
-        self.steps = tuple(
-            tilde_p_star(eps, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0))
-        )
-        # E_m, the first two coordinates, gives velocities and pairings.
-        s1, s2 = self.steps
-        self._plane = (m0[0], s1[0], s2[0], m0[1], s1[1], s2[1])
-        # Per wall: normal, support direction, ray flag, index and wall.
-        self._bends = [
-            (*w.normal, *w.direction(), w.kind == "ray", i, w)
-            for i, w in enumerate(diagram.walls)
-        ]
+        # The exponent m0 + c1*p~*(e1, 0) + c2*p~*(e2, 0) is linear in c,
+        # and p~*(e_i, 0) is row i of [[eps, I], [-I, 0]]: its first two
+        # coordinates, E_m, which gives velocities and pairings, come from
+        # row i of eps, and its last two are e_i.
+        (p11, p12), (p21, p22) = diagram.seed.exchange_block()
+        self._plane = (m0[0], p11, p21, m0[1], p12, p22)
+        # Per wall, in index order: normal and support direction.
+        self._walls = [(*w.normal, *w.direction()) for w in diagram.walls]
+        self.point = homogeneous(endpoint)
+        self._ccw, self._cw, self.slot = _half_line_rings(diagram.walls, self.point)
+        self._lap = len(self._ccw) // 2
         # (wall index, side of its support, c1, c2) of the bend points whose
         # search found no line.
         self._dead: set[tuple[int, bool, int, int]] = set()
 
     def exponent(self, c1: int, c2: int) -> Vec:
-        s1, s2 = self.steps
-        return tuple(m + c1 * a + c2 * b for m, a, b in zip(self.m0, s1, s2))
+        m1, a1, b1, m2, a2, b2 = self._plane
+        _, _, m3, m4 = self.m0
+        return m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2, m3 + c1, m4 + c2
 
-    def descend(self, c1: int, c2: int, point: HPoint, rev_bends: list) -> None:
+    def descend(
+        self, c1: int, c2: int, point: HPoint, slot: tuple, rev_bends: list
+    ) -> None:
         """Collect the lines whose segment into ``point`` leaves bend weight
-        ``(c1, c2)``, before the bends ``rev_bends``."""
+        ``(c1, c2)``, before the bends ``rev_bends``; ``slot`` is the slot
+        of ``point`` among the half-lines (:func:`_half_line_rings`)."""
         m1, a1, b1, m2, a2, b2 = self._plane
         e1, e2 = m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2
-        vx, vy = -e1, -e2
-        if not (vx or vy):
+        if not (e1 or e2):
             return
         X, Y, D = point
-        # Only a ray parallel to its point can be degenerate; the bend-free
-        # initial segment is checked too.
-        if X * vy == Y * vx:
-            _check_collinear_ray(point, (vx, vy), self._bends)
+        # The backward ray point + s*E_m turns from point towards E_m, in
+        # the sense of `turn`, through less than a half-turn.
+        turn = X * e2 - Y * e1
+        if not turn:
+            # Only a ray parallel to its point can be degenerate; the
+            # bend-free initial segment is checked too.  One that leads
+            # away from the origin crosses nothing.
+            _check_collinear_ray(point, (-e1, -e2), self._walls)
         if not (c1 or c2):
             self.lines.append(self._assemble(rev_bends))
             return
-        found = []
-        for n1, n2, d0, d1, ray, index, wall in self._bends:
+        if not turn:
+            return
+        # With the sense folded in, a half-line is crossed when it lies
+        # strictly anticlockwise of (px, py) and clockwise of (qx, qy).
+        if turn > 0:
+            ring, start, px, py, qx, qy = self._ccw, slot[0], X, Y, e1, e2
+        else:
+            ring, start, px, py, qx, qy = self._cw, slot[1], -X, -Y, -e1, -e2
+        dead, lines = self._dead, self.lines
+        # It crosses, nearest first, exactly the half-lines strictly between
+        # the directions of point and E_m; one lap at most, for a diagram
+        # whose half-lines all lie in that open half-plane.
+        for hx, hy, n1, n2, rest in ring[start:start + self._lap]:
+            if px * hy <= py * hx or hx * qy <= hy * qx:
+                break
             # only a wall with normal <= c leaves a nonnegative budget
             if n1 > c1 or n2 > c2:
                 continue
             # The pairing is the same before the bend: a bend adds
             # multiples of p*(normal) to E_m, and the form is skew.
             pairing = abs(e1 * n1 + e2 * n2)
-            if pairing == 0:
+            if not pairing:
                 continue
-            denom = d0 * vy - d1 * vx
-            c = d0 * Y - d1 * X
-            # s = c / (D * denom) must be positive
-            if c * denom <= 0:
-                continue
-            x, y, w = X * denom - c * vx, Y * denom - c * vy, D * denom
-            if w < 0:
-                x, y, w = -x, -y, -w
-            # which ray of the support the bend point, never the origin, is on
-            side = d0 * x + d1 * y
-            if ray and side < 0:
-                continue
-            g = gcd(x, y, w)
-            found.append(
-                (abs(c), abs(denom), index, side > 0, wall, pairing,
-                 (x // g, y // g, w // g))
-            )
-        found.sort(key=_NEAREST_FIRST)
-        dead, lines = self._dead, self.lines
-        for _, _, index, side, wall, pairing, x in found:
-            n1, n2 = wall.normal
-            series = wall.func ** pairing
-            j = 1
-            # bending back by j steps leaves c - j*normal, which must stay
-            # nonnegative
-            while c1 >= j * n1 and c2 >= j * n2:
-                factor = series.coefficient(j)
-                r1, r2 = c1 - j * n1, c2 - j * n2
+            index, side, wall, here = rest
+            coeffs = (wall.func ** pairing).coeffs
+            bend = None
+            # bending back by j steps leaves r = c - j*normal, which must
+            # stay nonnegative
+            r1, r2 = c1, c2
+            for j in range(1, len(coeffs)):
+                r1 -= n1
+                r2 -= n2
+                if r1 < 0 or r2 < 0:
+                    break
+                factor = coeffs[j]
+                if not factor:
+                    continue
                 state = (index, side, r1, r2)
-                if factor and state not in dead:
-                    rev_bends.append((wall, x, j, factor, c1, c2))
-                    before = len(lines)
-                    self.descend(r1, r2, x, rev_bends)
-                    rev_bends.pop()
-                    if len(lines) == before:
-                        dead.add(state)
-                j += 1
+                if state in dead:
+                    continue
+                if r1 or r2:
+                    f1, f2 = m1 + r1 * a1 + r2 * b1, m2 + r1 * a2 + r2 * b2
+                    t = hx * f2 - hy * f1
+                    if t:
+                        # the first half-line of its sweep is past E_m(r)
+                        ahead = self._ccw[here[0]] if t > 0 else self._cw[here[1]]
+                        nx, ny = ahead[0], ahead[1]
+                        if (hx * ny - hy * nx) * t <= 0 or (nx * f2 - ny * f1) * t <= 0:
+                            dead.add(state)
+                            continue
+                if bend is None:
+                    bend = _bend_point(point, hx, hy, e1, e2)
+                rev_bends.append((wall, bend, j, factor, c1, c2))
+                before = len(lines)
+                self.descend(r1, r2, bend, here, rev_bends)
+                rev_bends.pop()
+                if len(lines) == before:
+                    dead.add(state)
 
     def _assemble(self, rev_bends: list) -> BrokenLine:
         segments = [Segment(1, self.m0, None, None, 0)]
@@ -365,7 +458,6 @@ def theta_function(
         raise UnsupportedInputError(f"initial exponent {m0} has no direction")
     if final_filter is not None and len(final_filter) != 2 * n:
         raise InputError(f"final filter must have length {2 * n}")
-    point = homogeneous(pt)
     for c1 in range(budget + 1):
         for c2 in range(budget + 1 - c1):
             if final_filter is not None and any(
@@ -373,7 +465,7 @@ def theta_function(
                 for have, want in zip(engine.exponent(c1, c2), final_filter)
             ):
                 continue
-            engine.descend(c1, c2, point, [])
+            engine.descend(c1, c2, engine.point, engine.slot, [])
     lines = sorted(engine.lines, key=_sort_key)
     value: dict[Vec, int] = {}
     for line in lines:

@@ -56,36 +56,46 @@ def mutate_matrix(mat: Sequence[Sequence[int]], k: int, n_mutable: int | None = 
     rows stay sign-coherent, tropical duality holds, and every exchange
     division is exact; it matches the classical recursion on the
     transposed ("b-matrix") convention.  The update is an involution and
-    preserves skew-symmetry.  ``n_mutable`` (default: full size) bounds
-    the allowed ``k``.
+    preserves skew-symmetry, so only ``mat`` is checked.  ``n_mutable``
+    (default: full size) bounds the allowed ``k``.
     """
-    m = [list(row) for row in mat]
-    size = len(m)
+    return _mutate_skew(check_skew(mat), k, n_mutable)
+
+
+def _mutate_skew(mat: Matrix, k: int, n_mutable: int | None = None) -> Matrix:
+    """:func:`mutate_matrix` of a matrix already known to be skew: a
+    checked one, or the result of mutating one."""
     if n_mutable is None:
-        n_mutable = size
+        n_mutable = len(mat)
     if not 1 <= k <= n_mutable:
         raise InputError(f"mutation index {k} out of range 1..{n_mutable}")
     ki = k - 1
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if i == ki or j == ki:
-                out[i][j] = -m[i][j]
-            else:
-                a, b = m[i][ki], m[ki][j]
-                out[i][j] = m[i][j] + (abs(a) * b + a * abs(b)) // 2
-    return check_skew(out)
+    pivot = mat[ki]
+    out = []
+    for i, row in enumerate(mat):
+        a = row[ki]
+        if i == ki:
+            row = tuple([-x for x in row])
+        elif a:  # a row that is zero at k is left as it is
+            new = [x + (abs(a) * b + a * abs(b)) // 2 for x, b in zip(row, pivot)]
+            new[ki] = -a  # the pivot row is zero at k: only the sign flips
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
 
 
 def mutate_tropical(
     mat: Matrix, gens: tuple[Vec, ...], k: int
 ) -> tuple[Matrix, tuple[Vec, ...]]:
-    """Mutate an extended matrix and its g-vectors at 1-based ``k``."""
+    """Mutate an extended matrix and its g-vectors at 1-based ``k``.  The
+    matrix is a checked skew one (a seed's, checked where the search
+    starts) or a mutation of one, so it is not checked again."""
     n, ki = len(gens), k - 1
+    out = _mutate_skew(mat, k, n)
     sign = 1 if any(x > 0 for x in mat[ki][n:]) else -1
     weights = [max(sign * row[ki], 0) for row in mat[:n]]
     g = tuple(sum(w * x for w, x in zip(weights, col)) - col[ki] for col in zip(*gens))
-    return mutate_matrix(mat, k, n), gens[:ki] + (g,) + gens[ki + 1:]
+    return out, gens[:ki] + (g,) + gens[ki + 1:]
 
 
 class Seed(NamedTuple("Seed", [

@@ -40,6 +40,7 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -908,41 +909,99 @@ def _cell_dimensions(
     weight = [0] * n
     for node in range(1, n):
         weight[node] = weight[node - 1] + walk[node][1] * walk[node][2]
-    # (key, first weight) of the factor or image substrings of a run, by
-    # (start, stop, in U, longest length that can match)
-    substrings: dict[tuple[int, int, int, int], list[tuple[tuple[int, int], int]]] = {}
+    has_next = (1 << (n - 1)) - 1  # the positions before the last
+    # (key, first weight) of the factor substrings of a run of U, by
+    # (start, stop, longest length that can match)
+    substrings: dict[tuple[int, int, int], list[tuple[tuple[int, int], int]]] = {}
+    # by key, the first nodes of the image substrings with both end edges
+    # on the walk and pointing into them
+    inner: dict[tuple[int, int], list[int]] = {}
+    # by (start, stop) and key, the first weights of a run's image substrings
+    images: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
     for mask in masks:
         runs = []  # the maximal runs [start, stop) of positions in or out of U
+        # bit i of `ends` is set where position i + 1 starts a new run
+        ends = (mask ^ mask >> 1) & has_next
         start = 0
-        for stop in range(1, n + 1):
-            if stop == n or (mask >> stop & 1) != (mask >> start & 1):
-                runs.append((start, stop, mask >> start & 1))
-                start = stop
+        while ends:
+            stop = (ends & -ends).bit_length()
+            runs.append((start, stop, mask >> start & 1))
+            start = stop
+            ends &= ends - 1
+        runs.append((start, n, mask >> start & 1))
         # a substring longer than every run on the other side matches none
         longest = min(
             max((b - a for a, b, inside in runs if inside == side), default=0)
             for side in (0, 1)
         )
         factors: dict[tuple[int, int], list[int]] = {}
-        images = []
         for start, stop, inside in runs:
-            run = (start, stop, inside, longest)
+            if not inside:
+                continue
+            run = (start, stop, longest)
             if run not in substrings:
-                # a first node's edge back points out of a factor, into an image
-                back = -1 if inside else 1
+                # a factor's end edges, where it has them, point out of it
                 substrings[run] = [
                     ((walk[i][0], j - i), weight[i])
                     for i in range(start, stop)
-                    if i == start or walk[i][1] == back
+                    if i == start or walk[i][1] == -1
                     for j in range(i, min(stop, i + longest))
-                    if j == stop - 1 or walk[j + 1][1] == -back
+                    if j == stop - 1 or walk[j + 1][1] == 1
                 ]
+            for key, x in substrings[run]:
+                factors.setdefault(key, []).append(x)
+        # only the image substrings with a factor's key are listed
+        pairs = []
+        for start, stop, inside in runs:
             if inside:
-                for key, x in substrings[run]:
-                    factors.setdefault(key, []).append(x)
-            else:
-                images += substrings[run]
-        yield sum(w > x for key, w in images for x in factors.get(key, ()))
+                continue
+            run = images.get((start, stop))
+            if run is None:
+                run = images[start, stop] = {}
+            for key, xs in factors.items():
+                ws = run.get(key)
+                if ws is None:
+                    ws = _image_weights(walk, weight, inner, start, stop, key)
+                    run[key] = ws
+                if ws:
+                    pairs.append((ws, xs))
+        yield sum(w > x for ws, xs in pairs for w in ws for x in xs)
+
+
+def _image_weights(
+    walk: list[tuple[int, int, int]],
+    weight: list[int],
+    inner: dict[tuple[int, int], list[int]],
+    start: int,
+    stop: int,
+    key: tuple[int, int],
+) -> list[int]:
+    """The first weights of the image substrings with ``key`` (start
+    vertex, length) of the run ``[start, stop)`` of ``M/U``: those whose
+    end edges, where the run has them, point into the substring.
+    ``inner`` keeps, by key, the first nodes of such substrings of the
+    whole walk with both end edges on it."""
+    vertex, length = key
+    if key not in inner:
+        inner[key] = [
+            i for i in range(1, len(walk) - length - 1)
+            if walk[i][0] == vertex and walk[i][1] == 1
+            and walk[i + length + 1][1] == -1
+        ]
+    last = stop - 1 - length  # the last first node that fits in the run
+    if last < start:
+        return []
+    firsts = inner[key]
+    found = firsts[bisect_right(firsts, start):bisect_left(firsts, last)]
+    # the run's first node has no edge before it in the run, and its
+    # last node none after it
+    if walk[start][0] == vertex and (
+        start == last or walk[start + length + 1][1] == -1
+    ):
+        found.insert(0, start)
+    if last > start and walk[last][0] == vertex and walk[last][1] == 1:
+        found.append(last)
+    return [weight[i] for i in found]
 
 
 def _subdimension(d: Vec, e: Sequence[int]) -> Vec:

@@ -76,6 +76,7 @@ from .lattice import (
     GradedSeries,
     LaurentPoly,
     Vec,
+    check_skew,
     dual_pair,
     p_star,
     primitive,
@@ -276,7 +277,11 @@ def homogeneous(pt: Sequence) -> tuple[int, int, int]:
     point ``(X/D, Y/D)``."""
     x, y = Fraction(pt[0]), Fraction(pt[1])
     den = lcm(x.denominator, y.denominator)
-    return int(x * den), int(y * den), den
+    return (
+        x.numerator * (den // x.denominator),
+        y.numerator * (den // y.denominator),
+        den,
+    )
 
 
 def ensure_generic(
@@ -608,23 +613,27 @@ def _positive_rep(v: Vec) -> Vec:
 def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
     """Breadth-first mutation search recording each distinct chamber; only
     the extended matrix and the g-vectors mutate (:func:`mutate_tropical`),
-    and the c-vectors are read off the extended matrix."""
+    and the c-vectors are read off the extended matrix.  Mutation is an
+    involution, so a chamber is not mutated at the letter that made it:
+    that leads back to its parent, already recorded a level up."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     n = seed.rank
     seen: dict[frozenset[Vec], Chamber] = {}
-    current = [(seed.eps_ext, tuple(zip(*seed.g_matrix())), seed.word)]
+    gens = tuple(zip(*seed.g_matrix()))
+    current = [(check_skew(seed.eps_ext), gens, seed.word, None)]
     for level in range(depth + 1):
         nxt = []
-        for mat, gens, word in current:
+        for mat, gens, word, last in current:
             if frozenset(gens) in seen:
                 continue
             cvecs = tuple(row[n:] for row in mat[:n])
             seen[frozenset(gens)] = Chamber(gens, cvecs, word)
             if level < depth:
                 nxt += [
-                    mutate_tropical(mat, gens, k) + (word + (k,),)
+                    mutate_tropical(mat, gens, k) + (word + (k,), k)
                     for k in range(1, n + 1)
+                    if k != last
                 ]
         current = nxt
     return list(seen.values())

@@ -5,9 +5,10 @@ every node of the backward search it computes the crossing of the
 backward ray with every wall, bend point included, polices the two
 degeneracies (a ray inside a support line, a ray through the origin)
 inside that scan, and rebuilds the segment's exponent from ``m0``.  The
-package scans only the walls a segment can bend on and checks for
-degeneracy only when a ray is parallel to its point; tests compare the
-two line for line, and error for error.
+package instead walks the walls' half-lines in angular order from the
+segment's point towards its exponent, checks for degeneracy only when a
+ray is parallel to its point, and skips search states already known to
+find no line; tests compare the two line for line, and error for error.
 """
 
 from __future__ import annotations

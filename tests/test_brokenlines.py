@@ -30,7 +30,7 @@ from clusterscatter.errors import (
     InputError,
     UnsupportedInputError,
 )
-from clusterscatter.lattice import LaurentPoly, p_star, x_degree
+from clusterscatter.lattice import GradedSeries, LaurentPoly, p_star, x_degree
 from clusterscatter.quiver import (
     caldero_chapoton,
     g_map,
@@ -41,6 +41,8 @@ from clusterscatter.quiver import (
 )
 from clusterscatter.scattering import (
     CrossingPath,
+    ScatteringDiagram,
+    Wall,
     complete_rank2,
     initial_diagram,
     path_ordered_product,
@@ -603,15 +605,65 @@ class TestIntegerEngine:
             endpoint = (endpoint * a[0], endpoint * a[1])
         k = x_degree(m0, 2) + weight
         assume(k >= 0)
-        outcomes = []
-        for search in (theta_function, reference_lines):
-            try:
-                result = search(m0, endpoint, diagram, k)
-            except InputError as exc:
-                outcomes.append((type(exc), str(exc)))
-            else:
-                outcomes.append(getattr(result, "lines", result))
-        assert outcomes[0] == outcomes[1]
+        got, want = _search_and_oracle(m0, endpoint, diagram, k)
+        assert got == want
+
+    @pytest.mark.parametrize("walls", ["shared", "rays"])
+    @pytest.mark.parametrize("a", [(-5, 1), (1, -2), (3, 1), (-2, -3)])
+    @pytest.mark.parametrize("endpoint", [
+        (Fraction(157, 100), Fraction(83, 100)), (Fraction(-3, 7), Fraction(2, 9)),
+        (Fraction(7, 3), Fraction(-5, 2)), (Fraction(-1, 5), Fraction(-3)), "m0", "-m0",
+    ])
+    def test_hand_built_walls_match_all_wall_oracle(self, walls, a, endpoint):
+        """Line for line and error for error on two hand-built diagrams.
+        On the first, two rays share one direction and a third lies on
+        one half of a line: walls of one direction are crossed at one
+        point, and the search takes them in wall-index order either way
+        round.  The second has only rays, all in one open half-plane."""
+        diagram = HAND_BUILT[walls]
+        m0 = (*a, 0, 0)
+        if isinstance(endpoint, str):
+            sign = -1 if endpoint == "-m0" else 1
+            endpoint = (Fraction(sign * a[0], 3), Fraction(sign * a[1], 3))
+        for k in (2, 4):
+            got, want = _search_and_oracle(m0, endpoint, diagram, k)
+            assert got == want
+
+
+def _search_and_oracle(m0, endpoint, diagram, k):
+    """The lines of ``theta_function`` and of the all-wall reference, or
+    the type and message of the error each raises."""
+    outcomes = []
+    for search in (theta_function, reference_lines):
+        try:
+            result = search(m0, endpoint, diagram, k)
+        except InputError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(getattr(result, "lines", result))
+    return outcomes
+
+
+def _wall(normal, kind, direction, coeffs, order=6):
+    step = (*p_star(SEED2.exchange_block(), normal), *normal)
+    return Wall(normal, kind, (direction,), GradedSeries(step, order, coeffs), False)
+
+
+# Diagrams over the b=2 seed that no completion makes: the initial lines,
+# two rays on (1,-1) and one on the lower half of the line x = 0; and two
+# rays alone in the second quadrant.
+HAND_BUILT = {
+    "shared": ScatteringDiagram(SEED2, 6, (
+        *initial_diagram(SEED2, 6).walls,
+        _wall((1, 1), "ray", (1, -1), (1, 2, 1)),
+        _wall((1, 0), "ray", (0, -1), (1, 1, 1, 1)),
+        _wall((1, 1), "ray", (1, -1), (1, 3)),
+    )),
+    "rays": ScatteringDiagram(SEED2, 6, (
+        _wall((2, 1), "ray", (-1, 2), (1, 2)),
+        _wall((1, 2), "ray", (-2, 1), (1, 1)),
+    )),
+}
 
 
 # The theta basis of the ``theta-basis`` benchmark workload: (b, initial
@@ -656,9 +708,9 @@ class TestDeadStates:
         original = brokenlines._Engine.descend
         entered = []
 
-        def descend(engine, c1, c2, point, rev_bends):
+        def descend(engine, c1, c2, point, slot, rev_bends):
             before = len(engine.lines)
-            original(engine, c1, c2, point, rev_bends)
+            original(engine, c1, c2, point, slot, rev_bends)
             state = None
             if rev_bends:
                 wall = rev_bends[-1][0]
@@ -688,3 +740,22 @@ class TestDeadStates:
         # nothing is kept from one call to the next: a second call enters
         # the same nodes, as many as the first
         assert self._searched_states(monkeypatch, endpoint) == entered
+
+    def test_search_enters_a_pinned_number_of_nodes(self, monkeypatch):
+        """The 26 basis calls enter 2,401 search nodes.  A bend point
+        whose first half-line ahead already lies past its exponent
+        crosses nothing, so it is marked dead without being entered;
+        912 are, and entering them too makes 3,313."""
+        original = brokenlines._Engine.descend
+        entered = 0
+
+        def descend(engine, *args):
+            nonlocal entered
+            entered += 1
+            original(engine, *args)
+
+        monkeypatch.setattr(brokenlines._Engine, "descend", descend)
+        for b, a, k in BASIS_EXPONENTS:
+            for endpoint in BASIS_ENDPOINTS:
+                theta_function((*a, 0, 0), endpoint, BASIS_DIAGRAMS[b], k)
+        assert entered == 2401

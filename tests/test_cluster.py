@@ -48,6 +48,11 @@ def test_mutate_matrix_involution_rank3(a, b, c, k):
     assert mutate_matrix(mutate_matrix(eps, k), k) == eps
 
 
+def test_mutate_matrix_checks_its_input():
+    with pytest.raises(InputError, match=r"not skew-symmetric at \(0,1\)"):
+        mutate_matrix(((0, 1), (1, 0)), 1)
+
+
 def test_initial_seed_has_identity_c_matrix():
     s = initial_seed(rank2_exchange(2))
     assert s.c_matrix() == ((1, 0), (0, 1))

@@ -89,6 +89,14 @@ PINNED = [
         "93c93e1d3eba34b23c0ddffec631a9b4e0db048fb70b8f9127bfc2b5b46bb8b3",
     ),
     (
+        "theta --b 3 --m 3,-8,0,0 --order 8 --tikz --endpoint 157/100,83/100",
+        "5b89330f65ed01092f988f8e3da8967690ca5dee6439a06898ebb2b06c15f731",
+    ),
+    (
+        "theta --b 3 --m 3,-8,0,0 --order 8 --tikz --endpoint 1,-29/20",
+        "aabc337ccd8259c06d09fc3be2ea9f9db82a9e346e01363d3db07d23b22ecb82",
+    ),
+    (
         "strata --quiver kronecker2 --D 5,6 --e 2,4 --endpoint 2,1",
         "74620c7bf02786e851c6c36994bd84f695d71f832c284650eaa8d3a39a4e9bd4",
     ),

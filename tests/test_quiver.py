@@ -683,6 +683,18 @@ def test_cell_dimensions_match_the_elimination_oracle():
     assert (cases, fixed_points) == (910, 13718)
 
 
+@pytest.mark.parametrize(
+    "d, e", [((200, 201), (0, 1)), ((201, 200), (0, 1)), ((200, 201), (1, 2))]
+)
+def test_cell_dimensions_on_a_long_string_match_the_oracle(d, e):
+    # U of one or three nodes: M/U is two to four long runs, new at every
+    # fixed point, whose image substrings mostly match no factor of U
+    walk = quiver_mod._string(K2, d)
+    masks = list(quiver_mod._fixed_points(walk, e, quiver_mod._completions(walk, e)))
+    want = list(cell_oracle.cell_dimensions(K2, walk, masks))
+    assert list(quiver_mod._cell_dimensions(walk, masks)) == want
+
+
 def test_string_words_are_keyed_by_start_vertex_and_length():
     # the walk property the graph-map count keys on: the word of an interval
     # (its entries, the first node's edge left out) is fixed by its start

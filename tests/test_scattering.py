@@ -15,6 +15,7 @@ from clusterscatter.cluster import (
     apply_word,
     check_tropical_duality,
     initial_seed,
+    mutate_seed,
     rank2_exchange,
 )
 from clusterscatter.errors import (
@@ -452,6 +453,13 @@ class TestClusterComplex:
         monkeypatch.setattr(LaurentPoly, "exact_div", refuse)
         monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
         assert len(cluster_complex_chambers(seed, 8)) == 17
+
+    def test_search_from_a_mutated_seed_steps_back_first(self):
+        # only letters the search itself appended are not taken again: the
+        # seed's own last letter leads to a chamber not yet seen
+        seed = mutate_seed(initial_seed(rank2_exchange(1)), 1)
+        words = [chamber.word for chamber in cluster_complex_chambers(seed, 1)]
+        assert words == [(1,), (1, 1), (1, 2)]
 
     def test_find_chamber_and_interior(self):
         seed = initial_seed(rank2_exchange(2))
