@@ -31,22 +31,28 @@ coefficient.
 
 The search runs backward from the endpoint in exact integer arithmetic:
 points are homogeneous integer coordinates ``(X, Y, D)`` with ``D > 0``,
-velocities are integer vectors, and each crossing is decided by integer
-cross products.  Each call sorts the walls' supports as half-lines from
-the origin, a line giving two and a ray one, anticlockwise by exact
-integer comparison, half-lines of one direction by wall index.  The
+not reduced, velocities are integer vectors, and each crossing is decided
+by integer cross products.  The walls' supports, as half-lines from the origin (a
+line giving two and a ray one), are sorted once per diagram,
+anticlockwise by exact comparison of angle keys that do not depend on
+the endpoint, half-lines of one direction by wall index; the diagram
+keeps that index.  One bisection of the endpoint's key gives its slot
+between two half-lines, or finds it on one, and so not generic.  The
 backward ray ``P + s*E_m`` from a point ``P`` turns monotonically from
 the direction of ``P`` towards that of ``E_m``, through less than a
 half-turn, so it crosses exactly the half-lines strictly between the
-two, in angular order.  A node walks them from its own half-line (the
-endpoint from its slot between two) in the sense of ``cross(P, E_m)``
-and stops at the first half-line not before ``E_m``; half-lines of one
-direction are crossed at one point and taken in wall-index order either
-way round.  A segment with bend weight ``c`` left bends only on walls
-with normal at most ``c`` that pair nonzero with its exponent, reading
-the powers' coefficients off the wall function's series.  A segment can
-run along a support line or through the origin only when its point is
-parallel to its velocity, so only then are all walls checked.  A node
+two, in angular order.  A segment with bend weight ``c`` left bends only
+on walls with normal at most ``c``, so for each ``c`` the index keeps,
+once built, the sub-ring of those half-lines and where each slot falls
+in it.  A node walks that sub-ring from its own half-line (the endpoint
+from its slot between two) in the sense of ``cross(P, E_m)`` and stops
+at the first half-line not before ``E_m``; half-lines of one direction
+are crossed at one point and taken in wall-index order either way
+round.  A wall bends the segment only if it pairs nonzero with the
+exponent, and the powers' coefficients of its function are read once
+per diagram into the index.  A segment can run along a support line or
+through the origin only when its point is parallel to its velocity, so
+only then are all walls checked.  A node
 carries its bend weight ``c`` and its point; the segment's exponent
 ``m0 + p~*(c)`` is built in full only when a finished line is assembled,
 and its bend points become ``Fraction`` pairs only then.  Validation
@@ -63,11 +69,15 @@ bend weight ``c`` left, which fixes the exponent, determine that search.
 Each call keeps the set of such states whose search ended with no line
 and no error, and does not enter them again; an error ends the whole
 call, so none is skipped.  A state with bend weight left whose first
-half-line ahead, in the sense its own ray turns, is already past its
-exponent crosses nothing: it joins the set without being entered, and
-its bend point is never built.  (A state whose exponent is parallel to
-its half-line is always entered, since it may raise.)  The set lives in
-the engine of one call and nothing is cached from one call to the next.
+half-line ahead that it could bend on, in the sense its own ray turns,
+is already past its exponent crosses nothing it can bend on, so it
+finds no line and raises nothing: it joins the set without being
+entered, and its bend point is never built.  Each top-level search from
+the endpoint, one per final bend weight, is tested the same way before
+it starts.  (A state whose exponent is parallel to its point is always
+entered, since it may raise.)  The search state, the set included, lives
+in the engine of one call; only the index, which depends on the walls
+alone, is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -86,6 +96,7 @@ from .errors import (
 )
 from .lattice import (
     LaurentPoly,
+    Matrix,
     Vec,
     dual_pair,
     p_star,
@@ -124,81 +135,123 @@ def _as_point(raw: Sequence) -> Point:
     return pt
 
 
-def _plane_endpoint(diagram: ScatteringDiagram, m0: Vec, q: Point) -> Point:
+def _plane_endpoint(eps: Matrix, m0: Vec, q: Point) -> Point:
     """The endpoint ``q`` of lines from ``m0`` in the plane of the first two
-    coordinates: ``p*(q)`` for a slice exponent ``(p*(v), v)``, whose
-    endpoint is read in the plane of the last two, and ``q`` otherwise."""
-    eps = diagram.seed.exchange_block()
+    coordinates, for the exchange block ``eps``: ``p*(q)`` for a slice
+    exponent ``(p*(v), v)``, whose endpoint is read in the plane of the
+    last two, and ``q`` otherwise."""
     n = len(m0) // 2
     return p_star(eps, q) if m0[:n] == p_star(eps, m0[n:]) else q
 
 
-def _half_line_rings(
-    walls: Sequence[Wall], point: HPoint
-) -> tuple[list[tuple], list[tuple], tuple]:
-    """The walls' supports as half-lines from the origin, a line giving
-    two and a ray one, in the two orders a backward ray meets them, and
-    the slot of ``point``, which lies on none of them.
+class _SearchIndex(dict):
+    """The walls of one rank-2 diagram as the broken-line search reads
+    them, built once per diagram (:func:`_search_index`).
 
-    A half-line is ``(hx, hy, n1, n2, [wall index, side, wall, slot])``:
-    its direction, the wall's normal, whether it is the wall's direction
-    rather than its opposite, and the slot of the points on it.  The
-    first ring holds the half-lines anticlockwise from ``(1, 0)``, the
-    second clockwise, with half-lines of one direction in wall-index
-    order in both; each ring is listed twice, so that a walk of one lap
-    is a slice.  A slot ``(ccw, cw)`` is where a point's walk starts in
-    each ring: at the first half-line past the point's direction."""
-    halves = []
-    for index, wall in enumerate(walls):
-        (d0, d1), (n1, n2) = wall.direction(), wall.normal
-        halves.append((d0, d1, n1, n2, [index, True, wall, None]))
-        if wall.kind == "line":
-            halves.append((-d0, -d1, n1, n2, [index, False, wall, None]))
-    if not halves:
-        return [], [], (0, 0)
-    # The angle is ordered by the half-plane, then by the cotangent -x/y,
-    # which rises with the angle in either half: over a common denominator
-    # the order is exact.
-    scale = lcm(point[1] or 1, *(half[1] for half in halves if half[1]))
+    ``walls`` holds each wall's normal and support direction, in index
+    order.  A half-line is ``(hx, hy, n1, n2, wall index, side, wall,
+    powers, slot)``: its direction, the wall's normal, whether it is the
+    wall's direction rather than its opposite, the coefficients of the
+    powers of the wall function read so far, by exponent, and the slot of
+    the points on it.  ``ccw`` holds the half-lines anticlockwise from
+    ``(1, 0)``, ``cw`` clockwise, with half-lines of one direction in
+    wall-index order in both.  A slot ``(ccw, cw)`` is where a point's
+    walk starts in each: at the first half-line past the point's
+    direction.  As a dict, the index maps a bend weight to the half-lines
+    a segment with that weight left can bend on, filled on first use
+    (:meth:`__missing__`)."""
 
-    def angle(x: int, y: int) -> tuple[bool, bool, int]:
-        return (y < 0 or (y == 0 and x < 0), y != 0, -x * (scale // y) if y else 0)
+    __slots__ = ("walls", "ccw", "cw", "_scale", "_keys", "_starts")
 
-    groups: list[list[tuple]] = []
-    keys: list[tuple] = []
-    for key, _, half in sorted((angle(h[0], h[1]), h[4][0], h) for h in halves):
-        if keys and keys[-1] == key:
-            groups[-1].append(half)
-        else:
-            keys.append(key)
-            groups.append([half])
-    # A point past the first i groups walks from starts[i] anticlockwise
-    # and, as the clockwise ring lists the groups last to first, from
-    # total - starts[i] clockwise (total is where the second listing
-    # starts); a point on group i is past i + 1 of them anticlockwise.
-    starts = list(accumulate(map(len, groups), initial=0))
-    total = starts[-1]
-    for i, group in enumerate(groups):
-        here = starts[i + 1], total - starts[i]
-        for half in group:
-            half[4][3] = here
-    ccw = [half for group in groups for half in group]
-    cw = [half for group in reversed(groups) for half in group]
-    after = bisect_left(keys, angle(point[0], point[1]))
-    return ccw + ccw, cw + cw, (starts[after], total - starts[after])
+    def __init__(self, walls: Sequence[Wall]):
+        self.walls = [(*wall.normal, *wall.direction()) for wall in walls]
+        halves = []
+        for index, (wall, (n1, n2, d0, d1)) in enumerate(zip(walls, self.walls)):
+            powers: dict[int, tuple[int, ...]] = {}
+            halves.append((d0, d1, n1, n2, index, True, wall, powers))
+            if wall.kind == "line":
+                halves.append((-d0, -d1, n1, n2, index, False, wall, powers))
+        # Over a common denominator of the half-lines' cotangents, an
+        # angle's key is integral for them; a point's may be a fraction.
+        self._scale = lcm(*(half[1] for half in halves if half[1]))
+        groups: list[list[tuple]] = []
+        keys: list[tuple] = []
+        for key, _, half in sorted((self._angle(h[0], h[1]), h[4], h) for h in halves):
+            if keys and keys[-1] == key:
+                groups[-1].append(half)
+            else:
+                keys.append(key)
+                groups.append([half])
+        # A point past the first i groups walks from starts[i] anticlockwise
+        # and, as the clockwise ring lists the groups last to first, from
+        # total - starts[i] clockwise; a point on group i is past i + 1 of
+        # them anticlockwise.
+        starts = list(accumulate(map(len, groups), initial=0))
+        total = starts[-1]
+        groups = [
+            [(*half, (starts[i + 1], total - starts[i])) for half in group]
+            for i, group in enumerate(groups)
+        ]
+        self.ccw = [half for group in groups for half in group]
+        self.cw = [half for group in reversed(groups) for half in group]
+        self._keys, self._starts = keys, starts
+
+    def _angle(self, x: int, y: int) -> tuple:
+        """The anticlockwise angle of ``(x, y)`` from ``(1, 0)``, as an exact
+        key: the half-plane, then the cotangent ``-x/y``, which rises with
+        the angle in either half."""
+        if not y:
+            return x < 0, False, 0
+        cot = -x * self._scale
+        return y < 0, True, cot // y if cot % y == 0 else Fraction(cot, y)
+
+    def slot(self, x: int, y: int) -> tuple[int, int] | None:
+        """The slot of a point ``(x, y)`` other than the origin, or ``None``
+        when the point lies on a half-line."""
+        key = self._angle(x, y)
+        after = bisect_left(self._keys, key)
+        if after < len(self._keys) and self._keys[after] == key:
+            return None
+        total = self._starts[-1]
+        return self._starts[after], total - self._starts[after]
+
+    def __missing__(self, weight: tuple[int, int]) -> tuple:
+        """The half-lines a segment with bend weight ``c`` left can bend on,
+        those with normal at most ``c``: ``(ccw, ccw_at, cw, cw_at, lap)``.
+        Each ring is listed twice, so that a walk of one lap, ``lap``
+        half-lines, is a slice, and a point of slot ``(s, t)`` walks from
+        ``ccw_at[s]`` anticlockwise and from ``cw_at[t]`` clockwise."""
+        c1, c2 = weight
+        parts = []
+        for full in (self.ccw, self.cw):
+            keep = [half[2] <= c1 and half[3] <= c2 for half in full]
+            sub = [half for half, kept in zip(full, keep) if kept]
+            parts += sub + sub, list(accumulate(keep, initial=0))
+        rings = self[weight] = (*parts, len(parts[0]) // 2)
+        return rings
+
+
+def _search_index(diagram: ScatteringDiagram) -> _SearchIndex:
+    """The diagram's search index, built on first use and kept in the
+    diagram's instance dict: its walls never change.  The search state of
+    a call stays with that call's engine."""
+    kept = vars(diagram)
+    index = kept.get("search_index")
+    if index is None:
+        index = kept["search_index"] = _SearchIndex(diagram.walls)
+    return index
 
 
 def _bend_point(point: HPoint, d0: int, d1: int, e1: int, e2: int) -> HPoint:
     """Where the backward ray ``point + s*(e1, e2)`` crosses the line of
-    direction ``(d0, d1)``, in reduced homogeneous coordinates."""
+    direction ``(d0, d1)``, in homogeneous coordinates with ``w > 0``.
+    They are not reduced: the search reads only signs of cross products
+    from them, and an assembled line's ``Fraction``s reduce them."""
     X, Y, D = point
     denom = d1 * e1 - d0 * e2
     c = d0 * Y - d1 * X
     x, y, w = X * denom + c * e1, Y * denom + c * e2, D * denom
-    if w < 0:
-        x, y, w = -x, -y, -w
-    g = gcd(x, y, w)
-    return x // g, y // g, w // g
+    return (-x, -y, -w) if w < 0 else (x, y, w)
 
 
 def _check_collinear_ray(point: HPoint, velocity: Vec, bends: Sequence[tuple]) -> None:
@@ -285,43 +338,74 @@ def _sort_key(line: BrokenLine):
 
 class _Engine:
     """Backward depth-first search for the broken lines from ``m0`` to
-    ``endpoint``, collected in ``lines``."""
+    ``endpoint``, collected in ``lines``.  ``point`` is the endpoint in
+    homogeneous coordinates and ``slot`` its slot in ``index``.  The
+    engine counts the nodes it enters in ``entered``, and in ``pruned``
+    the states it marks dead without entering them."""
 
-    def __init__(self, diagram: ScatteringDiagram, m0: Vec, endpoint: Point):
-        if diagram.rank != 2:
-            raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
-        self.m0, self.endpoint = m0, endpoint
+    def __init__(
+        self, index: _SearchIndex, eps: Matrix, m0: Vec, endpoint: Point,
+        point: HPoint, slot: tuple[int, int],
+    ):
+        self.m0, self.endpoint, self.point, self.slot = m0, endpoint, point, slot
+        self._index = index
         self.lines: list[BrokenLine] = []
         # The exponent m0 + c1*p~*(e1, 0) + c2*p~*(e2, 0) is linear in c,
         # and p~*(e_i, 0) is row i of [[eps, I], [-I, 0]]: its first two
         # coordinates, E_m, which gives velocities and pairings, come from
         # row i of eps, and its last two are e_i.
-        (p11, p12), (p21, p22) = diagram.seed.exchange_block()
+        (p11, p12), (p21, p22) = eps
         self._plane = (m0[0], p11, p21, m0[1], p12, p22)
-        # Per wall, in index order: normal and support direction.
-        self._walls = [(*w.normal, *w.direction()) for w in diagram.walls]
-        self.point = homogeneous(endpoint)
-        self._ccw, self._cw, self.slot = _half_line_rings(diagram.walls, self.point)
-        self._lap = len(self._ccw) // 2
         # (wall index, side of its support, c1, c2) of the bend points whose
         # search found no line.
         self._dead: set[tuple[int, bool, int, int]] = set()
+        self.entered = self.pruned = 0
 
     def exponent(self, c1: int, c2: int) -> Vec:
         m1, a1, b1, m2, a2, b2 = self._plane
         _, _, m3, m4 = self.m0
         return m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2, m3 + c1, m4 + c2
 
+    def run(self, budget: int, final_filter: Sequence[int | None] | None) -> None:
+        """Collect the lines whose last segment leaves a bend weight ``c``
+        with ``c1 + c2 <= budget`` at the endpoint, and whose final
+        exponent matches ``final_filter``."""
+        m1, a1, b1, m2, a2, b2 = self._plane
+        X, Y, _ = point = self.point
+        index, slot = self._index, self.slot
+        for c1 in range(budget + 1):
+            for c2 in range(budget + 1 - c1):
+                if final_filter is not None and any(
+                    want is not None and have != want
+                    for have, want in zip(self.exponent(c1, c2), final_filter)
+                ):
+                    continue
+                e1, e2 = m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2
+                turn = X * e2 - Y * e1
+                if turn and (c1 or c2):
+                    # the test of descend's states, on the endpoint
+                    ccw, ccw_at, cw, cw_at, lap = index[c1, c2]
+                    if lap:
+                        ahead = ccw[ccw_at[slot[0]]] if turn > 0 else cw[cw_at[slot[1]]]
+                        nx, ny = ahead[0], ahead[1]
+                    if (not lap or (X * ny - Y * nx) * turn <= 0
+                            or (nx * e2 - ny * e1) * turn <= 0):
+                        self.pruned += 1
+                        continue
+                self.descend(c1, c2, point, slot, [])
+
     def descend(
         self, c1: int, c2: int, point: HPoint, slot: tuple, rev_bends: list
-    ) -> None:
+    ) -> bool:
         """Collect the lines whose segment into ``point`` leaves bend weight
-        ``(c1, c2)``, before the bends ``rev_bends``; ``slot`` is the slot
-        of ``point`` among the half-lines (:func:`_half_line_rings`)."""
+        ``(c1, c2)``, before the bends ``rev_bends``, and tell whether there
+        are any; ``slot`` is the slot of ``point`` among the half-lines
+        (:class:`_SearchIndex`)."""
+        self.entered += 1
         m1, a1, b1, m2, a2, b2 = self._plane
         e1, e2 = m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2
         if not (e1 or e2):
-            return
+            return False
         X, Y, D = point
         # The backward ray point + s*E_m turns from point towards E_m, in
         # the sense of `turn`, through less than a half-turn.
@@ -330,35 +414,42 @@ class _Engine:
             # Only a ray parallel to its point can be degenerate; the
             # bend-free initial segment is checked too.  One that leads
             # away from the origin crosses nothing.
-            _check_collinear_ray(point, (-e1, -e2), self._walls)
+            _check_collinear_ray(point, (-e1, -e2), self._index.walls)
         if not (c1 or c2):
             self.lines.append(self._assemble(rev_bends))
-            return
+            return True
         if not turn:
-            return
-        # With the sense folded in, a half-line is crossed when it lies
-        # strictly anticlockwise of (px, py) and clockwise of (qx, qy).
+            return False
+        # Only a wall with normal <= c leaves a nonnegative budget, so the
+        # walk visits only those.  With the sense folded in, a half-line is
+        # crossed when it lies strictly anticlockwise of (px, py) and
+        # clockwise of (qx, qy).
+        index = self._index
+        ccw, ccw_at, cw, cw_at, lap = index[c1, c2]
         if turn > 0:
-            ring, start, px, py, qx, qy = self._ccw, slot[0], X, Y, e1, e2
+            ring, start, px, py, qx, qy = ccw, ccw_at[slot[0]], X, Y, e1, e2
         else:
-            ring, start, px, py, qx, qy = self._cw, slot[1], -X, -Y, -e1, -e2
-        dead, lines = self._dead, self.lines
+            ring, start, px, py, qx, qy = cw, cw_at[slot[1]], -X, -Y, -e1, -e2
+        dead = self._dead
+        found = False
         # It crosses, nearest first, exactly the half-lines strictly between
         # the directions of point and E_m; one lap at most, for a diagram
         # whose half-lines all lie in that open half-plane.
-        for hx, hy, n1, n2, rest in ring[start:start + self._lap]:
+        for hx, hy, n1, n2, i, side, wall, powers, here in ring[start:start + lap]:
             if px * hy <= py * hx or hx * qy <= hy * qx:
                 break
-            # only a wall with normal <= c leaves a nonnegative budget
-            if n1 > c1 or n2 > c2:
-                continue
             # The pairing is the same before the bend: a bend adds
             # multiples of p*(normal) to E_m, and the form is skew.
             pairing = abs(e1 * n1 + e2 * n2)
             if not pairing:
                 continue
-            index, side, wall, here = rest
-            coeffs = (wall.func ** pairing).coeffs
+            coeffs = powers.get(pairing)
+            if coeffs is None:
+                coeffs = (wall.func ** pairing).coeffs
+                # trailing zeros bend nothing
+                while coeffs[-1] == 0:
+                    coeffs = coeffs[:-1]
+                powers[pairing] = coeffs
             bend = None
             # bending back by j steps leaves r = c - j*normal, which must
             # stay nonnegative
@@ -371,35 +462,46 @@ class _Engine:
                 factor = coeffs[j]
                 if not factor:
                     continue
-                state = (index, side, r1, r2)
+                state = (i, side, r1, r2)
                 if state in dead:
                     continue
                 if r1 or r2:
+                    # The bend point lies on the half-line, so its ray
+                    # turns from there.  Unless the first half-line ahead
+                    # that the state can bend on, from its own rings
+                    # (ccw, ccw_at, cw, cw_at, lap), lies strictly between
+                    # the two, it crosses nothing it can bend on.
                     f1, f2 = m1 + r1 * a1 + r2 * b1, m2 + r1 * a2 + r2 * b2
                     t = hx * f2 - hy * f1
                     if t:
-                        # the first half-line of its sweep is past E_m(r)
-                        ahead = self._ccw[here[0]] if t > 0 else self._cw[here[1]]
-                        nx, ny = ahead[0], ahead[1]
-                        if (hx * ny - hy * nx) * t <= 0 or (nx * f2 - ny * f1) * t <= 0:
+                        sub = index[r1, r2]
+                        if sub[4]:
+                            ahead = (sub[0][sub[1][here[0]]] if t > 0
+                                     else sub[2][sub[3][here[1]]])
+                            nx, ny = ahead[0], ahead[1]
+                        if (not sub[4] or (hx * ny - hy * nx) * t <= 0
+                                or (nx * f2 - ny * f1) * t <= 0):
+                            self.pruned += 1
                             dead.add(state)
                             continue
                 if bend is None:
                     bend = _bend_point(point, hx, hy, e1, e2)
                 rev_bends.append((wall, bend, j, factor, c1, c2))
-                before = len(lines)
-                self.descend(r1, r2, bend, here, rev_bends)
-                rev_bends.pop()
-                if len(lines) == before:
+                if self.descend(r1, r2, bend, here, rev_bends):
+                    found = True
+                else:
                     dead.add(state)
+                rev_bends.pop()
+        return found
 
     def _assemble(self, rev_bends: list) -> BrokenLine:
         segments = [Segment(1, self.m0, None, None, 0)]
         coeff = 1
+        exponent = self.exponent
         for wall, (x, y, w), j, factor, c1, c2 in reversed(rev_bends):
             coeff *= factor
             start = (Fraction(x, w), Fraction(y, w))
-            segments.append(Segment(coeff, self.exponent(c1, c2), start, wall, j))
+            segments.append(Segment(coeff, exponent(c1, c2), start, wall, j))
         return BrokenLine(self.m0, self.endpoint, tuple(segments))
 
 
@@ -423,6 +525,7 @@ def theta_function(
     k: int,
     *,
     final_filter: Sequence[int | None] | None = None,
+    stats: dict[str, int] | None = None,
 ) -> ThetaResult:
     """Sum of final monomials over all broken lines of degree at most ``k``.
 
@@ -434,7 +537,9 @@ def theta_function(
     Endpoints on the diagram's support raise
     :class:`GenericPositionError`, and endpoints reached by a segment
     through the origin or along a support line raise its subclass
-    :class:`DegenerateBrokenLineError`.
+    :class:`DegenerateBrokenLineError`.  When ``stats`` is given, the
+    search's counts are added to its ``entered`` (nodes searched) and
+    ``pruned`` (states found dead without a search) entries.
     """
     m0 = tuple(int(x) for x in m0)
     n = diagram.rank
@@ -451,21 +556,27 @@ def theta_function(
             f"diagram's series order {diagram.order}; complete a deeper diagram"
         )
     q = _as_point(endpoint)
-    pt = _plane_endpoint(diagram, m0, q)
-    ensure_generic(diagram, pt, given=q)
-    engine = _Engine(diagram, m0, pt)
+    eps = diagram.seed.exchange_block()
+    pt = _plane_endpoint(eps, m0, q)
+    if n != 2:
+        ensure_generic(diagram, pt, given=q)
+        raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
+    index = _search_index(diagram)
+    point = homogeneous(pt)
+    # Every support is a cone, so the endpoint lies on one exactly when
+    # its direction is a half-line's; ensure_generic names the wall.
+    slot = index.slot(point[0], point[1]) if pt != _ORIGIN else None
+    if slot is None:
+        ensure_generic(diagram, pt, given=q)
+    engine = _Engine(index, eps, m0, pt, point, slot)
     if not any(m0[:n]):
         raise UnsupportedInputError(f"initial exponent {m0} has no direction")
     if final_filter is not None and len(final_filter) != 2 * n:
         raise InputError(f"final filter must have length {2 * n}")
-    for c1 in range(budget + 1):
-        for c2 in range(budget + 1 - c1):
-            if final_filter is not None and any(
-                want is not None and have != want
-                for have, want in zip(engine.exponent(c1, c2), final_filter)
-            ):
-                continue
-            engine.descend(c1, c2, engine.point, engine.slot, [])
+    engine.run(budget, final_filter)
+    if stats is not None:
+        stats["entered"] = stats.get("entered", 0) + engine.entered
+        stats["pruned"] = stats.get("pruned", 0) + engine.pruned
     lines = sorted(engine.lines, key=_sort_key)
     value: dict[Vec, int] = {}
     for line in lines:
@@ -596,7 +707,7 @@ def theta_via_path(
             f"direction {direction} lies outside the explored mutation fan"
         ) from exc
     q = _as_point(endpoint)
-    end = _plane_endpoint(diagram, m0, q)
+    end = _plane_endpoint(diagram.seed.exchange_block(), m0, q)
     ensure_generic(diagram, end, given=q)
     path = CrossingPath(start=chamber.interior_point(), end=end)
     action = path_ordered_product(path, diagram)

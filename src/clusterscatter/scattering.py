@@ -169,12 +169,21 @@ def support_directions(wall: Wall) -> tuple[Vec, ...]:
     return (u, vec_scale(-1, u)) if wall.kind == "line" else (u,)
 
 
-class ScatteringDiagram(NamedTuple):
-    """A finite-order collection of walls attached to a seed."""
+class ScatteringDiagram(NamedTuple("ScatteringDiagram", [
+    ("seed", Seed),
+    ("order", int),
+    ("walls", tuple[Wall, ...]),
+])):
+    """A finite-order collection of walls attached to a seed.
 
-    seed: Seed
-    order: int
-    walls: tuple[Wall, ...]
+    It declares no ``__slots__``: its instance dict keeps what is derived
+    from the walls once, the broken-line search's index
+    (:mod:`clusterscatter.brokenlines`), which is written into it
+    directly and takes no part in equality.  Assignment is refused.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a diagram is immutable")
 
     @property
     def rank(self) -> int:
@@ -639,24 +648,27 @@ def cluster_complex_chambers(seed: Seed, depth: int) -> list[Chamber]:
     return list(seen.values())
 
 
-def _fan(seed: Seed, depth: int, order: int):
+def _fan(seed: Seed, depth: int):
     """The chambers of the mutation fan explored to ``depth``, and by
-    facet its wall (normal the facet's c-vector made positive, function
-    ``1 + z^(p~*(normal, 0))``) and the explored chambers on it."""
-    n = seed.rank
-    eps = seed.exchange_block()
-    kind = "ray" if n == 2 else "cone"
+    facet the normal of its wall (the facet's c-vector made positive) and
+    the explored chambers on it."""
     chambers = cluster_complex_chambers(seed, depth)
-    facets: dict[tuple[Vec, ...], tuple[Wall, list[Chamber]]] = {}
+    facets: dict[tuple[Vec, ...], tuple[Vec, list[Chamber]]] = {}
     for chamber in chambers:
         for k, normal in enumerate(chamber.normals):
             span = chamber.facet(k)
             if span not in facets:
-                step = p_star(eps, normal) + normal  # p~*(normal, 0)
-                func = GradedSeries(step, order, (1, 1))
-                facets[span] = Wall(normal, kind, span, func, incoming=False), []
+                facets[span] = normal, []
             facets[span][1].append(chamber)
     return chambers, facets
+
+
+def _fan_wall(seed: Seed, span: tuple[Vec, ...], normal: Vec, order: int) -> Wall:
+    """The wall on a facet of the mutation fan: function
+    ``1 + z^(p~*(normal, 0))``."""
+    step = p_star(seed.exchange_block(), normal) + normal  # p~*(normal, 0)
+    kind = "ray" if seed.rank == 2 else "cone"
+    return Wall(normal, kind, span, GradedSeries(step, order, (1, 1)), incoming=False)
 
 
 def cluster_complex_diagram(
@@ -664,7 +676,10 @@ def cluster_complex_diagram(
 ) -> ScatteringDiagram:
     """Walls separating adjacent chambers of the mutation fan, one per
     facet of an explored chamber."""
-    walls = [wall for wall, _ in _fan(seed, depth, order)[1].values()]
+    walls = [
+        _fan_wall(seed, span, normal, order)
+        for span, (normal, _) in _fan(seed, depth)[1].items()
+    ]
     walls.sort(key=lambda wall: (wall.normal, wall.span))
     return ScatteringDiagram(seed, order, tuple(walls))
 
@@ -684,20 +699,28 @@ def find_chamber(chambers: Sequence[Chamber], point: Sequence) -> Chamber:
 def positive_crossing_pairs(seed: Seed, depth: int) -> list[tuple[Wall, Wall]]:
     """The positive-crossing pairs (module notes) between explored chambers."""
     eps = seed.exchange_block()
-    chambers, facets = _fan(seed, depth, DEFAULT_ORDER)
+    chambers, facets = _fan(seed, depth)
+    # Walls are built only for the facets of the pairs returned.
+    walls: dict[tuple[Vec, ...], Wall] = {}
+
+    def wall(span):
+        if span not in walls:
+            walls[span] = _fan_wall(seed, span, facets[span][0], DEFAULT_ORDER)
+        return walls[span]
 
     def crossings(chamber):
         for k, c in enumerate(chamber.c_vectors):
             if max(c) <= 0:
-                wall, sides = facets[chamber.facet(k)]
-                yield from ((k, wall, c1) for c1 in sides if c1 is not chamber)
+                span = chamber.facet(k)
+                sides = facets[span][1]
+                yield from ((k, span, c1) for c1 in sides if c1 is not chamber)
 
     pairs = []
     for c0 in chambers:
-        for k, w1, c1 in crossings(c0):
+        for k, s1, c1 in crossings(c0):
             x = p_star(eps, c0.c_vectors[k])  # -p*(n1), as n1 = -c_k
             if all(dual_pair(c, x) > 0 for j, c in enumerate(c0.c_vectors) if j != k):
-                pairs += [(w1, w2) for _, w2, _ in crossings(c1)]
+                pairs += [(wall(s1), wall(s2)) for _, s2, _ in crossings(c1)]
     return pairs
 
 

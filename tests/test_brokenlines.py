@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 from broken_line_oracle import reference_lines
@@ -666,14 +667,19 @@ HAND_BUILT = {
 }
 
 
+def _basis_diagrams():
+    """The diagrams of the ``theta-basis`` benchmark workload, completed."""
+    return {
+        b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), order), order)
+        for b, order in ((2, 10), (3, 8))
+    }
+
+
 # The theta basis of the ``theta-basis`` benchmark workload: (b, initial
 # A-exponent, degree), each evaluated at both base endpoints.  Its bend
 # weights reach 10, where searches meet dead states again; the property
 # test against the oracle stops at weight 4.
-BASIS_DIAGRAMS = {
-    b: complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), order), order)
-    for b, order in ((2, 10), (3, 8))
-}
+BASIS_DIAGRAMS = _basis_diagrams()
 BASIS_ENDPOINTS = (
     (Fraction(157, 100), Fraction(83, 100)),
     (Fraction(1), Fraction(-29, 20)),
@@ -710,14 +716,16 @@ class TestDeadStates:
 
         def descend(engine, c1, c2, point, slot, rev_bends):
             before = len(engine.lines)
-            original(engine, c1, c2, point, slot, rev_bends)
+            found = original(engine, c1, c2, point, slot, rev_bends)
+            assert found == (len(engine.lines) > before)
             state = None
             if rev_bends:
                 wall = rev_bends[-1][0]
                 d0, d1 = wall.direction()
                 side = d0 * point[0] + d1 * point[1] > 0
                 state = (index[id(wall)], side, c1, c2)
-            entered.append((state, len(engine.lines) > before))
+            entered.append((state, found))
+            return found
 
         monkeypatch.setattr(brokenlines._Engine, "descend", descend)
         theta_function((3, -8, 0, 0), endpoint, diagram, 8)
@@ -737,25 +745,75 @@ class TestDeadStates:
             assert outcomes[state] == [False], state
         # a state is live or dead wherever on its ray the search meets it
         assert all(len(set(found)) == 1 for found in outcomes.values())
-        # nothing is kept from one call to the next: a second call enters
-        # the same nodes, as many as the first
+        # the engine's own count agrees, and nothing of the search is kept
+        # from one call to the next: a second call enters the same nodes
+        stats: dict = {}
+        theta_function((3, -8, 0, 0), endpoint, BASIS_DIAGRAMS[3], 8, stats=stats)
+        assert stats["entered"] == len(entered)
         assert self._searched_states(monkeypatch, endpoint) == entered
 
-    def test_search_enters_a_pinned_number_of_nodes(self, monkeypatch):
-        """The 26 basis calls enter 2,401 search nodes.  A bend point
-        whose first half-line ahead already lies past its exponent
-        crosses nothing, so it is marked dead without being entered;
-        912 are, and entering them too makes 3,313."""
-        original = brokenlines._Engine.descend
-        entered = 0
-
-        def descend(engine, *args):
-            nonlocal entered
-            entered += 1
-            original(engine, *args)
-
-        monkeypatch.setattr(brokenlines._Engine, "descend", descend)
+    def test_search_enters_a_pinned_number_of_nodes(self):
+        """The 26 basis calls enter 1,610 search nodes and prune 1,703
+        states without entering them: a state, or a top-level search from
+        the endpoint, whose first half-line ahead with normal at most its
+        bend weight already lies past its exponent crosses nothing it can
+        bend on.  Every node is one or the other, and entering them all
+        makes 3,313; testing the first half-line ahead of any normal,
+        which the walk skips past, entered 2,401."""
+        stats: dict = {}
         for b, a, k in BASIS_EXPONENTS:
             for endpoint in BASIS_ENDPOINTS:
-                theta_function((*a, 0, 0), endpoint, BASIS_DIAGRAMS[b], k)
-        assert entered == 2401
+                theta_function((*a, 0, 0), endpoint, BASIS_DIAGRAMS[b], k, stats=stats)
+        assert stats == {"entered": 1610, "pruned": 1703}
+        # a second round enters as many: only the index is kept
+        again: dict = {}
+        for b, a, k in BASIS_EXPONENTS:
+            for endpoint in BASIS_ENDPOINTS:
+                theta_function((*a, 0, 0), endpoint, BASIS_DIAGRAMS[b], k, stats=again)
+        assert again == stats
+
+
+class TestSearchIndex:
+    """The half-lines of a diagram are sorted once, the first time a
+    search runs on it, and kept with it; what a call finds does not depend
+    on the calls before it."""
+
+    CALLS = [
+        (b, a, k, endpoint)
+        for b, a, k in BASIS_EXPONENTS
+        for endpoint in BASIS_ENDPOINTS
+    ]
+
+    @staticmethod
+    def _lines(diagrams, calls):
+        return {
+            (b, a, endpoint): theta_function((*a, 0, 0), endpoint, diagrams[b], k).lines
+            for b, a, k, endpoint in calls
+        }
+
+    def test_lines_do_not_depend_on_call_order_or_diagram(self, monkeypatch):
+        original = brokenlines._SearchIndex.__init__
+        built = []
+
+        def init(index, walls):
+            built.append(walls)
+            original(index, walls)
+
+        monkeypatch.setattr(brokenlines._SearchIndex, "__init__", init)
+        orders = []
+        for seed in (1, 2):
+            order = list(self.CALLS)
+            Random(seed).shuffle(order)
+            orders.append(order)
+        first = self._lines(BASIS_DIAGRAMS, orders[0])
+        built.clear()
+        assert self._lines(BASIS_DIAGRAMS, orders[1]) == first
+        assert built == []
+        fresh = _basis_diagrams()
+        assert self._lines(fresh, orders[1]) == first
+        # one sort per diagram, not one per call
+        assert sorted(built, key=len) == [fresh[2].walls, fresh[3].walls]
+        assert fresh == BASIS_DIAGRAMS
+        for b, a, k, endpoint in Random(3).sample(self.CALLS, 3):
+            want = reference_lines((*a, 0, 0), endpoint, fresh[b], k)
+            assert first[b, a, endpoint] == want
