@@ -44,18 +44,19 @@ half-turn, so it crosses exactly the half-lines strictly between the
 two, in angular order.  A segment with bend weight ``c`` left bends only
 on walls with normal at most ``c``, so for each ``c`` the index keeps,
 once built, the sub-ring of those half-lines and where each slot falls
-in it.  A node walks that sub-ring from its own half-line (the endpoint
-from its slot between two) in the sense of ``cross(P, E_m)`` and stops
-at the first half-line not before ``E_m``; half-lines of one direction
-are crossed at one point and taken in wall-index order either way
-round.  A wall bends the segment only if it pairs nonzero with the
-exponent, and the powers' coefficients of its function are read once
-per diagram into the index.  A segment can run along a support line or
-through the origin only when its point is parallel to its velocity, so
-only then are all walls checked.  A node
-carries its bend weight ``c`` and its point; the segment's exponent
-``m0 + p~*(c)`` is built in full only when a finished line is assembled,
-and its bend points become ``Fraction`` pairs only then.  Validation
+in it; weights whose walls are the same share one sub-ring.  A node
+walks that sub-ring from its own half-line (the endpoint from its slot
+between two) in the sense of ``cross(P, E_m)`` and stops at the first
+half-line not before ``E_m``; half-lines of one direction are crossed
+at one point and taken in wall-index order either way round.  A wall
+bends the segment only if it pairs nonzero with the exponent, and the
+index keeps the coefficients of its function's powers once read.  A
+segment can run along a support line or through the origin only when
+its point is parallel to its velocity, so only then are all walls
+checked.  A node carries its bend weight ``c`` and its point; the
+segment's exponent ``m0 + p~*(c)`` is built in full only when a
+finished line is assembled, and its bend points become ``Fraction``
+pairs only then.  Validation
 (:func:`validate_broken_line`) keeps rational geometry and the endpoint
 check runs :func:`on_support`, so they re-check the integer search by a
 second route.
@@ -84,8 +85,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import lcm
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -157,13 +159,16 @@ class _SearchIndex(dict):
     ``(1, 0)``, ``cw`` clockwise, with half-lines of one direction in
     wall-index order in both.  A slot ``(ccw, cw)`` is where a point's
     walk starts in each: at the first half-line past the point's
-    direction.  As a dict, the index maps a bend weight to the half-lines
-    a segment with that weight left can bend on, filled on first use
-    (:meth:`__missing__`)."""
+    direction.  A segment with bend weight ``c`` left can bend only on the
+    walls with normal at most ``c``, as bits by wall index
+    ``kept[0][c1] & kept[1][c2]``; as a dict, the index maps those bits to
+    the half-lines of those walls, filled on first use
+    (:meth:`__missing__`), so weights that keep the same walls share
+    them."""
 
-    __slots__ = ("walls", "ccw", "cw", "_scale", "_keys", "_starts")
+    __slots__ = ("walls", "ccw", "cw", "kept", "_scale", "_keys", "_starts")
 
-    def __init__(self, walls: Sequence[Wall]):
+    def __init__(self, walls: Sequence[Wall], order: int):
         self.walls = [(*wall.normal, *wall.direction()) for wall in walls]
         halves = []
         for index, (wall, (n1, n2, d0, d1)) in enumerate(zip(walls, self.walls)):
@@ -195,6 +200,15 @@ class _SearchIndex(dict):
         self.ccw = [half for group in groups for half in group]
         self.cw = [half for group in reversed(groups) for half in group]
         self._keys, self._starts = keys, starts
+        # The walls with n1 <= c, and those with n2 <= c, for c up to the
+        # diagram's order, which bounds every bend weight of a search.
+        self.kept = []
+        for axis in (0, 1):
+            bits = [0] * (order + 1)
+            for index, wall in enumerate(self.walls):
+                if wall[axis] <= order:
+                    bits[wall[axis]] |= 1 << index
+            self.kept.append(list(accumulate(bits, or_)))
 
     def _angle(self, x: int, y: int) -> tuple:
         """The anticlockwise angle of ``(x, y)`` from ``(1, 0)``, as an exact
@@ -215,19 +229,18 @@ class _SearchIndex(dict):
         total = self._starts[-1]
         return self._starts[after], total - self._starts[after]
 
-    def __missing__(self, weight: tuple[int, int]) -> tuple:
-        """The half-lines a segment with bend weight ``c`` left can bend on,
-        those with normal at most ``c``: ``(ccw, ccw_at, cw, cw_at, lap)``.
+    def __missing__(self, kept: int) -> tuple:
+        """The half-lines of the walls ``kept``, as bits by wall index:
+        ``(ccw, ccw_at, cw, cw_at, lap)``.
         Each ring is listed twice, so that a walk of one lap, ``lap``
         half-lines, is a slice, and a point of slot ``(s, t)`` walks from
         ``ccw_at[s]`` anticlockwise and from ``cw_at[t]`` clockwise."""
-        c1, c2 = weight
         parts = []
         for full in (self.ccw, self.cw):
-            keep = [half[2] <= c1 and half[3] <= c2 for half in full]
-            sub = [half for half, kept in zip(full, keep) if kept]
+            keep = [kept >> half[4] & 1 for half in full]
+            sub = list(compress(full, keep))
             parts += sub + sub, list(accumulate(keep, initial=0))
-        rings = self[weight] = (*parts, len(parts[0]) // 2)
+        rings = self[kept] = (*parts, len(parts[0]) // 2)
         return rings
 
 
@@ -238,8 +251,26 @@ def _search_index(diagram: ScatteringDiagram) -> _SearchIndex:
     kept = vars(diagram)
     index = kept.get("search_index")
     if index is None:
-        index = kept["search_index"] = _SearchIndex(diagram.walls)
+        index = kept["search_index"] = _SearchIndex(diagram.walls, diagram.order)
     return index
+
+
+def _crosses_nothing(
+    rings: tuple, slot: tuple[int, int], px: int, py: int, e1: int, e2: int, turn: int
+) -> bool:
+    """Whether the backward ray from a point of direction ``(px, py)`` and
+    slot ``slot`` misses every half-line of ``rings`` (the half-lines a
+    bend weight can bend on, :meth:`_SearchIndex.__missing__`), for an
+    exponent with ``E_m = (e1, e2)`` and ``turn = cross(point, E_m)``
+    nonzero.  The ray crosses the half-lines strictly between its point
+    and ``E_m``, in the sense of ``turn``, so it misses them all unless the
+    first one ahead lies there; then it finds no line and raises nothing."""
+    ccw, ccw_at, cw, cw_at, lap = rings
+    if not lap:
+        return True
+    ahead = ccw[ccw_at[slot[0]]] if turn > 0 else cw[cw_at[slot[1]]]
+    nx, ny = ahead[0], ahead[1]
+    return (px * ny - py * nx) * turn <= 0 or (nx * e2 - ny * e1) * turn <= 0
 
 
 def _bend_point(point: HPoint, d0: int, d1: int, e1: int, e2: int) -> HPoint:
@@ -373,6 +404,7 @@ class _Engine:
         m1, a1, b1, m2, a2, b2 = self._plane
         X, Y, _ = point = self.point
         index, slot = self._index, self.slot
+        first, second = index.kept
         for c1 in range(budget + 1):
             for c2 in range(budget + 1 - c1):
                 if final_filter is not None and any(
@@ -382,16 +414,11 @@ class _Engine:
                     continue
                 e1, e2 = m1 + c1 * a1 + c2 * b1, m2 + c1 * a2 + c2 * b2
                 turn = X * e2 - Y * e1
-                if turn and (c1 or c2):
-                    # the test of descend's states, on the endpoint
-                    ccw, ccw_at, cw, cw_at, lap = index[c1, c2]
-                    if lap:
-                        ahead = ccw[ccw_at[slot[0]]] if turn > 0 else cw[cw_at[slot[1]]]
-                        nx, ny = ahead[0], ahead[1]
-                    if (not lap or (X * ny - Y * nx) * turn <= 0
-                            or (nx * e2 - ny * e1) * turn <= 0):
-                        self.pruned += 1
-                        continue
+                if turn and (c1 or c2) and _crosses_nothing(
+                    index[first[c1] & second[c2]], slot, X, Y, e1, e2, turn
+                ):
+                    self.pruned += 1
+                    continue
                 self.descend(c1, c2, point, slot, [])
 
     def descend(
@@ -425,7 +452,8 @@ class _Engine:
         # crossed when it lies strictly anticlockwise of (px, py) and
         # clockwise of (qx, qy).
         index = self._index
-        ccw, ccw_at, cw, cw_at, lap = index[c1, c2]
+        first, second = index.kept
+        ccw, ccw_at, cw, cw_at, lap = index[first[c1] & second[c2]]
         if turn > 0:
             ring, start, px, py, qx, qy = ccw, ccw_at[slot[0]], X, Y, e1, e2
         else:
@@ -445,11 +473,7 @@ class _Engine:
                 continue
             coeffs = powers.get(pairing)
             if coeffs is None:
-                coeffs = (wall.func ** pairing).coeffs
-                # trailing zeros bend nothing
-                while coeffs[-1] == 0:
-                    coeffs = coeffs[:-1]
-                powers[pairing] = coeffs
+                coeffs = powers[pairing] = (wall.func ** pairing).coeffs
             bend = None
             # bending back by j steps leaves r = c - j*normal, which must
             # stay nonnegative
@@ -467,23 +491,15 @@ class _Engine:
                     continue
                 if r1 or r2:
                     # The bend point lies on the half-line, so its ray
-                    # turns from there.  Unless the first half-line ahead
-                    # that the state can bend on, from its own rings
-                    # (ccw, ccw_at, cw, cw_at, lap), lies strictly between
-                    # the two, it crosses nothing it can bend on.
+                    # turns from there.
                     f1, f2 = m1 + r1 * a1 + r2 * b1, m2 + r1 * a2 + r2 * b2
                     t = hx * f2 - hy * f1
-                    if t:
-                        sub = index[r1, r2]
-                        if sub[4]:
-                            ahead = (sub[0][sub[1][here[0]]] if t > 0
-                                     else sub[2][sub[3][here[1]]])
-                            nx, ny = ahead[0], ahead[1]
-                        if (not sub[4] or (hx * ny - hy * nx) * t <= 0
-                                or (nx * f2 - ny * f1) * t <= 0):
-                            self.pruned += 1
-                            dead.add(state)
-                            continue
+                    if t and _crosses_nothing(
+                        index[first[r1] & second[r2]], here, hx, hy, f1, f2, t
+                    ):
+                        self.pruned += 1
+                        dead.add(state)
+                        continue
                 if bend is None:
                     bend = _bend_point(point, hx, hy, e1, e2)
                 rev_bends.append((wall, bend, j, factor, c1, c2))

@@ -795,9 +795,9 @@ class TestSearchIndex:
         original = brokenlines._SearchIndex.__init__
         built = []
 
-        def init(index, walls):
+        def init(index, walls, order):
             built.append(walls)
-            original(index, walls)
+            original(index, walls, order)
 
         monkeypatch.setattr(brokenlines._SearchIndex, "__init__", init)
         orders = []
