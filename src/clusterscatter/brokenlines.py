@@ -31,35 +31,33 @@ coefficient.
 
 The search runs backward from the endpoint in exact integer arithmetic:
 points are homogeneous integer coordinates ``(X, Y, D)`` with ``D > 0``,
-not reduced, velocities are integer vectors, and each crossing is decided
-by integer cross products.  The walls' supports, as half-lines from the origin (a
-line giving two and a ray one), are sorted once per diagram,
-anticlockwise by exact comparison of angle keys that do not depend on
-the endpoint, half-lines of one direction by wall index; the diagram
-keeps that index.  One bisection of the endpoint's key gives its slot
-between two half-lines, or finds it on one, and so not generic.  The
-backward ray ``P + s*E_m`` from a point ``P`` turns monotonically from
-the direction of ``P`` towards that of ``E_m``, through less than a
-half-turn, so it crosses exactly the half-lines strictly between the
-two, in angular order.  A segment with bend weight ``c`` left bends only
-on walls with normal at most ``c``, so for each ``c`` the index keeps,
-once built, the sub-ring of those half-lines and where each slot falls
-in it; weights whose walls are the same share one sub-ring.  A node
-walks that sub-ring from its own half-line (the endpoint from its slot
-between two) in the sense of ``cross(P, E_m)`` and stops at the first
-half-line not before ``E_m``; half-lines of one direction are crossed
-at one point and taken in wall-index order either way round.  A wall
-bends the segment only if it pairs nonzero with the exponent, and the
-index keeps the coefficients of its function's powers once read.  A
-segment can run along a support line or through the origin only when
-its point is parallel to its velocity, so only then are all walls
-checked.  A node carries its bend weight ``c`` and its point; the
-segment's exponent ``m0 + p~*(c)`` is built in full only when a
-finished line is assembled, and its bend points become ``Fraction``
-pairs only then.  Validation
-(:func:`validate_broken_line`) keeps rational geometry and the endpoint
-check runs :func:`on_support`, so they re-check the integer search by a
-second route.
+not reduced, velocities are integer vectors, and each crossing is
+decided by integer cross products.  It walks the diagram's ring
+(:meth:`ScatteringDiagram.ring`): the walls' supports as half-lines from
+the origin, in the one angular order that :mod:`scattering` sorts once
+per diagram and every path reads.  The ring's slot of the endpoint
+places it between two half-lines, or finds it on one, and so not
+generic.  The backward ray ``P + s*E_m`` from a point ``P`` turns
+monotonically from the direction of ``P`` towards that of ``E_m``,
+through less than a half-turn, so it crosses exactly the half-lines
+strictly between the two, in angular order.  A segment with bend weight
+``c`` left bends only on walls with normal at most ``c``, so for each
+``c`` the index keeps, once built, the sub-ring of those half-lines and
+where each slot falls in it; weights whose walls are the same share one
+sub-ring.  A node walks that sub-ring from its own half-line (the
+endpoint from its slot between two) in the sense of ``cross(P, E_m)``
+and stops at the first half-line not before ``E_m``; half-lines of one
+direction are crossed at one point and taken in wall-index order either
+way round.  A wall bends the segment only if it pairs nonzero with the
+exponent, and the index keeps the coefficients of its function's powers
+once read.  A segment can run along a support line or through the origin
+only when its point is parallel to its velocity, so only then are all
+walls checked.  A node carries its bend weight ``c`` and its point; the
+segment's exponent ``m0 + p~*(c)`` is built in full only when a finished
+line is assembled, and its bend points become ``Fraction`` pairs only
+then.  Validation (:func:`validate_broken_line`) keeps rational geometry
+and the endpoint check runs :func:`on_support`, so they re-check the
+integer search by a second route.
 
 Dead states.  Every wall is a cone from the origin, so scaling a point
 by ``t > 0`` scales every backward ray from it, and with it every later
@@ -77,16 +75,14 @@ entered, and its bend point is never built.  Each top-level search from
 the endpoint, one per final bend weight, is tested the same way before
 it starts.  (A state whose exponent is parallel to its point is always
 entered, since it may raise.)  The search state, the set included, lives
-in the engine of one call; only the index, which depends on the walls
-alone, is kept from one call to the next.
+in the engine of one call; only the ring and the index, which depend on
+the walls alone, are kept from one call to the next.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import lcm
 from operator import or_
 from typing import NamedTuple, Sequence
 
@@ -147,87 +143,53 @@ def _plane_endpoint(eps: Matrix, m0: Vec, q: Point) -> Point:
 
 
 class _SearchIndex(dict):
-    """The walls of one rank-2 diagram as the broken-line search reads
-    them, built once per diagram (:func:`_search_index`).
+    """What the broken-line search adds to the ring of a rank-2 diagram's
+    half-lines (:meth:`ScatteringDiagram.ring`), built once per diagram
+    (:func:`_search_index`).
 
     ``walls`` holds each wall's normal and support direction, in index
     order.  A half-line is ``(hx, hy, n1, n2, wall index, side, wall,
-    powers, slot)``: its direction, the wall's normal, whether it is the
-    wall's direction rather than its opposite, the coefficients of the
-    powers of the wall function read so far, by exponent, and the slot of
-    the points on it.  ``ccw`` holds the half-lines anticlockwise from
-    ``(1, 0)``, ``cw`` clockwise, with half-lines of one direction in
-    wall-index order in both.  A slot ``(ccw, cw)`` is where a point's
-    walk starts in each: at the first half-line past the point's
-    direction.  A segment with bend weight ``c`` left can bend only on the
-    walls with normal at most ``c``, as bits by wall index
-    ``kept[0][c1] & kept[1][c2]``; as a dict, the index maps those bits to
-    the half-lines of those walls, filled on first use
-    (:meth:`__missing__`), so weights that keep the same walls share
-    them."""
+    powers, slot)``: the ring's half-line with its wall's normal, the
+    coefficients of the powers of the wall function read so far, by
+    exponent, and the slot of the points on it.  ``ccw`` holds the ring,
+    anticlockwise from ``(1, 0)``, and ``cw`` its direction groups last to
+    first, so that half-lines of one direction keep wall-index order in
+    both.  A slot ``(ccw, cw)`` is where a point's walk starts in each: at
+    the first half-line past the point's direction.  A segment with bend
+    weight ``c`` left can bend only on the walls with normal at most
+    ``c``, as bits by wall index ``kept[0][c1] & kept[1][c2]``; as a dict,
+    the index maps those bits to the half-lines of those walls, filled on
+    first use (:meth:`__missing__`), so weights that keep the same walls
+    share them."""
 
-    __slots__ = ("walls", "ccw", "cw", "kept", "_scale", "_keys", "_starts")
+    __slots__ = ("walls", "ccw", "cw", "kept")
 
-    def __init__(self, walls: Sequence[Wall], order: int):
-        self.walls = [(*wall.normal, *wall.direction()) for wall in walls]
-        halves = []
-        for index, (wall, (n1, n2, d0, d1)) in enumerate(zip(walls, self.walls)):
-            powers: dict[int, tuple[int, ...]] = {}
-            halves.append((d0, d1, n1, n2, index, True, wall, powers))
-            if wall.kind == "line":
-                halves.append((-d0, -d1, n1, n2, index, False, wall, powers))
-        # Over a common denominator of the half-lines' cotangents, an
-        # angle's key is integral for them; a point's may be a fraction.
-        self._scale = lcm(*(half[1] for half in halves if half[1]))
-        groups: list[list[tuple]] = []
-        keys: list[tuple] = []
-        for key, _, half in sorted((self._angle(h[0], h[1]), h[4], h) for h in halves):
-            if keys and keys[-1] == key:
-                groups[-1].append(half)
-            else:
-                keys.append(key)
-                groups.append([half])
+    def __init__(self, diagram: ScatteringDiagram):
+        self.walls = [(*wall.normal, *wall.direction()) for wall in diagram.walls]
+        powers: list[dict[int, tuple[int, ...]]] = [{} for _ in self.walls]
+        ring = diagram.ring()
+        starts, total = ring.starts, len(ring.ring)
         # A point past the first i groups walks from starts[i] anticlockwise
         # and, as the clockwise ring lists the groups last to first, from
-        # total - starts[i] clockwise; a point on group i is past i + 1 of
-        # them anticlockwise.
-        starts = list(accumulate(map(len, groups), initial=0))
-        total = starts[-1]
+        # total - starts[i] clockwise; a point on a group is past it too.
         groups = [
-            [(*half, (starts[i + 1], total - starts[i])) for half in group]
-            for i, group in enumerate(groups)
+            [
+                (hx, hy, *wall.normal, i, side, wall, powers[i], (end, total - begin))
+                for hx, hy, i, side, wall in ring.ring[begin:end]
+            ]
+            for begin, end in zip(starts, starts[1:])
         ]
         self.ccw = [half for group in groups for half in group]
         self.cw = [half for group in reversed(groups) for half in group]
-        self._keys, self._starts = keys, starts
         # The walls with n1 <= c, and those with n2 <= c, for c up to the
         # diagram's order, which bounds every bend weight of a search.
         self.kept = []
         for axis in (0, 1):
-            bits = [0] * (order + 1)
+            bits = [0] * (diagram.order + 1)
             for index, wall in enumerate(self.walls):
-                if wall[axis] <= order:
+                if wall[axis] <= diagram.order:
                     bits[wall[axis]] |= 1 << index
             self.kept.append(list(accumulate(bits, or_)))
-
-    def _angle(self, x: int, y: int) -> tuple:
-        """The anticlockwise angle of ``(x, y)`` from ``(1, 0)``, as an exact
-        key: the half-plane, then the cotangent ``-x/y``, which rises with
-        the angle in either half."""
-        if not y:
-            return x < 0, False, 0
-        cot = -x * self._scale
-        return y < 0, True, cot // y if cot % y == 0 else Fraction(cot, y)
-
-    def slot(self, x: int, y: int) -> tuple[int, int] | None:
-        """The slot of a point ``(x, y)`` other than the origin, or ``None``
-        when the point lies on a half-line."""
-        key = self._angle(x, y)
-        after = bisect_left(self._keys, key)
-        if after < len(self._keys) and self._keys[after] == key:
-            return None
-        total = self._starts[-1]
-        return self._starts[after], total - self._starts[after]
 
     def __missing__(self, kept: int) -> tuple:
         """The half-lines of the walls ``kept``, as bits by wall index:
@@ -251,7 +213,7 @@ def _search_index(diagram: ScatteringDiagram) -> _SearchIndex:
     kept = vars(diagram)
     index = kept.get("search_index")
     if index is None:
-        index = kept["search_index"] = _SearchIndex(diagram.walls, diagram.order)
+        index = kept["search_index"] = _SearchIndex(diagram)
     return index
 
 
@@ -571,20 +533,19 @@ def theta_function(
             f"degree bound {k} needs bend weight up to {budget}, beyond the "
             f"diagram's series order {diagram.order}; complete a deeper diagram"
         )
+    if n != 2:
+        raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
     q = _as_point(endpoint)
     eps = diagram.seed.exchange_block()
     pt = _plane_endpoint(eps, m0, q)
-    if n != 2:
-        ensure_generic(diagram, pt, given=q)
-        raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
-    index = _search_index(diagram)
     point = homogeneous(pt)
     # Every support is a cone, so the endpoint lies on one exactly when
     # its direction is a half-line's; ensure_generic names the wall.
-    slot = index.slot(point[0], point[1]) if pt != _ORIGIN else None
-    if slot is None:
+    at = diagram.ring().slot(point[0], point[1]) if pt != _ORIGIN else None
+    if at is None:
         ensure_generic(diagram, pt, given=q)
-    engine = _Engine(index, eps, m0, pt, point, slot)
+    index = _search_index(diagram)
+    engine = _Engine(index, eps, m0, pt, point, (at, len(index.ccw) - at))
     if not any(m0[:n]):
         raise UnsupportedInputError(f"initial exponent {m0} has no direction")
     if final_filter is not None and len(final_filter) != 2 * n:

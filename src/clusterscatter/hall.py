@@ -130,72 +130,39 @@ def gl_poincare(d: int) -> LaurentPoly:
 # Filtrations and strata
 
 
-class Filtration:
+class Filtration(NamedTuple("Filtration", [
+    ("steps", tuple[tuple[Vec, int], ...]),
+])):
     """Chain of subrepresentations with semisimple-like subquotients.
 
     ``steps`` is a sequence of ``(c_j, lambda_j)`` meaning the ``j``-th
     subquotient is the ``lambda_j``-fold sum of the indecomposable with
     dimension vector ``c_j``.  The total dimension vector of the chain
-    is the weighted sum of the steps.  A filtration is immutable, and
-    equal chains compare and hash equal.
+    is the weighted sum of the steps.
     """
 
-    __slots__ = ("steps",)
-    steps: tuple[tuple[Vec, int], ...]
+    __slots__ = ()
 
-    def __init__(self, steps: Sequence) -> None:
+    def __new__(cls, steps: Sequence) -> "Filtration":
         clean = []
-        width = None
         for entry in steps:
             try:
                 c, lam = entry
             except (TypeError, ValueError):
                 raise InputError("each filtration step must be a (vector, multiplicity) pair")
-            c = tuple(int(x) for x in c)
-            lam = int(lam)
-            if width is None:
-                width = len(c)
-            elif len(c) != width:
+            c, lam = tuple(int(x) for x in c), int(lam)
+            if clean and len(c) != len(clean[0][0]):
                 raise InputError("filtration steps have mismatched vector lengths")
             if lam < 1:
                 raise InputError("step multiplicities must be positive")
             if any(x < 0 for x in c) or all(x == 0 for x in c):
                 raise InputError("step vectors must be nonzero and nonnegative")
             clean.append((c, lam))
-        object.__setattr__(self, "steps", tuple(clean))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash((self.steps,))
-
-    def __repr__(self) -> str:
-        return f"Filtration(steps={self.steps!r})"
+        return super().__new__(cls, tuple(clean))
 
     def dimension(self) -> Vec:
         """Weighted sum of the step vectors (empty chain gives ``()``)."""
-        if not self.steps:
-            return ()
-        total = [0] * len(self.steps[0][0])
-        for c, lam in self.steps:
-            for i, x in enumerate(c):
-                total[i] += lam * x
-        return tuple(total)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+        return tuple(map(sum, zip(*(vec_scale(lam, c) for c, lam in self.steps))))
 
 
 class Stratum(NamedTuple):

@@ -11,14 +11,21 @@ Geometry conventions
   generic points is, up to homotopy avoiding the origin, an angular
   sweep; paths are therefore specified by start/end points plus a turn
   direction, and all angle comparisons use exact cross products.
-* Every path reads one sequence: the supports a full anticlockwise loop
-  crosses, in order, from just after the start direction.  An
-  anticlockwise path is its prefix before the end direction, a clockwise
-  path is the rest reversed with the signs flipped, and a loop (of a
-  path or of the completion) is all of it.
-* Whether a point lies on a wall's support is decided in one place,
-  :func:`on_support`, which :func:`ensure_generic` applies to path
-  endpoints here and to broken-line endpoints in :mod:`brokenlines`.
+* The angular order of the supports is decided in one place, the
+  diagram's ring (:meth:`ScatteringDiagram.ring`): its walls' supports as
+  half-lines from the origin, a line giving two and a ray one, sorted
+  once anticlockwise from ``(1, 0)`` by an exact angle key, half-lines of
+  one direction by wall index.  A direction on no half-line has a slot,
+  the number of half-lines before it.  A full anticlockwise loop from
+  just after a direction is the ring rotated at its slot.  An
+  anticlockwise path is that loop from its start cut at the end's slot,
+  a clockwise path is the rest reversed with the signs flipped, and a
+  loop (of a path, of the completion or of its check) is all of it; the
+  broken-line search in :mod:`brokenlines` walks the same ring.
+* :func:`on_support` tells whether a point lies on a given wall's
+  support, and :func:`ensure_generic` applies it to name the wall under
+  a path's or a broken line's endpoint; validating a broken line uses
+  them as a second route to the ring's slots.
 * A wall stores a primitive normal with nonnegative entries, a support
   ("line" through the origin, "ray" from the origin, or a "cone" spanned
   by chamber generators in higher rank), a crossing function — a power
@@ -40,7 +47,8 @@ that the incoming lines do not enter, so their ordered product equals the
 lines crossed the other way round the origin, and it factors uniquely in
 slope order (Kontsevich-Soibelman; Gross-Pandharipande-Siebert).
 :func:`complete_rank2` peels the rays off that product at the full order,
-last slope first, and checks the result with one full loop.
+last slope first, and checks the result with one full loop on the ring
+the completed diagram keeps.
 
 Positive crossings
 ------------------
@@ -59,10 +67,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import lattice
 from .cluster import Seed, mutate_tropical
@@ -177,9 +184,10 @@ class ScatteringDiagram(NamedTuple("ScatteringDiagram", [
     """A finite-order collection of walls attached to a seed.
 
     It declares no ``__slots__``: its instance dict keeps what is derived
-    from the walls once, the broken-line search's index
-    (:mod:`clusterscatter.brokenlines`), which is written into it
-    directly and takes no part in equality.  Assignment is refused.
+    from the walls once, the ring of a rank-2 diagram's half-lines
+    (:meth:`ring`) and the broken-line search's index on it
+    (:mod:`clusterscatter.brokenlines`), which are written into it
+    directly and take no part in equality.  Assignment is refused.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -188,6 +196,15 @@ class ScatteringDiagram(NamedTuple("ScatteringDiagram", [
     @property
     def rank(self) -> int:
         return self.seed.rank
+
+    def ring(self) -> "_Ring":
+        """The half-lines of a rank-2 diagram in angular order, sorted on
+        first use and kept in the instance dict: the walls never change."""
+        kept = vars(self)
+        ring = kept.get("half_lines")
+        if ring is None:
+            ring = kept["half_lines"] = _Ring(self.walls)
+        return ring
 
 
 def initial_diagram(seed: Seed, order: int = DEFAULT_ORDER) -> ScatteringDiagram:
@@ -317,49 +334,64 @@ def ensure_generic(
 # Angular paths
 
 
-def _sector(base: Sequence, u: Sequence) -> int:
-    """0 = same direction, 1 = strictly anticlockwise side (0, pi),
-    2 = opposite, 3 = clockwise side (pi, 2 pi)."""
-    cr = _cross(base, u)
-    if cr == 0:
-        return 0 if _dot(base, u) > 0 else 2
-    return 1 if cr > 0 else 3
+class _Ring:
+    """The supports of rank-2 walls as half-lines from the origin, in one
+    anticlockwise order from ``(1, 0)``.
 
+    A half-line is ``(x, y, wall index, side, wall)``: its direction and
+    whether that is the wall's direction rather than its opposite.
+    ``ring`` lists them by exact angle key, half-lines of one direction by
+    wall index, and ``starts`` holds where each direction's group begins,
+    then their number."""
 
-def _angle_from(base: Sequence):
-    """Sort key of a direction (or point): its anticlockwise angle from
-    ``base``, where ``base`` itself comes first."""
+    __slots__ = ("ring", "starts", "_scale", "_keys")
 
-    def compare(u1: Sequence, u2: Sequence) -> int:
-        s1, s2 = _sector(base, u1), _sector(base, u2)
-        if s1 != s2:
-            return s1 - s2
-        return -_cross(u1, u2)
+    def __init__(self, walls: Sequence[Wall]):
+        halves = [
+            (*u, index, u == wall.direction(), wall)
+            for index, wall in enumerate(walls)
+            for u in support_directions(wall)
+        ]
+        # Over a common denominator of the half-lines' cotangents, an
+        # angle's key is integral for them; a point's may be a fraction.
+        self._scale = lcm(*(half[1] for half in halves if half[1]))
+        self.ring, self.starts, self._keys = [], [], []
+        for key, _, half in sorted((self.angle(*h[:2]), h[2], h) for h in halves):
+            if not self._keys or self._keys[-1] != key:
+                self._keys.append(key)
+                self.starts.append(len(self.ring))
+            self.ring.append(half)
+        self.starts.append(len(self.ring))
 
-    return cmp_to_key(compare)
+    def angle(self, x, y) -> tuple:
+        """The anticlockwise angle of ``(x, y)`` from ``(1, 0)``, as an exact
+        key: the half-plane, then the cotangent ``-x/y``, which rises with
+        the angle in either half."""
+        if not y:
+            return x < 0, False, 0
+        cot = -x * self._scale
+        return y < 0, True, cot // y if cot % y == 0 else Fraction(cot, y)
 
+    def slot(self, x, y) -> int | None:
+        """The number of half-lines before the direction of a point other
+        than the origin, or ``None`` when the point lies on one."""
+        key = self.angle(x, y)
+        after = bisect_left(self._keys, key)
+        if after < len(self._keys) and self._keys[after] == key:
+            return None
+        return self.starts[after]
 
-def _ccw_crossings(
-    walls: Iterable[Wall], base_dir: Sequence
-) -> list[tuple[Vec, Wall, int]]:
-    """Every (support direction, wall, anticlockwise crossing sign) of a
-    full anticlockwise loop starting just after ``base_dir``, in crossing
-    order; a full line yields one entry per direction.  Walls sharing a
-    direction keep their order in ``walls``."""
-    events = []
-    for wall in walls:
-        if wall.kind == "cone":
-            raise UnsupportedInputError(
-                "angular paths are only defined for 2D diagrams"
-            )
-        for v in support_directions(wall):
-            if _sector(base_dir, v) == 0:
-                raise GenericPositionError(
-                    "loop base direction lies on a support"
-                )
-            events.append((v, wall, _ccw_sign(v, wall.normal)))
-    angle = _angle_from(base_dir)
-    return sorted(events, key=lambda event: angle(event[0]))
+    def loop(self, x, y) -> list[tuple[Wall, int]]:
+        """The (wall, anticlockwise crossing sign) of a full anticlockwise
+        loop from just after the direction ``(x, y)``, in crossing order:
+        the ring rotated at its slot."""
+        at = self.slot(x, y)
+        if at is None:
+            raise GenericPositionError("loop base direction lies on a support")
+        return [
+            (wall, _ccw_sign((hx, hy), wall.normal))
+            for hx, hy, _, _, wall in self.ring[at:] + self.ring[:at]
+        ]
 
 
 class CrossingPath(NamedTuple("CrossingPath", [
@@ -398,13 +430,12 @@ def path_crossings(
         raise UnsupportedInputError("angular paths need a rank-2 diagram")
     ensure_generic(diagram, path.start)
     ensure_generic(diagram, path.end)
-    events = _ccw_crossings(diagram.walls, path.start)
-    angle = _angle_from(path.start)
+    ring = diagram.ring()
+    loop = ring.loop(*path.start)
     # the end direction is on no support, so it splits the loop in two
-    split = bisect_left(
-        events, angle(path.end), key=lambda event: angle(event[0])
-    )
-    loop = [(wall, sign) for _, wall, sign in events]
+    split = ring.slot(*path.end) - ring.slot(*path.start)
+    if ring.angle(*path.end) < ring.angle(*path.start):
+        split += len(loop)
     ccw = loop[:split]
     cw = [(wall, -sign) for wall, sign in reversed(loop[split:])]
     if path.turn == "auto":
@@ -495,8 +526,7 @@ def complete_rank2(
     # -p*(1, 1) lies inside the sector of the rays and p*(1, 1) opposite it
     inside = vec_scale(-1, p_star(eps, (1, 1)))
     around = PathAction(
-        [(wall, -sign) for _, wall, sign in reversed(_ccw_crossings(lines, inside))],
-        order,
+        [(wall, -sign) for wall, sign in reversed(_Ring(lines).loop(*inside))], order
     )
     # a crossing multiplies z^m by the wall function to the power
     # <m, normal>, which reads only the base part of m, so the coefficient
@@ -535,9 +565,15 @@ def complete_rank2(
         )
         rays.append((_first_factor(wall), wall))
         images = [wall_cross(image, wall, -sign, order) for image in images]
-    walls = lines + [wall for _, wall in sorted(rays, key=lambda ray: ray[0])]
-    _assert_consistent(walls, p_star(eps, (1, 1)), order, units)
-    return ScatteringDiagram(seed, order, tuple(walls))
+    rays = [wall for _, wall in sorted(rays, key=lambda ray: ray[0])]
+    completed = ScatteringDiagram(seed, order, tuple(lines + rays))
+    # the check reads the ring the diagram keeps, so no later use sorts
+    loop = PathAction(completed.ring().loop(*p_star(eps, (1, 1))), order)
+    for unit in units:
+        mono = LaurentPoly.monomial(unit)
+        if loop.apply(mono) != mono:
+            raise InputError("completion failed to make the loop product trivial")
+    return completed
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -571,19 +607,6 @@ def _first_factor(ray: Wall) -> tuple[int, Vec]:
         binomial = GradedSeries(func.step, func.order, [1] + [0] * (g - 1) + [1])
         rest = rest * binomial ** -t
     return first
-
-
-def _assert_consistent(
-    walls: list[Wall], base_dir: Vec, order: int, unit_vectors: list[Vec]
-) -> None:
-    """Raise unless a full loop from just after ``base_dir`` fixes the units."""
-    events = _ccw_crossings(walls, base_dir)
-    loop = PathAction([(wall, sign) for _, wall, sign in events], order)
-    for unit in unit_vectors:
-        if loop.apply(LaurentPoly.monomial(unit)) != LaurentPoly.monomial(unit):
-            raise InputError(
-                "completion failed to make the loop product trivial"
-            )
 
 
 # ---------------------------------------------------------------------------

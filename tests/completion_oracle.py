@@ -8,13 +8,21 @@ the ray in direction ``-p*(c)``.  Its crossing is the direct per-term
 expansion.  The package instead peels the rays off the product of the
 incoming lines at the full order, one slope at a time, with a crossing
 kernel tuned for that; tests compare the two wall for wall.
+
+Its loops keep their own angular order: a comparator that sorts the
+supports by their anticlockwise angle from the loop's base direction.
+The package instead rotates one ring, sorted once per diagram by exact
+angle keys from ``(1, 0)``; :func:`reference_path_crossings` checks its
+paths against this sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cmp_to_key
 from math import comb
 
-from clusterscatter.errors import InputError
+from clusterscatter.errors import GenericPositionError, InputError
 from clusterscatter.lattice import (
     GradedSeries,
     LaurentPoly,
@@ -30,11 +38,72 @@ from clusterscatter.lattice import (
 from clusterscatter.scattering import (
     ScatteringDiagram,
     Wall,
-    _ccw_crossings,
     _ccw_sign,
+    support_directions,
 )
 
 BASE_DIR = (-1, 1)
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _sector(base, u):
+    """0 = same direction, 1 = strictly anticlockwise side (0, pi),
+    2 = opposite, 3 = clockwise side (pi, 2 pi)."""
+    cr = _cross(base, u)
+    if cr == 0:
+        return 0 if base[0] * u[0] + base[1] * u[1] > 0 else 2
+    return 1 if cr > 0 else 3
+
+
+def _angle_from(base):
+    """Sort key of a direction (or point): its anticlockwise angle from
+    ``base``, where ``base`` itself comes first."""
+
+    def compare(u1, u2):
+        s1, s2 = _sector(base, u1), _sector(base, u2)
+        if s1 != s2:
+            return s1 - s2
+        return -_cross(u1, u2)
+
+    return cmp_to_key(compare)
+
+
+def ccw_crossings(walls, base_dir):
+    """Every (support direction, wall, anticlockwise crossing sign) of a
+    full anticlockwise loop starting just after ``base_dir``, in crossing
+    order; a full line yields one entry per direction.  Walls sharing a
+    direction keep their order in ``walls``."""
+    if tuple(base_dir) == (0, 0):
+        raise GenericPositionError("loop base at the origin")
+    events = []
+    for wall in walls:
+        for v in support_directions(wall):
+            if _sector(base_dir, v) == 0:
+                raise GenericPositionError("loop base direction lies on a support")
+            events.append((v, wall, _ccw_sign(v, wall.normal)))
+    angle = _angle_from(base_dir)
+    return sorted(events, key=lambda event: angle(event[0]))
+
+
+def reference_path_crossings(path, diagram):
+    """The (wall, sign) crossings of an angular path by the comparator
+    sweep: the loop from the start, split where the end's angle from the
+    start falls among its events."""
+    ccw_crossings(diagram.walls, path.end)  # rejects an end on a support
+    events = ccw_crossings(diagram.walls, path.start)
+    angle = _angle_from(path.start)
+    split = bisect_left(events, angle(path.end), key=lambda event: angle(event[0]))
+    loop = [(wall, sign) for _, wall, sign in events]
+    ccw = loop[:split]
+    cw = [(wall, -sign) for wall, sign in reversed(loop[split:])]
+    if path.turn == "auto":
+        tail = ccw if len(ccw) <= len(cw) else cw
+    else:
+        tail = ccw if path.turn == "ccw" else cw
+    return loop * path.full_loops + tail
 
 
 def reference_cross(poly, wall, sign, order):
@@ -60,7 +129,7 @@ def reference_cross(poly, wall, sign, order):
 def reference_loop(walls, poly, order):
     """``poly`` pushed through a full anticlockwise loop from just after
     ``BASE_DIR``."""
-    for _, wall, sign in _ccw_crossings(walls, BASE_DIR):
+    for _, wall, sign in ccw_crossings(walls, BASE_DIR):
         poly = reference_cross(poly, wall, sign, order)
     return poly
 

@@ -9,7 +9,7 @@ from broken_line_oracle import reference_lines
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterscatter import brokenlines
+from clusterscatter import brokenlines, scattering
 from clusterscatter.brokenlines import (
     BrokenLine,
     Segment,
@@ -44,6 +44,7 @@ from clusterscatter.scattering import (
     CrossingPath,
     ScatteringDiagram,
     Wall,
+    cluster_complex_diagram,
     complete_rank2,
     initial_diagram,
     path_ordered_product,
@@ -260,6 +261,17 @@ class TestInputGuards:
     def test_negative_degree_rejected(self):
         with pytest.raises(InputError):
             enumerate_broken_lines((1, -1, 0, 0), CPLUS, D2, -1)
+
+    @pytest.mark.parametrize("fan", [False, True], ids=["initial", "cluster-complex"])
+    def test_higher_rank_is_unsupported(self, fan):
+        # cone walls have no direction, so the rank is refused before any
+        # wall is asked whether the endpoint lies on it
+        seed = initial_seed(quiver_to_skew(path_quiver(3)))
+        diagram = cluster_complex_diagram(seed, 2, 4) if fan else initial_diagram(seed, 4)
+        with pytest.raises(
+            UnsupportedInputError, match="^broken lines implemented for rank-2 diagrams$"
+        ):
+            theta_function((1, 0, 0, 0, 0, 0), (1, 2), diagram, 4)
 
 
 class TestValidation:
@@ -774,9 +786,10 @@ class TestDeadStates:
 
 
 class TestSearchIndex:
-    """The half-lines of a diagram are sorted once, the first time a
-    search runs on it, and kept with it; what a call finds does not depend
-    on the calls before it."""
+    """The half-lines of a diagram are sorted once, by completion or the
+    first time a search runs on it, and the search index built on them
+    once; both are kept with the diagram, and what a call finds does not
+    depend on the calls before it."""
 
     CALLS = [
         (b, a, k, endpoint)
@@ -792,28 +805,44 @@ class TestSearchIndex:
         }
 
     def test_lines_do_not_depend_on_call_order_or_diagram(self, monkeypatch):
-        original = brokenlines._SearchIndex.__init__
-        built = []
+        # what each ring sort and each index build is given: walls, diagram
+        built = {scattering._Ring: [], brokenlines._SearchIndex: []}
+        for cls, log in built.items():
+            def init(obj, arg, original=cls.__init__, log=log):
+                log.append(arg)
+                original(obj, arg)
 
-        def init(index, walls, order):
-            built.append(walls)
-            original(index, walls, order)
-
-        monkeypatch.setattr(brokenlines._SearchIndex, "__init__", init)
+            monkeypatch.setattr(cls, "__init__", init)
+        sorts, indexed = built.values()
         orders = []
         for seed in (1, 2):
             order = list(self.CALLS)
             Random(seed).shuffle(order)
             orders.append(order)
         first = self._lines(BASIS_DIAGRAMS, orders[0])
-        built.clear()
+        sorts.clear()
+        indexed.clear()
         assert self._lines(BASIS_DIAGRAMS, orders[1]) == first
-        assert built == []
+        assert sorts == indexed == []
         fresh = _basis_diagrams()
+        # completion sorts the two lines it starts from, then once the
+        # diagram that it checks and returns
+        assert [tuple(walls) for walls in sorts] == [
+            walls for b in (2, 3) for walls in (fresh[b].walls[:2], fresh[b].walls)
+        ]
+        sorts.clear()
         assert self._lines(fresh, orders[1]) == first
-        # one sort per diagram, not one per call
-        assert sorted(built, key=len) == [fresh[2].walls, fresh[3].walls]
-        assert fresh == BASIS_DIAGRAMS
+        # so a search on it sorts nothing, and builds one index per
+        # diagram, not one per call
+        assert sorts == []
+        assert [id(diagram) for diagram in indexed] in (
+            [id(fresh[2]), id(fresh[3])], [id(fresh[3]), id(fresh[2])]
+        )
+        # a diagram that did not come from completion is sorted once
+        copies = {b: diagram._replace() for b, diagram in fresh.items()}
+        assert self._lines(copies, orders[0]) == first
+        assert sorted(sorts, key=len) == [fresh[2].walls, fresh[3].walls]
+        assert fresh == copies == BASIS_DIAGRAMS
         for b, a, k, endpoint in Random(3).sample(self.CALLS, 3):
             want = reference_lines((*a, 0, 0), endpoint, fresh[b], k)
             assert first[b, a, endpoint] == want

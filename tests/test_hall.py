@@ -130,11 +130,6 @@ class TestFiltration:
         assert g.dimension() == (2, 4)
         assert Filtration(()).dimension() == ()
 
-    def test_iteration_and_len(self):
-        f = Filtration((((2, 3), 1), ((0, 1), 1)))
-        assert len(f) == 2
-        assert list(f) == [((2, 3), 1), ((0, 1), 1)]
-
     def test_invalid_steps(self):
         with pytest.raises(InputError):
             Filtration((((1, 2), 0),))

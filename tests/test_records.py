@@ -97,12 +97,10 @@ def test_job_spec_default_inputs_are_not_shared():
     assert first.inputs == {} and first.inputs is not second.inputs
 
 
-def test_filtration_is_a_chain_not_a_tuple():
+def test_filtration_coerces_its_steps():
     filt = RECORDS["Filtration"]()
-    assert not isinstance(filt, tuple)
-    assert len(filt) == 2 and list(filt) == [((2, 3), 1), ((0, 1), 2)]
+    assert filt.steps == (((2, 3), 1), ((0, 1), 2))
     assert filt.dimension() == (2, 5)
-    assert filt != tuple(filt)
     assert repr(filt) == "Filtration(steps=(((2, 3), 1), ((0, 1), 2)))"
     assert Filtration([([2, 3], "1")]) == Filtration((((2, 3), 1),))
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import comb
+from random import Random
 
 import pytest
-from completion_oracle import reference_completion, reference_cross
+from completion_oracle import (
+    reference_completion,
+    reference_cross,
+    reference_path_crossings,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +59,7 @@ from clusterscatter.scattering import (
     path_crossings,
     path_ordered_product,
     positive_crossing_pairs,
+    support_directions,
     wall_cross,
 )
 
@@ -371,6 +378,59 @@ class TestPaths:
         back = crossings(c, a, "ccw")
         assert crossings(a, c, "ccw") + back == loop
         assert crossings(a, c, "cw") == [(w, -s) for w, s in reversed(back)]
+
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_crossings_match_the_comparator_sweep(self, b):
+        """On a completed diagram, the ring rotated at the start and cut at
+        the end gives the crossings that the reference's comparator sweep
+        from the start gives, on seeded random paths of every turn, with
+        and without a full loop: endpoints anywhere, in one direction, in
+        one gap on either side of each other, and on a support, which
+        both reject."""
+        diagram = complete_rank2(initial_diagram(initial_seed(rank2_exchange(b)), 6), 6)
+        directions = [u for wall in diagram.walls for u in support_directions(wall)]
+        rng = Random(b)
+
+        def point():
+            return tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in "xy")
+
+        seen = Counter()
+        for _ in range(400):
+            start, case = point(), rng.choice(("apart", "direction", "gap", "support"))
+            if case == "direction":
+                scale = F(rng.randint(1, 9), rng.randint(1, 9))
+                end = (start[0] * scale, start[1] * scale)
+            elif case == "gap":
+                end = tuple(7 * x + F(rng.choice((-1, 1)), 50) for x in start)
+            elif case == "support":
+                scale = F(rng.randint(1, 9), rng.randint(1, 9))
+                end = tuple(scale * x for x in rng.choice(directions))
+                if rng.random() < 0.5:
+                    start, end = end, start
+                    case = "start on a support"
+            else:
+                end = point()
+            path = CrossingPath(
+                start, end, rng.choice(("auto", "ccw", "cw")), rng.randrange(2)
+            )
+            try:
+                want = reference_path_crossings(path, diagram)
+            except GenericPositionError:
+                with pytest.raises(GenericPositionError):
+                    path_crossings(path, diagram)
+                seen[case] += 1
+                continue
+            assert path_crossings(path, diagram) == want, path
+            ahead = reference_path_crossings(CrossingPath(start, end, "ccw"), diagram)
+            if ahead and len(ahead) < len(directions):
+                case = "apart"
+            elif case != "direction":
+                case = "same gap, end behind" if ahead else "same gap, end ahead"
+            seen[case, path.turn, path.full_loops] += 1
+        assert seen["support"] and seen["start on a support"]
+        for case in ("apart", "direction", "same gap, end behind", "same gap, end ahead"):
+            for turn, loops in product(("auto", "ccw", "cw"), (0, 1)):
+                assert seen[case, turn, loops], (case, turn, loops)
 
     def test_opposite_ray_direction_is_not_a_crossing(self):
         # the (1,1)-normal ray points into the fourth quadrant; a sweep
