@@ -33,7 +33,7 @@ The search runs backward from the endpoint in exact integer arithmetic:
 points are homogeneous integer coordinates ``(X, Y, D)`` with ``D > 0``,
 not reduced, velocities are integer vectors, and each crossing is
 decided by integer cross products.  It walks the diagram's ring
-(:meth:`ScatteringDiagram.ring`): the walls' supports as half-lines from
+(:attr:`ScatteringDiagram.ring`): the walls' supports as half-lines from
 the origin, in the one angular order that :mod:`scattering` sorts once
 per diagram and every path reads.  The ring's slot of the endpoint
 places it between two half-lines, or finds it on one, and so not
@@ -144,7 +144,7 @@ def _plane_endpoint(eps: Matrix, m0: Vec, q: Point) -> Point:
 
 class _SearchIndex(dict):
     """What the broken-line search adds to the ring of a rank-2 diagram's
-    half-lines (:meth:`ScatteringDiagram.ring`), built once per diagram
+    half-lines (:attr:`ScatteringDiagram.ring`), built once per diagram
     (:func:`_search_index`).
 
     ``walls`` holds each wall's normal and support direction, in index
@@ -167,7 +167,7 @@ class _SearchIndex(dict):
     def __init__(self, diagram: ScatteringDiagram):
         self.walls = [(*wall.normal, *wall.direction()) for wall in diagram.walls]
         powers: list[dict[int, tuple[int, ...]]] = [{} for _ in self.walls]
-        ring = diagram.ring()
+        ring = diagram.ring
         starts, total = ring.starts, len(ring.ring)
         # A point past the first i groups walks from starts[i] anticlockwise
         # and, as the clockwise ring lists the groups last to first, from
@@ -535,21 +535,21 @@ def theta_function(
         )
     if n != 2:
         raise UnsupportedInputError("broken lines implemented for rank-2 diagrams")
+    if not any(m0[:n]):
+        raise UnsupportedInputError(f"initial exponent {m0} has no direction")
+    if final_filter is not None and len(final_filter) != 2 * n:
+        raise InputError(f"final filter must have length {2 * n}")
     q = _as_point(endpoint)
     eps = diagram.seed.exchange_block()
     pt = _plane_endpoint(eps, m0, q)
     point = homogeneous(pt)
     # Every support is a cone, so the endpoint lies on one exactly when
     # its direction is a half-line's; ensure_generic names the wall.
-    at = diagram.ring().slot(point[0], point[1]) if pt != _ORIGIN else None
+    at = diagram.ring.slot(point[0], point[1]) if pt != _ORIGIN else None
     if at is None:
         ensure_generic(diagram, pt, given=q)
     index = _search_index(diagram)
     engine = _Engine(index, eps, m0, pt, point, (at, len(index.ccw) - at))
-    if not any(m0[:n]):
-        raise UnsupportedInputError(f"initial exponent {m0} has no direction")
-    if final_filter is not None and len(final_filter) != 2 * n:
-        raise InputError(f"final filter must have length {2 * n}")
     engine.run(budget, final_filter)
     if stats is not None:
         stats["entered"] = stats.get("entered", 0) + engine.entered

@@ -12,7 +12,7 @@ Geometry conventions
   sweep; paths are therefore specified by start/end points plus a turn
   direction, and all angle comparisons use exact cross products.
 * The angular order of the supports is decided in one place, the
-  diagram's ring (:meth:`ScatteringDiagram.ring`): its walls' supports as
+  diagram's ring (:attr:`ScatteringDiagram.ring`): its walls' supports as
   half-lines from the origin, a line giving two and a ray one, sorted
   once anticlockwise from ``(1, 0)`` by an exact angle key, half-lines of
   one direction by wall index.  A direction on no half-line has a slot,
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -185,7 +186,7 @@ class ScatteringDiagram(NamedTuple("ScatteringDiagram", [
 
     It declares no ``__slots__``: its instance dict keeps what is derived
     from the walls once, the ring of a rank-2 diagram's half-lines
-    (:meth:`ring`) and the broken-line search's index on it
+    (:attr:`ring`) and the broken-line search's index on it
     (:mod:`clusterscatter.brokenlines`), which are written into it
     directly and take no part in equality.  Assignment is refused.
     """
@@ -197,14 +198,11 @@ class ScatteringDiagram(NamedTuple("ScatteringDiagram", [
     def rank(self) -> int:
         return self.seed.rank
 
+    @cached_property
     def ring(self) -> "_Ring":
         """The half-lines of a rank-2 diagram in angular order, sorted on
         first use and kept in the instance dict: the walls never change."""
-        kept = vars(self)
-        ring = kept.get("half_lines")
-        if ring is None:
-            ring = kept["half_lines"] = _Ring(self.walls)
-        return ring
+        return _Ring(self.walls)
 
 
 def initial_diagram(seed: Seed, order: int = DEFAULT_ORDER) -> ScatteringDiagram:
@@ -381,11 +379,10 @@ class _Ring:
             return None
         return self.starts[after]
 
-    def loop(self, x, y) -> list[tuple[Wall, int]]:
+    def loop(self, at: int | None) -> list[tuple[Wall, int]]:
         """The (wall, anticlockwise crossing sign) of a full anticlockwise
-        loop from just after the direction ``(x, y)``, in crossing order:
-        the ring rotated at its slot."""
-        at = self.slot(x, y)
+        loop from a direction of slot ``at``, in crossing order: the ring
+        rotated there."""
         if at is None:
             raise GenericPositionError("loop base direction lies on a support")
         return [
@@ -428,13 +425,19 @@ def path_crossings(
     """
     if diagram.rank != 2:
         raise UnsupportedInputError("angular paths need a rank-2 diagram")
-    ensure_generic(diagram, path.start)
-    ensure_generic(diagram, path.end)
-    ring = diagram.ring()
-    loop = ring.loop(*path.start)
+    ring = diagram.ring
+    # The ring gives the origin a slot and a point on a support none;
+    # ensure_generic rejects the one and names the wall under the other.
+    start, end = (
+        ring.slot(*pt) if any(pt) else None for pt in (path.start, path.end)
+    )
+    if start is None or end is None:
+        ensure_generic(diagram, path.start)
+        ensure_generic(diagram, path.end)
+    loop = ring.loop(start)
     # the end direction is on no support, so it splits the loop in two
-    split = ring.slot(*path.end) - ring.slot(*path.start)
-    if ring.angle(*path.end) < ring.angle(*path.start):
+    split = end - start
+    if split < 0 or not split and ring.angle(*path.end) < ring.angle(*path.start):
         split += len(loop)
     ccw = loop[:split]
     cw = [(wall, -sign) for wall, sign in reversed(loop[split:])]
@@ -525,8 +528,9 @@ def complete_rank2(
     ]
     # -p*(1, 1) lies inside the sector of the rays and p*(1, 1) opposite it
     inside = vec_scale(-1, p_star(eps, (1, 1)))
+    ring = _Ring(lines)
     around = PathAction(
-        [(wall, -sign) for wall, sign in reversed(_Ring(lines).loop(*inside))], order
+        [(wall, -sign) for wall, sign in reversed(ring.loop(ring.slot(*inside)))], order
     )
     # a crossing multiplies z^m by the wall function to the power
     # <m, normal>, which reads only the base part of m, so the coefficient
@@ -568,7 +572,8 @@ def complete_rank2(
     rays = [wall for _, wall in sorted(rays, key=lambda ray: ray[0])]
     completed = ScatteringDiagram(seed, order, tuple(lines + rays))
     # the check reads the ring the diagram keeps, so no later use sorts
-    loop = PathAction(completed.ring().loop(*p_star(eps, (1, 1))), order)
+    ring = completed.ring
+    loop = PathAction(ring.loop(ring.slot(*p_star(eps, (1, 1)))), order)
     for unit in units:
         mono = LaurentPoly.monomial(unit)
         if loop.apply(mono) != mono:

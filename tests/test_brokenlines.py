@@ -804,6 +804,15 @@ class TestSearchIndex:
             for b, a, k, endpoint in calls
         }
 
+    def test_rejected_call_builds_nothing(self):
+        diagram = BASIS_DIAGRAMS[2]._replace()
+        endpoint = BASIS_ENDPOINTS[0]
+        with pytest.raises(UnsupportedInputError, match="has no direction"):
+            theta_function((0, 0, 1, 0), endpoint, diagram, 2)
+        with pytest.raises(InputError, match="final filter"):
+            theta_function((1, 0, 0, 0), endpoint, diagram, 2, final_filter=(1,))
+        assert vars(diagram) == {}
+
     def test_lines_do_not_depend_on_call_order_or_diagram(self, monkeypatch):
         # what each ring sort and each index build is given: walls, diagram
         built = {scattering._Ring: [], brokenlines._SearchIndex: []}

@@ -279,13 +279,16 @@ class TestBrokenLineStrata:
         assert polys[8] == qbinom(4, 1) * Q(1) * qbinom(2, 1)
 
     def test_phases_of_two_step_chain(self, filtered_lines):
+        checked = 0
         for bl in filtered_lines:
             filt, _ = broken_line_strata(bl, K2, (5, 6))
-            if len(filt) != 2:
+            if len(filt.steps) != 2:
                 continue
             values, decreasing = hn_phases(filt, EP, K2, (5, 6), (2, 4))
             assert values == (StabilityValue(8, 7), StabilityValue(2, 1))
             assert decreasing
+            checked += 1
+        assert checked
 
     def test_bend_free_line_is_trivial(self):
         lines = enumerate_broken_lines(
