@@ -26,38 +26,28 @@ Each must be an integer >= 0 (empty means the default).  Both are read
 once per command into ``lattice.BUDGET``, before any job runs, so a bad
 value exits 2 whatever the command.  Library calls charge that budget
 and read no environment.
+
+A job pays only for its own command.  Importing this module executes
+``errors`` and ``lattice``; the library modules ``cluster``, ``quiver``,
+``scattering``, ``brokenlines`` and ``hall``, and ``fractions``, are in
+``sys.modules`` at once but execute on first use (their first attribute
+read), so ``grass`` runs neither the scattering code nor ``fractions``.
+The parser lists every subcommand but gives arguments to the invoked one
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from types import ModuleType
+from typing import Callable, Container, NamedTuple, Sequence
 
 from . import lattice
-from .brokenlines import (
-    BrokenLine,
-    enumerate_broken_lines,
-    restrict_to_A,
-    theta_function,
-    theta_via_path,
-    validate_broken_line,
-)
-from .cluster import (
-    Seed,
-    apply_word,
-    check_tropical_duality,
-    cluster_variable,
-    g_vector,
-    initial_seed,
-    mutate_seed,
-    rank2_exchange,
-    seed_to_json,
-)
 from .errors import (
     DegenerateBrokenLineError,
     GenericPositionError,
@@ -66,16 +56,6 @@ from .errors import (
     ResourceLimitError,
     TranslateUndefinedError,
     UnsupportedInputError,
-)
-from .hall import (
-    Filtration,
-    StabilityValue,
-    broken_line_strata,
-    gl_poincare,
-    hall_theta_chi,
-    hn_phases,
-    q_str,
-    qbinom,
 )
 from .lattice import (
     GradedSeries,
@@ -90,38 +70,33 @@ from .lattice import (
     vec_sub,
     x_degree,
 )
-from .quiver import (
-    Quiver,
-    ar_component,
-    caldero_chapoton,
-    classify_indecomposable,
-    coxeter_translate,
-    dim_vector,
-    g_map,
-    grassmannian_counting_polynomial,
-    grassmannian_euler_char,
-    indecomposable_rep,
-    kronecker_quiver,
-    path_quiver,
-    projective_dims,
-    quiver_to_skew,
-    rep_mod_p,
-    subrep_count,
+
+
+def _lazy(name: str) -> ModuleType:
+    """The module ``name``, in ``sys.modules`` from now on but executed on
+    its first attribute use; one already imported is returned as it is,
+    so that no module exists twice.  Unlike an import inside a function,
+    this leaves every package module findable right after ``import
+    clusterscatter.cli``, where ``perfbench/tracer.py`` wraps them."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+cluster, quiver, scattering, brokenlines, hall = (
+    _lazy(f"{__package__}.{name}")
+    for name in ("cluster", "quiver", "scattering", "brokenlines", "hall")
 )
-from .scattering import (
-    CrossingPath,
-    ScatteringDiagram,
-    Wall,
-    ar_order_check,
-    cluster_complex_chambers,
-    cluster_complex_diagram,
-    complete_rank2,
-    diagram_to_json,
-    initial_diagram,
-    path_ordered_product,
-    positive_crossing_pairs,
-    support_directions,
-)
+# executed (with decimal) only by a job that reads or computes a rational
+fractions = _lazy("fractions")
 
 FORMATS = ("text", "json", "svg", "dot", "tikz")
 
@@ -144,7 +119,7 @@ def parse_int_vec(text: str, what: str = "vector") -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> fractions.Fraction:
     """Parse an exact rational literal ``p`` or ``p/q`` (never a float)."""
     raw = str(text).strip()
     if any(ch in raw for ch in (".", "e", "E")):
@@ -152,19 +127,21 @@ def parse_rational(text: str) -> Fraction:
             f"rational {raw!r} must be written as p/q; floats are not accepted"
         )
     try:
-        return Fraction(raw)
+        return fractions.Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{raw!r} is not a rational p/q literal") from None
 
 
-def parse_point(text: str, what: str = "endpoint") -> tuple[Fraction, ...]:
+def parse_point(
+    text: str, what: str = "endpoint"
+) -> tuple[fractions.Fraction, ...]:
     parts = [p.strip() for p in str(text).split(",")]
     if not parts or parts == [""]:
         raise InputError(f"{what} must be a comma-separated rational list")
     return tuple(parse_rational(p) for p in parts)
 
 
-def named_quiver(label: str) -> Quiver:
+def named_quiver(label: str) -> quiver.Quiver:
     """Resolve built-in quiver names ``kronecker{b}`` and ``a{n}``; the
     ``n * n`` arrow counts of ``a{n}`` are charged against the term
     ceiling."""
@@ -174,17 +151,17 @@ def named_quiver(label: str) -> Quiver:
             b = int(name[len("kronecker"):], 10)
         except ValueError:
             raise InputError(f"unknown quiver name {label!r}") from None
-        return kronecker_quiver(b)
+        return quiver.kronecker_quiver(b)
     if name.startswith("a") and name[1:].isdigit():
         n = int(name[1:], 10)
         charge("terms", "a skew matrix", n * n)
-        return path_quiver(n)
+        return quiver.path_quiver(n)
     raise InputError(
         f"unknown quiver name {label!r}; expected kronecker<b> or a<n>"
     )
 
 
-def _endpoint(inputs: dict) -> tuple[Fraction, ...]:
+def _endpoint(inputs: dict) -> tuple[fractions.Fraction, ...]:
     """The job's endpoint, a point of the plane broken lines are drawn in."""
     pt = tuple(parse_rational(x) for x in inputs["endpoint"])
     if len(pt) != 2:
@@ -195,18 +172,18 @@ def _endpoint(inputs: dict) -> tuple[Fraction, ...]:
     return pt
 
 
-def _quiver_for(inputs: dict) -> tuple[Quiver, str]:
+def _quiver_for(inputs: dict) -> tuple[quiver.Quiver, str]:
     """The quiver a job names by exactly one of ``b`` or ``quiver``."""
     if "b" in inputs:
-        return kronecker_quiver(inputs["b"]), f"kronecker{inputs['b']}"
+        return quiver.kronecker_quiver(inputs["b"]), f"kronecker{inputs['b']}"
     return named_quiver(inputs["quiver"]), inputs["quiver"]
 
 
-def _seed_for(inputs: dict) -> tuple[Seed, str]:
+def _seed_for(inputs: dict) -> tuple[cluster.Seed, str]:
     """The initial seed of the job's quiver, with a display label."""
     q, label = _quiver_for(inputs)
     label = f"b={inputs['b']}" if "b" in inputs else f"quiver {label}"
-    return initial_seed(quiver_to_skew(q)), label
+    return cluster.initial_seed(quiver.quiver_to_skew(q)), label
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +200,7 @@ def _is_rational(value) -> bool:
     if isinstance(value, str):
         parse_rational(value)
         return True
-    return _is_int(value) or isinstance(value, Fraction)
+    return _is_int(value) or isinstance(value, fractions.Fraction)
 
 
 def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
@@ -384,7 +361,7 @@ def _px(value) -> str:
     return f"{float(value):.2f}"
 
 
-def _label_text(wall: Wall) -> str:
+def _label_text(wall: scattering.Wall) -> str:
     """A short deterministic label: leading terms of the wall function."""
     names = default_names(len(wall.func.step))
     terms = wall.func.poly.sorted_terms()
@@ -400,21 +377,23 @@ def _extend(direction: Sequence[int]) -> tuple[float, float]:
     return direction[0] * scale, direction[1] * scale
 
 
-def _line_points(line: BrokenLine) -> list[tuple[Fraction, Fraction]]:
+def _line_points(
+    line: brokenlines.BrokenLine,
+) -> list[tuple[fractions.Fraction, fractions.Fraction]]:
     """Drawn vertices: synthetic entry point, bend points, endpoint."""
     bends = [seg.start for seg in line.segments[1:]]
     first_known = bends[0] if bends else line.endpoint
-    vx, vy = (Fraction(-x) for x in line.initial_exponent[:2])
+    vx, vy = (fractions.Fraction(-x) for x in line.initial_exponent[:2])
     speed = max(abs(vx), abs(vy))
-    reach = Fraction(5) + max(abs(first_known[0]), abs(first_known[1]))
+    reach = fractions.Fraction(5) + max(abs(first_known[0]), abs(first_known[1]))
     t = reach / speed
     entry = (first_known[0] - t * vx, first_known[1] - t * vy)
     return [entry, *bends, line.endpoint]
 
 
 def emit_svg(
-    diagram: ScatteringDiagram | None,
-    lines: Sequence[BrokenLine] | None = None,
+    diagram: scattering.ScatteringDiagram | None,
+    lines: Sequence[brokenlines.BrokenLine] | None = None,
 ) -> str:
     """Render a rank-2 diagram (and optional broken lines) as SVG.
 
@@ -438,7 +417,7 @@ def emit_svg(
         out.append('<g class="walls" stroke="#333333" stroke-width="1.5">')
         for wall in diagram.walls:
             label = _escape(_label_text(wall))
-            for direction in support_directions(wall):
+            for direction in scattering.support_directions(wall):
                 x, y = _extend(direction)
                 out.append(
                     f'<line class="ray" x1="0" y1="0" '
@@ -491,8 +470,8 @@ def _tex_math(text: str) -> str:
 
 
 def emit_tikz(
-    diagram: ScatteringDiagram | None,
-    lines: Sequence[BrokenLine] | None = None,
+    diagram: scattering.ScatteringDiagram | None,
+    lines: Sequence[brokenlines.BrokenLine] | None = None,
 ) -> str:
     """TikZ picture with the same content as :func:`emit_svg`."""
     if diagram is not None and diagram.rank != 2:
@@ -505,8 +484,10 @@ def emit_tikz(
     if diagram is not None:
         for wall in diagram.walls:
             label = _tex_math(_label_text(wall))
-            for direction in support_directions(wall):
-                scale = Fraction(9, 2) / max(abs(direction[0]), abs(direction[1]))
+            for direction in scattering.support_directions(wall):
+                scale = fractions.Fraction(9, 2) / max(
+                    abs(direction[0]), abs(direction[1])
+                )
                 x, y = scale * direction[0], scale * direction[1]
                 out.append(
                     f"  \\draw (0,0) -- ({float(x):.3f},{float(y):.3f}) "
@@ -546,16 +527,16 @@ def emit_tikz(
 _PICTURES = {"svg": emit_svg, "tikz": emit_tikz}
 
 
-def _completed_diagram(seed: Seed, order: int) -> ScatteringDiagram:
-    return complete_rank2(initial_diagram(seed, order), order)
+def _completed_diagram(seed: cluster.Seed, order: int) -> scattering.ScatteringDiagram:
+    return scattering.complete_rank2(scattering.initial_diagram(seed, order), order)
 
 
 def _cmd_mutate(job: JobSpec) -> str | dict:
     seed, label = _seed_for(job.inputs)
     word = tuple(job.inputs["word"])
-    mutated = apply_word(seed, word)
+    mutated = cluster.apply_word(seed, word)
     if job.output_format == "json":
-        return {"seed": seed_to_json(mutated)}
+        return {"seed": cluster.seed_to_json(mutated)}
     names = default_names(2 * mutated.rank)
     lines = [f"seed {label} after word {vec_str(word)}:"]
     for i, var in enumerate(mutated.variables):
@@ -572,7 +553,7 @@ def _cmd_scatter(job: JobSpec) -> str | dict:
     seed, label = _seed_for(job.inputs)
     diagram = _completed_diagram(seed, job.order)
     if job.output_format == "json":
-        return {"diagram": diagram_to_json(diagram)}
+        return {"diagram": scattering.diagram_to_json(diagram)}
     if job.output_format in _PICTURES:
         return _PICTURES[job.output_format](diagram)
     names = default_names(2 * diagram.rank)
@@ -595,7 +576,7 @@ def _theta_with_fallback(m0, pt, diagram, order):
     degenerates (passes through the origin or runs along a wall's support
     line), agree the two one-sided limits."""
     try:
-        return theta_function(m0, pt, diagram, order), None
+        return brokenlines.theta_function(m0, pt, diagram, order), None
     except GenericPositionError as exc:
         if isinstance(exc, DegenerateBrokenLineError):
             where = f"a broken line to endpoint {vec_str(pt)} {exc.degeneracy}"
@@ -603,11 +584,12 @@ def _theta_with_fallback(m0, pt, diagram, order):
             where = f"endpoint {vec_str(pt)} lies on a wall"
         for denom in (9973, 99991):
             # off a horizontal wall vertically, off any other horizontally
-            step = (0, Fraction(1, denom)) if pt[1] == 0 else (Fraction(1, denom), 0)
+            off = fractions.Fraction(1, denom)
+            step = (0, off) if pt[1] == 0 else (off, 0)
             plus, minus = vec_add(pt, step), vec_sub(pt, step)
             try:
-                t_plus = theta_function(m0, plus, diagram, order)
-                t_minus = theta_function(m0, minus, diagram, order)
+                t_plus = brokenlines.theta_function(m0, plus, diagram, order)
+                t_minus = brokenlines.theta_function(m0, minus, diagram, order)
             except GenericPositionError:
                 continue
             if t_plus.value != t_minus.value:
@@ -620,7 +602,7 @@ def _theta_with_fallback(m0, pt, diagram, order):
         raise exc
 
 
-def _line_summary(line: BrokenLine, names) -> str:
+def _line_summary(line: brokenlines.BrokenLine, names) -> str:
     if len(line.segments) == 1:
         shape = "straight"
     else:
@@ -631,7 +613,7 @@ def _line_summary(line: BrokenLine, names) -> str:
     return f"{final}  ({shape})"
 
 
-def _line_json(line: BrokenLine) -> dict:
+def _line_json(line: brokenlines.BrokenLine) -> dict:
     return {
         "final_exponent": list(line.final_exponent),
         "coefficient": line.coefficient,
@@ -685,7 +667,7 @@ def _cmd_theta(job: JobSpec) -> str | dict:
 def _cmd_cc(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
     d = tuple(job.inputs["D"])
-    value = caldero_chapoton(q, d)
+    value = quiver.caldero_chapoton(q, d)
     if job.output_format == "json":
         return {"quiver": label, "D": list(d), "value": _poly_json(value)}
     names = default_names(2 * q.n_vertices)
@@ -698,12 +680,13 @@ def _cmd_cc(job: JobSpec) -> str | dict:
 def _cmd_grass(job: JobSpec) -> str | dict:
     q, label = _quiver_for(job.inputs)
     d, e = tuple(job.inputs["D"]), tuple(job.inputs["e"])
-    chi = grassmannian_euler_char(q, d, e)
+    chi = quiver.grassmannian_euler_char(q, d, e)
     if job.output_format == "json":
         # Counted first, so the subspace ceiling fires before any cell work;
         # the cells of a square D are tested, not proven, so q = 2 checks them.
-        over_f2 = subrep_count(rep_mod_p(indecomposable_rep(q, d), 2), e)
-        counting = grassmannian_counting_polynomial(q, d, e)
+        model = quiver.indecomposable_rep(q, d)
+        over_f2 = quiver.subrep_count(quiver.rep_mod_p(model, 2), e)
+        counting = quiver.grassmannian_counting_polynomial(q, d, e)
         for at, route, want in (
             (1, "the fixed-point count gives", chi),
             (2, "counting over F_2 gives", over_f2),
@@ -725,13 +708,15 @@ def _cmd_grass(job: JobSpec) -> str | dict:
 
 
 def _strata_lines(q, d, e, pt, order):
-    seed = initial_seed(quiver_to_skew(q))
+    seed = cluster.initial_seed(quiver.quiver_to_skew(q))
     diagram = _completed_diagram(seed, order)
-    m0 = tuple(-x for x in g_map(q, d)) + (0,) * q.n_vertices
+    m0 = tuple(-x for x in quiver.g_map(q, d)) + (0,) * q.n_vertices
     if x_degree(m0, q.n_vertices) + order > diagram.order:
         raise InputError("order too small for the requested initial exponent")
     target = vec_add(m0, tilde_p_star(seed.exchange_block(), e + (0,) * q.n_vertices))
-    lines = enumerate_broken_lines(m0, pt, diagram, order, final_filter=target)
+    lines = brokenlines.enumerate_broken_lines(
+        m0, pt, diagram, order, final_filter=target
+    )
     return m0, target, lines
 
 
@@ -740,8 +725,8 @@ def _cmd_strata(job: JobSpec) -> str | dict:
     if q.n_vertices != 2:
         raise InputError("strata are implemented for rank-2 quivers")
     d = tuple(job.inputs["D"])
-    e = dim_vector(q, job.inputs["e"], "subdimension vector")
-    if classify_indecomposable(q, d).component == "R":
+    e = quiver.dim_vector(q, job.inputs["e"], "subdimension vector")
+    if quiver.classify_indecomposable(q, d).component == "R":
         raise UnsupportedInputError(
             f"strata need a preprojective or preinjective dimension vector; "
             f"{d} is regular"
@@ -753,10 +738,9 @@ def _cmd_strata(job: JobSpec) -> str | dict:
             f"order {order} is below |e| = {sum(e)}, the final exponent's bend weight"
         )
     m0, target, lines = _strata_lines(q, d, e, pt, order)
-    chi = grassmannian_euler_char(q, d, e)
-    counting = LaurentPoly(
-        {(k,): c for k, c in enumerate(grassmannian_counting_polynomial(q, d, e))}
-    )
+    chi = quiver.grassmannian_euler_char(q, d, e)
+    coeffs = quiver.grassmannian_counting_polynomial(q, d, e)
+    counting = LaurentPoly({(k,): c for k, c in enumerate(coeffs)})
     out = [
         f"wall-crossing strata, quiver {label}, D = {vec_str(d)}, "
         f"e = {vec_str(e)}, endpoint = {vec_str(pt)}, order {order}",
@@ -765,7 +749,7 @@ def _cmd_strata(job: JobSpec) -> str | dict:
     doc_lines = []
     strata_sum = LaurentPoly.zero()
     for idx, line in enumerate(lines, start=1):
-        filt, qpoly = broken_line_strata(line, q, d)
+        filt, qpoly = hall.broken_line_strata(line, q, d)
         value = qpoly.evaluate_int((1,))
         strata_sum = strata_sum + qpoly
         entry = {
@@ -782,10 +766,10 @@ def _cmd_strata(job: JobSpec) -> str | dict:
         out.append(f"line {idx}: bends {bends if bends else '(none)'}")
         steps = ", ".join(f"{vec_str(c)} x{lam}" for c, lam in filt.steps)
         out.append(f"  filtration: {steps if steps else '(trivial)'}")
-        out.append(f"  poincare polynomial: {q_str(qpoly)}")
+        out.append(f"  poincare polynomial: {hall.q_str(qpoly)}")
         out.append(f"  value at q=1: {value}")
         if filt.steps:
-            phases = hn_phases(filt, pt, q, d, e)
+            phases = hall.hn_phases(filt, pt, q, d, e)
             entry["hn"] = {
                 "values": [[str(z.re), str(z.im)] for z in phases.values],
                 "decreasing": phases.decreasing,
@@ -822,7 +806,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
     if action in ("tau", "tau_inv"):
         d = tuple(job.inputs[action])
         direction = "tau" if action == "tau" else "tau_inverse"
-        image = coxeter_translate(q, d, direction)
+        image = quiver.coxeter_translate(q, d, direction)
         if job.output_format == "json":
             return {
                 "quiver": label,
@@ -834,7 +818,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
         return f"{arrow} {vec_str(d)} = {vec_str(image)}\n"
     if action == "classify":
         d = tuple(job.inputs["classify"])
-        node = classify_indecomposable(q, d)
+        node = quiver.classify_indecomposable(q, d)
         if job.output_format == "json":
             return {
                 "quiver": label,
@@ -850,7 +834,7 @@ def _cmd_ar(job: JobSpec) -> str | dict:
         )
     side = job.inputs["component"]
     bound = job.inputs.get("bound", 4)
-    graph = ar_component(q, side, bound)
+    graph = quiver.ar_component(q, side, bound)
     if job.output_format == "dot":
         return graph.to_dot() + "\n"
     if job.output_format == "json":
@@ -877,51 +861,57 @@ def _cmd_ar(job: JobSpec) -> str | dict:
 # The reproduction suite behind `check`
 
 
-def _b_diagram(b: int, order: int) -> ScatteringDiagram:
-    return _completed_diagram(initial_seed(rank2_exchange(b)), order)
+def _b_diagram(b: int, order: int) -> scattering.ScatteringDiagram:
+    return _completed_diagram(cluster.initial_seed(cluster.rank2_exchange(b)), order)
 
 
 def _three_term(depth: int = 8):
     """Theta of (1,-1) at (3/2, 1) for b=2, to degree 8."""
-    return theta_function((1, -1, 0, 0), (Fraction(3, 2), 1), _b_diagram(2, depth), 8)
+    return brokenlines.theta_function(
+        (1, -1, 0, 0), (fractions.Fraction(3, 2), 1), _b_diagram(2, depth), 8
+    )
 
 
 def _five_term():
     """Theta of (2,-2) at (1, -3/2) for b=2, to degree 8."""
-    return theta_function((2, -2, -1, -1), (1, Fraction(-3, 2)), _b_diagram(2, 10), 8)
+    return brokenlines.theta_function(
+        (2, -2, -1, -1), (1, fractions.Fraction(-3, 2)), _b_diagram(2, 10), 8
+    )
 
 
 def _square_identity() -> bool:
     """On the A-variables, theta of (2,-2) is theta of (1,-1) squared, minus 2."""
-    single = restrict_to_A(_three_term(depth=10))
-    return restrict_to_A(_five_term()) == single * single - LaurentPoly({(0, 0): 2})
+    single = brokenlines.restrict_to_A(_three_term(depth=10))
+    square = brokenlines.restrict_to_A(_five_term())
+    return square == single * single - LaurentPoly({(0, 0): 2})
 
 
 def _loop_moved(b: int) -> list:
     """Unit monomials that a full loop round the b diagram moves."""
-    start = (Fraction(-1), Fraction(1))
-    loop = CrossingPath(start, start, full_loops=1)
-    action = path_ordered_product(loop, _b_diagram(b, 8))
+    start = (fractions.Fraction(-1), fractions.Fraction(1))
+    loop = scattering.CrossingPath(start, start, full_loops=1)
+    action = scattering.path_ordered_product(loop, _b_diagram(b, 8))
     units = [LaurentPoly.monomial(tuple(int(j == i) for j in range(4)))
              for i in range(4)]
     return [unit for unit in units if action.apply(unit) != unit]
 
 
 def _strata_values() -> list[int]:
-    q = kronecker_quiver(2)
-    lines = _strata_lines(q, (5, 6), (2, 4), (Fraction(2), Fraction(1)), 6)[2]
+    q = quiver.kronecker_quiver(2)
+    pt = (fractions.Fraction(2), fractions.Fraction(1))
+    lines = _strata_lines(q, (5, 6), (2, 4), pt, 6)[2]
     return sorted(
-        broken_line_strata(line, q, (5, 6))[1].evaluate_int((1,)) for line in lines
+        hall.broken_line_strata(line, q, (5, 6))[1].evaluate_int((1,)) for line in lines
     )
 
 
 def _tau_undefined() -> list:
     """The projectives of the two-arrow quiver on which tau raises."""
-    q = kronecker_quiver(2)
+    q = quiver.kronecker_quiver(2)
     undefined = []
-    for proj in projective_dims(q):
+    for proj in quiver.projective_dims(q):
         try:
-            coxeter_translate(q, proj)
+            quiver.coxeter_translate(q, proj)
         except TranslateUndefinedError:
             undefined.append(proj)
     return undefined
@@ -930,13 +920,15 @@ def _tau_undefined() -> list:
 def _duality_failures(label: str) -> list:
     """Words of four mutations, six seeds kept a round, whose seed is not
     sign-coherent or breaks G^T = C^-1."""
-    frontier = [initial_seed(quiver_to_skew(named_quiver(label)))]
+    frontier = [cluster.initial_seed(quiver.quiver_to_skew(named_quiver(label)))]
     failures = []
     for _ in range(4):
-        frontier = [mutate_seed(s, k) for s in frontier for k in range(1, s.rank + 1)]
+        frontier = [
+            cluster.mutate_seed(s, k) for s in frontier for k in range(1, s.rank + 1)
+        ]
         failures += [
             m.word for m in frontier
-            if not (m.is_sign_coherent() and check_tropical_duality(m))
+            if not (m.is_sign_coherent() and cluster.check_tropical_duality(m))
         ]
         frontier = frontier[:6]
     return failures
@@ -945,9 +937,11 @@ def _duality_failures(label: str) -> list:
 def _ar_order(first, second) -> bool:
     """The paper's theorem on the walls of the b=2 mutation fan with these
     normals, crossed positively in this order."""
-    fan = cluster_complex_diagram(initial_seed(rank2_exchange(2)), 5, order=4)
+    seed = cluster.initial_seed(cluster.rank2_exchange(2))
+    fan = scattering.cluster_complex_diagram(seed, 5, order=4)
     walls = {wall.normal: wall for wall in fan.walls}
-    return ar_order_check(walls[first], walls[second], kronecker_quiver(2))
+    k2 = quiver.kronecker_quiver(2)
+    return scattering.ar_order_check(walls[first], walls[second], k2)
 
 
 def _ar_order_failures() -> tuple[int, list]:
@@ -956,10 +950,13 @@ def _ar_order_failures() -> tuple[int, list]:
     labels = ("a2", "a3", "kronecker2", "kronecker3", "kronecker4")
     pairs = [
         (q, *pair) for q in map(named_quiver, labels)
-        for pair in positive_crossing_pairs(initial_seed(quiver_to_skew(q)), 6)
+        for pair in scattering.positive_crossing_pairs(
+            cluster.initial_seed(quiver.quiver_to_skew(q)), 6
+        )
     ]
     return len(pairs), [
-        (w1.normal, w2.normal) for q, w1, w2 in pairs if not ar_order_check(w1, w2, q)
+        (w1.normal, w2.normal) for q, w1, w2 in pairs
+        if not scattering.ar_order_check(w1, w2, q)
     ]
 
 
@@ -968,13 +965,13 @@ def _transport_mismatches(b: int) -> tuple[int, list]:
     whose theta by chamber transport to (157/100, 83/100) differs from
     the broken-line sum there."""
     diagram = _b_diagram(b, 8)
-    chambers = cluster_complex_chambers(diagram.seed, 4)
+    chambers = scattering.cluster_complex_chambers(diagram.seed, 4)
     gens = sorted({g for chamber in chambers for g in chamber.generators})
-    pt = (Fraction(157, 100), Fraction(83, 100))
+    pt = (fractions.Fraction(157, 100), fractions.Fraction(83, 100))
     wrong = [
         g for g in gens
-        if theta_function((*g, 0, 0), pt, diagram, 8).value
-        != theta_via_path((*g, 0, 0), pt, diagram, depth=6)
+        if brokenlines.theta_function((*g, 0, 0), pt, diagram, 8).value
+        != brokenlines.theta_via_path((*g, 0, 0), pt, diagram, depth=6)
     ]
     return len(gens), wrong
 
@@ -989,7 +986,7 @@ def _invalid_lines() -> tuple[int, list]:
         lines += len(theta.lines)
         reasons += [
             check.reason for line in theta.lines
-            if not (check := validate_broken_line(line, diagram))
+            if not (check := brokenlines.validate_broken_line(line, diagram))
         ]
     return lines, reasons
 
@@ -997,23 +994,25 @@ def _invalid_lines() -> tuple[int, list]:
 def _hall_theta_is_broken_line_theta() -> bool:
     """The Hall-algebra theta function of (5,6) at (2,1) equals the sum of
     the broken lines of its initial exponent (7,-6) there."""
-    hall = hall_theta_chi(kronecker_quiver(2), (5, 6), (2, 1))
-    lines = theta_function((7, -6, 0, 0), (2, 1), _b_diagram(2, 11), 11)
-    return hall == lines.value
+    chi_sum = hall.hall_theta_chi(quiver.kronecker_quiver(2), (5, 6), (2, 1))
+    lines = brokenlines.theta_function((7, -6, 0, 0), (2, 1), _b_diagram(2, 11), 11)
+    return chi_sum == lines.value
 
 
 def _exact_phases() -> tuple:
     """The stability values at (2,1) of the filtration (2,3), (0,1) of
     D=(5,6), e=(2,4), the types of their parts, and whether the phases
     strictly decrease."""
-    filt = Filtration((((2, 3), 1), ((0, 1), 1)))
-    values, decreasing = hn_phases(filt, (2, 1), kronecker_quiver(2), (5, 6), (2, 4))
+    filt = hall.Filtration((((2, 3), 1), ((0, 1), 1)))
+    k2 = quiver.kronecker_quiver(2)
+    values, decreasing = hall.hn_phases(filt, (2, 1), k2, (5, 6), (2, 4))
     parts = {type(part).__name__ for z in values for part in (z.re, z.im)}
     return values, parts, decreasing
 
 
 def _seven_mutations() -> LaurentPoly:
-    return cluster_variable(initial_seed(rank2_exchange(2)), (1, 2, 1, 2, 1, 2, 1), 1)
+    seed = cluster.initial_seed(cluster.rank2_exchange(2))
+    return cluster.cluster_variable(seed, (1, 2, 1, 2, 1, 2, 1), 1)
 
 
 class Golden(NamedTuple):
@@ -1054,20 +1053,22 @@ GOLDEN: tuple[Golden, ...] = (
     Golden("five-term-theta-square-identity", "theta^2 - 2", _square_identity, True),
     Golden("kronecker-56-strata-10-8", "strata at q=1", _strata_values, [8, 10]),
     Golden("kronecker-56-strata-10-8", "chi",
-           lambda: grassmannian_euler_char(kronecker_quiver(2), (5, 6), (2, 4)), 18),
+           lambda: quiver.grassmannian_euler_char(
+               quiver.kronecker_quiver(2), (5, 6), (2, 4)), 18),
     Golden("stability-phases-exact", "Z(2,3) = 8+7i, Z(0,1) = 2+i, decreasing",
            _exact_phases,
-           ((StabilityValue(8, 7), StabilityValue(2, 1)), {"Fraction"}, True)),
+           (((8, 7), (2, 1)), {"Fraction"}, True)),
     Golden("kronecker-translate", "tau(2,3)",
-           lambda: coxeter_translate(kronecker_quiver(2), (2, 3)), (0, 1)),
+           lambda: quiver.coxeter_translate(quiver.kronecker_quiver(2), (2, 3)),
+           (0, 1)),
     Golden("kronecker-translate", "undefined on projectives", _tau_undefined,
            [(1, 2), (0, 1)]),
     Golden("gl-poincare-orders", "|GL_d(F_p)| at (d, p)", lambda: {
-        (d, p): gl_poincare(d).evaluate_int((p,))
+        (d, p): hall.gl_poincare(d).evaluate_int((p,))
         for d, p in ((1, 2), (1, 3), (2, 2), (2, 3))
     }, {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}),
     Golden("gl-poincare-orders", "binomial(5,2) at 1",
-           lambda: qbinom(5, 2).evaluate_int((1,)), 10),
+           lambda: hall.qbinom(5, 2).evaluate_int((1,)), 10),
     *(Golden("tropical-duality-sign-coherence", label,
              partial(_duality_failures, label), [])
       for label in ("a2", "a3", "kronecker2")),
@@ -1080,10 +1081,11 @@ GOLDEN: tuple[Golden, ...] = (
     Golden("theta-via-path", "b=1", partial(_transport_mismatches, 1), (5, [])),
     Golden("theta-via-path", "b=2", partial(_transport_mismatches, 2), (10, [])),
     Golden("cc-equals-cluster-variable", "D=(7,6) vs word 1,2,1,2,1,2,1",
-           lambda: caldero_chapoton(kronecker_quiver(2), (7, 6)) == _seven_mutations(),
+           lambda: quiver.caldero_chapoton(quiver.kronecker_quiver(2), (7, 6))
+           == _seven_mutations(),
            True),
     Golden("cc-equals-cluster-variable", "g-vector",
-           lambda: g_vector(_seven_mutations(), 2), (5, -6)),
+           lambda: cluster.g_vector(_seven_mutations(), 2), (5, -6)),
     Golden("broken-lines-validate", "three- and five-term theta",
            _invalid_lines, (8, [])),
     Golden("hall-theta-equals-broken-lines", "D=(5,6) at (2,1), order 11",
@@ -1212,7 +1214,9 @@ def run(job: JobSpec) -> str:
 # Argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argued: Container[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with arguments only for those in
+    ``argued``: argparse reads the arguments of the one it runs alone."""
     parser = argparse.ArgumentParser(
         prog="clusterscatter",
         description="Exact cluster scattering diagrams, theta functions, "
@@ -1221,6 +1225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        if name not in argued:
+            continue
         for inp in spec.inputs:
             p.add_argument(
                 _flag(inp.key), dest=inp.key, required=inp.required is True,
@@ -1241,8 +1247,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"shorthand for --format {fmt}",
             )
     p = sub.add_parser("run", help="execute a JSON job document")
-    p.add_argument("--job", required=True,
-                   help="path to a JobSpec JSON file, or - for stdin")
+    if "run" in argued:
+        p.add_argument("--job", required=True,
+                       help="path to a JobSpec JSON file, or - for stdin")
     return parser
 
 
@@ -1296,10 +1303,11 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(
-        _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    )
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    # the subcommand argparse runs is the first word that names one: the
+    # words before it are options
+    invoked = next((arg for arg in argv if arg in _COMMANDS or arg == "run"), None)
+    args = _build_parser({invoked}).parse_args(argv)
     budget = lattice.BUDGET
     try:
         # both ceilings are read once, before any job runs

@@ -40,8 +40,9 @@ class Budget(NamedTuple):
     """The resource ceilings: ``terms`` bounds polynomial products, wall
     crossings, series and the sizes the command line builds, ``subspaces``
     what a counting polynomial enumerates (subspaces over a prime field,
-    torus-fixed points).  Pure-Python counting over F_2 takes about 150 us
-    per subspace."""
+    torus-fixed points).  Counting over F_2 on bit-packed rows takes 3-5 us
+    per subspace on a two-arrow quiver (dimensions up to 9, one core of a
+    2-vCPU VM); odd primes, on lists of residues, take 55-80 us."""
 
     terms: int = 2_000_000
     subspaces: int = 20_000

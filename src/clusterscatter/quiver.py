@@ -41,8 +41,7 @@ Conventions
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, count, product
 from math import prod
 from types import MappingProxyType
@@ -258,6 +257,8 @@ def tits_positive_definite(q: Quiver) -> bool:
     One symmetric Gaussian elimination over the rationals decides it:
     the form is positive definite exactly when every pivot is positive.
     """
+    from fractions import Fraction  # this module's one use: grass never imports it
+
     e = euler_matrix(q)
     n = q.n_vertices
     sym = [[Fraction(e[i][j] + e[j][i]) for j in range(n)] for i in range(n)]
@@ -594,8 +595,8 @@ def gaussian_binomial_int(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
+def _rref_mod_p(rows: list[list[int]], p: int) -> dict[int, list[int]]:
+    """Reduced row echelon form: the nonzero rows, keyed by pivot column."""
     mat = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
     rank = 0
@@ -615,7 +616,7 @@ def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
         rank += 1
         if rank == len(mat):
             break
-    return mat[:rank], pivots
+    return dict(zip(pivots, mat))
 
 
 def _subspace_bases(p: int, d: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -642,19 +643,20 @@ def _subspace_bases(p: int, d: int, k: int) -> Iterator[tuple[tuple[int, ...], .
 
 
 def _subspaces_containing(
-    p: int, d: int, w_rref: list[list[int]], w_pivots: list[int], k: int
+    p: int, d: int, span: dict[int, list[int]], k: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ``k``-dimensional subspaces of ``F_p^d`` containing a fixed one.
+    """All ``k``-dimensional subspaces of ``F_p^d`` containing the span of
+    ``span``'s rows, keyed by their pivot columns.
 
     Enumerates subspaces of the quotient by the fixed subspace and lifts
     them through the non-pivot coordinates; the particular lift does not
     matter because the fixed rows are always included.
     """
-    w = len(w_rref)
+    w = len(span)
     if k < w:
         return
-    non_pivots = [c for c in range(d) if c not in w_pivots]
-    base = tuple(tuple(row) for row in w_rref)
+    non_pivots = [c for c in range(d) if c not in span]
+    base = tuple(tuple(row) for row in span.values())
     for quot_rows in _subspace_bases(p, d - w, k - w):
         lifted = []
         for qrow in quot_rows:
@@ -673,6 +675,59 @@ def _image_rows(mat: Matrix, basis: Sequence[Sequence[int]], p: int) -> list[lis
     return out
 
 
+def _f2_images(columns: tuple[int, ...], basis: Sequence[int]) -> list[int]:
+    """Images of bit-packed vectors under the map with these columns: the
+    XOR of the columns at each vector's set bits."""
+    out = []
+    for row in basis:
+        image = 0
+        while row:
+            low = row & -row
+            image ^= columns[low.bit_length() - 1]
+            row ^= low
+        out.append(image)
+    return out
+
+
+def _f2_span(rows: Sequence[int]) -> dict[int, int]:
+    """Bit-packed rows XOR-reduced to a basis of their span, keyed by the
+    distinct leading bits."""
+    span: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in span:
+                span[lead] = row
+                break
+            row ^= span[lead]
+    return span
+
+
+def _f2_subspaces_containing(
+    d: int, span: dict[int, int], k: int
+) -> Iterator[tuple[int, ...]]:
+    """All ``k``-dimensional subspaces of ``F_2^d`` containing the span of
+    ``span``'s bit-packed rows, keyed by their leading bits.
+
+    The unit vectors at the other coordinates span a complement, so each
+    subspace is the span's rows plus a reduced-echelon basis of a subspace
+    of that complement: a row is its pivot bit (its lowest) plus any set
+    of the later complement bits that are no pivot.
+    """
+    base = tuple(span.values())
+    free = [c for c in range(d) if c not in span]
+    for pivots in combinations(free, k - len(base)):
+        choices = []
+        for pivot in pivots:
+            rows = [1 << pivot]
+            for c in free:
+                if c > pivot and c not in pivots:
+                    rows += [row | 1 << c for row in rows]
+            choices.append(rows)
+        for rows in product(*choices):
+            yield base + rows
+
+
 def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     """Exact number of subrepresentations with dimension vector ``e``.
 
@@ -684,6 +739,12 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     The product of the Gaussian binomials at the other vertices, the
     number of subspaces enumerated, is charged against the ``subspaces``
     budget before any is.
+
+    Over F_2 the rows are bit-packed: a vector is an int (bit ``i`` its
+    ``i``-th coordinate), an arrow map its columns, an image the XOR of the
+    columns at a vector's set bits and a span the rows XOR-reduced to
+    distinct leading bits.  Odd primes keep lists of residues, reduced by
+    :func:`_rref_mod_p`.
     """
     q = rep.quiver
     p = rep.field
@@ -702,18 +763,28 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
         if not is_sink[v]
     )
     charge("subspaces", f"subspaces over F_{p}", prod(enumerated))
-    arrow_maps = tuple(zip(q.arrows, rep.maps))
-    bases: dict[int, tuple[tuple[int, ...], ...]] = {}
+    if p == 2:
+        # each map as its columns, the images of the unit vectors
+        maps = tuple(
+            (s, t, tuple(sum(row[j] << i for i, row in enumerate(mat))
+                         for j in range(rep.dims[s - 1])))
+            for (s, t), mat in zip(q.arrows, rep.maps)
+        )
+        images, span_of, containing = _f2_images, _f2_span, _f2_subspaces_containing
+    else:
+        maps = tuple((s, t, mat) for (s, t), mat in zip(q.arrows, rep.maps))
+        images = partial(_image_rows, p=p)
+        span_of = partial(_rref_mod_p, p=p)
+        containing = partial(_subspaces_containing, p)
+    bases: dict[int, tuple] = {}
 
     def recurse(v: int) -> int:
         if v > n:
             return 1
-        forced: list[list[int]] = []
-        for (s, t), mat in arrow_maps:
-            if t == v and s in bases:
-                forced.extend(_image_rows(mat, bases[s], p))
-        w_rref, w_pivots = _rref_mod_p(forced, p)
-        w = len(w_rref)
+        span = span_of([
+            image for s, t, mat in maps if t == v for image in images(mat, bases[s])
+        ])
+        w = len(span)
         if e[v - 1] < w:
             return 0
         if is_sink[v - 1]:
@@ -722,12 +793,9 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
             )
             return factor * recurse(v + 1) if factor else 0
         total = 0
-        for basis in _subspaces_containing(
-            p, rep.dims[v - 1], w_rref, w_pivots, e[v - 1]
-        ):
+        for basis in containing(rep.dims[v - 1], span, e[v - 1]):
             bases[v] = basis
             total += recurse(v + 1)
-        bases.pop(v, None)
         return total
 
     return recurse(1)

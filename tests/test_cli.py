@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ import clusterscatter
 import fp_oracle
 from clusterscatter import cli as cli_mod
 from clusterscatter import lattice
+from clusterscatter import quiver as quiver_mod
 from clusterscatter.brokenlines import enumerate_broken_lines
 from clusterscatter.cli import (
     JobSpec,
@@ -195,7 +198,7 @@ class TestGrassCommand:
         # A counting polynomial that disagrees with the fixed-point count
         # is an error naming both values, not an output.
         monkeypatch.setattr(
-            cli_mod, "grassmannian_counting_polynomial",
+            quiver_mod, "grassmannian_counting_polynomial",
             lambda q, d, e: (1, 2, 4, 4, 4, 2, 2),
         )
         code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "5,6",
@@ -207,7 +210,7 @@ class TestGrassCommand:
     def test_json_checks_the_polynomial_at_two(self, cli, monkeypatch):
         # the right value 18 at q = 1, but 277 at q = 2 where F_2 has 245
         monkeypatch.setattr(
-            cli_mod, "grassmannian_counting_polynomial",
+            quiver_mod, "grassmannian_counting_polynomial",
             lambda q, d, e: (1, 2, 4, 4, 4, 1, 2),
         )
         code, out, err = cli("grass", "--quiver", "kronecker2", "--D", "5,6",
@@ -506,7 +509,7 @@ class TestStrataCommand:
     def test_whole_polynomials_compared(self, cli, monkeypatch):
         # sum 18 as before, but not the sum of the strata polynomials
         monkeypatch.setattr(
-            cli_mod, "grassmannian_counting_polynomial",
+            quiver_mod, "grassmannian_counting_polynomial",
             lambda q, d, e: (1, 2, 4, 4, 4, 1, 2),
         )
         args = ("strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
@@ -1145,38 +1148,133 @@ class TestRunApi:
         assert run(job) == "18\n"
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy is a test dependency only, and xml.sax.saxutils would pull in
-    # email, http and urllib.request; every command pays for its imports
+def _fresh_python(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; its output lines."""
     src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
-    heavy = ("numpy", "xml", "email", "http", "urllib.request")
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, clusterscatter.cli; "
-         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is a test dependency only, and xml.sax.saxutils would pull in
+    # email, http and urllib.request; every command pays for its imports
+    heavy = ("numpy", "xml", "email", "http", "urllib.request")
+    assert _fresh_python(
+        "import sys, clusterscatter.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    ) == ["[]"]
 
 
 def test_cli_import_leaves_dataclasses_inspect_and_html_out():
     # records are named tuples and SVG labels are escaped in place, so a
     # command loads neither dataclasses (with inspect) nor html
-    src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
     heavy = ("dataclasses", "inspect", "html")
+    assert _fresh_python(
+        "import sys, clusterscatter.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    ) == ["[]"]
+
+
+#: Prints, as its last two lines, the package modules in ``sys.modules``
+#: and those that have executed: a lazily bound module is a subclass of
+#: ModuleType until its first attribute use.
+_LOADED = (
+    "import sys, types; "
+    "mods = {k.split('.')[1]: type(m) is types.ModuleType "
+    "for k, m in sys.modules.items() if k.startswith('clusterscatter.')}; "
+    "print(sorted(mods)); print(sorted(k for k, ran in mods.items() if ran))"
+)
+PACKAGE_MODULES = sorted(
+    path.stem for path in Path(clusterscatter.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+)
+
+
+class TestLazyModules:
+    def test_import_registers_every_module_and_runs_three(self):
+        lines = _fresh_python("import clusterscatter.cli; " + _LOADED)
+        assert lines == [str(PACKAGE_MODULES), str(["cli", "errors", "lattice"])]
+
+    def test_grass_json_job_runs_no_scattering_brokenlines_or_hall(self):
+        # nor fractions, which only rational inputs and other commands read
+        lines = _fresh_python(
+            "import clusterscatter.cli as cli; "
+            "code = cli.main(['grass', '--quiver', 'kronecker2', '--D', '5,6', "
+            "'--e', '2,4', '--json']); print(code); "
+            "import types; print(type(cli.fractions) is types.ModuleType); "
+            + _LOADED
+        )
+        assert lines[-4:] == [
+            "0", "False", str(PACKAGE_MODULES),
+            str(["cli", "errors", "lattice", "quiver"]),
+        ]
+
+    def test_a_module_imported_first_stays_one_object(self):
+        lines = _fresh_python(
+            "import sys, clusterscatter; "
+            "import clusterscatter.brokenlines as before; "
+            "import clusterscatter.cli as cli; "
+            "from clusterscatter import hall; "
+            "import clusterscatter.hall as hall_again; "
+            "print(cli.brokenlines is before is clusterscatter.brokenlines "
+            "is sys.modules['clusterscatter.brokenlines']); "
+            "print(cli.hall is hall is hall_again is clusterscatter.hall); "
+            "print(hall.qbinom(2, 1).evaluate_int((1,)))"
+        )
+        assert lines == ["True", "True", "2"]
+
+
+#: Help and argparse errors; a job read from stdin.
+PARSER_CASES = [
+    ["--help"], *([name, "--help"] for name in (*cli_mod.COMMANDS, "run")),
+    [], ["dance"], ["scatter", "--b", "2", "--order", "3", "extra"],
+    ["run", "--job", "-"],
+]
+
+
+@pytest.mark.parametrize("args", PARSER_CASES, ids=" ".join)
+def test_parser_bytes_match_a_parser_with_every_argument(args, capsys, monkeypatch):
+    built = cli_mod._build_parser
+
+    def outcome(build):
+        monkeypatch.setattr(cli_mod, "_build_parser", build)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            '{"command": "grass", "inputs": {"b": 2, "D": [1, 2], "e": [0, 1]}}'
+        ))
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    every = outcome(lambda argued: built((*cli_mod.COMMANDS, "run")))
+    assert outcome(built) == every
+    assert every[1] or every[2]
+
+
+def test_trace_job_records_spans_of_a_grass_job(tmp_path):
+    # the benchmark's tracer wraps functions on modules that the CLI binds
+    # lazily, looking each one up in sys.modules
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, clusterscatter.cli; "
-         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        [sys.executable, str(root / "perfbench" / "trace_job.py"), str(spans),
+         "--", "grass", "--quiver", "kronecker2", "--D", "2,3", "--e", "1,1",
+         "--json"],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["calls"]["quiver.subrep_count"] == 1
 
 
 def test_svg_escape_matches_html_escape():

@@ -10,6 +10,7 @@ counts by the independent brute-force enumerator in this file.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -65,55 +66,47 @@ A3 = path_quiver(3)
 # Independent brute-force referee for subrepresentation counts
 
 
-def _span(p: int, vectors: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    d = len(vectors[0]) if vectors else 0
-    out = set()
-    for coeffs in product(range(p), repeat=len(vectors)):
-        vec = tuple(
-            sum(c * v[i] for c, v in zip(coeffs, vectors)) % p for i in range(d)
-        )
-        out.add(vec)
-    return frozenset(out)
+def _vectors(p: int, d: int) -> list[tuple[int, ...]]:
+    """The vectors of ``F_p^d``, the zero vector first."""
+    return list(product(range(p), repeat=d))
 
 
-def _all_subspaces(p: int, d: int, k: int) -> list[frozenset[tuple[int, ...]]]:
-    zero = tuple([0] * d)
+@lru_cache(maxsize=None)
+def _all_subspaces(p: int, d: int, k: int) -> tuple[frozenset[int], ...]:
+    """Every ``k``-dimensional subspace of ``F_p^d`` as the set of its
+    vectors' positions in ``_vectors(p, d)``: each one of dimension
+    ``k - 1`` grown by every vector outside it, duplicates dropped."""
     if k == 0:
-        return [frozenset([zero])]
-    vectors = [
-        tuple(v) for v in product(range(p), repeat=d) if any(x for x in v)
-    ]
-    seen = {}
-    for combo in product(vectors, repeat=k):
-        spanned = _span(p, list(combo))
-        if len(spanned) == p**k:
-            seen[spanned] = None
-    return list(seen.keys())
+        return (frozenset([0]),)
+    vectors = _vectors(p, d)
+    index = {v: i for i, v in enumerate(vectors)}
+    add = [[index[tuple((a + c * b) % p for a, b in zip(u, v))] for v in vectors]
+           for u in vectors for c in range(p)]
+    return tuple({
+        frozenset(add[u * p + c][v] for u in space for c in range(p))
+        for space in _all_subspaces(p, d, k - 1)
+        for v in range(len(vectors)) if v not in space
+    })
 
 
 def naive_subrep_count(rep: ExplicitRep, e: tuple[int, ...]) -> int:
-    p = rep.field
-    q = rep.quiver
-    choices = [
-        _all_subspaces(p, rep.dims[v], e[v]) for v in range(q.n_vertices)
-    ]
-    total = 0
-    for combo in product(*choices):
-        ok = True
-        for (s, t), mat in zip(q.arrows, rep.maps):
-            for vec in combo[s - 1]:
-                image = tuple(
-                    sum(row[j] * vec[j] for j in range(len(vec))) % p
-                    for row in mat
-                )
-                if image not in combo[t - 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            total += 1
-    return total
+    """Every choice of a subspace at each vertex, counted when each arrow
+    maps every vector of its source's subspace into its target's."""
+    p, q = rep.field, rep.quiver
+    choices = [_all_subspaces(p, d, k) for d, k in zip(rep.dims, e)]
+    checks = []
+    for (s, t), mat in zip(q.arrows, rep.maps):
+        target = {v: i for i, v in enumerate(_vectors(p, rep.dims[t - 1]))}
+        image = [
+            target[tuple(sum(x * y for x, y in zip(row, vec)) % p for row in mat)]
+            for vec in _vectors(p, rep.dims[s - 1])
+        ]
+        images = {space: frozenset(image[i] for i in space) for space in choices[s - 1]}
+        checks.append((s - 1, t - 1, images))
+    return sum(
+        all(images[combo[s]] <= combo[t] for s, t, images in checks)
+        for combo in product(*choices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +544,19 @@ def test_two_vertex_fast_path_matches_general(p, e):
     assert fp_oracle.subrep_count(rep, e) == subrep_count(rep, e)
 
 
+@pytest.mark.parametrize(
+    "d", [(n, n + s) for n in range(1, 6) for s in (-1, 1)] + [(1, 1, 1)], ids=str
+)
+def test_bit_packed_f2_count_matches_both_referees(d):
+    # every e of K2 (n, n+-1) and A3 (1,1,1): the package's packed rows, the
+    # brute-force enumerator above and the oracle's rank histogram (or, off
+    # two vertices, its fallback)
+    rep = rep_mod_p(indecomposable_rep(K2 if len(d) == 2 else A3, d), 2)
+    for e in product(*(range(x + 1) for x in d)):
+        count = subrep_count(rep, e)
+        assert count == naive_subrep_count(rep, e) == fp_oracle.subrep_count(rep, e)
+
+
 def test_counting_polynomial_fits_across_primes():
     # Counts over at least four primes must fit one polynomial for every
     # subdimension of every indecomposable up to (3, 4).
@@ -745,18 +751,22 @@ def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
     # D = (6, 5), e = (3, 4) enumerates the 1395 subspaces of dimension 3
     # of F_2^6; a ceiling of 1000 must stop the count before any of them.
     calls = []
-    original = quiver_mod._subspaces_containing
+    original = quiver_mod._f2_subspaces_containing
 
     def enumerating(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(quiver_mod, "_subspaces_containing", enumerating)
+    monkeypatch.setattr(quiver_mod, "_f2_subspaces_containing", enumerating)
     monkeypatch.setattr(lattice, "BUDGET", lattice.Budget(subspaces=1000))
     rep = rep_mod_p(indecomposable_rep(K2, (6, 5)), 2)
     with pytest.raises(ResourceLimitError, match="1395 subspaces over F_2"):
         subrep_count(rep, (3, 4))
     assert calls == []
+    # under the default ceiling the same count goes through that enumerator
+    monkeypatch.setattr(lattice, "BUDGET", lattice.Budget())
+    assert subrep_count(rep, (3, 4)) == naive_subrep_count(rep, (3, 4))
+    assert calls
 
 
 def test_counting_polynomial_checks_limit_before_enumerating(monkeypatch):
