@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import ast
 import io
 import json
 import math
@@ -1148,16 +1149,34 @@ class TestRunApi:
         assert run(job) == "18\n"
 
 
-def _fresh_python(code: str) -> list[str]:
-    """Run ``code`` in a new interpreter; its output lines."""
+#: A fresh ``python -m clusterscatter.cli`` process, arguments to follow.
+PYTHON_M_CLI = [sys.executable, "-m", "clusterscatter.cli"]
+
+
+def _fresh_process(argv, env=None, **streams) -> subprocess.CompletedProcess:
+    """Run ``argv`` with the package on ``PYTHONPATH`` and ``env`` (this
+    process's environment by default); ``streams`` replaces the captured
+    stdout or stderr."""
     src = os.path.dirname(os.path.dirname(clusterscatter.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run(
+        argv,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**(os.environ if env is None else env), "PYTHONPATH": src},
+        **streams,
     )
+
+
+def _environ(unbuffered: bool) -> dict:
+    """This process's environment with ``PYTHONUNBUFFERED`` set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def _fresh_python(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; its output lines."""
+    proc = _fresh_process([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -1264,17 +1283,104 @@ def test_trace_job_records_spans_of_a_grass_job(tmp_path):
     # lazily, looking each one up in sys.modules
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.json"
-    proc = subprocess.run(
+    proc = _fresh_process(
         [sys.executable, str(root / "perfbench" / "trace_job.py"), str(spans),
          "--", "grass", "--quiver", "kronecker2", "--D", "2,3", "--e", "1,1",
-         "--json"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+         "--json"]
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text())["calls"]["quiver.subrep_count"] == 1
+
+
+#: Jobs whose status and bytes a fresh process must reproduce: arguments,
+#: environment, status.
+PARITY_CASES = {
+    "grass --json": (
+        ["grass", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4", "--json"],
+        {}, 0,
+    ),
+    "e > d": (["grass", "--quiver", "kronecker2", "--D", "1,2", "--e", "2,2"], {}, 2),
+    "term ceiling": (
+        ["scatter", "--b", "2", "--order", "8"], {"CLUSTERSCATTER_MAX_TERMS": "5"}, 3,
+    ),
+    "unknown flag": (
+        ["grass", "--quiver", "kronecker2", "--D", "1,2", "--e", "0,1", "--bogus"],
+        {}, 2,
+    ),
+    "help": (["--help"], {}, 0),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_a_fresh_process_ends_with_the_status_and_bytes_of_main(
+    case, capsys, monkeypatch
+):
+    args, env, status = PARITY_CASES[case]
+    for name, value in {**env, "COLUMNS": "80"}.items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    in_process = (code, *capsys.readouterr())
+    proc = _fresh_process([*PYTHON_M_CLI, *args])
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+    assert code == status and (proc.stdout or proc.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_atexit_handler_runs_after_the_output_and_keeps_the_status(unbuffered):
+    code = (
+        "import atexit, runpy; atexit.register(print, 'handler ran'); "
+        "runpy.run_module('clusterscatter.cli', run_name='__main__')"
+    )
+    for args, status, out in (
+        (["grass", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4"], 0, "18\n"),
+        (["grass", "--quiver", "kronecker2", "--D", "1,2", "--e", "2,2"], 2, ""),
+    ):
+        proc = _fresh_process([sys.executable, "-c", code, *args], _environ(unbuffered))
+        assert (proc.returncode, proc.stdout) == (status, out + "handler ran\n")
+
+
+CC_JSON = ["cc", "--quiver", "kronecker2", "--D", "1,2", "--json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [CC_JSON, ["--help"]], ids=" ".join)
+def test_output_to_a_full_device_ends_in_one_error_line(unbuffered, args):
+    # buffered, the flush fails; unbuffered, a job's write itself
+    argv, env = [*PYTHON_M_CLI, *args], _environ(unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = _fresh_process(argv, env, stdout=full)
+        both = _fresh_process(argv, env, stdout=full, stderr=full)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write output: [Errno 28] No space left on device\n"
+    )
+    assert both.returncode == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+def test_a_closed_stdout_ends_in_one_error_line():
+    proc = _fresh_process(["sh", "-c", 'exec "$@" >&-', "sh", *PYTHON_M_CLI, *CC_JSON])
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write output: [Errno 9] Bad file descriptor\n"
+    )
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    (guard,) = [
+        node for node in ast.parse(Path(cli_mod.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (stmt,) = guard.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args
+    assert scripts == {"clusterscatter": f"clusterscatter.cli:{stmt.value.func.id}"}
 
 
 def test_svg_escape_matches_html_escape():

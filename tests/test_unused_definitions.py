@@ -3,8 +3,9 @@
 A top-level function or class, or a method not named ``__*__``, that
 nothing under ``src/clusterscatter`` references is code that only tests
 call, or that nothing calls: wire it into the program or delete it.
-References inside the definition itself (recursion) do not count.  The
-console-script entry point ``cli.main`` is the one exemption.  Likewise,
+References inside the definition itself (recursion) do not count.  There
+is no exemption: the ``__main__`` block of ``cli`` calls the console-script
+entry point ``cli.console``, which calls ``cli.main``.  Likewise,
 every name a test module imports from the package is read in that
 module, and no test module imports another: shared test code lives in the
 ``*_oracle.py`` reference modules.
@@ -17,7 +18,6 @@ from pathlib import Path
 import clusterscatter
 
 SOURCE = Path(clusterscatter.__file__).parent
-EXEMPT = {("cli", "main")}
 
 
 def _referenced_names(node: ast.AST) -> Counter:
@@ -45,7 +45,7 @@ def test_every_definition_is_referenced_in_the_package():
                 ]
             for label, member in members:
                 own = _referenced_names(member)[member.name]
-                if (module, label) not in EXEMPT and references[member.name] <= own:
+                if references[member.name] <= own:
                     unused.append(f"{module}.{label}")
     assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
 
