@@ -1269,14 +1269,16 @@ def _build_parser(argued: Container[str]) -> argparse.ArgumentParser:
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.command == "run":
-        if args.job == "-":
-            raw = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.job != "-":
                 with open(args.job, "r", encoding="utf-8") as fh:
                     raw = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read job file: {exc}") from None
+            elif sys.stdin is None:  # the process started with stdin closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            else:
+                raw = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read job file: {exc}") from None
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -1328,10 +1330,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         lattice.BUDGET = lattice.budget_from_env()
         output = run(_job_from_args(args))
     except ResourceLimitError as exc:
-        print(f"error: resource limit: {exc}", file=sys.stderr)
+        _write_quietly(sys.stderr, f"error: resource limit: {exc}\n")
         return 3
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_quietly(sys.stderr, f"error: {exc}\n")
         return 2
     finally:
         lattice.BUDGET = budget

@@ -39,10 +39,10 @@ Matrix = tuple[Vec, ...]
 class Budget(NamedTuple):
     """The resource ceilings: ``terms`` bounds polynomial products, wall
     crossings, series and the sizes the command line builds, ``subspaces``
-    what a counting polynomial enumerates (subspaces over a prime field,
-    torus-fixed points).  Counting over F_2 on bit-packed rows takes 3-5 us
-    per subspace on a two-arrow quiver (dimensions up to 9, one core of a
-    2-vCPU VM); odd primes, on lists of residues, take 55-80 us."""
+    what a counting polynomial enumerates (subspaces over F_2, torus-fixed
+    points).  Counting over F_2 on bit-packed rows takes 3-5 us per
+    subspace on a two-arrow quiver (dimensions up to 9, one core of a
+    2-vCPU VM)."""
 
     terms: int = 2_000_000
     subspaces: int = 20_000

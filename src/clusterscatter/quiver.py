@@ -8,7 +8,7 @@ translate orbits with irreducible-map arrows, one model per
 indecomposable as a string (the simples of every quiver, the intervals of
 the linear quivers and the indecomposables of the two-arrow quiver) with
 its arrow matrices read off the string, exact subrepresentation counting
-over prime fields, Euler characteristics of subrepresentation
+over F_2, Euler characteristics of subrepresentation
 Grassmannians as counts of torus-fixed points on the string's
 coefficient quiver (Cerulli Irelli, arXiv:0910.2592), counting
 polynomials as sums of ``q^(cell dimension)`` over the same fixed points,
@@ -41,7 +41,7 @@ Conventions
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, count, product
 from math import prod
 from types import MappingProxyType
@@ -580,7 +580,7 @@ def indecomposable_rep(q: Quiver, d: Sequence[int]) -> ExplicitRep:
 
 
 # ---------------------------------------------------------------------------
-# Counting subrepresentations over prime fields
+# Counting subrepresentations over F_2
 
 
 def gaussian_binomial_int(n: int, k: int, q: int) -> int:
@@ -593,86 +593,6 @@ def gaussian_binomial_int(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def _rref_mod_p(rows: list[list[int]], p: int) -> dict[int, list[int]]:
-    """Reduced row echelon form: the nonzero rows, keyed by pivot column."""
-    mat = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return dict(zip(pivots, mat))
-
-
-def _subspace_bases(p: int, d: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ``k``-dimensional subspaces of ``F_p^d`` as reduced-echelon bases."""
-    if k < 0 or k > d:
-        return
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(d), k):
-        free = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, d)
-            if c not in pivots
-        ]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * d for _ in range(k)]
-            for r, col in enumerate(pivots):
-                rows[r][col] = 1
-            for (r, c), val in zip(free, values):
-                rows[r][c] = val
-            yield tuple(tuple(row) for row in rows)
-
-
-def _subspaces_containing(
-    p: int, d: int, span: dict[int, list[int]], k: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ``k``-dimensional subspaces of ``F_p^d`` containing the span of
-    ``span``'s rows, keyed by their pivot columns.
-
-    Enumerates subspaces of the quotient by the fixed subspace and lifts
-    them through the non-pivot coordinates; the particular lift does not
-    matter because the fixed rows are always included.
-    """
-    w = len(span)
-    if k < w:
-        return
-    non_pivots = [c for c in range(d) if c not in span]
-    base = tuple(tuple(row) for row in span.values())
-    for quot_rows in _subspace_bases(p, d - w, k - w):
-        lifted = []
-        for qrow in quot_rows:
-            row = [0] * d
-            for val, col in zip(qrow, non_pivots):
-                row[col] = val
-            lifted.append(tuple(row))
-        yield base + tuple(lifted)
-
-
-def _image_rows(mat: Matrix, basis: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Images of basis row vectors under a column-action matrix, as rows."""
-    out = []
-    for vec in basis:
-        out.append([sum(row[j] * vec[j] for j in range(len(vec))) % p for row in mat])
-    return out
 
 
 def _f2_images(columns: tuple[int, ...], basis: Sequence[int]) -> list[int]:
@@ -740,16 +660,16 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     number of subspaces enumerated, is charged against the ``subspaces``
     budget before any is.
 
-    Over F_2 the rows are bit-packed: a vector is an int (bit ``i`` its
-    ``i``-th coordinate), an arrow map its columns, an image the XOR of the
-    columns at a vector's set bits and a span the rows XOR-reduced to
-    distinct leading bits.  Odd primes keep lists of residues, reduced by
-    :func:`_rref_mod_p`.
+    The rows are bit-packed: a vector is an int (bit ``i`` its ``i``-th
+    coordinate), an arrow map its columns, an image the XOR of the columns
+    at a vector's set bits and a span the rows XOR-reduced to distinct
+    leading bits.  Only a representation over F_2 is counted.
     """
     q = rep.quiver
-    p = rep.field
-    if p < 2:
-        raise InputError("subrepresentation counting needs a prime field")
+    if rep.field != 2:
+        raise InputError(
+            f"subrepresentation counting is over F_2, not field {rep.field}"
+        )
     e = tuple(int(x) for x in e)
     if len(e) != q.n_vertices:
         raise InputError("dimension vector length must match the quiver")
@@ -758,42 +678,37 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     n = q.n_vertices
     is_sink = [not any(row) for row in q.counts]
     enumerated = (
-        gaussian_binomial_int(rep.dims[v], e[v], p)
+        gaussian_binomial_int(rep.dims[v], e[v], 2)
         for v in range(n)
         if not is_sink[v]
     )
-    charge("subspaces", f"subspaces over F_{p}", prod(enumerated))
-    if p == 2:
-        # each map as its columns, the images of the unit vectors
-        maps = tuple(
-            (s, t, tuple(sum(row[j] << i for i, row in enumerate(mat))
-                         for j in range(rep.dims[s - 1])))
-            for (s, t), mat in zip(q.arrows, rep.maps)
-        )
-        images, span_of, containing = _f2_images, _f2_span, _f2_subspaces_containing
-    else:
-        maps = tuple((s, t, mat) for (s, t), mat in zip(q.arrows, rep.maps))
-        images = partial(_image_rows, p=p)
-        span_of = partial(_rref_mod_p, p=p)
-        containing = partial(_subspaces_containing, p)
-    bases: dict[int, tuple] = {}
+    charge("subspaces", "subspaces over F_2", prod(enumerated))
+    # each map as its columns, the images of the unit vectors; an entry
+    # counts mod 2, so one outside {0, 1} sets no other bit
+    maps = tuple(
+        (s, t, tuple(sum((row[j] & 1) << i for i, row in enumerate(mat))
+                     for j in range(rep.dims[s - 1])))
+        for (s, t), mat in zip(q.arrows, rep.maps)
+    )
+    bases: dict[int, tuple[int, ...]] = {}
 
     def recurse(v: int) -> int:
         if v > n:
             return 1
-        span = span_of([
-            image for s, t, mat in maps if t == v for image in images(mat, bases[s])
+        span = _f2_span([
+            image for s, t, columns in maps if t == v
+            for image in _f2_images(columns, bases[s])
         ])
         w = len(span)
         if e[v - 1] < w:
             return 0
         if is_sink[v - 1]:
             factor = gaussian_binomial_int(
-                rep.dims[v - 1] - w, e[v - 1] - w, p
+                rep.dims[v - 1] - w, e[v - 1] - w, 2
             )
             return factor * recurse(v + 1) if factor else 0
         total = 0
-        for basis in containing(rep.dims[v - 1], span, e[v - 1]):
+        for basis in _f2_subspaces_containing(rep.dims[v - 1], span, e[v - 1]):
             bases[v] = basis
             total += recurse(v + 1)
         return total

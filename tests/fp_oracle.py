@@ -1,35 +1,34 @@
 """Finite-field oracle for counting polynomials.
 
 An independent route to the counting polynomial of a quiver Grassmannian:
-count subrepresentations over prime fields (on the two-arrow quiver by a
-numpy-batched rank histogram over every source subspace, of the module
-or of its dual, whichever has fewer) and fit the palindromic polynomial
-whose degree is the expected dimension.  The
-package computes the polynomial from torus-fixed points instead; tests
-compare the two.  The numpy histogram has no subspace ceiling, but its
-fallback to ``quiver.subrep_count`` is charged against ``lattice.BUDGET``
-like any library call: tests choose inputs the oracle can count.
-:func:`brute_gl_order` is the brute force for |GL_d(F_p)|: it counts the
-invertible matrices by their determinants.
+count subrepresentations over prime fields and fit the palindromic
+polynomial whose degree is the expected dimension.  On the two-arrow
+quiver the count is a numpy-batched rank histogram over every source
+subspace, of the module or of its dual, whichever has fewer; on any other
+quiver it is :func:`naive_subrep_count`, a brute force over every choice
+of subspaces as sets of vectors.  Neither shares counting code with the
+package, which computes the polynomial from torus-fixed points and counts
+over F_2 on bit-packed rows; tests compare the routes.  No oracle count
+is charged against ``lattice.BUDGET``: tests choose inputs the oracle can
+count.  :func:`brute_gl_order` is the brute force for |GL_d(F_p)|: it
+counts the invertible matrices by their determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
-from clusterscatter import quiver
 from clusterscatter.errors import InputError, InterpolationError
 from clusterscatter.lattice import vec_sub
 from clusterscatter.quiver import (
     ExplicitRep,
     Quiver,
     euler_form,
-    gaussian_binomial_int,
     indecomposable_rep,
     rep_mod_p,
 )
@@ -40,6 +39,62 @@ _PRIMES = (
 )
 
 _NUMPY_CHUNK = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """Number of ``k``-dimensional subspaces of ``F_p^n``, by the q-Pascal
+    rule: a subspace lies in the hyperplane ``x_n = 0`` or meets it in a
+    ``(k - 1)``-space that ``p^(n-k)`` of them share."""
+    if k < 0 or k > n:
+        return 0
+    if k in (0, n):
+        return 1
+    inside = _gaussian_binomial(n - 1, k, p)
+    return inside + p ** (n - k) * _gaussian_binomial(n - 1, k - 1, p)
+
+
+def _vectors(p: int, d: int) -> list[tuple[int, ...]]:
+    """The vectors of ``F_p^d``, the zero vector first."""
+    return list(product(range(p), repeat=d))
+
+
+@lru_cache(maxsize=None)
+def all_subspaces(p: int, d: int, k: int) -> tuple[frozenset[int], ...]:
+    """Every ``k``-dimensional subspace of ``F_p^d`` as the set of its
+    vectors' positions in ``_vectors(p, d)``: each one of dimension
+    ``k - 1`` grown by every vector outside it, duplicates dropped."""
+    if k == 0:
+        return (frozenset([0]),)
+    vectors = _vectors(p, d)
+    index = {v: i for i, v in enumerate(vectors)}
+    add = [[index[tuple((a + c * b) % p for a, b in zip(u, v))] for v in vectors]
+           for u in vectors for c in range(p)]
+    return tuple({
+        frozenset(add[u * p + c][v] for u in space for c in range(p))
+        for space in all_subspaces(p, d, k - 1)
+        for v in range(len(vectors)) if v not in space
+    })
+
+
+def naive_subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
+    """Every choice of a subspace at each vertex, counted when each arrow
+    maps every vector of its source's subspace into its target's."""
+    p, q = rep.field, rep.quiver
+    choices = [all_subspaces(p, d, k) for d, k in zip(rep.dims, e)]
+    checks = []
+    for (s, t), mat in zip(q.arrows, rep.maps):
+        target = {v: i for i, v in enumerate(_vectors(p, rep.dims[t - 1]))}
+        image = [
+            target[tuple(sum(x * y for x, y in zip(row, vec)) % p for row in mat)]
+            for vec in _vectors(p, rep.dims[s - 1])
+        ]
+        images = {space: frozenset(image[i] for i in space) for space in choices[s - 1]}
+        checks.append((s - 1, t - 1, images))
+    return sum(
+        all(images[combo[s]] <= combo[t] for s, t, images in checks)
+        for combo in product(*choices)
+    )
 
 
 def _batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
@@ -75,7 +130,7 @@ def _two_vertex_rank_histogram(rep: ExplicitRep, e1: int) -> dict[int, int]:
     of its arrow images at the sink; returns rank -> multiplicity."""
     p = rep.field
     d1, d2 = rep.dims
-    total_cells = gaussian_binomial_int(d1, e1, p)
+    total_cells = _gaussian_binomial(d1, e1, p)
     if e1 == 0:
         return {0: 1}
     if d2 == 0 or not rep.maps:
@@ -121,7 +176,7 @@ def _cached_rank_histogram(rep: ExplicitRep, e1: int) -> tuple[tuple[int, int], 
 
 def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     """Number of subrepresentations with dimension vector ``e``: by the
-    rank histogram on the two-arrow quiver, else by the package's count."""
+    rank histogram on the two-arrow quiver, else by brute force."""
     q = rep.quiver
     e = tuple(int(x) for x in e)
     if any(x < 0 or x > dx for x, dx in zip(e, rep.dims)):
@@ -129,7 +184,7 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
     if q.n_vertices == 2:  # counts are upper triangular: every arrow is 1 -> 2
         p = rep.field
         d1, d2 = rep.dims
-        if gaussian_binomial_int(d2, e[1], p) < gaussian_binomial_int(d1, e[0], p):
+        if _gaussian_binomial(d2, e[1], p) < _gaussian_binomial(d1, e[0], p):
             # Gr_e(M) is Gr_(d2 - e2, d1 - e1) of the dual, whose maps are the
             # transposes: count on the side with fewer source subspaces
             maps = tuple(
@@ -139,10 +194,10 @@ def subrep_count(rep: ExplicitRep, e: Sequence[int]) -> int:
             rep, e = ExplicitRep(q, p, (d2, d1), maps), (d2 - e[1], d1 - e[0])
         hist = dict(_cached_rank_histogram(rep, e[0]))
         return sum(
-            mult * gaussian_binomial_int(rep.dims[1] - rank, e[1] - rank, p)
+            mult * _gaussian_binomial(rep.dims[1] - rank, e[1] - rank, p)
             for rank, mult in hist.items()
         )
-    return quiver.subrep_count(rep, e)
+    return naive_subrep_count(rep, e)
 
 
 def _solve_fraction_system(

@@ -695,6 +695,20 @@ class TestRunJob:
         assert code == 2
         assert "cannot read" in err
 
+    def test_closed_stdin_exits_two(self, cli, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert cli("run", "--job", "-") == (
+            2, "", "error: cannot read job file: [Errno 9] Bad file descriptor\n"
+        )
+
+    def test_file_that_is_not_utf8_exits_two(self, cli, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = cli("run", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read job file: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "job, message",
         [
@@ -1366,6 +1380,17 @@ def test_a_closed_stdout_ends_in_one_error_line():
     assert (proc.returncode, proc.stderr) == (
         1, "error: cannot write output: [Errno 9] Bad file descriptor\n"
     )
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+@pytest.mark.parametrize("case", ["e > d", "term ceiling"])
+def test_a_closed_stderr_keeps_the_status(case):
+    args, env, status = PARITY_CASES[case]
+    proc = _fresh_process(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", *PYTHON_M_CLI, *args],
+        {**os.environ, **env}, stderr=None,
+    )
+    assert (proc.returncode, proc.stdout) == (status, "")
 
 
 def test_the_console_script_runs_what_python_m_runs():

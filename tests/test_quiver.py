@@ -4,13 +4,14 @@ Numeric oracles were fixed ahead of implementation: Euler-form values by
 direct evaluation of the defining sum, translate values by the explicit
 2x2 translate matrix [[3,-2],[2,-1]] of the two-arrow quiver, component
 classifications by iterating that matrix by hand, and subrepresentation
-counts by the independent brute-force enumerator in this file.
+counts by the finite-field oracle ``fp_oracle``: its brute-force
+enumerator and its rank histogram share no counting code with the
+package, which counts over F_2 only.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -62,51 +63,10 @@ A2 = path_quiver(2)
 A3 = path_quiver(3)
 
 
-# ---------------------------------------------------------------------------
-# Independent brute-force referee for subrepresentation counts
-
-
-def _vectors(p: int, d: int) -> list[tuple[int, ...]]:
-    """The vectors of ``F_p^d``, the zero vector first."""
-    return list(product(range(p), repeat=d))
-
-
-@lru_cache(maxsize=None)
-def _all_subspaces(p: int, d: int, k: int) -> tuple[frozenset[int], ...]:
-    """Every ``k``-dimensional subspace of ``F_p^d`` as the set of its
-    vectors' positions in ``_vectors(p, d)``: each one of dimension
-    ``k - 1`` grown by every vector outside it, duplicates dropped."""
-    if k == 0:
-        return (frozenset([0]),)
-    vectors = _vectors(p, d)
-    index = {v: i for i, v in enumerate(vectors)}
-    add = [[index[tuple((a + c * b) % p for a, b in zip(u, v))] for v in vectors]
-           for u in vectors for c in range(p)]
-    return tuple({
-        frozenset(add[u * p + c][v] for u in space for c in range(p))
-        for space in _all_subspaces(p, d, k - 1)
-        for v in range(len(vectors)) if v not in space
-    })
-
-
-def naive_subrep_count(rep: ExplicitRep, e: tuple[int, ...]) -> int:
-    """Every choice of a subspace at each vertex, counted when each arrow
-    maps every vector of its source's subspace into its target's."""
-    p, q = rep.field, rep.quiver
-    choices = [_all_subspaces(p, d, k) for d, k in zip(rep.dims, e)]
-    checks = []
-    for (s, t), mat in zip(q.arrows, rep.maps):
-        target = {v: i for i, v in enumerate(_vectors(p, rep.dims[t - 1]))}
-        image = [
-            target[tuple(sum(x * y for x, y in zip(row, vec)) % p for row in mat)]
-            for vec in _vectors(p, rep.dims[s - 1])
-        ]
-        images = {space: frozenset(image[i] for i in space) for space in choices[s - 1]}
-        checks.append((s - 1, t - 1, images))
-    return sum(
-        all(images[combo[s]] <= combo[t] for s, t, images in checks)
-        for combo in product(*choices)
-    )
+def _count_mod(rep: ExplicitRep, p: int, e: tuple[int, ...]) -> int:
+    """Subrepresentations of ``rep`` mod ``p``: the package's count over
+    F_2, the oracle's at odd primes."""
+    return (subrep_count if p == 2 else fp_oracle.subrep_count)(rep_mod_p(rep, p), e)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +424,7 @@ def test_square_model_matches_the_eigenvalue_one_block(k):
     for e in product(range(k + 1), repeat=2):
         coeffs = grassmannian_counting_polynomial(K2, (k, k), e)
         for p in (2, 3):
-            count = subrep_count(rep_mod_p(block, p), e)
+            count = _count_mod(block, p, e)
             assert sum(c * p**i for i, c in enumerate(coeffs)) == count, (e, p)
 
 
@@ -506,55 +466,74 @@ def test_quiver_skew_roundtrip():
 
 
 def test_gaussian_binomial_against_census():
-    from clusterscatter.quiver import _subspace_bases
-
     for (d, k, p) in [(4, 2, 2), (3, 1, 3), (4, 1, 2), (3, 2, 2)]:
-        census = sum(1 for _ in _subspace_bases(p, d, k))
+        census = len(fp_oracle.all_subspaces(p, d, k))
         assert census == gaussian_binomial_int(d, k, p)
     assert gaussian_binomial_int(4, 2, 2) == 35
     assert gaussian_binomial_int(3, 5, 2) == 0
 
 
 def test_subrep_count_trivial_cases():
-    rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), 3)
+    rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), 2)
     assert subrep_count(rep, (0, 0)) == 1
     assert subrep_count(rep, (2, 3)) == 1
     assert subrep_count(rep, (3, 1)) == 0
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2])
 @pytest.mark.parametrize("e", [(1, 1), (1, 2), (0, 2), (2, 2)])
 def test_subrep_count_matches_naive_kronecker(p, e):
     rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), p)
-    assert subrep_count(rep, e) == naive_subrep_count(rep, e)
+    assert subrep_count(rep, e) == fp_oracle.naive_subrep_count(rep, e)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2])
 @pytest.mark.parametrize("e", [(0, 1, 1), (1, 1, 0), (0, 0, 1), (1, 1, 1)])
 def test_subrep_count_matches_naive_path(p, e):
     rep = rep_mod_p(indecomposable_rep(A3, (1, 1, 1)), p)
-    assert subrep_count(rep, e) == naive_subrep_count(rep, e)
+    assert subrep_count(rep, e) == fp_oracle.naive_subrep_count(rep, e)
+
+
+@pytest.mark.parametrize("field", [3, 0], ids=["F_3", "Z"])
+def test_subrep_count_takes_only_f2(field):
+    rep = indecomposable_rep(K2, (2, 3))
+    if field:
+        rep = rep_mod_p(rep, field)
+    with pytest.raises(InputError, match="over F_2"):
+        subrep_count(rep, (1, 1))
+
+
+def test_subrep_count_reads_entries_mod_2():
+    model = indecomposable_rep(K2, (3, 3))
+    lifted = ExplicitRep(K2, 2, (3, 3), tuple(
+        tuple(tuple(x + 2 for x in row) for row in mat) for mat in model.maps
+    ))
+    for e in product(range(4), repeat=2):
+        assert subrep_count(lifted, e) == subrep_count(rep_mod_p(model, 2), e), e
 
 
 @pytest.mark.parametrize("p", [2, 5])
 @pytest.mark.parametrize("e", [(1, 1), (1, 2), (2, 2), (2, 3)])
 def test_two_vertex_fast_path_matches_general(p, e):
-    # the oracle's rank histogram against the package's vertex-by-vertex count
+    # the oracle's rank histogram against its brute-force enumerator
     rep = rep_mod_p(indecomposable_rep(K2, (2, 3)), p)
-    assert fp_oracle.subrep_count(rep, e) == subrep_count(rep, e)
+    assert fp_oracle.subrep_count(rep, e) == fp_oracle.naive_subrep_count(rep, e)
 
 
 @pytest.mark.parametrize(
     "d", [(n, n + s) for n in range(1, 6) for s in (-1, 1)] + [(1, 1, 1)], ids=str
 )
-def test_bit_packed_f2_count_matches_both_referees(d):
+def test_bit_packed_f2_count_matches_both_referees(d, monkeypatch):
     # every e of K2 (n, n+-1) and A3 (1,1,1): the package's packed rows, the
-    # brute-force enumerator above and the oracle's rank histogram (or, off
-    # two vertices, its fallback)
+    # oracle's brute-force enumerator and its rank histogram (off two
+    # vertices, the enumerator again), with the package's count disabled
+    # while the oracle counts
     rep = rep_mod_p(indecomposable_rep(K2 if len(d) == 2 else A3, d), 2)
-    for e in product(*(range(x + 1) for x in d)):
-        count = subrep_count(rep, e)
-        assert count == naive_subrep_count(rep, e) == fp_oracle.subrep_count(rep, e)
+    counts = {e: subrep_count(rep, e) for e in product(*(range(x + 1) for x in d))}
+    monkeypatch.setattr(quiver_mod, "subrep_count", None)
+    for e, count in counts.items():
+        assert count == fp_oracle.naive_subrep_count(rep, e)
+        assert count == fp_oracle.subrep_count(rep, e)
 
 
 def test_counting_polynomial_fits_across_primes():
@@ -566,7 +545,7 @@ def test_counting_polynomial_fits_across_primes():
             rep = indecomposable_rep(K2, d)
             for p in (2, 3, 5, 7):
                 predicted = sum(c * p**i for i, c in enumerate(coeffs))
-                assert predicted == subrep_count(rep_mod_p(rep, p), e)
+                assert predicted == _count_mod(rep, p, e)
 
 
 def test_grassmannian_euler_char_small():
@@ -765,7 +744,7 @@ def test_counting_polynomial_checks_limit_before_counting(monkeypatch):
     assert calls == []
     # under the default ceiling the same count goes through that enumerator
     monkeypatch.setattr(lattice, "BUDGET", lattice.Budget())
-    assert subrep_count(rep, (3, 4)) == naive_subrep_count(rep, (3, 4))
+    assert subrep_count(rep, (3, 4)) == fp_oracle.naive_subrep_count(rep, (3, 4))
     assert calls
 
 
@@ -792,7 +771,7 @@ def test_square_counting_polynomial_matches_small_fields():
     for e in product(range(6), repeat=2):
         coeffs = grassmannian_counting_polynomial(K2, (5, 5), e)
         for p in (2, 3):
-            count = subrep_count(rep_mod_p(model, p), e)
+            count = _count_mod(model, p, e)
             assert sum(c * p**k for k, c in enumerate(coeffs)) == count, (e, p)
 
 

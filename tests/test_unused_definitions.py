@@ -8,10 +8,12 @@ is no exemption: the ``__main__`` block of ``cli`` calls the console-script
 entry point ``cli.console``, which calls ``cli.main``.  Likewise,
 every name a test module imports from the package is read in that
 module, and no test module imports another: shared test code lives in the
-``*_oracle.py`` reference modules.
+``*_oracle.py`` reference modules.  The package imports only itself and
+the standard library, as ``dependencies = []`` in ``pyproject.toml`` says.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -48,6 +50,23 @@ def test_every_definition_is_referenced_in_the_package():
                 if references[member.name] <= own:
                     unused.append(f"{module}.{label}")
     assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    foreign = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in {SOURCE.name, *sys.stdlib_module_names}
+            ]
+    assert not foreign, "imports outside the standard library: " + ", ".join(foreign)
 
 
 def test_every_name_a_test_imports_from_the_package_is_read():
