@@ -7,7 +7,7 @@ Subpackage map:
 * :mod:`clusterscatter.quiver`      -- quiver representations, mesh translates, Grassmannian counts
 * :mod:`clusterscatter.scattering`  -- walls, crossing automorphisms, rank-2 completion
 * :mod:`clusterscatter.brokenlines` -- broken-line enumeration and theta functions
-* :mod:`clusterscatter.hall`        -- q-binomial strata, filtrations, stability phases
+* :mod:`clusterscatter.hall`        -- quantum bend rule, strata of broken lines, stability phases
 * :mod:`clusterscatter.cli`         -- command-line driver and SVG/DOT/TikZ emitters
 """
 

@@ -745,7 +745,7 @@ def _cmd_strata(job: JobSpec) -> str | dict:
             f"strata need a preprojective or preinjective dimension vector; "
             f"{d} is regular"
         )
-    pt = _endpoint(job.inputs)
+    pt = hall.positive_endpoint(_endpoint(job.inputs), 2)
     order = job.order if job.order is not None else max(sum(e), 2)
     if order < sum(e):
         raise InputError(

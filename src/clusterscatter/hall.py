@@ -1,36 +1,49 @@
-"""Wall-crossing stratification algebra for quiver Grassmannians.
+"""Wall-crossing strata of broken lines, and the quiver side of theta
+functions.
 
 Each broken line contributing to a theta function refines, bend by bend,
-into a stratum of the subrepresentation Grassmannian of the quiver
-representation whose negated weight covector is the line's initial
-exponent.  This module implements the polynomial layer of that
-refinement:
+into a filtration and a polynomial in ``q``: a stratum of the
+subrepresentation Grassmannian of the quiver representation whose
+negated weight covector is the line's initial exponent.  This module
+implements the polynomial layer of that refinement:
 
 * Gaussian binomials and the point count of a general linear group over
   a ``q``-element field, as one-variable integer Laurent polynomials in
   ``q`` (exponent tuples ``(k,)``);
-* per-bend strata — an affine power of ``q`` times a Gaussian binomial —
-  together with the filtration steps they append, for the first bend and
-  for every later bend over a wall with rigid indecomposable normal;
-* the stratification of a whole broken line, whose product polynomial
-  evaluated at ``q = 1`` recovers the line's monomial coefficient;
+* one quantum bend rule (the quantum broken lines of Davison and
+  Mandel, arXiv:1910.12915).  A bend that keeps the ``t^j`` term of
+  ``func^k``, where ``k = |<E_m, n>|`` pairs the incoming exponent with
+  the wall normal ``n``, contributes a polynomial in ``v``, with
+  ``q = v^2``, read off the wall's function alone:
+
+  - on a wall ``1 + t``: ``v^(-j(k-j)) [k choose j]_q``
+  - on the two-arrow quiver's central wall ``(1 - t)^(-2)``, at
+    ``k = 1``: ``v^(-j(2k-1)) [2k+j-1 choose j]_q``
+
+  Any other wall function, or the central wall at ``k >= 2``, is
+  refused.  No Hom or Ext data enters, so a wall with a regular normal
+  is handled like a wall with a rigid one;
+* the strata of a whole broken line: the filtration of its bends'
+  ``(normal, power)`` and ``v^<e, d-e>`` times the product of its bend
+  polynomials, a polynomial in ``q`` whose value at ``q = 1`` is the
+  line's coefficient.  Summed over the lines to one final exponent, the
+  polynomials are compared with the counting polynomial of the
+  Grassmannian (Rupel's quantum cluster characters, arXiv:1003.2652);
+  ``strata`` prints that comparison;
 * the Grassmannian-sum evaluation of a theta function (the integrated
   wall-crossing identity): once its endpoint and cluster-complex checks
   pass (decided for representation-finite and two-vertex quivers only),
   it is the cluster character, whose Euler characteristics come from
   one walk along the string module; and
-* exact stability phases attached to the subquotients of a filtration,
-  with the strictly-decreasing phase test that every produced filtration
-  satisfies.
+* exact stability values ``Z(f) = (g(d) - p*(e)).f + i (endpoint.f)``
+  on the steps of a filtration, with a flag saying whether their phases
+  strictly decrease.  The flag is reported, not assured: it reads false
+  on some lines, and nothing here certifies a Harder-Narasimhan
+  filtration.
 
 Everything is exact: polynomials have integer coefficients, phases are
 compared by rational cross products, and ``q = 1`` values are plain
 polynomial evaluations, never limits of rational functions.
-
-Bends over walls whose normal is a regular (non-rigid) dimension vector
-are rejected: no closed stratum formula is available for those, and the
-completed diagrams only need them on the central wall, which cluster
-chambers never border.
 """
 
 from __future__ import annotations
@@ -43,38 +56,38 @@ from typing import NamedTuple, Sequence
 from .brokenlines import BrokenLine
 from .errors import InputError, UnsupportedInputError
 from .lattice import (
+    GradedSeries,
     LaurentPoly,
     Vec,
+    dual_pair,
     p_star,
     terms_str,
     vec_dot,
     vec_scale,
+    vec_str,
     vec_sub,
 )
 from .quiver import (
     Quiver,
     caldero_chapoton,
-    classify_indecomposable,
     dim_vector,
     euler_form,
     g_map,
-    hom_ext_dims,
     quiver_to_skew,
     tits_positive_definite,
 )
 
 __all__ = [
     "Filtration",
-    "Stratum",
     "StabilityValue",
     "HNPhases",
     "qbinom",
     "gl_poincare",
     "q_power",
     "q_str",
-    "first_bending",
-    "next_bending",
+    "bend_polynomial",
     "broken_line_strata",
+    "positive_endpoint",
     "hall_theta_chi",
     "hn_phases",
 ]
@@ -127,7 +140,7 @@ def gl_poincare(d: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Filtrations and strata
+# Filtrations
 
 
 class Filtration(NamedTuple("Filtration", [
@@ -136,7 +149,7 @@ class Filtration(NamedTuple("Filtration", [
     """Chain of subrepresentations with semisimple-like subquotients.
 
     ``steps`` is a sequence of ``(c_j, lambda_j)`` meaning the ``j``-th
-    subquotient is the ``lambda_j``-fold sum of the indecomposable with
+    subquotient is the ``lambda_j``-fold sum of an indecomposable with
     dimension vector ``c_j``.  The total dimension vector of the chain
     is the weighted sum of the steps.
     """
@@ -165,204 +178,59 @@ class Filtration(NamedTuple("Filtration", [
         return tuple(map(sum, zip(*(vec_scale(lam, c) for c, lam in self.steps))))
 
 
-class Stratum(NamedTuple):
-    """One bend's contribution to the Grassmannian stratification.
+# ---------------------------------------------------------------------------
+# Quantum bend coefficients
 
-    ``qpoly`` is ``q^affine_exponent`` times the Gaussian binomial with
-    parameters ``grass_params = (subspace_dim, ambient_dim)``; its value
-    at ``q = 1`` is the binomial coefficient (zero when the Grassmannian
-    is empty).
+
+def _in_v(poly: LaurentPoly, shift: int) -> LaurentPoly:
+    """``v^shift`` times a polynomial in ``q``, written in ``v`` with
+    ``q = v^2``."""
+    return LaurentPoly({(2 * k + shift,): c for (k,), c in poly.terms.items()})
+
+
+def bend_polynomial(func: GradedSeries, k: int, j: int) -> LaurentPoly:
+    """Quantum coefficient, a polynomial in ``v`` with ``q = v^2``, of a
+    bend that keeps the ``t^j`` term of ``func^k``; ``k`` is the pairing
+    ``|<E_m, n>|`` of the incoming exponent with the wall normal ``n``.
+
+    The wall is named by its function, read off the coefficients it
+    keeps below its truncation:
+
+    * ``1 + t``: ``v^(-j(k-j)) [k choose j]_q``
+    * ``(1 - t)^(-2)``, the central wall of the two-arrow quiver, at
+      ``k = 1``: ``v^(-j(2k-1)) [2k+j-1 choose j]_q``
+
+    At ``v = 1`` each is the ``t^j`` coefficient of ``func^k``.  Any
+    other function, or the central wall at ``k >= 2``, is refused.
     """
-
-    affine_exponent: int
-    grass_params: tuple[int, int]
-    qpoly: LaurentPoly
-
-    @classmethod
-    def from_params(cls, affine: int, lam: int, ambient: int) -> "Stratum":
-        poly = q_power(affine) * qbinom(ambient, lam)
-        return cls(int(affine), (int(lam), int(ambient)), poly)
-
-
-def _rigid_normal(q: Quiver, c: Vec) -> None:
-    """Reject walls whose normal is a regular dimension vector."""
-    node = classify_indecomposable(q, c)
-    if node.component == "R":
-        raise UnsupportedInputError(
-            f"bending over the wall with regular normal {c} has no stratum "
-            "formula; only preprojective and preinjective normals are supported"
-        )
-
-
-def _generic_summands(q: Quiver, rem: Vec) -> tuple[tuple[Vec, int], ...]:
-    """Generic (rigid-as-possible) decomposition of a dimension vector on a
-    two-vertex quiver, as ``(summand, multiplicity)`` pairs.
-
-    Multiples of a single indecomposable vector stay aggregated (the
-    classification and the Euler form are additive on them).  Otherwise
-    the vector splits over two adjacent orbit members on its side of the
-    regular cone; vectors inside the non-real cone of a wild two-vertex
-    quiver admit no such decomposition and are rejected.
-    """
-    if all(x == 0 for x in rem):
-        return ()
-    try:
-        classify_indecomposable(q, rem)
-        return ((rem, 1),)
-    except InputError:
-        pass
-    g = gcd(*(abs(x) for x in rem))
-    if g > 1:
-        base = tuple(x // g for x in rem)
-        try:
-            classify_indecomposable(q, base)
-            return ((base, g),)
-        except InputError:
-            pass
-    if q.n_vertices != 2:
-        raise UnsupportedInputError(
-            f"no generic decomposition available for {rem} on this quiver"
-        )
-    width = q.counts[0][1]
-    u, v = rem
-    # Walk the translate orbit on the appropriate side and express the
-    # vector over two adjacent orbit members.
-    if u < v:
-        prev, cur = (0, 1), (1, width)
-    else:
-        prev, cur = (1, 0), (width, 1)
-    for _ in range(max(u, v) + 2):
-        det = prev[0] * cur[1] - prev[1] * cur[0]
-        x = (u * cur[1] - v * cur[0]) // det if det else None
-        y = (prev[0] * v - prev[1] * u) // det if det else None
-        if (
-            det
-            and prev[0] * x + cur[0] * y == u
-            and prev[1] * x + cur[1] * y == v
-            and x >= 0
-            and y >= 0
-        ):
-            parts = []
-            if x:
-                parts.append((prev, x))
-            if y:
-                parts.append((cur, y))
-            return tuple(parts)
-        prev, cur = cur, (
-            width * cur[0] - prev[0],
-            width * cur[1] - prev[1],
-        )
+    coeffs = func.coeffs
+    size = len(coeffs)
+    if coeffs == (1, 1, *(0,) * size)[:size]:
+        return _in_v(qbinom(k, j), -j * (k - j))
+    if k == 1 and coeffs == tuple(range(1, size + 1)):
+        return _in_v(qbinom(2 * k + j - 1, j), -j * (2 * k - 1))
+    normal = func.step[len(func.step) // 2:]
     raise UnsupportedInputError(
-        f"{rem} has no rigid generic decomposition on this quiver"
+        f"no quantum bend rule for the wall with normal {vec_str(normal)} "
+        f"at pairing k = {k}: only walls 1 + t, and the wall (1 - t)^(-2) "
+        "at k = 1, have one"
     )
-
-
-def _generic_hom(q: Quiver, c: Vec, rem: Vec) -> int:
-    """Morphism dimension from the indecomposable ``c`` into the generic
-    representation of dimension vector ``rem``; additive over the generic
-    summands."""
-    return sum(
-        mult * hom_ext_dims(q, c, part).hom
-        for part, mult in _generic_summands(q, rem)
-    )
-
-
-def first_bending(
-    q: Quiver, d: Sequence[int], c1: Sequence[int], lam1: int
-) -> tuple[Stratum, Filtration]:
-    """Stratum and filtration step opened by the first bend of a line.
-
-    The bend chooses a ``lam1``-dimensional subspace of the morphism
-    space from the indecomposable with dimension vector ``c1`` into the
-    ambient representation of dimension vector ``d``; the stratum is the
-    Gaussian binomial of that choice, with no affine factor.  A zero
-    multiplicity contributes the trivial stratum and no step.
-    """
-    d = dim_vector(q, d, "ambient dimension vector")
-    c1 = dim_vector(q, c1, "bend normal")
-    lam1 = int(lam1)
-    if lam1 < 0:
-        raise InputError("bend multiplicity must be nonnegative")
-    if all(x == 0 for x in c1):
-        raise InputError("bend normal must be nonzero")
-    _rigid_normal(q, c1)
-    hom = hom_ext_dims(q, c1, d).hom
-    if hom <= 0:
-        raise InputError(
-            f"no bending over normal {c1} is possible: the morphism space "
-            f"into dimension {d} vanishes"
-        )
-    if lam1 == 0:
-        return Stratum.from_params(0, 0, hom), Filtration(())
-    return Stratum.from_params(0, lam1, hom), Filtration(((c1, lam1),))
-
-
-def next_bending(
-    q: Quiver,
-    d: Sequence[int],
-    filt: Filtration,
-    cj: Sequence[int],
-    lamj: int,
-) -> tuple[Stratum, Filtration]:
-    """Stratum appended by a later bend, given the chain built so far.
-
-    Admissibility requires no morphisms from any earlier subquotient to
-    the new one (the chain ascends the translate-orbit order).  The
-    ambient count ``eta`` is the morphism dimension from the new normal
-    into the generic representation of what remains of ``d`` after the
-    chain; the affine correction ``gamma`` is the multiplicity-weighted
-    extension dimension of the chain against the new normal, computed
-    additively.  The stratum is ``q^(lamj * gamma)`` times the Gaussian
-    binomial choosing ``lamj`` from ``eta - gamma``; when
-    ``eta - gamma < lamj`` the Grassmannian is empty and the stratum
-    polynomial is zero.
-    """
-    d = dim_vector(q, d, "ambient dimension vector")
-    cj = dim_vector(q, cj, "bend normal")
-    if not isinstance(filt, Filtration):
-        raise InputError("next_bending needs the Filtration built by earlier bends")
-    lamj = int(lamj)
-    if lamj < 0:
-        raise InputError("bend multiplicity must be nonnegative")
-    if all(x == 0 for x in cj):
-        raise InputError("bend normal must be nonzero")
-    _rigid_normal(q, cj)
-    gamma = 0
-    for cl, lam in filt.steps:
-        earlier_to_new = hom_ext_dims(q, cl, cj)
-        if earlier_to_new.hom != 0:
-            raise InputError(
-                f"inadmissible bend order: step {cl} admits morphisms to "
-                f"the new normal {cj}"
-            )
-        gamma += lam * earlier_to_new.ext
-    used = filt.dimension()
-    if used:
-        remainder = vec_sub(d, used)
-        if any(x < 0 for x in remainder):
-            raise InputError(
-                f"chain dimension {used} exceeds the ambient dimension {d}"
-            )
-    else:
-        remainder = d
-    eta = _generic_hom(q, cj, remainder)
-    if lamj == 0:
-        return Stratum.from_params(0, 0, eta - gamma), filt
-    stratum = Stratum.from_params(lamj * gamma, lamj, eta - gamma)
-    return stratum, Filtration(filt.steps + ((cj, lamj),))
 
 
 def broken_line_strata(
     bl: BrokenLine, q: Quiver, d: Sequence[int]
 ) -> tuple[Filtration, LaurentPoly]:
-    """Filtration and product ``q``-polynomial refining one broken line.
+    """Filtration and ``q``-polynomial of one broken line.
 
     The line's initial exponent must be the negated weight covector of
-    ``d`` (zero-padded into the doubled lattice).  Each bend, taken in
-    order along the line, appends a filtration step whose vector is the
-    wall normal and whose multiplicity is the bend power; the product of
-    the per-bend strata evaluated at ``q = 1`` equals the line's monomial
-    coefficient.  Bend-free lines give the empty chain and polynomial 1.
+    ``d`` (zero-padded into the doubled lattice).  The filtration has one
+    step per bend, in order along the line: the wall normal, with the
+    bend power as multiplicity.  The polynomial is ``v^<e, d-e>`` times
+    the product of the bends' :func:`bend_polynomial`, where ``e`` is the
+    last ``n`` coordinates of the final exponent and ``<, >`` the Euler
+    form; it must have even powers of ``v`` only, and is returned in
+    ``q``.  At ``q = 1`` it is the line's coefficient.  A bend-free line
+    ends at ``e = 0`` and gives the empty chain and 1.
     """
     d = dim_vector(q, d, "ambient dimension vector")
     n = q.n_vertices
@@ -372,20 +240,18 @@ def broken_line_strata(
             f"broken line starts at exponent {tuple(bl.initial_exponent)}, "
             f"not at the negated weight covector {expected} of {d}"
         )
-    filt = Filtration(())
-    total = q_power(0)
-    for index, (wall, power) in enumerate(bl.bends()):
-        normal = tuple(wall.normal)
-        if len(normal) != n:
-            raise InputError(
-                f"wall normal {normal} does not live in the rank-{n} lattice"
-            )
-        if index == 0:
-            stratum, filt = first_bending(q, d, normal, power)
-        else:
-            stratum, filt = next_bending(q, d, filt, normal, power)
-        total = total * stratum.qpoly
-    return filt, total
+    e = bl.final_exponent[n:]
+    total = LaurentPoly.monomial((euler_form(q, e, vec_sub(d, e)),))
+    for prev, seg in zip(bl.segments, bl.segments[1:]):
+        k = abs(dual_pair(prev.exponent[:n], seg.bend_wall.normal))
+        total = total * bend_polynomial(seg.bend_wall.func, k, seg.bend_power)
+    if any(x % 2 for (x,) in total.terms):
+        raise UnsupportedInputError(
+            f"the broken line to {vec_str(bl.final_exponent)} has odd powers "
+            "of v, so no polynomial in q"
+        )
+    filt = Filtration((wall.normal, power) for wall, power in bl.bends())
+    return filt, LaurentPoly({(x // 2,): c for (x,), c in total.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +290,17 @@ def _require_cluster_complex(q: Quiver, d: Vec) -> None:
         )
 
 
+def positive_endpoint(endpoint: Sequence, n: int) -> tuple[Fraction, ...]:
+    """The endpoint as exact rationals, checked to have length ``n`` and
+    to lie in the open positive chamber: every coordinate positive."""
+    pt = tuple(Fraction(x) for x in endpoint)
+    if len(pt) != n:
+        raise InputError(f"endpoint must have length {n}, got {len(pt)}")
+    if any(x <= 0 for x in pt):
+        raise InputError(f"endpoint {vec_str(pt)} lies outside the positive chamber")
+    return pt
+
+
 def hall_theta_chi(
     q: Quiver, d: Sequence[int], endpoint: Sequence
 ) -> LaurentPoly:
@@ -443,13 +320,7 @@ def hall_theta_chi(
     """
     d = dim_vector(q, d, "dimension vector")
     n = q.n_vertices
-    pt = tuple(Fraction(x) for x in endpoint)
-    if len(pt) != n:
-        raise InputError(f"endpoint must have length {n}, got {len(pt)}")
-    if any(x <= 0 for x in pt):
-        raise InputError(
-            f"endpoint {tuple(endpoint)} lies outside the positive chamber"
-        )
+    positive_endpoint(endpoint, n)
     if all(x == 0 for x in d):
         return LaurentPoly.one(2 * n)
     _require_cluster_complex(q, d)
@@ -500,14 +371,17 @@ def hn_phases(
     d: Sequence[int],
     e: Sequence[int],
 ) -> HNPhases:
-    """Stability phases of a filtration's subquotients, with the
-    strictly-decreasing check that characterizes admissible chains.
+    """Stability values of a filtration's steps, and whether their phases
+    strictly decrease.
 
-    Each subquotient with dimension vector ``f`` receives the value
-    ``(g(d) - p*(e)) . f  +  i (endpoint . f)`` — exact real and
+    Each step with dimension vector ``f`` receives the value
+    ``Z(f) = (g(d) - p*(e)) . f  +  i (endpoint . f)`` — exact real and
     imaginary parts.  ``e`` must be the chain's total dimension vector.
-    The check holds when consecutive phases strictly decrease, compared
-    via rational cross products (no floating point, no arctangents).
+    ``decreasing`` holds when consecutive phases strictly decrease,
+    compared via rational cross products (no floating point, no
+    arctangents).  It is reported, not assured: a broken line's chain can
+    fail it, and a chain that passes it is not thereby certified as a
+    Harder-Narasimhan filtration.
     """
     if q.n_vertices != 2:
         raise UnsupportedInputError(
@@ -519,13 +393,7 @@ def hn_phases(
         raise InputError(f"need e <= d componentwise, got e={e}, d={d}")
     if not isinstance(filt, Filtration):
         raise InputError("hn_phases needs a Filtration")
-    pt = tuple(Fraction(x) for x in endpoint)
-    if len(pt) != 2:
-        raise InputError(f"endpoint must have length 2, got {len(pt)}")
-    if any(x <= 0 for x in pt):
-        raise InputError(
-            f"endpoint {tuple(endpoint)} lies outside the positive chamber"
-        )
+    pt = positive_endpoint(endpoint, 2)
     if filt.steps and filt.dimension() != e:
         raise InputError(
             f"filtration resolves {filt.dimension()}, not the requested {e}"

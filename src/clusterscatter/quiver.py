@@ -358,50 +358,6 @@ def classify_indecomposable(q: Quiver, d: Sequence[int]) -> ARNode:
 _COMPONENT_ORDER = {"P": 0, "R": 1, "I": 2}
 
 
-class HomExt(NamedTuple):
-    """Dimension pair ``(hom, ext)`` of the morphism and extension spaces."""
-
-    hom: int
-    ext: int
-
-
-def hom_ext_dims(q: Quiver, c: Sequence[int], d: Sequence[int]) -> HomExt:
-    """Dimensions ``(hom, ext)`` between indecomposables with these vectors.
-
-    Within a single preprojective or preinjective component the pair is
-    ``(max(chi, 0), max(-chi, 0))`` with ``chi`` the Euler form.  Across
-    components ordered preprojective < regular < preinjective, maps only
-    exist forward and extensions only backward, so the earlier argument
-    gives ``(chi, 0)`` and the later gives ``(0, -chi)``.  Two regular
-    vectors are rejected: dimension vectors cannot tell tubes apart.
-    """
-    c = tuple(int(x) for x in c)
-    d = tuple(int(x) for x in d)
-    chi = euler_form(q, c, d)
-    nc = classify_indecomposable(q, c)
-    nd = classify_indecomposable(q, d)
-    if nc.component == "R" and nd.component == "R":
-        raise UnsupportedInputError(
-            "hom/ext between two regular dimension vectors is not determined "
-            "by the vectors alone"
-        )
-    if nc.component == nd.component:
-        return HomExt(max(chi, 0), max(-chi, 0))
-    if _COMPONENT_ORDER[nc.component] < _COMPONENT_ORDER[nd.component]:
-        if chi < 0:
-            raise InputError(
-                f"negative Euler form {chi} contradicts the component ordering "
-                f"for {c} before {d}"
-            )
-        return HomExt(chi, 0)
-    if chi > 0:
-        raise InputError(
-            f"positive Euler form {chi} contradicts the component ordering "
-            f"for {c} after {d}"
-        )
-    return HomExt(0, -chi)
-
-
 # ---------------------------------------------------------------------------
 # Mesh graphs of translate orbits
 

@@ -815,9 +815,11 @@ class TestBadInputNamed:
               "--order", "4"], "endpoint"),
             (["strata", "--quiver", "kronecker2", "--D", "5,6", "--e", "2,4",
               "--endpoint", "0,1"], "endpoint (0,1)"),
+            (["strata", "--quiver", "kronecker2", "--D", "1,2", "--e", "0,1",
+              "--endpoint", "1/2,-1"], "endpoint (1/2,-1)"),
         ],
         ids=["strata-endpoint-length", "strata-e-length", "theta-endpoint-length",
-             "strata-endpoint-on-wall"],
+             "strata-endpoint-on-wall", "strata-endpoint-outside-the-chamber"],
     )
     def test_message_names_the_input(self, cli, args, name):
         code, out, err = cli(*args)
@@ -1453,4 +1455,24 @@ def test_strata_sum_to_the_counting_polynomial_over_f_p(cli, n):
             assert {k: c for k, c in total.items() if c} == {
                 k: c for k, c in enumerate(want) if c
             }, (d, e)
-    assert returned >= 2 * n * (n + 1)
+    assert returned >= {1: 11, 2: 23, 3: 39}[n]
+
+
+def test_strata_status_histogram_over_the_near_diagonal_sweep(cli):
+    # d = (n, n+1) and (n, n-1) for 1 <= n <= 6, every e, at (2,1): every
+    # pair returns with whole polynomials in agreement, except the 8 whose
+    # lines would pass through the origin
+    statuses = []
+    for n in range(1, 7):
+        for d in ((n, n + 1), (n, n - 1)):
+            for e in product(range(d[0] + 1), range(d[1] + 1)):
+                code, out, err = cli("strata", "--quiver", "kronecker2",
+                                     "--D", f"{d[0]},{d[1]}", "--e", f"{e[0]},{e[1]}",
+                                     "--endpoint", "2,1")
+                if code == 0:
+                    statuses.append((0, out.endswith("\nagreement: yes\n")))
+                else:
+                    statuses.append((code, "origin" in err and err.count("\n") == 1))
+    assert len(statuses) == 278
+    assert sorted(set(statuses)) == [(0, True), (2, True)]
+    assert statuses.count((0, True)) == 270 and statuses.count((2, True)) == 8

